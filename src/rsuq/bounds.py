@@ -29,11 +29,6 @@ LN2 = math.log(2.0)
 LOG2E = 1.0 / LN2
 
 
-def log2_kappa(n: int) -> float:
-    """log2 of the unit n-ball volume."""
-    return log2_ball_volume(n)
-
-
 # -- rate-distortion lower bounds ---------------------------------------------
 
 
@@ -41,7 +36,7 @@ def rd_lower_max_error(n: int, r: float) -> float:
     """Normalized-entropy lower bound for maximum error at most r."""
     if not r > 0:
         raise ValueError("maximum error must be positive")
-    return -n * math.log2(r) - log2_kappa(n)
+    return -n * math.log2(r) - log2_ball_volume(n)
 
 
 def shannon_lb_mse(n: int, D: float) -> float:
@@ -55,12 +50,12 @@ def zador_lb_mse(n: int, D: float) -> float:
     """Sphere-comparison lower bound for MSE; tighter than shannon_lb_mse."""
     if not D > 0:
         raise ValueError("distortion must be positive")
-    return -(n / 2.0) * math.log2((n + 2) * D / n) - log2_kappa(n)
+    return -(n / 2.0) * math.log2((n + 2) * D / n) - log2_ball_volume(n)
 
 
 def mse_redundancy_gap(n: int) -> float:
     """Gap between the Shannon and Zador MSE redundancies at dimension n."""
-    return 0.5 * math.log2(2.0 * math.pi * math.e / (n + 2)) - log2_kappa(n) / n
+    return 0.5 * math.log2(2.0 * math.pi * math.e / (n + 2)) - log2_ball_volume(n) / n
 
 
 # -- redundancies of a given normalized entropy -------------------------------
@@ -68,7 +63,7 @@ def mse_redundancy_gap(n: int) -> float:
 
 def redundancy_max_error(hbar: float, n: int, r: float) -> float:
     """Per-dimension redundancy of Hbar against the max-error bound at r."""
-    return hbar / n + math.log2(r) + log2_kappa(n) / n
+    return hbar / n + math.log2(r) + log2_ball_volume(n) / n
 
 
 def shannon_red_mse(hbar: float, n: int, D: float) -> float:
@@ -76,7 +71,7 @@ def shannon_red_mse(hbar: float, n: int, D: float) -> float:
 
 
 def zador_red_mse(hbar: float, n: int, D: float) -> float:
-    return hbar / n + 0.5 * math.log2((n + 2) * D / n) + log2_kappa(n) / n
+    return hbar / n + 0.5 * math.log2((n + 2) * D / n) + log2_ball_volume(n) / n
 
 
 # -- lattice quantizer redundancies -------------------------------------------
@@ -96,7 +91,7 @@ def lattice_shannon_red_mse(nsm: float) -> float:
 
 def lattice_zador_red_mse(n: int, nsm: float) -> float:
     """Zador-MSE redundancy of a cell with normalized second moment nsm."""
-    return 0.5 * math.log2((n + 2) * nsm) + log2_kappa(n) / n
+    return 0.5 * math.log2((n + 2) * nsm) + log2_ball_volume(n) / n
 
 
 # -- reference bounds on the best achievable redundancy ------------------------
@@ -157,7 +152,7 @@ def rsuq_norment_ub(lat: Lattice, r: float, tight: bool = False) -> float:
     form replaces it with the geometric-excess term of the stopping index
     at the lattice's packing density.
     """
-    base = -lat.n * math.log2(r) - log2_kappa(lat.n)
+    base = -lat.n * math.log2(r) - log2_ball_volume(lat.n)
     if tight:
         return base + geometric_excess(packing_density(lat))
     return base + LOG2E
@@ -190,7 +185,7 @@ def universal_bound_terms(n: int, p: float, r: float = 1.0) -> float:
 
 def ball_nsm(n: int) -> float:
     """Normalized second moment of the n-ball: 1 / ((n+2) kappa_n^(2/n))."""
-    return 2.0 ** (-math.log2(n + 2) - 2.0 * log2_kappa(n) / n)
+    return 2.0 ** (-math.log2(n + 2) - 2.0 * log2_ball_volume(n) / n)
 
 
 def gaussian_delta_eps(eps: float, sigma_min_eig: float, mean_norm: float) -> float:

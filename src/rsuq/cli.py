@@ -18,13 +18,13 @@ from . import bounds as bd
 from . import mc
 from .coding import (MODE_BALL, FormatError, GolombCode, StreamHeader,
                      coord_width_for_bound, decode_stream, encode_stream,
-                     read_vectors, write_header, write_vectors)
+                     mean_code_length, read_vectors, write_header,
+                     write_vectors)
 from .dither import derive_seed, stream_uniforms
-from .lattices import Lattice, builtin_lattice, load_lattice, packing_density
+from .lattices import (_BUILTIN_FAMILIES, Lattice, builtin_lattice,
+                       load_lattice, packing_density)
 from .layered import GaussianNoise, lrsuq_decode_batch, lrsuq_encode_batch
 from .quantizer import RsuqConfig, decode_batch, encode_batch
-
-_BUILTIN_IDS = ("Zn", "Dn", "A2", "E8")
 
 
 def _seed64(text: str) -> int:
@@ -33,7 +33,7 @@ def _seed64(text: str) -> int:
 
 
 def _resolve_lattice(name_or_path: str, n: int) -> Lattice:
-    if name_or_path in _BUILTIN_IDS:
+    if name_or_path in _BUILTIN_FAMILIES:
         return builtin_lattice(name_or_path, n)
     lat = load_lattice(name_or_path)
     if lat.n != n:
@@ -71,8 +71,7 @@ def cmd_encode(args) -> int:
     print(f"vectors={len(X)} dim={args.dim} lattice={lat.name} "
           f"radius={args.radius:.6g} seed={args.seed}")
     if len(X):
-        est = mc.rate_from_descriptions(lat, K, J)
-        rate = est.mean_code_len / args.dim
+        rate = mean_code_length(lat, K, bound) / args.dim
         hbound = (bd.geometric_entropy(packing_density(lat)) + 1.0
                   + args.dim * coord_width_for_bound(bound)) / args.dim
         lb = bd.rd_lower_max_error(args.dim, args.radius) / args.dim
@@ -112,8 +111,7 @@ def cmd_simulate(args) -> int:
     noise = GaussianNoise(args.dim, lat)
     if len(X):
         K, J, Y, _ = lrsuq_encode_batch(noise, lat, args.seed, X)
-        est = mc.rate_from_descriptions(lat, K, J)
-        rate = est.mean_code_len / args.dim
+        rate = mean_code_length(lat, K, int(np.abs(J).max())) / args.dim
     else:
         Y = np.zeros((0, args.dim))
         rate = 0.0

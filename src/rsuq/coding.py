@@ -208,6 +208,12 @@ def golomb_for_lattice(lat: Lattice) -> GolombCode:
     return GolombCode.for_geometric(packing_density(lat))
 
 
+def mean_code_length(lat: Lattice, K, coord_bound: int) -> float:
+    """Mean RSQ1 payload bits per vector: Golomb(K) plus n fixed-width coordinates."""
+    code = golomb_for_lattice(lat)
+    return float(code.length(K).mean()) + lat.n * coord_width_for_bound(coord_bound)
+
+
 # -- RSQ1 container ----------------------------------------------------------
 
 
@@ -326,6 +332,12 @@ def decode_stream(data: bytes, lat: Lattice | None = None):
     lat = lattice_for_header(header, lat)
     code = golomb_for_lattice(lat)
     width = coord_width_for_bound(header.coord_bound)
+    # Every Golomb codeword takes at least one bit: bound the count by the
+    # payload before allocating for it.
+    payload_bits = 8 * (len(data) - pos)
+    if header.count * (1 + header.n * width) > payload_bits:
+        raise FormatError(f"header claims {header.count} vectors but the payload "
+                          f"holds only {payload_bits} bits")
     r = BitReader(data[pos:])
     K = np.empty(header.count, dtype=np.int64)
     J = np.empty((header.count, header.n), dtype=np.int64)

@@ -139,10 +139,7 @@ class Lattice:
     def _nearest_enum(self, X):
         # Bounded enumeration: the nearest point satisfies |x - G j| <= R,
         # hence |c_i - j_i| <= |row_i(G^-1)| * R in basis coordinates.
-        if self.covering_radius is not None:
-            R = self.covering_radius
-        else:
-            R = math.sqrt(self.n) * max(np.linalg.norm(c) for c in self._g_cols)
+        R = _covering_radius_bound(self)
         if self._enum_offsets is None:
             half = [int(math.ceil(np.linalg.norm(self._invG[i]) * R + 0.5))
                     for i in range(self.n)]
@@ -185,6 +182,13 @@ class Lattice:
         if self.covering_radius is not None and covering_density(self) < 1.0 - 1e-12:
             raise ValueError("covering density below 1")
         return self
+
+
+def _covering_radius_bound(lat) -> float:
+    """Covering radius, or sqrt(n) times the longest basis column if unknown."""
+    if lat.covering_radius is not None:
+        return lat.covering_radius
+    return math.sqrt(lat.n) * max(np.linalg.norm(c) for c in lat._g_cols)
 
 
 def _sqnorm_rows(X):

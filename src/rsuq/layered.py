@@ -12,8 +12,10 @@ The built-in model is the standard Gaussian: its level sets are balls of
 radius sqrt(V) with V chi-square distributed on n + 2 degrees of freedom,
 and the minimal valid scale is beta = sqrt(V) / packing_radius, which
 makes the per-dither acceptance probability exactly the packing density.
-Custom models supply sample_level / in_level_set / beta; checking that the
-level sets are bounded and integrable is the caller's obligation.
+Custom models supply sample_level / in_level_set / beta; the membership
+predicate is evaluated once per rejection round over all active rows.
+Checking that the level sets are bounded and integrable is the caller's
+obligation.
 """
 
 from __future__ import annotations
@@ -24,20 +26,24 @@ import numpy as np
 from scipy.special import gammaincinv
 
 from .dither import stream_uniforms
-from .lattices import Lattice, LatticePoint, log2_ball_volume, packing_density
-from .quantizer import Description, _dithers_at, _reject_rows, batch_seeds
+from .lattices import Lattice, LatticePoint, log2_ball_volume
+from .quantizer import (Description, _decode_rows, _reject_rows, _within_radius,
+                        batch_seeds, default_max_iters)
 
 
 class NoiseModel:
     """Continuous error law exposed through its superlevel-set geometry.
 
-    Subclasses define sample_level(u) mapping `level_words` uniforms to a
-    density level t, the membership predicate in_level_set(z, t), and the
-    cell scale beta(t) with superlevel(t) contained in beta(t) * Voronoi.
-    level_log_volume(t) (log2 of the level-set volume) is optional and only
-    used by diagnostics.  Models whose level sets are centered balls set
-    level_ball = True and provide level_radius(t); those get the fast
-    vectorized encode path.
+    Subclasses define sample_level(u) mapping rows of `level_words`
+    uniforms to density levels t, the membership predicate
+    in_level_set(Z, t) returning one boolean per row of error vectors Z
+    (row i against level t[i]), and the cell scale beta(t) with
+    superlevel(t) contained in beta(t) * Voronoi; all three work over
+    rows.  level_log_volume(t) (log2 of the level-set volume) is optional
+    and only used by diagnostics.  Models whose level sets are centered
+    balls may set level_ball = True and provide level_radius(t); the
+    encoder then runs the ball test in x / beta coordinates in place of
+    in_level_set.
     """
 
     n: int
@@ -47,7 +53,7 @@ class NoiseModel:
     def sample_level(self, u):
         raise NotImplementedError
 
-    def in_level_set(self, z, t) -> bool:
+    def in_level_set(self, Z, t):
         raise NotImplementedError
 
     def beta(self, t) -> float:
@@ -89,9 +95,9 @@ class GaussianNoise(NoiseModel):
         v = 2.0 * gammaincinv((self.n + 2) / 2.0, np.asarray(u)[..., 0])
         return self._t_of_v(v)
 
-    def in_level_set(self, z, t) -> bool:
-        z = np.asarray(z, dtype=np.float64)
-        return bool(float(z @ z) <= self._v_of_t(t))
+    def in_level_set(self, Z, t):
+        Z = np.asarray(Z, dtype=np.float64)
+        return np.einsum("ij,ij->i", Z, Z) <= self._v_of_t(t)
 
     def beta(self, t):
         return np.sqrt(self._v_of_t(t)) / self.lat.packing_radius
@@ -113,14 +119,15 @@ def acceptance_probability_given_level(noise: NoiseModel, lat: Lattice, t) -> fl
     return 2.0 ** (log2_set - log2_cell)
 
 
-def _default_cap(lat):
-    return int(math.ceil(50.0 / packing_density(lat)))
-
-
-def _levels_for(noise, seeds):
-    """Level draws for each row seed, consuming the reserved word prefix."""
+def _levels_and_betas(noise, seeds):
+    """Level draws (from the reserved word prefix) and cell scales per row seed."""
     u = stream_uniforms(seeds, 0, noise.level_words)
-    return noise.sample_level(u)
+    t = noise.sample_level(u)
+    beta = np.asarray(noise.beta(np.atleast_1d(np.asarray(t, dtype=np.float64))),
+                      dtype=np.float64)
+    if not np.all(beta > 0):
+        raise ValueError("noise model produced a nonpositive cell scale")
+    return t, beta
 
 
 def lrsuq_encode(noise: NoiseModel, lat: Lattice, seed: int, x,
@@ -132,9 +139,8 @@ def lrsuq_encode(noise: NoiseModel, lat: Lattice, seed: int, x,
     K, J, _, _ = _lrsuq_encode_rows(noise, lat,
                                     np.asarray([seed], dtype=np.uint64),
                                     x[None, :], max_iters)
-    j = J[0]
     return Description(K=int(K[0]),
-                       M=LatticePoint(coords=j, embedding=lat.embed_rows(J)[0]))
+                       M=LatticePoint(coords=J[0], embedding=lat.embed_rows(J)[0]))
 
 
 def lrsuq_decode(noise: NoiseModel, lat: Lattice, seed: int, d: Description):
@@ -143,59 +149,35 @@ def lrsuq_decode(noise: NoiseModel, lat: Lattice, seed: int, d: Description):
     A configuration mismatch with the encoder is undetectable by
     construction; supplying the encoding configuration is the contract.
     """
-    if d.K < 1:
-        raise ValueError("stopping index must be >= 1")
     seeds = np.asarray([seed], dtype=np.uint64)
-    J = np.asarray(d.M.coords, dtype=np.int64)[None, :]
-    return _lrsuq_decode_rows(noise, lat, seeds, np.asarray([d.K]), J)[0]
-
-
-def _betas_for(noise, t):
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    beta = np.asarray(noise.beta(t), dtype=np.float64)
-    if not np.all(beta > 0):
-        raise ValueError("noise model produced a nonpositive cell scale")
-    return beta
+    return _lrsuq_decode_rows(noise, lat, seeds, [d.K], d.M.coords)[0]
 
 
 def _lrsuq_encode_rows(noise, lat, seeds, X, max_iters):
+    """Layered encode of rows; returns (K, J, Y, levels)."""
     if noise.n != lat.n:
         raise ValueError("noise/lattice dimension mismatch")
-    cap = _default_cap(lat) if max_iters is None else max_iters
-    t = _levels_for(noise, seeds)
-    beta = _betas_for(noise, t)
+    t, beta = _levels_and_betas(noise, seeds)
     if noise.level_ball:
         # In x/beta coordinates the level set is a ball of this radius
         # around the input; for the minimal beta it equals the packing radius.
         r_scaled = np.asarray(noise.level_radius(t), dtype=np.float64) / beta
-        Xs = X / beta[:, None]
-        K, J = _reject_rows(lat, 1.0, Xs, Xs, r_scaled ** 2, seeds,
-                            noise.level_words, cap)
+        accept = _within_radius(r_scaled ** 2)
     else:
-        K, J = _lrsuq_generic_rows(noise, lat, seeds, X, t, beta, cap)
-    return K, J, beta, t
-
-
-def _lrsuq_generic_rows(noise, lat, seeds, X, t, beta, cap):
-    # Membership-predicate path for custom models; scalar acceptance test.
-    t = np.atleast_1d(t)
-
-    def accept(err_scaled, active):
-        return np.asarray([
-            bool(noise.in_level_set(err_scaled[i] * beta[row], t[row]))
-            for i, row in enumerate(active)
-        ])
-
-    Xs = X / beta[:, None]
-    return _reject_rows(lat, 1.0, Xs, Xs, 0.0, seeds, noise.level_words, cap,
-                        accept=accept)
+        def accept(err, active):
+            return np.asarray(noise.in_level_set(err * beta[active, None], t[active]),
+                              dtype=bool)
+    cap = default_max_iters(lat) if max_iters is None else max_iters
+    # The loop runs in x/beta coordinates (scale 1); its accepted rows are
+    # scaled back exactly as the decoder scales M + V_K.
+    K, J, Y = _reject_rows(lat, 1.0, X / beta[:, None], seeds,
+                           noise.level_words, cap, accept)
+    return K, J, beta[:, None] * Y, t
 
 
 def _lrsuq_decode_rows(noise, lat, seeds, K, J):
-    t = _levels_for(noise, seeds)
-    beta = _betas_for(noise, t)
-    v = _dithers_at(lat, seeds, np.asarray(K, dtype=np.int64) - 1, noise.level_words)
-    return beta[:, None] * (lat.embed_rows(J) + v)
+    _, beta = _levels_and_betas(noise, seeds)
+    return _decode_rows(lat, beta[:, None], seeds, K, J, noise.level_words)
 
 
 # -- batched drivers ---------------------------------------------------------
@@ -211,16 +193,9 @@ def lrsuq_encode_batch(noise: NoiseModel, lat: Lattice, seed: int, X,
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != lat.n:
         raise ValueError(f"expected dimension {lat.n}, got {X.shape[1]}")
-    seeds = batch_seeds(seed, X.shape[0])
-    K, J, beta, t = _lrsuq_encode_rows(noise, lat, seeds, X, max_iters)
-    v = _dithers_at(lat, seeds, K - 1, noise.level_words)
-    Y = beta[:, None] * (lat.embed_rows(J) + v)
-    return K, J, Y, t
+    return _lrsuq_encode_rows(noise, lat, batch_seeds(seed, X.shape[0]), X, max_iters)
 
 
 def lrsuq_decode_batch(noise: NoiseModel, lat: Lattice, seed: int, K, J):
     """Reconstructions for a batch of descriptions (inverse of encode batch)."""
-    K = np.asarray(K, dtype=np.int64)
-    J = np.atleast_2d(np.asarray(J, dtype=np.int64))
-    seeds = batch_seeds(seed, K.shape[0])
-    return _lrsuq_decode_rows(noise, lat, seeds, K, J)
+    return _lrsuq_decode_rows(noise, lat, batch_seeds(seed, len(K)), K, J)

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammainc, gammaincc, ndtr
 
-from .bounds import LOG2E, log2_kappa
-from .coding import coord_width_for_bound, golomb_for_lattice
+from .bounds import LOG2E
+from .coding import mean_code_length
 from .dither import derive_seed, stream_uniforms
-from .lattices import Lattice
+from .lattices import Lattice, _covering_radius_bound, log2_ball_volume
 from .layered import NoiseModel, lrsuq_encode_batch
 from .quantizer import RsuqConfig, encode_batch
 
@@ -226,13 +226,10 @@ def estimate_rate(cfg: RsuqConfig, plan: TrialPlan) -> RateEstimate:
 
 
 def rate_from_descriptions(lat, K, J) -> RateEstimate:
-    code = golomb_for_lattice(lat)
     bound = int(np.abs(J).max()) if J.size else 0
-    width = coord_width_for_bound(bound)
-    mean_len = float(code.length(K).mean()) + lat.n * width
     return RateEstimate(h_k=plugin_entropy(K), h_m=plugin_entropy(J),
-                        mean_code_len=mean_len, coord_bound=bound,
-                        n_samples=int(K.size))
+                        mean_code_len=mean_code_length(lat, K, bound),
+                        coord_bound=bound, n_samples=int(K.size))
 
 
 def estimate_mse(cfg: RsuqConfig, plan: TrialPlan) -> float:
@@ -359,12 +356,6 @@ def _geometric_gof(K, p, mass_points, seed):
     return chi_square_gof(obs, exp, "stopping-index[geometric-chi2]", seed=seed)
 
 
-def estimate_k_distribution(cfg: RsuqConfig, plan: TrialPlan) -> TestResult:
-    """Chi-square fit of the stopping index to its geometric law."""
-    _, result = k_statistics(cfg, plan)
-    return result
-
-
 # -- rate-bound checks ---------------------------------------------------------------
 
 
@@ -376,8 +367,8 @@ def rsuq_rate_check(cfg: RsuqConfig, plan: TrialPlan, slack: float = 0.1) -> Tes
     """
     est = estimate_rate(cfg, plan)
     n = cfg.lat.n
-    lhs = est.h_k + est.h_m - (n * math.log2(plan.tau) + log2_kappa(n))
-    rhs = -(n * math.log2(cfg.r) + log2_kappa(n)) + LOG2E + slack
+    lhs = est.h_k + est.h_m - (n * math.log2(plan.tau) + log2_ball_volume(n))
+    rhs = -(n * math.log2(cfg.r) + log2_ball_volume(n)) + LOG2E + slack
     return TestResult(test=f"rate-bound[{cfg.lat.name}]", statistic=lhs,
                       threshold=rhs, p_value=None, verdict=lhs <= rhs,
                       n_samples=est.n_samples, seed=plan.seed_base)
@@ -396,16 +387,9 @@ def lrsuq_rate_check(noise: NoiseModel, lat: Lattice, seed: int,
     K, J, _, levels = lrsuq_encode_batch(noise, lat, seed, X)
     est = rate_from_descriptions(lat, K, J)
     n = lat.n
-    lhs = est.h_k + est.h_m - (n * math.log2(plan.tau) + log2_kappa(n))
-    levels = np.atleast_1d(levels)
-    try:
-        beta = np.asarray(noise.beta(levels), dtype=np.float64)
-        if beta.shape != levels.shape:
-            raise TypeError
-    except TypeError:
-        beta = np.asarray([float(noise.beta(t)) for t in levels])
-    eta = lat.covering_radius if lat.covering_radius is not None else \
-        math.sqrt(n) * max(np.linalg.norm(lat.G[:, k]) for k in range(n))
+    lhs = est.h_k + est.h_m - (n * math.log2(plan.tau) + log2_ball_volume(n))
+    beta = np.asarray(noise.beta(levels), dtype=np.float64)
+    eta = _covering_radius_bound(lat)
     support = n * float(np.log2(1.0 + 3.0 * eta * beta / plan.tau).mean())
     rhs = -layered_entropy_bits + LOG2E + support + slack
     return TestResult(test=f"layered-rate-bound[{lat.name}]", statistic=lhs,

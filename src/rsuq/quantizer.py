@@ -9,7 +9,8 @@ the r-ball and independent of the input.
 
 Batched entry points derive one stream seed per row (derive_seed mixed
 with the row index), so batch results are reproducible and independent of
-batch splitting.
+batch splitting.  A single-vector call is a batch of one row whose stream
+seed is the configured seed itself.
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ from .lattices import Lattice, LatticePoint, packing_density
 
 class RejectionCapError(RuntimeError):
     """The safety cap on rejection rounds was hit (mis-configured cap)."""
+
+
+def default_max_iters(lat: Lattice) -> int:
+    """Rejection-round cap whose geometric failure probability is below e**-50."""
+    return int(math.ceil(50.0 / packing_density(lat)))
 
 
 @dataclass
@@ -45,8 +51,7 @@ class RsuqConfig:
         if not self.r > 0:
             raise ValueError("ball radius must be positive")
         if self.max_iters is None:
-            # Geometric tail: failure probability below e**-50.
-            self.max_iters = int(math.ceil(50.0 / packing_density(self.lat)))
+            self.max_iters = default_max_iters(self.lat)
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -67,40 +72,51 @@ class Description:
     M: LatticePoint
 
 
-def _reject_rows(lat, gamma, X_over_gamma, X, r2, seeds, reserved, max_iters,
-                 accept=None):
-    """Shared rejection loop over rows; returns stopping indices and coords.
+def _reject_rows(lat, gamma, X, seeds, reserved, max_iters, accept):
+    """Shared rejection loop over rows; returns (K, J, Y).
 
-    Acceptance is squared-norm against r2 (scalar or per-row), or an
-    arbitrary membership predicate on the error rows when `accept` is given.
+    Round t draws dither t of every still-active row, quantizes X / gamma
+    against it and keeps the rows where accept(err, active) holds, with
+    err = y - X[active] and y = gamma * (M + V).  Y holds the y of each
+    row's accepting round, bit-identical to what the decoder rebuilds.
     """
+    Xg = X / gamma
+    # From 2**52 on a float64 no longer resolves the fraction that the
+    # nearest-point search rounds; NaN and inf fail the comparison as well.
+    bad = np.flatnonzero(~(np.abs(Xg) < 2.0 ** 52).all(axis=1))
+    if bad.size:
+        raise ValueError(
+            f"input row {bad[0]} is not finite or too large to quantize "
+            "(|x / scale| must stay below 2**52)")
     N, n = X.shape
     K = np.zeros(N, dtype=np.int64)
     J = np.zeros((N, n), dtype=np.int64)
+    Y = np.zeros((N, n))
     if N == 0:
-        return K, J
-    r2 = np.broadcast_to(np.asarray(r2, dtype=np.float64), (N,))
+        return K, J, Y
     active = np.arange(N)
     for t in range(max_iters):
         first = reserved + t * n
         u = stream_uniforms(seeds[active], first, n)
         v = fold_rows(lat, u)
-        j = lat.nearest_rows(X_over_gamma[active] - v)
+        j = lat.nearest_rows(Xg[active] - v)
         y = gamma * (lat.embed_rows(j) + v)
-        err = y - X[active]
-        if accept is None:
-            ok = np.einsum("ij,ij->i", err, err) <= r2[active]
-        else:
-            ok = accept(err, active)
+        ok = accept(y - X[active], active)
         hit = active[ok]
         K[hit] = t + 1
         J[hit] = j[ok]
+        Y[hit] = y[ok]
         active = active[~ok]
         if active.size == 0:
-            return K, J
+            return K, J, Y
     raise RejectionCapError(
         f"no acceptance within {max_iters} rounds for {active.size} input(s); "
         "raise max_iters")
+
+
+def _within_radius(r2):
+    """Row predicate of the ball test: |err|^2 <= r2 of the row."""
+    return lambda err, active: np.einsum("ij,ij->i", err, err) <= r2[active]
 
 
 def _dithers_at(lat, seeds, draws, reserved):
@@ -111,18 +127,29 @@ def _dithers_at(lat, seeds, draws, reserved):
     return fold_rows(lat, gathered_uniforms(seeds, idx))
 
 
+def _decode_rows(lat, scale, seeds, K, J, reserved=0):
+    """Reconstructions scale * (M + V_K) per row, shared by every decoder."""
+    K = np.asarray(K, dtype=np.int64)
+    if np.any(K < 1):
+        raise ValueError("stopping index must be >= 1")
+    J = np.atleast_2d(np.asarray(J, dtype=np.int64))
+    return scale * (lat.embed_rows(J) + _dithers_at(lat, seeds, K - 1, reserved))
+
+
+def _encode_rows(cfg: RsuqConfig, seeds, X):
+    r2 = np.full(X.shape[0], cfg.r ** 2)
+    return _reject_rows(cfg.lat, cfg.gamma, X, seeds, 0, cfg.max_iters,
+                        _within_radius(r2))
+
+
 def rsuq_encode(cfg: RsuqConfig, x) -> Description:
     """Encode one vector with a fresh dither stream from cfg.seed."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (cfg.lat.n,):
         raise ValueError(f"expected vector of dimension {cfg.lat.n}, got shape {x.shape}")
-    seeds = np.asarray([cfg.seed], dtype=np.uint64)
-    X = x[None, :]
-    K, J = _reject_rows(cfg.lat, cfg.gamma, X / cfg.gamma, X, cfg.r ** 2,
-                        seeds, 0, cfg.max_iters)
-    j = J[0]
+    K, J, _ = _encode_rows(cfg, np.asarray([cfg.seed], dtype=np.uint64), x[None, :])
     return Description(K=int(K[0]),
-                       M=LatticePoint(coords=j, embedding=cfg.gamma * cfg.lat.embed_rows(J)[0]))
+                       M=LatticePoint(coords=J[0], embedding=cfg.gamma * cfg.lat.embed_rows(J)[0]))
 
 
 def rsuq_decode(cfg: RsuqConfig, d: Description):
@@ -131,39 +158,14 @@ def rsuq_decode(cfg: RsuqConfig, d: Description):
     A seed/lattice/radius mismatch with the encoder is undetectable by
     construction; supplying the encoding configuration is the contract.
     """
-    if d.K < 1:
-        raise ValueError("stopping index must be >= 1")
     seeds = np.asarray([cfg.seed], dtype=np.uint64)
-    v = _dithers_at(cfg.lat, seeds, [d.K - 1], 0)
-    J = np.asarray(d.M.coords, dtype=np.int64)[None, :]
-    return (cfg.gamma * (cfg.lat.embed_rows(J) + v))[0]
+    return _decode_rows(cfg.lat, cfg.gamma, seeds, [d.K], d.M.coords)[0]
 
 
 def error_sample(cfg: RsuqConfig, x):
     """decode(encode(x)) - x; distributed uniformly over the r-ball."""
     x = np.asarray(x, dtype=np.float64)
     return rsuq_decode(cfg, rsuq_encode(cfg, x)) - x
-
-
-def rsuq_encode_general(lat: Lattice, gamma: float, seed: int, x, member,
-                        max_iters: int) -> Description:
-    """Rejection quantizer for an arbitrary target subset of the scaled cell.
-
-    `member(z) -> bool` decides acceptance of the error vector z.  Only the
-    ball instantiation is first-class; this hook covers other subsets.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    seeds = np.asarray([seed], dtype=np.uint64)
-    X = x[None, :]
-
-    def accept(err, active):
-        return np.asarray([bool(member(e)) for e in err])
-
-    K, J = _reject_rows(lat, gamma, X / gamma, X, 0.0, seeds, 0, max_iters,
-                        accept=accept)
-    j = J[0]
-    return Description(K=int(K[0]),
-                       M=LatticePoint(coords=j, embedding=gamma * lat.embed_rows(J)[0]))
 
 
 # -- batched drivers ---------------------------------------------------------
@@ -183,18 +185,9 @@ def encode_batch(cfg: RsuqConfig, X):
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != cfg.lat.n:
         raise ValueError(f"expected dimension {cfg.lat.n}, got {X.shape[1]}")
-    seeds = batch_seeds(cfg.seed, X.shape[0])
-    K, J = _reject_rows(cfg.lat, cfg.gamma, X / cfg.gamma, X, cfg.r ** 2,
-                        seeds, 0, cfg.max_iters)
-    v = _dithers_at(cfg.lat, seeds, K - 1, 0)
-    Y = cfg.gamma * (cfg.lat.embed_rows(J) + v)
-    return K, J, Y
+    return _encode_rows(cfg, batch_seeds(cfg.seed, X.shape[0]), X)
 
 
 def decode_batch(cfg: RsuqConfig, K, J):
     """Reconstructions for a batch of descriptions (inverse of encode_batch)."""
-    K = np.asarray(K, dtype=np.int64)
-    J = np.atleast_2d(np.asarray(J, dtype=np.int64))
-    seeds = batch_seeds(cfg.seed, K.shape[0])
-    v = _dithers_at(cfg.lat, seeds, K - 1, 0)
-    return cfg.gamma * (cfg.lat.embed_rows(J) + v)
+    return _decode_rows(cfg.lat, cfg.gamma, batch_seeds(cfg.seed, len(K)), K, J)

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import digamma
 
 from rsuq import bounds as bd
-from rsuq.lattices import builtin_lattice
+from rsuq.lattices import builtin_lattice, log2_ball_volume
 
 LN2 = math.log(2.0)
 
@@ -46,7 +46,7 @@ def test_rd_lower_max_error_values():
     # adding n log2 r recovers an r-free quantity
     for r in (0.1, 1.0, 7.3):
         v = bd.rd_lower_max_error(3, r) + 3 * math.log2(r)
-        assert v == pytest.approx(-bd.log2_kappa(3), abs=1e-9)
+        assert v == pytest.approx(-log2_ball_volume(3), abs=1e-9)
 
 
 def test_mse_lower_bounds_scaling():

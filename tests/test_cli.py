@@ -207,6 +207,39 @@ def test_usage_and_io_errors(tmp_path, vec_file):
                    str(path), "--output", str(tmp_path / "s.vqf"))[0] == 2
 
 
+def test_oversized_stream_count_is_a_format_error(tmp_path):
+    # a 50-byte stream claiming 2**40 Z2 vectors must fail before allocating
+    from rsuq.coding import (MODE_BALL, FormatError, StreamHeader,
+                             decode_stream, write_header)
+
+    header = StreamHeader(n=2, lattice_id="Zn", gamma=1.0, param=0.5,
+                          mode=MODE_BALL, seed=0, count=2 ** 40, coord_bound=3)
+    blob = write_header(header) + b"\xff"
+    assert len(blob) == 50
+    with pytest.raises(FormatError, match="claims"):
+        decode_stream(blob)
+    path = tmp_path / "huge.rsq"
+    path.write_bytes(blob)
+    code, _, err = run_cli("decode", "--input", str(path), "--output",
+                           str(tmp_path / "h.vqf"))
+    assert code == 2 and "claims" in err
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
+def test_nonfinite_or_huge_input_is_a_usage_error(tmp_path, bad):
+    X = np.zeros((4, 2))
+    X[2, 1] = bad
+    path = tmp_path / "bad.vqf"
+    path.write_bytes(write_vectors(X))
+    code, _, err = run_cli("encode", "--input", str(path), "--lattice", "Zn",
+                           "--dim", "2", "--radius", "0.5", "--output",
+                           str(tmp_path / "b.rsq"))
+    assert code == 2 and "row 2" in err
+    code, _, err = run_cli("simulate", "--dim", "2", "--input", str(path),
+                           "--output", str(tmp_path / "b.vqf"))
+    assert code == 2 and "row 2" in err
+
+
 def test_bounds_tables(tmp_path):
     t1 = tmp_path / "t1.csv"
     code, out, _ = run_cli("bounds", "--table", "table1", "--out", str(t1))

@@ -29,8 +29,9 @@ def test_level_parameterization():
     t = g._t_of_v(np.array([4.0]))[0]
     assert float(g.beta(t)) == pytest.approx(4.0, rel=1e-12)
     assert float(g.level_radius(t)) == pytest.approx(2.0, rel=1e-12)
-    assert g.in_level_set(np.array([1.0, 1.0]), t)       # |z|^2 = 2 <= 4
-    assert not g.in_level_set(np.array([2.0, 1.0]), t)   # |z|^2 = 5 > 4
+    # rows |z|^2 = 2 <= 4 and |z|^2 = 5 > 4
+    inside = g.in_level_set(np.array([[1.0, 1.0], [2.0, 1.0]]), np.array([t, t]))
+    assert inside.tolist() == [True, False]
     # level-set volume: log2(pi * v)
     assert float(g.level_log_volume(t)) == pytest.approx(math.log2(4 * math.pi), rel=1e-12)
 
@@ -146,8 +147,8 @@ class TriangleNoise(NoiseModel):
         uu = np.asarray(u)[..., 0]
         return 1.0 - np.sqrt(1.0 - uu)
 
-    def in_level_set(self, z, t):
-        return bool(abs(float(np.asarray(z).reshape(-1)[0])) <= 1.0 - t)
+    def in_level_set(self, Z, t):
+        return np.abs(Z[:, 0]) <= 1.0 - t
 
     def beta(self, t):
         return (1.0 - t) / self.lat.packing_radius

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from rsuq import mc
-from rsuq.bounds import LOG2E, gaussian_delta_eps, gaussian_layered_entropy, log2_kappa
+from rsuq.bounds import LOG2E, gaussian_delta_eps, gaussian_layered_entropy
 from rsuq.dither import stream_uniforms
-from rsuq.lattices import builtin_lattice
+from rsuq.lattices import builtin_lattice, log2_ball_volume
 from rsuq.layered import GaussianNoise
 from rsuq.quantizer import RsuqConfig
 
@@ -199,7 +199,6 @@ def test_k_distribution_and_estimator():
     mean_k, res = mc.k_statistics(cfg, plan)
     assert res.verdict
     assert mean_k == pytest.approx(4.0 / math.pi, rel=0.02)
-    assert mc.estimate_k_distribution(cfg, plan).verdict
 
 
 def test_rate_checks():
@@ -219,12 +218,12 @@ def test_rate_tau_convergence():
     # snapshot at growing tau stays under the bound and tightens (the large
     # alphabet at tau=200 adds downward plug-in bias, absorbed one-sidedly)
     cfg = RsuqConfig(Z2, r=0.5, seed=81)
-    rhs = -(2 * math.log2(0.5) + log2_kappa(2)) + LOG2E
+    rhs = -(2 * math.log2(0.5) + log2_ball_volume(2)) + LOG2E
     lhs = []
     for tau in (10.0, 50.0, 200.0):
         plan = mc.TrialPlan(samples=100000, tau=tau, seed_base=82)
         est = mc.estimate_rate(cfg, plan)
-        lhs.append(est.h_k + est.h_m - (2 * math.log2(tau) + log2_kappa(2)))
+        lhs.append(est.h_k + est.h_m - (2 * math.log2(tau) + log2_ball_volume(2)))
     assert all(v <= rhs for v in lhs), (lhs, rhs)
     assert lhs[0] >= lhs[1] >= lhs[2]
 
@@ -250,7 +249,7 @@ def test_high_resolution_gaussian_input_check():
         r = 0.5 * alpha
         cfg = RsuqConfig(Z2, r=r, seed=700 + int(4 * alpha))
         est = mc.estimate_rate(cfg, plan)
-        v = est.h_k + est.h_m + (n * math.log2(r) + log2_kappa(n)) - h_x
+        v = est.h_k + est.h_m + (n * math.log2(r) + log2_ball_volume(n)) - h_x
         bound = LOG2E + gaussian_delta_eps(2 * r, sigma ** 2, mean_norm)
         assert v <= bound + 0.05, (alpha, v, bound)
         vals.append(v)

@@ -1,17 +1,22 @@
 """Ball-error quantizer: guard bound, exact round trips, error law, stopping law."""
 
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from rsuq.dither import derive_seed
-from rsuq.lattices import builtin_lattice
+from rsuq.lattices import builtin_lattice, lattice_from_config
+from rsuq.layered import (GaussianNoise, lrsuq_decode_batch, lrsuq_encode,
+                          lrsuq_encode_batch)
 from rsuq.quantizer import (Description, RejectionCapError, RsuqConfig,
                             decode_batch, encode_batch, error_sample,
-                            rsuq_decode, rsuq_encode, rsuq_encode_general)
+                            rsuq_decode, rsuq_encode)
 
 Z2 = builtin_lattice("Zn", 2)
+FCC_CONFIG = "3\n1 1 0\n1 0 1\n0 1 1\npacking_radius=0.7071067811865476\n"
 
 
 def test_config_defaults():
@@ -69,6 +74,58 @@ def test_batch_matches_single_with_derived_seeds():
     assert np.array_equal(decode_batch(cfg, K, J), Y)
 
 
+@pytest.mark.parametrize("model", ["ball", "gaussian"])
+@pytest.mark.parametrize("lat", [
+    builtin_lattice("Zn", 2), builtin_lattice("A2", 2), builtin_lattice("Dn", 4),
+    builtin_lattice("E8", 8), lattice_from_config(FCC_CONFIG, name="fcc"),
+], ids=lambda lat: lat.name + str(lat.n))
+def test_encoder_reconstruction_is_decoder_output(lat, model):
+    # the encoder keeps the reconstruction it accepted; the decoder must
+    # rebuild it bit for bit from (K, J) alone
+    rng = np.random.default_rng(9)
+    X = rng.uniform(-20, 20, size=(500 if lat.family == "generic" else 5000, lat.n))
+    if model == "ball":
+        cfg = RsuqConfig(lat, r=0.05, seed=404)
+        K, J, Y = encode_batch(cfg, X)
+        assert np.array_equal(decode_batch(cfg, K, J), Y)
+        assert np.linalg.norm(Y - X, axis=1).max() <= 0.05
+    else:
+        g = GaussianNoise(lat.n, lat)
+        K, J, Y, _ = lrsuq_encode_batch(g, lat, 404, X)
+        assert np.array_equal(lrsuq_decode_batch(g, lat, 404, K, J), Y)
+
+
+def test_readme_quick_start_runs():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    ns = {}
+    exec(block, ns)
+    cfg, x = ns["cfg"], ns["x"]
+    assert np.linalg.norm(rsuq_decode(cfg, rsuq_encode(cfg, x)) - x) <= cfg.r
+    assert ns["y"].shape == (8,) and np.all(np.isfinite(ns["y"]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1e300])
+def test_nonfinite_or_huge_input_rejected(bad):
+    X = np.zeros((3, 2))
+    X[1, 0] = bad
+    cfg = RsuqConfig(Z2, r=0.5, seed=1)
+    g = GaussianNoise(2, Z2)
+    with pytest.raises(ValueError, match="row 1"):
+        encode_batch(cfg, X)
+    with pytest.raises(ValueError, match="row 1"):
+        lrsuq_encode_batch(g, Z2, 1, X)
+    with pytest.raises(ValueError, match="row 0"):
+        rsuq_encode(cfg, X[1])
+    with pytest.raises(ValueError, match="row 0"):
+        lrsuq_encode(g, Z2, 1, X[1])
+    # below 2**52 / scale the input still quantizes exactly
+    X[1, 0] = 2.0 ** 51
+    _, _, Y = encode_batch(cfg, X)
+    assert np.linalg.norm(Y - X, axis=1).max() <= 0.5
+
+
 def test_error_sample_and_mse():
     cfg = RsuqConfig(Z2, r=0.5, seed=5)
     plan_size = 100000
@@ -121,22 +178,12 @@ def test_rejection_cap_error():
         encode_batch(cfg, X)
 
 
-def test_general_membership_hook():
-    # error uniform over the centered square [-0.3, 0.3]^2 inside the cell
-    def member(z):
-        return np.all(np.abs(z) <= 0.3)
-
-    d = rsuq_encode_general(Z2, 1.0, 13, np.array([2.2, -7.9]), member, 1000)
-    assert d.K >= 1
-    cfg = RsuqConfig(Z2, r=0.5, seed=13, max_iters=1000)
-    y = rsuq_decode(cfg, d)  # same stream layout, so decode applies
-    assert np.all(np.abs(y - np.array([2.2, -7.9])) <= 0.3)
-
-
 def test_decode_rejects_bad_k():
     cfg = RsuqConfig(Z2, r=0.5, seed=3)
     with pytest.raises(ValueError):
         rsuq_decode(cfg, Description(K=0, M=rsuq_encode(cfg, np.zeros(2)).M))
+    with pytest.raises(ValueError):
+        decode_batch(cfg, [1, 0], np.zeros((2, 2)))
 
 
 def test_lattice_insensitive_error_law():
