@@ -13,7 +13,7 @@ from .bounds import (BoundsReport, ConstantsRegistry, excess_info,
 from .coding import (FormatError, GolombCode, StreamHeader, decode_stream,
                      encode_stream, golomb_decode, golomb_encode,
                      read_vectors, write_vectors)
-from .dither import DitherStream, derive_seed
+from .dither import derive_seed
 from .lattices import (Lattice, LatticePoint, builtin_lattice,
                        covering_density, lattice_from_config, load_lattice,
                        nearest_point, packing_density)
@@ -28,10 +28,10 @@ from .quantizer import (Description, RejectionCapError, RsuqConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundsReport", "ConstantsRegistry", "Description", "DitherStream",
-    "FormatError", "GaussianNoise", "GolombCode", "Lattice", "LatticePoint",
-    "NoiseModel", "RejectionCapError", "RsuqConfig", "StreamHeader",
-    "TestResult", "TrialPlan", "acceptance_probability_given_level",
+    "BoundsReport", "ConstantsRegistry", "Description", "FormatError",
+    "GaussianNoise", "GolombCode", "Lattice", "LatticePoint", "NoiseModel",
+    "RejectionCapError", "RsuqConfig", "StreamHeader", "TestResult",
+    "TrialPlan", "acceptance_probability_given_level",
     "builtin_lattice", "covering_density", "decode_batch", "decode_stream",
     "derive_seed", "encode_batch", "encode_stream", "error_sample",
     "estimate_mse", "estimate_rate", "excess_info",

@@ -18,8 +18,8 @@ from . import bounds as bd
 from . import mc
 from .coding import (MODE_BALL, FormatError, GolombCode, StreamHeader,
                      coord_width_for_bound, decode_stream, encode_stream,
-                     mean_code_length, read_vectors, write_header,
-                     write_vectors)
+                     lattice_for_header, mean_code_length, read_header,
+                     read_vectors, write_header, write_vectors)
 from .dither import derive_seed, stream_uniforms
 from .lattices import (_BUILTIN_FAMILIES, Lattice, builtin_lattice,
                        load_lattice, packing_density)
@@ -83,10 +83,10 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    lat = load_lattice(args.lattice) if args.lattice else None
-    header, K, J = decode_stream(_read_file(args.input), lat=lat)
-    if lat is None:
-        lat = builtin_lattice(header.lattice_id, header.n)
+    data = _read_file(args.input)
+    header, _ = read_header(data)
+    lat = lattice_for_header(header, load_lattice(args.lattice) if args.lattice else None)
+    _, K, J = decode_stream(data, lat=lat)
     if len(K) == 0:
         Y = np.zeros((0, header.n))
     elif header.mode == MODE_BALL:

@@ -282,6 +282,8 @@ def read_header(data: bytes) -> tuple[StreamHeader, int]:
         (bound,) = struct.unpack_from("<I", data, pos); pos += 4
     except struct.error as exc:
         raise FormatError("truncated header") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError("lattice id is not ASCII") from exc
     if mode not in (MODE_BALL, MODE_GAUSSIAN):
         raise FormatError(f"unknown mode {mode}")
     return StreamHeader(n=n, lattice_id=name, gamma=gamma, param=param,
@@ -289,17 +291,21 @@ def read_header(data: bytes) -> tuple[StreamHeader, int]:
 
 
 def lattice_for_header(header: StreamHeader, lat: Lattice | None = None) -> Lattice:
-    """Rebuild the coding lattice: built-in ids decode self-contained."""
-    if lat is not None:
-        if lat.n != header.n:
-            raise FormatError("supplied lattice dimension does not match stream")
-        return lat
-    try:
-        return builtin_lattice(header.lattice_id, header.n)
-    except ValueError as exc:
-        raise FormatError(
-            f"stream uses non-builtin lattice {header.lattice_id!r}; "
-            "pass its config to decode") from exc
+    """Coding lattice (`lat`, else the built-in id); a ball stream's gamma must fit it."""
+    if lat is None:
+        try:
+            lat = builtin_lattice(header.lattice_id, header.n)
+        except ValueError as exc:
+            raise FormatError(
+                f"stream uses non-builtin lattice {header.lattice_id!r}; "
+                "pass its config to decode") from exc
+    elif lat.n != header.n:
+        raise FormatError("supplied lattice dimension does not match stream")
+    if header.mode == MODE_BALL and not math.isclose(
+            header.gamma, header.param / lat.packing_radius, rel_tol=1e-9):
+        raise FormatError(f"stream scale {header.gamma!r} does not match lattice "
+                          f"{lat.name!r} at radius {header.param!r}")
+    return lat
 
 
 def encode_stream(header: StreamHeader, descriptions, lat: Lattice | None = None) -> bytes:
@@ -345,6 +351,8 @@ def decode_stream(data: bytes, lat: Lattice | None = None):
         K[i] = code.read(r)
         for c in range(header.n):
             J[i, c] = r.read_bits(width) - header.coord_bound
+    if np.any(J > header.coord_bound):
+        raise FormatError(f"coordinate offset above 2B with B={header.coord_bound}")
     tail_bits = 8 * len(data[pos:]) - r.bit_position
     if tail_bits >= 8:
         raise FormatError("trailing bytes after payload")

@@ -32,9 +32,9 @@ def mix64(x):
 
 
 def rand_words(seed, index):
-    """Word(s) of the counter-based stream: word i = mix64(seed + (i+1)*golden)."""
+    """Word i of the stream seeded `seed`: mix64(seed + (i+1)*golden); both broadcast."""
     idx = np.asarray(index, dtype=np.uint64)
-    return mix64(np.uint64(seed) + (idx + np.uint64(1)) * _GOLDEN)
+    return mix64(np.asarray(seed, dtype=np.uint64) + (idx + np.uint64(1)) * _GOLDEN)
 
 
 def uniform53(words):
@@ -60,16 +60,13 @@ def derive_seeds(seed, indices):
 
 def stream_uniforms(seeds, first_word, count):
     """(len(seeds), count) uniforms at words [first_word, first_word+count)."""
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    idx = np.arange(first_word, first_word + count, dtype=np.uint64)
-    return uniform53(mix64(seeds[:, None] + (idx[None, :] + np.uint64(1)) * _GOLDEN))
+    return gathered_uniforms(seeds, np.arange(first_word, first_word + count,
+                                              dtype=np.uint64)[None, :])
 
 
 def gathered_uniforms(seeds, word_index):
     """Uniforms at per-row word positions; word_index has shape (N, count)."""
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    idx = np.asarray(word_index, dtype=np.uint64)
-    return uniform53(mix64(seeds[:, None] + (idx + np.uint64(1)) * _GOLDEN))
+    return uniform53(rand_words(np.asarray(seeds, dtype=np.uint64)[:, None], word_index))
 
 
 def fold_rows(lat: Lattice, U):
@@ -81,47 +78,3 @@ def fold_rows(lat: Lattice, U):
     W = lat.embed_rows(U)
     J = lat.nearest_rows(W)
     return W - lat.embed_rows(J)
-
-
-class DitherStream:
-    """Seeded random-access source of dithers uniform over scale * Voronoi cell.
-
-    Identical (seed, lattice, scale) always reproduce the identical
-    sequence.  `reserved_words` skips a fixed prefix of generator words
-    (used by the layered quantizer for its level draw).
-    """
-
-    def __init__(self, seed: int, lat: Lattice, scale: float = 1.0,
-                 reserved_words: int = 0):
-        if not scale > 0:
-            raise ValueError("scale must be positive")
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self.lat = lat
-        self.scale = float(scale)
-        self.reserved_words = int(reserved_words)
-        self.counter = 0
-
-    def uniforms_at(self, draw_index: int, count: int = 1):
-        """(count, n) uniforms backing draws draw_index, ..., draw_index+count-1."""
-        n = self.lat.n
-        first = self.reserved_words + draw_index * n
-        u = stream_uniforms([self.seed], first, count * n)
-        return u.reshape(count, n)
-
-    def take(self, count: int):
-        """Next `count` dithers as a (count, n) array, advancing the stream."""
-        u = self.uniforms_at(self.counter, count)
-        self.counter += count
-        return self.scale * fold_rows(self.lat, u)
-
-    def next_dither(self):
-        """Next dither vector, uniform over scale * Voronoi(lat)."""
-        return self.take(1)[0]
-
-    def jump_to(self, draw_index: int) -> "DitherStream":
-        """Copy of this stream positioned so the next draw is number draw_index."""
-        if draw_index < 0:
-            raise ValueError("draw index must be nonnegative")
-        s = DitherStream(self.seed, self.lat, self.scale, self.reserved_words)
-        s.counter = int(draw_index)
-        return s

@@ -98,24 +98,12 @@ class Lattice:
         return f"Lattice({self.name!r}, n={self.n})"
 
     # -- embedding / coordinates -------------------------------------------
-    #
-    # Accumulation runs column by column so every row sees the identical
-    # sequence of float operations regardless of batch size; this keeps
-    # single-vector and batched paths bit-identical.
 
     def embed_rows(self, J):
-        J = np.asarray(J, dtype=np.float64)
-        out = np.zeros_like(J)
-        for k in range(self.n):
-            out += J[:, k : k + 1] * self._g_cols[k]
-        return out
+        return _accumulate_columns(J, self._g_cols)
 
     def coords_rows(self, X):
-        X = np.asarray(X, dtype=np.float64)
-        out = np.zeros_like(X)
-        for k in range(self.n):
-            out += X[:, k : k + 1] * self._inv_rows_for_col[k]
-        return out
+        return _accumulate_columns(X, self._inv_rows_for_col)
 
     # -- nearest point ------------------------------------------------------
 
@@ -139,36 +127,11 @@ class Lattice:
     def _nearest_enum(self, X):
         # Bounded enumeration: the nearest point satisfies |x - G j| <= R,
         # hence |c_i - j_i| <= |row_i(G^-1)| * R in basis coordinates.
-        R = _covering_radius_bound(self)
         if self._enum_offsets is None:
-            half = [int(math.ceil(np.linalg.norm(self._invG[i]) * R + 0.5))
-                    for i in range(self.n)]
-            total = 1
-            for h in half:
-                total *= 2 * h + 1
-            if total > _MAX_ENUM_CANDIDATES:
-                raise ValueError(
-                    f"enumeration would scan {total} candidates; supply "
-                    "covering_radius in the lattice config or use a built-in family")
-            self._enum_offsets = np.array(
-                list(itertools.product(*[range(-h, h + 1) for h in half])),
-                dtype=np.int64)
-        C = self.coords_rows(X)
-        base = _round_half_down(C)
-        best_j = None
-        best_d = None
-        # Offsets are scanned in lexicographic order; strict improvement keeps
-        # the first (lexicographically smallest) minimizer on exact ties.
-        for off in self._enum_offsets:
-            j = base + off
-            d = _sqnorm_rows(X - self.embed_rows(j))
-            if best_j is None:
-                best_j, best_d = j, d
-            else:
-                better = d < best_d
-                best_j[better] = j[better]
-                best_d[better] = d[better]
-        return best_j
+            box = _box(self._invG, _covering_radius_bound(self), 0.5,
+                       "supply covering_radius in the lattice config or use a built-in family")
+            self._enum_offsets = np.array(list(box), dtype=np.int64)
+        return _scan(self, X, _round_half_down(self.coords_rows(X)), self._enum_offsets)
 
     # -- sanity -------------------------------------------------------------
 
@@ -177,7 +140,7 @@ class Lattice:
         if self.covering_radius is not None and self.packing_radius > self.covering_radius:
             raise ValueError("packing radius exceeds covering radius")
         dens = packing_density(self)
-        if not 0.0 < dens <= 1.0 + 1e-12:
+        if not 0.0 < dens <= 1.0:
             raise ValueError(f"packing density {dens} outside (0, 1]")
         if self.covering_radius is not None and covering_density(self) < 1.0 - 1e-12:
             raise ValueError("covering density below 1")
@@ -189,6 +152,44 @@ def _covering_radius_bound(lat) -> float:
     if lat.covering_radius is not None:
         return lat.covering_radius
     return math.sqrt(lat.n) * max(np.linalg.norm(c) for c in lat._g_cols)
+
+
+def _accumulate_columns(X, cols):
+    # sum_k X[:, k] * cols[k], one column at a time: every row sees the same
+    # float operations whatever the batch size, so single-vector and batched
+    # paths stay bit-identical.
+    X = np.asarray(X, dtype=np.float64)
+    out = np.zeros_like(X)
+    for k, col in enumerate(cols):
+        out += X[:, k : k + 1] * col
+    return out
+
+
+def _box(invG, radius, pad, hint):
+    # Offsets |j_i| <= ceil(|row_i(G^-1)| * radius + pad) in lexicographic
+    # order; `hint` tells the user how to avoid a box above the cap.
+    half = [int(math.ceil(np.linalg.norm(row) * radius + pad)) for row in invG]
+    total = math.prod(2 * h + 1 for h in half)
+    if total > _MAX_ENUM_CANDIDATES:
+        raise ValueError(f"enumeration would scan {total} candidates; {hint}")
+    return itertools.product(*[range(-h, h + 1) for h in half])
+
+
+def _scan(lat, X, base, offsets):
+    # Nearest of the candidates base + offset per row.  Offsets come in
+    # lexicographic order; strict improvement keeps the first (lexicographically
+    # smallest) minimizer on exact ties.
+    best_j = best_d = None
+    for off in offsets:
+        j = base + off
+        d = _sqnorm_rows(X - lat.embed_rows(j))
+        if best_j is None:
+            best_j, best_d = j, d
+        else:
+            better = d < best_d
+            best_j[better] = j[better]
+            best_d[better] = d[better]
+    return best_j
 
 
 def _sqnorm_rows(X):
@@ -234,20 +235,8 @@ def _nearest_e8_points(X):
 def _nearest_a2(lat, X):
     # |c - j| <= covering_radius / sigma_min(G) < 1 per coordinate, so the
     # four corners of the basis-coordinate cell cover every minimizer.
-    C = lat.coords_rows(X)
-    base = np.floor(C).astype(np.int64)
-    best_j = None
-    best_d = None
-    for off in ((0, 0), (0, 1), (1, 0), (1, 1)):  # lexicographic order
-        j = base + np.array(off, dtype=np.int64)
-        d = _sqnorm_rows(X - lat.embed_rows(j))
-        if best_j is None:
-            best_j, best_d = j.copy(), d
-        else:
-            better = d < best_d
-            best_j[better] = j[better]
-            best_d[better] = d[better]
-    return best_j
+    return _scan(lat, X, np.floor(lat.coords_rows(X)).astype(np.int64),
+                 ((0, 0), (0, 1), (1, 0), (1, 1)))
 
 
 # -- public operations -------------------------------------------------------
@@ -264,8 +253,10 @@ def nearest_point(lat: Lattice, x) -> LatticePoint:
 
 def packing_density(lat: Lattice) -> float:
     """Fraction of space filled by disjoint packing balls of radius lambda_min."""
-    return 2.0 ** (lat.n * math.log2(lat.packing_radius)
-                   + log2_ball_volume(lat.n) - math.log2(lat.det))
+    d = 2.0 ** (lat.n * math.log2(lat.packing_radius)
+                + log2_ball_volume(lat.n) - math.log2(lat.det))
+    # Absorb log-space rounding only (Z1 reads 1 + 2**-52): validate refuses the rest.
+    return 1.0 if 1.0 < d <= 1.0 + 1e-12 else d
 
 
 def covering_density(lat: Lattice) -> float:
@@ -370,18 +361,12 @@ def load_lattice(path) -> Lattice:
 
 def _min_nonzero_norm(G):
     # Shortest-vector search over the box that must contain any vector no
-    # longer than the shortest generator column.  Exponential in n.
-    n = G.shape[0]
-    invG = np.linalg.inv(G)
-    s = min(np.linalg.norm(G[:, k]) for k in range(n))
-    half = [int(math.ceil(np.linalg.norm(invG[i]) * s)) for i in range(n)]
-    total = 1
-    for h in half:
-        total *= 2 * h + 1
-    if total > _MAX_ENUM_CANDIDATES:
-        raise ValueError("shortest-vector enumeration too large; supply packing_radius")
+    # longer than the shortest generator column.  Exponential in n.  Each
+    # candidate keeps its own G @ j: a batched product can differ in the
+    # last bit, and this value fixes gamma for configs without packing_radius.
+    s = min(np.linalg.norm(G[:, k]) for k in range(G.shape[0]))
     best = s
-    for j in itertools.product(*[range(-h, h + 1) for h in half]):
+    for j in _box(np.linalg.inv(G), s, 0.0, "supply packing_radius"):
         if not any(j):
             continue
         v = G @ np.array(j, dtype=np.float64)

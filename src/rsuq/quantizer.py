@@ -149,7 +149,7 @@ def rsuq_encode(cfg: RsuqConfig, x) -> Description:
         raise ValueError(f"expected vector of dimension {cfg.lat.n}, got shape {x.shape}")
     K, J, _ = _encode_rows(cfg, np.asarray([cfg.seed], dtype=np.uint64), x[None, :])
     return Description(K=int(K[0]),
-                       M=LatticePoint(coords=J[0], embedding=cfg.gamma * cfg.lat.embed_rows(J)[0]))
+                       M=LatticePoint(coords=J[0], embedding=cfg.lat.embed_rows(J)[0]))
 
 
 def rsuq_decode(cfg: RsuqConfig, d: Description):

@@ -166,6 +166,44 @@ def test_user_lattice_config_encode_decode(tmp_path, vec_file):
     assert np.linalg.norm(Y - X, axis=1).max() <= 0.3
 
 
+def test_wrong_user_lattice_config_is_a_format_error(tmp_path, vec_file):
+    # the ball stream's scale pins the packing radius of the encoding lattice
+    path, X = vec_file
+    X3 = np.hstack([X, X[:, :1]])
+    path.write_bytes(write_vectors(X3))
+    fcc = tmp_path / "fcc.lat"
+    fcc.write_text("3\n1 1 0\n1 0 1\n0 1 1\n")
+    cube = tmp_path / "cube.lat"
+    cube.write_text("3\n1 0 0\n0 1 0\n0 0 1\n")
+    rsq = tmp_path / "f.rsq"
+    rec = tmp_path / "f.vqf"
+    assert run_cli("encode", "--input", str(path), "--lattice", str(fcc), "--dim",
+                   "3", "--radius", "0.05", "--output", str(rsq))[0] == 0
+    code, _, err = run_cli("decode", "--input", str(rsq), "--output", str(rec),
+                           "--lattice", str(cube))
+    assert code == 2 and "does not match" in err
+    assert run_cli("decode", "--input", str(rsq), "--output", str(rec),
+                   "--lattice", str(fcc))[0] == 0
+    assert np.linalg.norm(read_vectors(rec.read_bytes()) - X3, axis=1).max() <= 0.05
+
+
+def test_scalar_lattice_z1(tmp_path, vec_file):
+    # Z1 has packing density exactly 1: every draw is accepted
+    path, X = vec_file
+    path.write_bytes(write_vectors(X[:, :1]))
+    rsq = tmp_path / "z1.rsq"
+    rec = tmp_path / "z1.vqf"
+    sim = tmp_path / "z1s.vqf"
+    assert run_cli("encode", "--input", str(path), "--lattice", "Zn", "--dim", "1",
+                   "--radius", "0.3", "--output", str(rsq))[0] == 0
+    assert run_cli("decode", "--input", str(rsq), "--output", str(rec))[0] == 0
+    assert np.abs(read_vectors(rec.read_bytes()) - X[:, :1]).max() <= 0.3
+    code, out, _ = run_cli("simulate", "--lattice", "Zn", "--dim", "1",
+                           "--input", str(path), "--output", str(sim))
+    assert code == 0 and "rate_bits_per_dim=" in out
+    assert read_vectors(sim.read_bytes()).shape == (len(X), 1)
+
+
 def test_negative_seed_wraps_to_uint64(tmp_path, vec_file):
     # seeds are 64-bit unsigned end to end; negative CLI input wraps
     path, X = vec_file

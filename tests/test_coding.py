@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsuq.bounds import geometric_entropy
 from rsuq.coding import (MODE_BALL, MODE_GAUSSIAN, BitReader, BitWriter,
@@ -216,3 +218,118 @@ def test_vqf_round_trip_and_errors():
         read_vectors(data[:-1])
     with pytest.raises(FormatError):
         read_vectors(b"WHAT" + data[4:])
+
+
+def _ball_header(lat, **fields):
+    # gamma exactly as the encoder writes it: radius / packing radius
+    return StreamHeader(n=lat.n, lattice_id=lat.name, gamma=0.5 / lat.packing_radius,
+                        param=0.5, mode=MODE_BALL, **fields)
+
+
+def test_ball_stream_scale_must_match_lattice():
+    from rsuq.lattices import lattice_from_config
+
+    fcc = lattice_from_config("3\n1 1 0\n1 0 1\n0 1 1\n", name="fcc")
+    cube = lattice_from_config("3\n1 0 0\n0 1 0\n0 0 1\n", name="fcc")
+    blob = encode_stream(_ball_header(fcc, seed=1, count=1, coord_bound=1),
+                         [(1, np.array([1, 0, -1]))], lat=fcc)
+    assert decode_stream(blob, lat=fcc)[2].tolist() == [[1, 0, -1]]
+    with pytest.raises(FormatError, match="does not match"):
+        decode_stream(blob, lat=cube)
+    # a last-bit difference in gamma (another BLAS deriving the radius) still decodes
+    nudged = _ball_header(fcc, seed=1, count=1, coord_bound=1)
+    nudged.gamma = math.nextafter(nudged.gamma, 2.0)
+    assert decode_stream(write_header(nudged) + blob[len(write_header(nudged)):],
+                         lat=fcc)[2].tolist() == [[1, 0, -1]]
+    # the encoder refuses the same mismatch before writing a byte
+    with pytest.raises(FormatError, match="does not match"):
+        encode_stream(_ball_header(fcc, seed=1, count=0, coord_bound=0), [], lat=cube)
+    # Gaussian-mode streams carry no scale to check
+    h = StreamHeader(n=3, lattice_id="fcc", gamma=1.0, param=1.0,
+                     mode=MODE_GAUSSIAN, seed=1, count=0, coord_bound=0)
+    decode_stream(encode_stream(h, [], lat=fcc), lat=cube)
+
+
+def test_coordinate_offset_above_2b_rejected():
+    # B=7: K=1 ("0"), then offsets 15 (coordinate 8) and 7 (coordinate 0)
+    h = StreamHeader(n=2, lattice_id="Zn", gamma=1.0, param=0.5, mode=MODE_BALL,
+                     seed=3, count=1, coord_bound=7)
+    bits = "0" + "1111" + "0111"
+    payload = int(bits + "0" * 7, 2).to_bytes(2, "big")
+    with pytest.raises(FormatError, match="above 2B"):
+        decode_stream(write_header(h) + payload)
+
+
+def test_non_ascii_lattice_id_is_a_format_error():
+    data = bytearray(write_header(StreamHeader(n=2, lattice_id="Zn", gamma=1.0, param=0.5,
+                                               mode=MODE_BALL, seed=3, count=0,
+                                               coord_bound=0)))
+    data[10] = 0xFF  # first byte of the lattice id
+    with pytest.raises(FormatError, match="ASCII"):
+        read_header(bytes(data))
+
+
+# Golomb parameters m = 1, 2, 2, 3, 5, 9 in turn.
+ROUND_TRIP_LATTICES = [builtin_lattice("Zn", 2), builtin_lattice("E8", 8)] + [
+    builtin_lattice("Dn", n) for n in range(6, 10)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.data())
+def test_container_round_trip_property(data):
+    lat = data.draw(st.sampled_from(ROUND_TRIP_LATTICES))
+    bound = data.draw(st.integers(0, 300))
+    count = data.draw(st.integers(0, 12))
+    K = data.draw(st.lists(st.integers(1, 200), min_size=count, max_size=count))
+    J = data.draw(st.lists(st.lists(st.integers(-bound, bound), min_size=lat.n,
+                                    max_size=lat.n), min_size=count, max_size=count))
+    h = _ball_header(lat, seed=5, count=count, coord_bound=bound)
+    h2, K2, J2 = decode_stream(encode_stream(h, zip(K, J)))
+    assert h2 == h
+    assert K2.tolist() == K and J2.reshape(count, lat.n).tolist() == J
+
+
+def _decodes_in_range_or_format_error(blob):
+    try:
+        header, K, J = decode_stream(blob)
+    except FormatError:
+        return
+    assert np.all(K >= 1)
+    assert np.all(np.abs(J) <= header.coord_bound)
+
+
+_FUZZ_HEADER = st.builds(lambda count, bound: _ball_header(builtin_lattice("Zn", 2), seed=7,
+                                                           count=count, coord_bound=bound),
+                         st.integers(0, 16), st.integers(0, 20))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_FUZZ_HEADER, st.binary(max_size=48))
+def test_fuzz_random_payload(header, payload):
+    _decodes_in_range_or_format_error(write_header(header) + payload)
+
+
+def _valid_stream(header, data):
+    B, lat = header.coord_bound, builtin_lattice("Zn", 2)
+    desc = data.draw(st.lists(st.tuples(st.integers(1, 20),
+                                        st.lists(st.integers(-B, B), min_size=2, max_size=2)),
+                              min_size=header.count, max_size=header.count))
+    return encode_stream(header, desc, lat=lat)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_FUZZ_HEADER, st.data())
+def test_fuzz_truncated_payload(header, data):
+    blob = _valid_stream(header, data)
+    cut = data.draw(st.integers(len(write_header(header)), len(blob)))
+    _decodes_in_range_or_format_error(blob[:cut])
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_FUZZ_HEADER.filter(lambda h: h.count > 0), st.data())
+def test_fuzz_one_bit_flipped(header, data):
+    blob = bytearray(_valid_stream(header, data))
+    start = len(write_header(header))
+    bit = data.draw(st.integers(8 * start, 8 * len(blob) - 1))
+    blob[bit >> 3] ^= 0x80 >> (bit & 7)
+    _decodes_in_range_or_format_error(bytes(blob))

@@ -1,13 +1,22 @@
-"""Dither stream determinism, cell membership, uniformity and jumps."""
+"""Dither stream determinism, cell membership, uniformity and random access."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rsuq.dither import (DitherStream, derive_seed, derive_seeds, mix64,
-                         rand_words, stream_uniforms, uniform53)
+from rsuq.dither import (derive_seed, derive_seeds, fold_rows, gathered_uniforms,
+                         mix64, rand_words, stream_uniforms, uniform53)
 from rsuq.lattices import builtin_lattice
+from rsuq.quantizer import _dithers_at
+
+
+def dithers(seed, lat, count, scale=1.0, reserved=0):
+    """Draws 0..count-1 of a stream: dither k uses words reserved + k*n onward."""
+    u = stream_uniforms([seed], reserved, count * lat.n).reshape(count, lat.n)
+    return scale * fold_rows(lat, u)
 
 
 def test_generator_reference_words():
@@ -15,6 +24,18 @@ def test_generator_reference_words():
     w = rand_words(0, np.arange(3))
     assert [int(x) for x in w] == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
                                    0x06C45D188009454F]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=4),
+       st.integers(0, 2 ** 48), st.integers(0, 16))
+def test_stream_and_gathered_uniforms_agree(seeds, first, count):
+    a = stream_uniforms(seeds, first, count)
+    idx = np.tile(np.arange(first, first + count, dtype=np.uint64), (len(seeds), 1))
+    b = gathered_uniforms(seeds, idx)
+    c = np.array([uniform53(rand_words(s, idx[0])) for s in seeds]).reshape(len(seeds), count)
+    assert a.shape == (len(seeds), count)
+    assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
 def test_uniform53_range_and_resolution():
@@ -26,20 +47,20 @@ def test_uniform53_range_and_resolution():
 
 def test_determinism_same_seed():
     z2 = builtin_lattice("Zn", 2)
-    a = DitherStream(42, z2).take(1000)
-    b = DitherStream(42, z2).take(1000)
+    a = dithers(42, z2, 1000)
+    b = dithers(42, z2, 1000)
     assert np.array_equal(a, b)
 
 
 def test_zn_cell_is_half_open_cube():
     z2 = builtin_lattice("Zn", 2)
-    v = DitherStream(7, z2).take(20000)
+    v = dithers(7, z2, 20000)
     assert np.all((v > -0.5) & (v <= 0.5))
 
 
 def test_scaled_cell_membership():
     z2 = builtin_lattice("Zn", 2)
-    v = DitherStream(7, z2, scale=3.0).take(5000)
+    v = dithers(7, z2, 5000, scale=3.0)
     assert np.all((v > -1.5) & (v <= 1.5))
 
 
@@ -47,31 +68,22 @@ def test_scaled_cell_membership():
                                             ("Dn", 4, 1.0), ("Dn", 4, 0.3)])
 def test_fold_correctness(family, n, scale):
     lat = builtin_lattice(family, n)
-    v = DitherStream(99, lat, scale=scale).take(100000)
+    v = dithers(99, lat, 100000, scale=scale)
     assert np.abs(lat.nearest_rows(v / scale)).sum() == 0
 
 
 def test_jump_to_semantics():
+    # the decoder's random access reproduces the sequential draws
     z2 = builtin_lattice("Zn", 2)
-    s = DitherStream(5, z2)
-    seq = s.take(10)
-    assert np.array_equal(DitherStream(5, z2).jump_to(0).next_dither(), seq[0])
-    assert np.array_equal(DitherStream(5, z2).jump_to(5).next_dither(), seq[5])
-    j1 = DitherStream(5, z2).jump_to(7).next_dither()
-    j2 = DitherStream(5, z2).jump_to(7).next_dither()
-    assert np.array_equal(j1, j2)
-
-
-def test_jump_rejects_negative():
-    z2 = builtin_lattice("Zn", 2)
-    with pytest.raises(ValueError):
-        DitherStream(5, z2).jump_to(-1)
+    seq = dithers(5, z2, 10)
+    seeds = np.full(10, 5, dtype=np.uint64)
+    assert np.array_equal(_dithers_at(z2, seeds, np.arange(10), 0), seq)
 
 
 def test_reserved_words_shift_the_stream():
     z2 = builtin_lattice("Zn", 2)
-    plain = DitherStream(5, z2).take(3)
-    shifted = DitherStream(5, z2, reserved_words=1).take(3)
+    plain = dithers(5, z2, 3)
+    shifted = dithers(5, z2, 3, reserved=1)
     assert not np.array_equal(plain, shifted)
     # draw k of the shifted stream uses words 1 + 2k, 2 + 2k
     u = stream_uniforms([5], 1, 2)
@@ -83,7 +95,7 @@ def test_reserved_words_shift_the_stream():
 
 def test_scalar_moments_z1():
     z1 = builtin_lattice("Zn", 1)
-    v = DitherStream(31, z1).take(10 ** 6)[:, 0]
+    v = dithers(31, z1, 10 ** 6)[:, 0]
     sigma = 1.0 / math.sqrt(12.0)
     assert abs(v.mean()) <= 3.0 * sigma / 1000.0
     assert v.var() == pytest.approx(1.0 / 12.0, rel=0.01)
@@ -94,7 +106,7 @@ def test_uniformity_chi_square_16_cells():
     from rsuq.mc import chi_square_gof
 
     z2 = builtin_lattice("Zn", 2)
-    v = DitherStream(1234, z2).take(100000)
+    v = dithers(1234, z2, 100000)
     ix = np.floor((v[:, 0] + 0.5) * 4).clip(0, 3).astype(int)
     iy = np.floor((v[:, 1] + 0.5) * 4).clip(0, 3).astype(int)
     counts = np.bincount(4 * ix + iy, minlength=16).astype(float)
@@ -104,7 +116,7 @@ def test_uniformity_chi_square_16_cells():
 
 def test_volume_preservation_congruent_boxes():
     z2 = builtin_lattice("Zn", 2)
-    v = DitherStream(77, z2).take(100000)
+    v = dithers(77, z2, 100000)
     in_box1 = np.all((v >= [-0.40, -0.40]) & (v < [-0.20, -0.20]), axis=1)
     in_box2 = np.all((v >= [0.10, 0.20]) & (v < [0.30, 0.40]), axis=1)
     c1, c2 = in_box1.sum(), in_box2.sum()

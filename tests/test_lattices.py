@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rsuq.lattices import (Lattice, ball_volume, builtin_lattice,
                            covering_density, lattice_from_config,
@@ -156,7 +158,8 @@ def test_packing_density_unit_scaling():
 
 def test_covering_examples():
     z1 = builtin_lattice("Zn", 1)
-    assert packing_density(z1) == pytest.approx(1.0, rel=1e-12)
+    # exactly 1: in log space it would come out at 1 + 2**-52
+    assert packing_density(z1) == 1.0
     assert covering_density(z1) == pytest.approx(1.0, rel=1e-12)
     a2 = builtin_lattice("A2", 2)
     assert covering_density(a2) == pytest.approx(2 * math.pi / (3 * math.sqrt(3)), rel=1e-12)
@@ -343,6 +346,62 @@ def test_user_lattice_config_errors():
         lattice_from_config("2\n1 0\n0 1\nwhatever=3\n")
     with pytest.raises(ValueError):
         lattice_from_config("2\n1 0\n0 0\n")  # singular
+    with pytest.raises(ValueError, match="packing density"):
+        # true packing radius 0.5; 0.9 would put density at 0.81 pi > 1
+        lattice_from_config("2\n1 0\n0 1\npacking_radius=0.9\n")
+
+
+@pytest.mark.parametrize("G,expect", [
+    ([[1.0, 0.3], [0.2, 1.1]], "0x1.0511de5a8265fp+0"),
+    ([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], "0x1.6a09e667f3bcdp+0"),
+    ([[1.3, -0.4, 0.25], [0.1, 0.9, -0.7], [0.35, 0.6, 1.2]], "0x1.273bcd5e51828p+0"),
+    ([[1.0, 0.1, -0.3, 0.2], [0.4, 1.2, 0.05, -0.5], [-0.2, 0.3, 0.8, 0.6],
+      [0.15, -0.25, 0.45, 1.1]], "0x1.2a8b73e294fb6p-1"),
+])
+def test_min_nonzero_norm_pinned(G, expect):
+    # this value fixes gamma, hence the stream bytes, for configs without
+    # packing_radius: it must not move by a single bit.  The pins hold for one
+    # numpy/BLAS build; a BLAS that reorders or fuses these short dot products
+    # may move the last bit, which lattice_for_header tolerates on decode.
+    from rsuq.lattices import _min_nonzero_norm
+
+    assert float(_min_nonzero_norm(np.array(G))).hex() == expect
+
+
+def _brute_nearest(lat, x):
+    # Any minimizer j has |c_i - j_i| <= |row_i(G^-1)| * |x - G j0| for the
+    # rounded coordinates j0; scan that box in lexicographic order and keep
+    # the first exact minimum.
+    from rsuq.lattices import _sqnorm_rows
+
+    c = lat.coords_rows(x[None])[0]
+    j0 = np.round(c)
+    d0 = math.sqrt(float(np.sum((x - lat.embed_rows(j0[None])[0]) ** 2)))
+    reach = np.linalg.norm(np.linalg.inv(lat.G), axis=1) * d0 + 1e-9
+    axes = [range(math.floor(ci - ri), math.ceil(ci + ri) + 1) for ci, ri in zip(c, reach)]
+    J = np.array(np.meshgrid(*axes, indexing="ij")).reshape(lat.n, -1).T
+    return J[np.argmin(_sqnorm_rows(x[None] - lat.embed_rows(J)))]
+
+
+@st.composite
+def _small_integer_basis(draw):
+    n = draw(st.sampled_from([2, 3]))
+    G = np.array(draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n)),
+                 dtype=np.float64).reshape(n, n)
+    assume(abs(np.linalg.det(G)) > 0.5 and np.linalg.cond(G) < 6)
+    return G
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_small_integer_basis(), st.data())
+def test_generic_decoder_matches_brute_force(G, data):
+    lat = Lattice("user", G, packing_radius=0.01)  # unused by the decoder
+    coord = st.floats(-4, 4, allow_nan=False).map(lambda v: round(v * 4) / 4)
+    X = np.array(data.draw(st.lists(st.lists(coord, min_size=lat.n, max_size=lat.n),
+                                    min_size=1, max_size=4)))
+    got = lat.nearest_rows(X)
+    for x, j in zip(X, got):
+        assert np.array_equal(j, _brute_nearest(lat, x))
 
 
 def test_load_lattice_file(tmp_path):

@@ -178,6 +178,18 @@ def test_rejection_cap_error():
         encode_batch(cfg, X)
 
 
+def test_embedding_is_unscaled_lattice_point():
+    # LatticePoint.embedding is G j everywhere, also when gamma != 1
+    from rsuq.lattices import nearest_point
+
+    lat = builtin_lattice("E8", 8)
+    x = np.linspace(-1, 1, 8)
+    points = [nearest_point(lat, x), rsuq_encode(RsuqConfig(lat, r=0.25, seed=4), x).M,
+              lrsuq_encode(GaussianNoise(8, lat), lat, 4, x).M]
+    for M in points:
+        assert np.array_equal(M.embedding, lat.embed_rows(M.coords[None])[0])
+
+
 def test_decode_rejects_bad_k():
     cfg = RsuqConfig(Z2, r=0.5, seed=3)
     with pytest.raises(ValueError):
