@@ -333,3 +333,69 @@ def test_fuzz_one_bit_flipped(header, data):
     bit = data.draw(st.integers(8 * start, 8 * len(blob) - 1))
     blob[bit >> 3] ^= 0x80 >> (bit & 7)
     _decodes_in_range_or_format_error(bytes(blob))
+
+
+# -- golden bytes ---------------------------------------------------------------
+#
+# SHA-256 of whole RSQ1 streams (header and payload).  The descriptions are
+# plain integer arithmetic, so the bytes depend only on the coder.  The
+# lattices give Golomb m = 1 (Zn2, A2, Dn4), 2 (E8, Dn6), 3 (Dn7), 5 (Dn8) and
+# 9 (Dn9); K runs over 1..23, so every remainder is written at both the b-1
+# and the b bit width.
+
+
+def _golden_stream(family, n, count, bound, mode=MODE_BALL, K=None):
+    lat = builtin_lattice(family, n)
+    i = np.arange(count)
+    if K is None:
+        K = 1 + (7 * i + i // 3) % 23
+    cols = np.arange(lat.n)
+    J = (5 * i[:, None] + 3 * cols + i[:, None] * cols) % (2 * bound + 1) - bound
+    if mode == MODE_BALL:
+        h = _ball_header(lat, seed=11, count=count, coord_bound=bound)
+    else:
+        h = StreamHeader(n=lat.n, lattice_id=lat.name, gamma=1.0, param=1.0,
+                         mode=mode, seed=11, count=count, coord_bound=bound)
+    return encode_stream(h, zip(np.asarray(K), J), lat=lat)
+
+
+GOLDEN_STREAMS = {
+    "Zn2": (("Zn", 2, 40, 1), {}),
+    "A2": (("A2", 2, 40, 7), {}),
+    "Dn4": (("Dn", 4, 40, 8), {}),
+    "E8": (("E8", 8, 40, 300), {}),
+    "Dn6": (("Dn", 6, 40, 5), {}),
+    "Dn7": (("Dn", 7, 40, 63), {}),
+    "Dn8": (("Dn", 8, 40, 64), {}),
+    "Dn9": (("Dn", 9, 40, 2 ** 20), {}),
+    "count0": (("Dn", 8, 0, 0), {}),
+    "B0": (("Zn", 3, 17, 0), {}),
+    "K200": (("Zn", 2, 3, 3), {"K": [200, 1, 200]}),
+    "gaussian-Dn7": (("Dn", 7, 25, 6), {"mode": MODE_GAUSSIAN}),
+}
+
+GOLDEN_SHA256 = {
+    "A2": "5711a5c2d31afc48bbad1603b3ab37f9e633e33c1c68ccd6b506056a20c3b7ea",
+    "B0": "795217f6950002d44b9c62e1c511bd53f8606b56d833f293833cd6445ce2798e",
+    "Dn4": "9f2f36baa3415051e535fa97281163b8593eab661e11b67282031a0c2df372d2",
+    "Dn6": "6aa1fd8bc3608fbe5a8a0cc150ff1d7a1f56e41dc49615c2839534ad901ee00b",
+    "Dn7": "8dc6778d05baf730c5fd7e78501a055bc536afee4ed87034936a72009d68440e",
+    "Dn8": "0517829c6dd190621127767ef7a5e49e24917bf65cfb358ace37b47d7ef17260",
+    "Dn9": "cc65b44e169d368e55167aa5d1af7a5560c4d6a3321a48e60898f1515fbcfcd4",
+    "E8": "834898f8ebf322162cf380d6ed56b72e2163e3bff0df426b4df14c26d2452f83",
+    "K200": "7c5ac3760d970f83de21b19b0dd4f5da9b42065cba8d9b865127ba9fee70f93c",
+    "Zn2": "9ac2059fce97c03c2ba1a665ddbd6a2a976b73fd0cf85db4c59d2310088c6bae",
+    "count0": "f517a11ec9411be9b749564b8b21a17fae6dab8f142bb455e4d40c261737c9ed",
+    "gaussian-Dn7": "7346cee2cee015d5975f120772b0ef32ef924a1768628365e09e620f240c735c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STREAMS))
+def test_golden_stream_bytes(name):
+    import hashlib
+
+    args, kwargs = GOLDEN_STREAMS[name]
+    blob = _golden_stream(*args, **kwargs)
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256[name]
+    h, K, J = decode_stream(blob)
+    assert h.count == len(K) == len(J) == args[2]
