@@ -11,8 +11,7 @@ from .bounds import (BoundsReport, ConstantsRegistry, excess_info,
                      rd_lower_max_error, rsuq_norment_ub, shannon_lb_mse,
                      zador_lb_mse)
 from .coding import (FormatError, GolombCode, StreamHeader, decode_stream,
-                     encode_stream, golomb_decode, golomb_encode,
-                     read_vectors, write_vectors)
+                     encode_stream, read_vectors, write_vectors)
 from .dither import derive_seed
 from .lattices import (Lattice, LatticePoint, builtin_lattice,
                        covering_density, lattice_from_config, load_lattice,
@@ -35,7 +34,7 @@ __all__ = [
     "builtin_lattice", "covering_density", "decode_batch", "decode_stream",
     "derive_seed", "encode_batch", "encode_stream", "error_sample",
     "estimate_mse", "estimate_rate", "excess_info",
-    "gaussian_layered_entropy", "golomb_decode", "golomb_encode",
+    "gaussian_layered_entropy",
     "lattice_from_config", "load_lattice", "load_registry", "lrsuq_decode",
     "lrsuq_decode_batch", "lrsuq_encode", "lrsuq_encode_batch",
     "nearest_point", "packing_density", "rd_lower_max_error", "read_vectors",

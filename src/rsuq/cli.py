@@ -65,7 +65,7 @@ def cmd_encode(args) -> int:
     header = StreamHeader(n=args.dim, lattice_id=lat.name, gamma=cfg.gamma,
                           param=args.radius, mode=MODE_BALL, seed=args.seed,
                           count=len(X), coord_bound=bound)
-    blob = encode_stream(header, zip(K, J), lat=lat)
+    blob = encode_stream(header, K, J, lat=lat)
     _write_file(args.output, blob)
     payload_bits = 8 * (len(blob) - len(write_header(header)))
     print(f"vectors={len(X)} dim={args.dim} lattice={lat.name} "

@@ -34,78 +34,6 @@ class FormatError(ValueError):
     """Malformed or truncated coded data."""
 
 
-# -- bit I/O -----------------------------------------------------------------
-
-
-class BitWriter:
-    """MSB-first bit accumulator; the final byte is zero-padded."""
-
-    def __init__(self):
-        self._out = bytearray()
-        self._acc = 0
-        self._nbits = 0
-
-    def write_bits(self, value: int, width: int):
-        if width < 0 or (width < value.bit_length()):
-            raise ValueError("value does not fit in width")
-        self._acc = (self._acc << width) | value
-        self._nbits += width
-        while self._nbits >= 8:
-            self._nbits -= 8
-            self._out.append((self._acc >> self._nbits) & 0xFF)
-        self._acc &= (1 << self._nbits) - 1
-
-    def write_unary(self, q: int):
-        # q ones then a zero
-        self.write_bits(((1 << q) - 1) << 1, q + 1)
-
-    def getvalue(self) -> bytes:
-        out = bytes(self._out)
-        if self._nbits:
-            out += bytes([(self._acc << (8 - self._nbits)) & 0xFF])
-        return out
-
-    @property
-    def bit_length(self) -> int:
-        return 8 * len(self._out) + self._nbits
-
-
-class BitReader:
-    """MSB-first bit reader over a bytes payload."""
-
-    def __init__(self, data: bytes, bit_offset: int = 0):
-        self._data = data
-        self._pos = bit_offset
-
-    def read_bits(self, width: int) -> int:
-        end = self._pos + width
-        if end > 8 * len(self._data):
-            raise FormatError("truncated bitstream")
-        val = 0
-        pos = self._pos
-        while width > 0:
-            byte = self._data[pos >> 3]
-            avail = 8 - (pos & 7)
-            take = min(avail, width)
-            shift = avail - take
-            val = (val << take) | ((byte >> shift) & ((1 << take) - 1))
-            pos += take
-            width -= take
-        self._pos = pos
-        return val
-
-    def read_unary(self) -> int:
-        q = 0
-        while True:
-            if self.read_bits(1) == 0:
-                return q
-            q += 1
-
-    @property
-    def bit_position(self) -> int:
-        return self._pos
-
-
 # -- Golomb coding -----------------------------------------------------------
 
 
@@ -136,8 +64,8 @@ class GolombCode:
     p: float | None = None
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("Golomb parameter must be a positive integer")
+        if not 1 <= self.m <= 2 ** 56:
+            raise ValueError("Golomb parameter must be an integer in [1, 2**56]")
         self._b = (self.m - 1).bit_length()
         self._threshold = (1 << self._b) - self.m
 
@@ -145,62 +73,16 @@ class GolombCode:
     def for_geometric(cls, p: float) -> "GolombCode":
         return cls(m=optimal_golomb_parameter(p), p=p)
 
-    def write(self, out: BitWriter, k: int):
-        k = int(k)
-        if k < 1:
-            raise ValueError("index must be >= 1")
-        q, r = divmod(k - 1, self.m)
-        out.write_unary(q)
-        if r < self._threshold:
-            out.write_bits(r, self._b - 1)
-        else:
-            out.write_bits(r + self._threshold, self._b)
-
-    def read(self, src: BitReader) -> int:
-        q = src.read_unary()
-        if self._b == 0:
-            return q * self.m + 1
-        r = src.read_bits(self._b - 1)
-        if r >= self._threshold:
-            r = (r << 1) | src.read_bits(1)
-            r -= self._threshold
-        return q * self.m + r + 1
+    def fields(self, k):
+        """(quotient, remainder field, remainder field width), vectorized over k."""
+        q, r = np.divmod(np.asarray(k, dtype=np.int64) - 1, self.m)
+        short = r < self._threshold
+        return q, np.where(short, r, r + self._threshold), self._b - short
 
     def length(self, k) -> np.ndarray:
         """Codeword lengths in bits, vectorized over k."""
-        k = np.asarray(k, dtype=np.int64)
-        q, r = np.divmod(k - 1, self.m)
-        return q + 1 + np.where(r < self._threshold, self._b - 1, self._b)
-
-    def encode(self, k: int) -> str:
-        """Codeword as a bit string (diagnostics and tests)."""
-        w = BitWriter()
-        self.write(w, k)
-        bits = w.bit_length
-        val = int.from_bytes(w.getvalue(), "big") >> (8 * len(w.getvalue()) - bits)
-        return format(val, f"0{bits}b") if bits else ""
-
-    def decode(self, bits: str) -> int:
-        if set(bits) - {"0", "1"}:
-            raise FormatError("bit string must contain only 0 and 1")
-        nbytes = (len(bits) + 7) // 8
-        padded = bits + "0" * (8 * nbytes - len(bits))
-        data = int(padded, 2).to_bytes(nbytes, "big") if nbytes else b""
-        r = BitReader(data)
-        k = self.read(r)
-        if r.bit_position != len(bits):
-            raise FormatError("bit string is not a single codeword")
-        return k
-
-
-def golomb_encode(code: GolombCode, k: int) -> str:
-    """Prefix-free codeword for k as a bit string."""
-    return code.encode(k)
-
-
-def golomb_decode(code: GolombCode, bits: str) -> int:
-    """Inverse of golomb_encode; raises FormatError on malformed input."""
-    return code.decode(bits)
+        q, _, width = self.fields(k)
+        return q + 1 + width
 
 
 def golomb_for_lattice(lat: Lattice) -> GolombCode:
@@ -308,28 +190,70 @@ def lattice_for_header(header: StreamHeader, lat: Lattice | None = None) -> Latt
     return lat
 
 
-def encode_stream(header: StreamHeader, descriptions, lat: Lattice | None = None) -> bytes:
-    """Serialize (K, coords) pairs after the header; bit-exact round trip.
+def _integer_array(values, name: str, shape: tuple) -> np.ndarray:
+    """`values` as int64 of the given shape; ValueError for any other shape or a non-integer."""
+    a = np.asarray(values)
+    if a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+    try:
+        with np.errstate(invalid="ignore"):
+            out = a.astype(np.int64)
+        exact = np.array_equal(out, a)
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact:
+        raise ValueError(f"{name} must hold integers")
+    return out
 
-    `descriptions` yields (k, coords) with integer coords in
-    [-coord_bound, coord_bound].
+
+def _msb_bits(values, width: int) -> np.ndarray:
+    """MSB-first bits of non-negative integers below 2**width, in a new last axis."""
+    nbytes = (width + 7) // 8
+    be = np.asarray(values, dtype=">u8").view(np.uint8).reshape(*np.shape(values), 8)
+    return np.unpackbits(be[..., 8 - nbytes:], axis=-1)[..., 8 * nbytes - width:]
+
+
+def _fields_at(words: np.ndarray, pos, width: int) -> np.ndarray:
+    """MSB-first `width`-bit fields (width <= 57) at bit positions `pos`.
+
+    words[i] holds payload bytes i..i+7 as one big-endian integer.
+    """
+    top = np.take(words, pos >> 3)
+    np.left_shift(top, (pos & 7).astype(np.uint8), out=top)
+    top >>= 64 - width
+    return top.view(np.int64)
+
+
+def encode_stream(header: StreamHeader, K, J, lat: Lattice | None = None) -> bytes:
+    """Header, then per vector Golomb(K) and n offset-binary coordinates; bit-exact.
+
+    K has shape (count,) with integers >= 1, J shape (count, n) with
+    integers in [-coord_bound, coord_bound].
     """
     lat = lattice_for_header(header, lat)
     code = golomb_for_lattice(lat)
-    width = coord_width_for_bound(header.coord_bound)
-    w = BitWriter()
-    count = 0
-    for k, coords in descriptions:
-        count += 1
-        code.write(w, int(k))
-        for c in np.asarray(coords, dtype=np.int64):
-            off = int(c) + header.coord_bound
-            if off < 0 or off > 2 * header.coord_bound:
-                raise ValueError(f"coordinate {int(c)} outside [-B, B] with B={header.coord_bound}")
-            w.write_bits(off, width)
-    if count != header.count:
-        raise ValueError(f"header promises {header.count} vectors, got {count}")
-    return write_header(header) + w.getvalue()
+    B, n = header.coord_bound, header.n
+    width = coord_width_for_bound(B)
+    K = _integer_array(K, "K", (header.count,))
+    J = _integer_array(J, "J", (header.count, n))
+    if np.any(K < 1):
+        raise ValueError("stopping indices K must be >= 1")
+    outside = (J < -B) | (J > B)
+    if outside.any():
+        raise ValueError(f"coordinate {J[outside][0]} outside [-B, B] with B={B}")
+    q, rem, rwidth = code.fields(K)
+    b = code._b
+    # A record is q ones, then a tail: the terminating zero, the remainder
+    # left-aligned in b bits (a short one leaves column b unused) and the
+    # coordinates.  The ones are inserted before each tail.
+    tail = np.zeros((len(K), 1 + b + n * width), dtype=np.uint8)
+    tail[:, 1:1 + b] = _msb_bits(rem << (b - rwidth), b)
+    tail[:, 1 + b:] = _msb_bits(J + B, width).reshape(len(K), n * width)
+    used = np.ones(tail.shape, dtype=bool)
+    used[:, b] = rwidth == b
+    tail_len = 1 + rwidth + n * width
+    bits = np.insert(tail[used], np.repeat(np.cumsum(tail_len) - tail_len, q), 1)
+    return write_header(header) + np.packbits(bits).tobytes()
 
 
 def decode_stream(data: bytes, lat: Lattice | None = None):
@@ -337,24 +261,59 @@ def decode_stream(data: bytes, lat: Lattice | None = None):
     header, pos = read_header(data)
     lat = lattice_for_header(header, lat)
     code = golomb_for_lattice(lat)
-    width = coord_width_for_bound(header.coord_bound)
+    B, n, count = header.coord_bound, header.n, header.count
+    width = coord_width_for_bound(B)
     # Every Golomb codeword takes at least one bit: bound the count by the
     # payload before allocating for it.
-    payload_bits = 8 * (len(data) - pos)
-    if header.count * (1 + header.n * width) > payload_bits:
-        raise FormatError(f"header claims {header.count} vectors but the payload "
-                          f"holds only {payload_bits} bits")
-    r = BitReader(data[pos:])
-    K = np.empty(header.count, dtype=np.int64)
-    J = np.empty((header.count, header.n), dtype=np.int64)
-    for i in range(header.count):
-        K[i] = code.read(r)
-        for c in range(header.n):
-            J[i, c] = r.read_bits(width) - header.coord_bound
-    if np.any(J > header.coord_bound):
-        raise FormatError(f"coordinate offset above 2B with B={header.coord_bound}")
-    tail_bits = 8 * len(data[pos:]) - r.bit_position
-    if tail_bits >= 8:
+    nbits = 8 * (len(data) - pos)
+    if count * (1 + n * width) > nbits:
+        raise FormatError(f"header claims {count} vectors but the payload "
+                          f"holds only {nbits} bits")
+    m, b, thr = code.m, code._b, code._threshold
+    dt = np.int32 if nbits < 2 ** 29 else np.int64  # fits a position plus a record length
+    # Bytes past the payload read as zero; a record that needs them is truncated.
+    buf = np.zeros(nbits // 8 + 16, dtype=np.uint8)
+    buf[:nbits // 8] = np.frombuffer(data, dtype=np.uint8, offset=pos)
+    words = np.ndarray((nbits // 8 + 9,), dtype=">u8", buffer=buf, strides=(1,)).astype(np.uint64)
+    # Records are chained through the zero bits that end their unary runs:
+    # after a run ending at zeros[i], the next record starts at nxt[i] and its
+    # run ends at zeros[jump[i]].  Index len(zeros) is a run that never ends.
+    is_zero = np.unpackbits(buf[:nbits // 8]) == 0
+    zeros = np.flatnonzero(is_zero).astype(dt)
+    rank = np.empty(nbits + 2, dtype=dt)  # rank[p]: zero bits before p
+    rank[0], rank[-1] = 0, len(zeros)
+    np.cumsum(is_zero, out=rank[1:-1])
+    del is_zero
+    nxt = np.empty(len(zeros) + 1, dtype=dt)
+    # (n * width exceeds nbits only in a stream of count 0.)
+    nxt[:-1] = zeros + (b + 1 + min(n * width, nbits))
+    for lo in range(0, len(zeros) if b > 1 else 0, 1 << 20):  # in slices, to bound temporaries
+        z = zeros[lo:lo + (1 << 20)]
+        nxt[lo:lo + len(z)] -= _fields_at(words, z + 1, b - 1) < thr
+    nxt[-1] = nbits + 1
+    jump = np.take(rank, nxt, mode="clip")  # past the payload: no run
+    del nxt, rank
+    # Pointer doubling: t holds the runs of records 0..2^i-1 and jump is applied 2^i times.
+    t = np.zeros(min(count, 1), dtype=dt)
+    while len(t) < count:
+        t = np.concatenate([t, np.take(jump, t)])[:count]
+        if len(t) < count:
+            jump = np.take(jump, jump)
+    del jump
+    if count and t[-1] == len(zeros):
+        raise FormatError("truncated bitstream")
+    zs = zeros[t].astype(np.int64)
+    rem = _fields_at(words, zs + 1, b)  # a short remainder is its first b-1 bits
+    short = (rem >> 1) < thr
+    ends = zs + 1 + b - short + n * width
+    end = int(ends[-1]) if count else 0
+    if end > nbits:
+        raise FormatError("truncated bitstream")
+    K = (zs - np.concatenate([[0], ends[:-1]])) * m + np.where(short, rem >> 1, rem - thr) + 1
+    J = _fields_at(words, (ends - n * width)[:, None] + width * np.arange(n), width) - B
+    if np.any(J > B):
+        raise FormatError(f"coordinate offset above 2B with B={B}")
+    if nbits - end >= 8:
         raise FormatError("trailing bytes after payload")
     return header, K, J
 

@@ -126,7 +126,7 @@ def test_decode_gaussian_stream_round_trip(tmp_path, vec_file):
                      mode=MODE_GAUSSIAN, seed=314, count=len(X),
                      coord_bound=int(np.abs(J).max()))
     rsq = tmp_path / "g.rsq"
-    rsq.write_bytes(encode_stream(h, zip(K, J)))
+    rsq.write_bytes(encode_stream(h, K, J))
     rec = tmp_path / "g.vqf"
     code, _, _ = run_cli("decode", "--input", str(rsq), "--output", str(rec))
     assert code == 0

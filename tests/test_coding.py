@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsuq.bounds import geometric_entropy
-from rsuq.coding import (MODE_BALL, MODE_GAUSSIAN, BitReader, BitWriter,
-                         FormatError, GolombCode, StreamHeader,
-                         coord_width_for_bound, decode_stream, encode_stream,
-                         golomb_decode, golomb_encode,
+from _golomb_ref import (BitReader, BitWriter, encode_stream_ref, golomb_decode,
+                         golomb_encode)
+from rsuq.coding import (MODE_BALL, MODE_GAUSSIAN, FormatError, GolombCode,
+                         StreamHeader, coord_width_for_bound, decode_stream,
+                         encode_stream, golomb_for_lattice,
                          optimal_golomb_parameter, read_header, read_vectors,
                          write_header, write_vectors)
 from rsuq.dither import stream_uniforms
-from rsuq.lattices import builtin_lattice
+from rsuq.lattices import Lattice, builtin_lattice
 
 
 def test_unary_example():
@@ -48,7 +49,7 @@ def test_round_trip_all_small():
 def test_prefix_freeness_exhaustive():
     for m in range(1, 17):
         code = GolombCode(m=m)
-        words = sorted(code.encode(k) for k in range(1, 1001))
+        words = sorted(golomb_encode(code, k) for k in range(1, 1001))
         for a, b in zip(words, words[1:]):
             assert not b.startswith(a), (m, a, b)
 
@@ -133,7 +134,7 @@ def test_container_hand_assembled_payload():
     # one vector, K=1, M=(0,0), B=7 -> bits "0" + "0111" + "0111", zero-padded
     h = StreamHeader(n=2, lattice_id="Zn", gamma=1.0, param=0.5, mode=MODE_BALL,
                      seed=3, count=1, coord_bound=7)
-    blob = encode_stream(h, [(1, np.array([0, 0]))])
+    blob = encode_stream(h, [1], [[0, 0]])
     _, pos = read_header(blob)
     bits = "".join(format(b, "08b") for b in blob[pos:])
     assert bits.startswith("0" + "0111" + "0111")
@@ -143,7 +144,7 @@ def test_container_hand_assembled_payload():
 def test_container_empty_stream():
     h = StreamHeader(n=2, lattice_id="Zn", gamma=1.0, param=0.5, mode=MODE_BALL,
                      seed=3, count=0, coord_bound=0)
-    blob = encode_stream(h, [])
+    blob = encode_stream(h, [], np.zeros((0, 2), dtype=np.int64))
     h2, K, J = decode_stream(blob)
     assert h2.count == 0 and K.size == 0 and J.shape == (0, 2)
 
@@ -154,18 +155,18 @@ def test_container_random_round_trip():
     J = rng.integers(-55, 56, size=(1000, 2))
     h = StreamHeader(n=2, lattice_id="Zn", gamma=1.0, param=0.5, mode=MODE_BALL,
                      seed=3, count=1000, coord_bound=int(np.abs(J).max()))
-    blob = encode_stream(h, zip(K, J))
+    blob = encode_stream(h, K, J)
     h2, K2, J2 = decode_stream(blob)
     assert np.array_equal(K, K2)
     assert np.array_equal(J, J2)
     # byte determinism
-    assert blob == encode_stream(h, zip(K, J))
+    assert blob == encode_stream(h, K, J)
 
 
 def test_container_gaussian_mode_uses_lattice_code():
     h = StreamHeader(n=2, lattice_id="A2", gamma=1.0, param=1.0,
                      mode=MODE_GAUSSIAN, seed=9, count=2, coord_bound=3)
-    blob = encode_stream(h, [(2, np.array([1, -3])), (1, np.array([0, 2]))])
+    blob = encode_stream(h, [2, 1], [[1, -3], [0, 2]])
     h2, K2, J2 = decode_stream(blob)
     assert K2.tolist() == [2, 1]
     assert J2.tolist() == [[1, -3], [0, 2]]
@@ -175,7 +176,7 @@ def test_container_coordinate_bound_enforced():
     h = StreamHeader(n=2, lattice_id="Zn", gamma=1.0, param=0.5, mode=MODE_BALL,
                      seed=3, count=1, coord_bound=2)
     with pytest.raises(ValueError):
-        encode_stream(h, [(1, np.array([3, 0]))])
+        encode_stream(h, [1], [[3, 0]])
 
 
 def test_container_truncation_detected():
@@ -184,7 +185,7 @@ def test_container_truncation_detected():
     J = rng.integers(-9, 10, size=(50, 2))
     h = StreamHeader(n=2, lattice_id="Zn", gamma=1.0, param=0.5, mode=MODE_BALL,
                      seed=3, count=50, coord_bound=9)
-    blob = encode_stream(h, zip(K, J))
+    blob = encode_stream(h, K, J)
     with pytest.raises(FormatError):
         decode_stream(blob[:-3])
 
@@ -193,9 +194,9 @@ def test_container_nonbuiltin_lattice_requires_config():
     h = StreamHeader(n=2, lattice_id="custom.lat", gamma=1.0, param=0.5,
                      mode=MODE_BALL, seed=3, count=0, coord_bound=0)
     with pytest.raises(FormatError):
-        encode_stream(h, [])
+        encode_stream(h, [], np.zeros((0, 2), dtype=np.int64))
     lat = builtin_lattice("A2", 2)
-    blob = encode_stream(h, [], lat=lat)
+    blob = encode_stream(h, [], np.zeros((0, 2), dtype=np.int64), lat=lat)
     h2, K, J = decode_stream(blob, lat=lat)
     assert h2.lattice_id == "custom.lat"
 
@@ -232,7 +233,7 @@ def test_ball_stream_scale_must_match_lattice():
     fcc = lattice_from_config("3\n1 1 0\n1 0 1\n0 1 1\n", name="fcc")
     cube = lattice_from_config("3\n1 0 0\n0 1 0\n0 0 1\n", name="fcc")
     blob = encode_stream(_ball_header(fcc, seed=1, count=1, coord_bound=1),
-                         [(1, np.array([1, 0, -1]))], lat=fcc)
+                         [1], [[1, 0, -1]], lat=fcc)
     assert decode_stream(blob, lat=fcc)[2].tolist() == [[1, 0, -1]]
     with pytest.raises(FormatError, match="does not match"):
         decode_stream(blob, lat=cube)
@@ -243,11 +244,12 @@ def test_ball_stream_scale_must_match_lattice():
                          lat=fcc)[2].tolist() == [[1, 0, -1]]
     # the encoder refuses the same mismatch before writing a byte
     with pytest.raises(FormatError, match="does not match"):
-        encode_stream(_ball_header(fcc, seed=1, count=0, coord_bound=0), [], lat=cube)
+        encode_stream(_ball_header(fcc, seed=1, count=0, coord_bound=0), [],
+                      np.zeros((0, 3), dtype=np.int64), lat=cube)
     # Gaussian-mode streams carry no scale to check
     h = StreamHeader(n=3, lattice_id="fcc", gamma=1.0, param=1.0,
                      mode=MODE_GAUSSIAN, seed=1, count=0, coord_bound=0)
-    decode_stream(encode_stream(h, [], lat=fcc), lat=cube)
+    decode_stream(encode_stream(h, [], np.zeros((0, 3), dtype=np.int64), lat=fcc), lat=cube)
 
 
 def test_coordinate_offset_above_2b_rejected():
@@ -284,7 +286,7 @@ def test_container_round_trip_property(data):
     J = data.draw(st.lists(st.lists(st.integers(-bound, bound), min_size=lat.n,
                                     max_size=lat.n), min_size=count, max_size=count))
     h = _ball_header(lat, seed=5, count=count, coord_bound=bound)
-    h2, K2, J2 = decode_stream(encode_stream(h, zip(K, J)))
+    h2, K2, J2 = decode_stream(encode_stream(h, K, np.reshape(J, (count, lat.n))))
     assert h2 == h
     assert K2.tolist() == K and J2.reshape(count, lat.n).tolist() == J
 
@@ -311,10 +313,10 @@ def test_fuzz_random_payload(header, payload):
 
 def _valid_stream(header, data):
     B, lat = header.coord_bound, builtin_lattice("Zn", 2)
-    desc = data.draw(st.lists(st.tuples(st.integers(1, 20),
-                                        st.lists(st.integers(-B, B), min_size=2, max_size=2)),
-                              min_size=header.count, max_size=header.count))
-    return encode_stream(header, desc, lat=lat)
+    K = data.draw(st.lists(st.integers(1, 20), min_size=header.count, max_size=header.count))
+    J = data.draw(st.lists(st.integers(-B, B), min_size=2 * header.count,
+                           max_size=2 * header.count))
+    return encode_stream(header, K, np.reshape(J, (header.count, 2)), lat=lat)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -356,7 +358,7 @@ def _golden_stream(family, n, count, bound, mode=MODE_BALL, K=None):
     else:
         h = StreamHeader(n=lat.n, lattice_id=lat.name, gamma=1.0, param=1.0,
                          mode=mode, seed=11, count=count, coord_bound=bound)
-    return encode_stream(h, zip(np.asarray(K), J), lat=lat)
+    return encode_stream(h, K, J, lat=lat)
 
 
 GOLDEN_STREAMS = {
@@ -399,3 +401,60 @@ def test_golden_stream_bytes(name):
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256[name]
     h, K, J = decode_stream(blob)
     assert h.count == len(K) == len(J) == args[2]
+
+
+# -- vectorized coder against the scalar reference ---------------------------------
+
+
+def _cube_for_golomb(m, n):
+    """Z^n with a packing radius that makes its stopping-index code Golomb(m)."""
+    from rsuq.lattices import log2_ball_volume
+
+    grid = [p for p in np.linspace(0.999, 0.01, 990) if optimal_golomb_parameter(p) == m]
+    p = grid[len(grid) // 2]
+    r = 2.0 ** ((math.log2(p) - log2_ball_volume(n)) / n)
+    return Lattice(f"cube-m{m}", np.eye(n), packing_radius=r)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(st.data())
+def test_stream_bytes_equal_scalar_reference(data):
+    m, n = data.draw(st.integers(1, 16)), data.draw(st.integers(1, 9))
+    bound = data.draw(st.sampled_from([0, 1, 7, 2 ** 20]))
+    count = data.draw(st.sampled_from([0, 1, 2, 3, 5, 63, 64, 65]))
+    K = data.draw(st.lists(st.integers(1, 300), min_size=count, max_size=count))
+    J = np.reshape(data.draw(st.lists(st.integers(-bound, bound), min_size=count * n,
+                                      max_size=count * n)), (count, n))
+    lat = _cube_for_golomb(m, n)
+    code = golomb_for_lattice(lat)
+    assert code.m == m
+    h = _ball_header(lat, seed=5, count=count, coord_bound=bound)
+    blob = encode_stream(h, K, J, lat=lat)
+    assert blob == encode_stream_ref(h, K, J, code)
+    h2, K2, J2 = decode_stream(blob, lat=lat)
+    assert h2 == h and K2.tolist() == K and np.array_equal(J2, J)
+
+
+def test_non_integer_descriptions_rejected():
+    h = StreamHeader(n=2, lattice_id="Zn", gamma=1.0, param=0.5, mode=MODE_BALL,
+                     seed=3, count=1, coord_bound=3)
+    with pytest.raises(ValueError, match="integers"):
+        encode_stream(h, [2.7], [[1, -2]])
+    with pytest.raises(ValueError, match="integers"):
+        encode_stream(h, [2], [[1.9, -2.6]])
+    with pytest.raises(ValueError, match="integers"):
+        encode_stream(h, [np.nan], [[1, -2]])
+    with pytest.raises(ValueError, match=">= 1"):
+        encode_stream(h, [0], [[1, -2]])
+    # integral floats are integers
+    assert decode_stream(encode_stream(h, [2.0], [[1.0, -2.0]]))[2].tolist() == [[1, -2]]
+
+
+def test_wrong_description_shapes_rejected():
+    h = StreamHeader(n=2, lattice_id="Zn", gamma=1.0, param=0.5, mode=MODE_BALL,
+                     seed=3, count=1, coord_bound=3)
+    for rows in ([[1]], [[1, -3, 0]], [1, -3]):
+        with pytest.raises(ValueError, match=r"shape \(1, 2\)"):
+            encode_stream(h, [1], rows)
+    with pytest.raises(ValueError, match=r"shape \(1,\)"):
+        encode_stream(h, [1, 1], [[1, -3]])
