@@ -293,7 +293,8 @@ def decode_stream(data: bytes, lat: Lattice | None = None):
     nxt[-1] = nbits + 1
     jump = np.take(rank, nxt, mode="clip")  # past the payload: no run
     del nxt, rank
-    # Pointer doubling: t holds the runs of records 0..2^i-1 and jump is applied 2^i times.
+    # Pointer doubling: t[i] is the run of record i.  After level j, t covers
+    # records 0..2^j-1 and jump maps a run to the run 2^j records later.
     t = np.zeros(min(count, 1), dtype=dt)
     while len(t) < count:
         t = np.concatenate([t, np.take(jump, t)])[:count]

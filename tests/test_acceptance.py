@@ -11,8 +11,8 @@ import time
 
 import numpy as np
 import pytest
-from _golomb_ref import golomb_decode, golomb_encode
 
+from _golomb_ref import golomb_decode, golomb_encode
 from rsuq import bounds as bd
 from rsuq import mc
 from rsuq.cli import main as cli_main

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsuq.bounds import geometric_entropy
 from _golomb_ref import (BitReader, BitWriter, encode_stream_ref, golomb_decode,
                          golomb_encode)
+from rsuq.bounds import geometric_entropy
 from rsuq.coding import (MODE_BALL, MODE_GAUSSIAN, FormatError, GolombCode,
                          StreamHeader, coord_width_for_bound, decode_stream,
                          encode_stream, golomb_for_lattice,
@@ -28,6 +28,9 @@ def test_optimal_parameter_examples():
     assert optimal_golomb_parameter(0.5) == 1
     assert optimal_golomb_parameter(0.2) == 3
     assert optimal_golomb_parameter(1.0) == 1
+    # the vectorized coder reads a remainder in one 64-bit window
+    with pytest.raises(ValueError):
+        GolombCode(m=2 ** 56 + 1)
     # optimality condition holds exactly at the returned m
     for p in (0.05, 0.2, 0.37, 0.5, math.pi / 4, 0.99):
         m = optimal_golomb_parameter(p)
