@@ -17,15 +17,12 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from importlib import resources
 
-from scipy.integrate import quad
-from scipy.special import gammaincc
+from scipy.special import digamma
 
-from .lattices import Lattice, log2_ball_volume, packing_density
+from .lattices import LN2, Lattice, log2_ball_volume, packing_density
 
-LN2 = math.log(2.0)
 LOG2E = 1.0 / LN2
 
 
@@ -129,11 +126,7 @@ def ordentlich_ub(n: int) -> float:
 
 def geometric_entropy(p: float) -> float:
     """Entropy in bits of a geometric stopping index with success rate p."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError("success probability must lie in (0, 1]")
-    if p == 1.0:
-        return 0.0
-    return -math.log2(p) - (1.0 - p) / p * math.log2(1.0 - p)
+    return geometric_excess(p) - math.log2(p)
 
 
 def geometric_excess(p: float) -> float:
@@ -142,7 +135,7 @@ def geometric_excess(p: float) -> float:
         raise ValueError("success probability must lie in (0, 1]")
     if p == 1.0:
         return 0.0
-    return -(1.0 - p) / p * math.log2(1.0 - p)
+    return -(1.0 - p) / p * math.log1p(-p) / LN2
 
 
 def rsuq_norment_ub(lat: Lattice, r: float, tight: bool = False) -> float:
@@ -169,16 +162,15 @@ def rsuq_red_per_dim(n: int, delta: float | None = None) -> float:
     return geometric_excess(delta) / n
 
 
-def universal_bound_terms(n: int, p: float, r: float = 1.0) -> float:
+def universal_bound_terms(n: int, p: float) -> float:
     """Computable part of the universal squared-error rate bound.
 
     Returns -log2(p) + (n/2) log2(4 pi e G_n(ball)) + log2(e); the caller
     adds the rate-distortion value of its source.  The ball's normalized
-    second moment is scale invariant, so r does not move the value.
+    second moment is scale invariant, so no radius enters.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("acceptance probability must lie in (0, 1]")
-    del r
     c_term = (n / 2.0) * math.log2(4.0 * math.pi * math.e * ball_nsm(n))
     return -math.log2(p) + c_term + LOG2E
 
@@ -215,34 +207,18 @@ def gaussian_h_inf(n: int) -> float:
 # -- layered entropy of the Gaussian -------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def gaussian_layered_entropy(n: int, rtol: float = 1e-8) -> float:
+def gaussian_layered_entropy(n: int) -> float:
     """Layered entropy (bits) of the standard n-dimensional Gaussian.
 
     Expectation of log2(volume of the sqrt(V)-ball) with V chi-square on
-    n + 2 degrees of freedom, evaluated by adaptive quadrature after the
-    substitution u = v/2.  The upper cutoff U grows until the regularized
-    Gamma tail (one extra power absorbs the logarithmic factor) is
-    negligible against the requested tolerance.
+    n + 2 degrees of freedom.  With a = n/2, E[ln V] = ln 2 + psi(a + 1),
+    so the value is a log2(2 pi) + (a psi(a + 1) - ln Gamma(a + 1)) / ln 2.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     a = n / 2.0
-    lgam = math.lgamma(a + 1.0)
-    log2_gamma = lgam / LN2
-
-    def integrand(u):
-        return math.exp(a * math.log(u) - u - lgam) * (
-            a * math.log2(2.0 * math.pi * u) - log2_gamma)
-
-    U = max(50.0, 8.0 * (a + 2.0))
-    scale = (a + 1.0) * (abs(a * math.log2(2.0 * math.pi * U)) + abs(log2_gamma) + 1.0)
-    while scale * gammaincc(a + 2.0, U) > 1e-13 * rtol / 1e-8:
-        U *= 1.5
-    mid = min(1.0, U / 2.0)
-    lo, _ = quad(integrand, 0.0, mid, epsabs=1e-13, epsrel=rtol, limit=400)
-    hi, _ = quad(integrand, mid, U, epsabs=1e-13, epsrel=rtol, limit=400)
-    return lo + hi
+    return a * math.log2(2.0 * math.pi) + (a * float(digamma(a + 1.0))
+                                           - math.lgamma(a + 1.0)) / LN2
 
 
 _EXCESS_VARIANTS = ("lower", "lrsuq", "lspq")

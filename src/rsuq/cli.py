@@ -350,10 +350,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    _parser = _parser or build_parser()  # reused: building it is a visible share of a small job
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

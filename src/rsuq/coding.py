@@ -44,6 +44,9 @@ def optimal_golomb_parameter(p: float) -> int:
             return 1
         raise ValueError("success probability must lie in (0, 1]")
     q = 1.0 - p
+    if q == 1.0:
+        raise ValueError(f"success probability (packing density) {p:.3g} is too small "
+                         "for a Golomb code: 1 - p rounds to 1")
     m = max(1, int(math.ceil(-math.log1p(q) / math.log(q))))
     while q ** m + q ** (m + 1) > 1.0:
         m += 1

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, ndtr
+from scipy.special import gammainc, gammaincc, kolmogorov, ndtr
 
 from .bounds import LOG2E
 from .coding import mean_code_length
@@ -72,32 +72,18 @@ class TestResult:
     CSV_HEADER = "test,statistic,threshold,verdict,samples,seed"
 
 
-def _require_samples(n, quoted=_MIN_SAMPLES):
-    if n < quoted:
+def _require_samples(n):
+    if n < _MIN_SAMPLES:
         raise InsufficientSamplesError(
-            f"{n} samples; significance-quoting tests need >= {quoted}")
+            f"{n} samples; significance-quoting tests need >= {_MIN_SAMPLES}")
 
 
 # -- distribution helpers ------------------------------------------------------
 
 
-def kolmogorov_sf(lam: float, terms: int = 101) -> float:
-    """Asymptotic Kolmogorov survival function 2 sum (-1)^(j-1) exp(-2 j^2 lam^2)."""
-    if lam <= 0.2:
-        # CDF(0.2) ~ exp(-pi^2/0.32) underflows; the series converges slowly here
-        return 1.0
-    total = 0.0
-    for j in range(1, terms):
-        term = math.exp(-2.0 * (j * lam) ** 2)
-        total += -term if j % 2 == 0 else term
-        if term < 1e-16:
-            break
-    return min(1.0, max(0.0, 2.0 * total))
-
-
-def ks_statistic(samples, cdf_values=None) -> float:
-    """One-sample KS statistic; pass transformed values if cdf_values given."""
-    u = np.sort(np.asarray(cdf_values if cdf_values is not None else samples))
+def ks_statistic(u) -> float:
+    """One-sample KS statistic of values against U[0, 1]."""
+    u = np.sort(np.asarray(u))
     n = u.size
     grid = np.arange(1, n + 1) / n
     return float(max((grid - u).max(), (u - (grid - 1.0 / n)).max()))
@@ -108,7 +94,7 @@ def ks_test(cdf_values, name: str, alpha: float = 0.01, seed: int = 0) -> TestRe
     u = np.asarray(cdf_values, dtype=np.float64)
     _require_samples(u.size)
     d = ks_statistic(u)
-    p = kolmogorov_sf(math.sqrt(u.size) * d)
+    p = float(kolmogorov(math.sqrt(u.size) * d))
     return TestResult(test=name, statistic=d, threshold=alpha, p_value=p,
                       verdict=p >= alpha, n_samples=u.size, seed=seed)
 
@@ -123,7 +109,7 @@ def ks_two_sample(a, b, name: str, alpha: float = 0.01, seed: int = 0) -> TestRe
     cdf_b = np.searchsorted(b, allv, side="right") / b.size
     d = float(np.abs(cdf_a - cdf_b).max())
     n_eff = a.size * b.size / (a.size + b.size)
-    p = kolmogorov_sf(math.sqrt(n_eff) * d)
+    p = float(kolmogorov(math.sqrt(n_eff) * d))
     return TestResult(test=name, statistic=d, threshold=alpha, p_value=p,
                       verdict=p >= alpha, n_samples=a.size + b.size, seed=seed)
 

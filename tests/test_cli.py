@@ -3,10 +3,14 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rsuq
 from rsuq.cli import main
 from rsuq.coding import read_vectors, write_vectors
 
@@ -261,6 +265,31 @@ def test_oversized_stream_count_is_a_format_error(tmp_path):
     code, _, err = run_cli("decode", "--input", str(path), "--output",
                            str(tmp_path / "h.vqf"))
     assert code == 2 and "claims" in err
+
+
+def test_vanishing_packing_density_is_a_usage_error(tmp_path):
+    # 1 - packing density rounds to 1 for Zn34 (4.6e-17), not yet for Zn33
+    from rsuq.coding import MODE_BALL, StreamHeader, write_header
+
+    for n, want in ((33, 0), (34, 2)):
+        header = StreamHeader(n=n, lattice_id="Zn", gamma=1.0, param=0.5,
+                              mode=MODE_BALL, seed=0, count=0, coord_bound=0)
+        path = tmp_path / f"z{n}.rsq"
+        path.write_bytes(write_header(header))
+        code, _, err = run_cli("decode", "--input", str(path), "--output",
+                               str(tmp_path / "z.vqf"))
+        assert code == want, err
+    assert "packing density" in err
+
+
+def test_import_leaves_out_scipy_integrate():
+    # the closed forms need only scipy.special; scipy.integrate is a slow import
+    src = os.path.dirname(os.path.dirname(rsuq.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, rsuq.cli; print('scipy.integrate' in sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])

@@ -40,6 +40,13 @@ def test_optimal_parameter_examples():
             assert q ** (m - 1) + q ** m > 1.0
 
 
+def test_optimal_parameter_rejects_vanishing_success_probability():
+    # 1 - p rounds to 1, so no m satisfies the optimality condition
+    for p in (1e-300, 2.0 ** -60, 4.6e-17):
+        with pytest.raises(ValueError, match="packing density"):
+            optimal_golomb_parameter(p)
+
+
 def test_round_trip_all_small():
     for m in range(1, 17):
         code = GolombCode(m=m)
