@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattices import Lattice, builtin_lattice, packing_density
+from .lattices import Lattice, builtin_lattice, builtin_packing_density, packing_density
 
 MAGIC = b"RSQ1"
 VQF_MAGIC = b"VQF1"
@@ -179,11 +179,16 @@ def lattice_for_header(header: StreamHeader, lat: Lattice | None = None) -> Latt
     """Coding lattice (`lat`, else the built-in id); a ball stream's gamma must fit it."""
     if lat is None:
         try:
-            lat = builtin_lattice(header.lattice_id, header.n)
+            density = builtin_packing_density(header.lattice_id, header.n)
         except ValueError as exc:
             raise FormatError(
                 f"stream uses non-builtin lattice {header.lattice_id!r}; "
                 "pass its config to decode") from exc
+        # Checked before G is built: a corrupt n would ask for n^2 floats.
+        if 1.0 - density == 1.0:
+            raise FormatError(f"{header.lattice_id} at n = {header.n} has packing density "
+                              f"{density:.3g}: 1 - p rounds to 1, no Golomb code can decode it")
+        lat = builtin_lattice(header.lattice_id, header.n)
     elif lat.n != header.n:
         raise FormatError("supplied lattice dimension does not match stream")
     if header.mode == MODE_BALL and not math.isclose(

@@ -3,8 +3,14 @@
 Built-in families: the integer lattice Zn (any n), the checkerboard
 lattice Dn (n >= 2), the hexagonal lattice A2 and the Gosset lattice E8,
 all with closed-form decoders and exact geometric constants.  User
-generator matrices fall back to bounded enumeration around the rounded
-basis coordinates, which gets slow beyond n ~ 10.
+generator matrices fall back to a search over a box of offsets around the
+rounded basis coordinates, the box holding every possible minimizer.  The
+search prunes, then rescores: one matrix product per block of rows ranks
+all offsets by |G o|^2 - 2 e.G o, with e the row's residual to the rounded
+point, and only the offsets within a stated float-error margin of the best
+rank are scored with the exact distance formula.  Its cost is one
+(rows x offsets x n) product plus exact scores for a few candidates per
+row; the box grows exponentially with n, so it gets slow beyond n ~ 10.
 
 Basis vectors are the *columns* of the generator matrix G, so the lattice
 is {G j : j integer vector}.  Voronoi ties are broken toward the
@@ -19,6 +25,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +35,10 @@ _BUILTIN_FAMILIES = ("Zn", "Dn", "A2", "E8")
 
 # Sizes above this the generic enumeration decoder refuses to scan.
 _MAX_ENUM_CANDIDATES = 4_000_000
+
+# The scan ranks offsets for max(1, _SCAN_BLOCK // offsets) rows at a time,
+# which bounds its (rows x offsets) rank matrix near this many entries.
+_SCAN_BLOCK = 2 ** 14
 
 
 def log2_ball_volume(n: int) -> float:
@@ -59,23 +70,29 @@ class Lattice:
     n : int
     G : (n, n) generator matrix, columns are basis vectors
     det : |det G| > 0
-    packing_radius : half the minimal nonzero vector norm
+    packing_radius : half the minimal nonzero vector norm (searched for if not given)
     covering_radius : optional
     nsm : normalized second moment of the Voronoi cell, where known
     """
 
-    def __init__(self, name, G, packing_radius, covering_radius=None,
+    def __init__(self, name, G, packing_radius=None, covering_radius=None,
                  nsm=None, det=None, family="generic"):
         G = np.array(G, dtype=np.float64)
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise ValueError("generator matrix must be square")
+        if not np.isfinite(G).all():
+            raise ValueError("generator matrix entries must be finite")
         n = G.shape[0]
         if det is None:
             det = abs(float(np.linalg.det(G)))
-        if not det > 0:
-            raise ValueError("generator matrix must be full rank")
-        if not packing_radius > 0:
-            raise ValueError("packing radius must be positive")
+        if not (math.isfinite(det) and det > 0):
+            raise ValueError("generator matrix must be full rank with a finite determinant")
+        if packing_radius is None:
+            packing_radius = 0.5 * _min_nonzero_norm(G)
+        for key, value in (("packing_radius", packing_radius),
+                           ("covering_radius", covering_radius), ("nsm", nsm)):
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{key} must be finite and positive, got {value!r}")
         if covering_radius is not None and covering_radius < packing_radius:
             raise ValueError("covering radius cannot be below packing radius")
         self.name = str(name)
@@ -90,7 +107,7 @@ class Lattice:
         # Column/row views used by the fixed-order accumulation loops below.
         self._g_cols = [np.ascontiguousarray(G[:, k]) for k in range(n)]
         self._inv_rows_for_col = [np.ascontiguousarray(self._invG[:, k]) for k in range(n)]
-        self._enum_offsets = None
+        self._scan_table = None
         self.G.setflags(write=False)
         self._invG.setflags(write=False)
 
@@ -112,26 +129,33 @@ class Lattice:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.n:
             raise ValueError(f"expected dimension {self.n}, got {X.shape[1]}")
+        check_rows(X)
         if self.family == "Zn":
             return _round_half_down(X)
         if self.family == "Dn":
             z = _nearest_dn_points(X)
             return _round_exact(self.coords_rows(z))
         if self.family == "A2":
-            return _nearest_a2(self, X)
+            # |c - j| <= covering_radius / sigma_min(G) < 1 per coordinate, so
+            # the four corners of the basis-coordinate cell cover every minimizer.
+            return _scan(self, X, np.floor(self.coords_rows(X)).astype(np.int64))
         if self.family == "E8":
             z = _nearest_e8_points(X)
             return _round_exact(self.coords_rows(z))
-        return self._nearest_enum(X)
-
-    def _nearest_enum(self, X):
         # Bounded enumeration: the nearest point satisfies |x - G j| <= R,
         # hence |c_i - j_i| <= |row_i(G^-1)| * R in basis coordinates.
-        if self._enum_offsets is None:
-            box = _box(self._invG, _covering_radius_bound(self), 0.5,
-                       "supply covering_radius in the lattice config or use a built-in family")
-            self._enum_offsets = np.array(list(box), dtype=np.int64)
-        return _scan(self, X, _round_half_down(self.coords_rows(X)), self._enum_offsets)
+        return _scan(self, X, _round_half_down(self.coords_rows(X)))
+
+    def _offset_table(self):
+        # The scan's offsets with their embeddings, built once per lattice.
+        if self._scan_table is None:
+            if self.family == "A2":
+                box = ((0, 0), (0, 1), (1, 0), (1, 1))
+            else:
+                box = _box(self._invG, _covering_radius_bound(self), 0.5,
+                           "supply covering_radius in the lattice config or use a built-in family")
+            self._scan_table = _ScanTable.build(self.G, list(box))
+        return self._scan_table
 
     # -- sanity -------------------------------------------------------------
 
@@ -168,28 +192,81 @@ def _accumulate_columns(X, cols):
 def _box(invG, radius, pad, hint):
     # Offsets |j_i| <= ceil(|row_i(G^-1)| * radius + pad) in lexicographic
     # order; `hint` tells the user how to avoid a box above the cap.
-    half = [int(math.ceil(np.linalg.norm(row) * radius + pad)) for row in invG]
+    extent = [np.linalg.norm(row) * radius + pad for row in invG]
+    if not all(math.isfinite(h) for h in extent):
+        raise ValueError(f"enumeration box is unbounded; {hint}")
+    half = [int(math.ceil(h)) for h in extent]
     total = math.prod(2 * h + 1 for h in half)
     if total > _MAX_ENUM_CANDIDATES:
         raise ValueError(f"enumeration would scan {total} candidates; {hint}")
     return itertools.product(*[range(-h, h + 1) for h in half])
 
 
-def _scan(lat, X, base, offsets):
-    # Nearest of the candidates base + offset per row.  Offsets come in
-    # lexicographic order; strict improvement keeps the first (lexicographically
-    # smallest) minimizer on exact ties.
-    best_j = best_d = None
-    for off in offsets:
-        j = base + off
-        d = _sqnorm_rows(X - lat.embed_rows(j))
-        if best_j is None:
-            best_j, best_d = j, d
-        else:
-            better = d < best_d
-            best_j[better] = j[better]
-            best_d[better] = d[better]
-    return best_j
+class _ScanTable(NamedTuple):
+    """Scan offsets O in lexicographic order with their embeddings GO = O G^T."""
+
+    O: np.ndarray
+    GOm2: np.ndarray  # -2 GO^T: e @ GOm2 is -2 e.G o for every offset
+    GO2: np.ndarray   # |G o|^2
+    reach: float      # max_i sum_k |G_ik| max|O_k|: no offset moves a coordinate further
+
+    @classmethod
+    def build(cls, G, offsets):
+        O = np.array(offsets, dtype=np.int64).reshape(-1, G.shape[0])
+        GO = O @ G.T
+        return cls(O, -2.0 * GO.T, np.einsum("ij,ij->i", GO, GO),
+                   float((np.abs(G) @ np.abs(O).max(axis=0)).max()))
+
+
+def _scan(lat, X, base):
+    # Nearest of the candidates base + o per row, o running over the offset
+    # table in lexicographic order; exact ties go to the first offset, which
+    # is the lexicographically smallest j.
+    #
+    # Prune: with e = x - G base, |x - G(base + o)|^2 = |e|^2 + q_o where
+    # q_o = |G o|^2 - 2 e.G o, so one matmul ranks every offset of a block
+    # of rows.  Rescore: offsets with q_o <= min q + margin get the exact
+    # score _sqnorm_rows(x - embed_rows(base + o)); the first smallest wins.
+    # Every coordinate in either formula is at most S = |x|_inf +
+    # |(|G| |base|)|_inf + reach in size, so in float arithmetic (unit
+    # roundoff u = 2^-53) q_o is within 12 n (n+1) u S^2 of d_o - |e|^2 and
+    # the exact score within 3 n (n+1) u S^2 of d_o, d_o the true distance.
+    # The winner of the full exact scan thus ranks within 30 n (n+1) u S^2
+    # of the best q; the margin, 64 n (n+2) u S^2 plus a floor of n 2^-1060
+    # for subnormal rounding, is over twice that, so the result equals
+    # scoring every offset.  A row whose ranking is not finite (S^2
+    # overflows) keeps every offset.
+    if not len(X):
+        return base
+    t, n = lat._offset_table(), lat.n
+    e = X - lat.embed_rows(base)
+    S = np.abs(X).max(axis=1) + (np.abs(base) @ np.abs(lat.G).T).max(axis=1) + t.reach
+    margin = 64.0 * n * (n + 2) * 2.0 ** -53 * S * S + n * 2.0 ** -1060
+    step = max(1, _SCAN_BLOCK // len(t.O))
+    kept = []
+    for lo in range(0, len(X), step):
+        q = e[lo : lo + step] @ t.GOm2
+        q += t.GO2
+        # NaN compares false, so a row without a finite rank keeps every offset
+        kept.append(np.flatnonzero(~(q > (q.min(axis=1) + margin[lo : lo + step])[:, None]))
+                    + lo * len(t.O))
+    r, o = np.divmod(np.concatenate(kept), len(t.O))
+    J = base[r] + t.O[o]
+    d = _sqnorm_rows(X[r] - lat.embed_rows(J))
+    # r is sorted and every row keeps its best-ranked offset, so the runs of
+    # equal r start at the same places after a stable sort by (r, d).
+    first = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+    return J[np.lexsort((d, r))[first]]
+
+
+def check_rows(X, limit=math.inf, why="is not finite"):
+    """Raise ValueError naming the first row of X with an entry that is NaN or not below `limit` in size."""
+    # A NaN fails both comparisons of the fast path too.
+    if X.size and X.max() < limit and X.min() > -limit:
+        return
+    bad = np.flatnonzero(~(np.abs(X) < limit).all(axis=1))
+    if bad.size:
+        raise ValueError(f"input row {bad[0]} {why}")
 
 
 def _sqnorm_rows(X):
@@ -232,13 +309,6 @@ def _nearest_e8_points(X):
     return np.where((d0 <= d1)[:, None], y0, y1)
 
 
-def _nearest_a2(lat, X):
-    # |c - j| <= covering_radius / sigma_min(G) < 1 per coordinate, so the
-    # four corners of the basis-coordinate cell cover every minimizer.
-    return _scan(lat, X, np.floor(lat.coords_rows(X)).astype(np.int64),
-                 ((0, 0), (0, 1), (1, 0), (1, 1)))
-
-
 # -- public operations -------------------------------------------------------
 
 
@@ -253,8 +323,17 @@ def nearest_point(lat: Lattice, x) -> LatticePoint:
 
 def packing_density(lat: Lattice) -> float:
     """Fraction of space filled by disjoint packing balls of radius lambda_min."""
-    d = 2.0 ** (lat.n * math.log2(lat.packing_radius)
-                + log2_ball_volume(lat.n) - math.log2(lat.det))
+    return _packing_density(lat.n, lat.packing_radius, lat.det)
+
+
+def builtin_packing_density(name: str, n: int) -> float:
+    """Closed-form packing density of a built-in family, without building its G."""
+    c = _builtin_constants(name, n)
+    return _packing_density(n, c["packing_radius"], c["det"])
+
+
+def _packing_density(n, packing_radius, det):
+    d = 2.0 ** (n * math.log2(packing_radius) + log2_ball_volume(n) - math.log2(det))
     # Absorb log-space rounding only (Z1 reads 1 + 2**-52): validate refuses the rest.
     return 1.0 if 1.0 < d <= 1.0 + 1e-12 else d
 
@@ -272,45 +351,51 @@ def builtin_lattice(name: str, n: int) -> Lattice:
 
     Families: "Zn" (any n >= 1), "Dn" (n >= 2), "A2" (n = 2), "E8" (n = 8).
     """
+    constants = _builtin_constants(name, n)
     if name == "Zn":
-        if n < 1:
-            raise ValueError("Zn needs n >= 1")
-        return Lattice("Zn", np.eye(n), packing_radius=0.5,
-                       covering_radius=math.sqrt(n) / 2.0, nsm=1.0 / 12.0,
-                       det=1.0, family="Zn")
-    if name == "Dn":
-        if n < 2:
-            raise ValueError("Dn needs n >= 2")
+        G = np.eye(n)
+    elif name == "Dn":
         G = np.zeros((n, n))
         for i in range(n - 1):
             G[i, i] = 1.0
             G[i + 1, i] = -1.0
         G[n - 2, n - 1] = 1.0
         G[n - 1, n - 1] = 1.0
-        cov = 1.0 if n <= 4 else math.sqrt(n) / 2.0
-        nsm = 13.0 / (120.0 * math.sqrt(2.0)) if n == 4 else None
-        return Lattice("Dn", G, packing_radius=math.sqrt(2.0) / 2.0,
-                       covering_radius=cov, nsm=nsm, det=2.0, family="Dn")
-    if name == "A2":
-        if n != 2:
-            raise ValueError("A2 is two-dimensional")
+    elif name == "A2":
         G = np.array([[1.0, 0.5], [0.0, math.sqrt(3.0) / 2.0]])
-        return Lattice("A2", G, packing_radius=0.5,
-                       covering_radius=1.0 / math.sqrt(3.0),
-                       nsm=5.0 / (36.0 * math.sqrt(3.0)),
-                       det=math.sqrt(3.0) / 2.0, family="A2")
-    if name == "E8":
-        if n != 8:
-            raise ValueError("E8 is eight-dimensional")
+    else:
         G = np.zeros((8, 8))
         G[0, 0] = 2.0
         for i in range(1, 7):
             G[i - 1, i] = -1.0
             G[i, i] = 1.0
         G[:, 7] = 0.5
-        return Lattice("E8", G, packing_radius=math.sqrt(2.0) / 2.0,
-                       covering_radius=1.0, nsm=929.0 / 12960.0,
-                       det=1.0, family="E8")
+    return Lattice(name, G, family=name, **constants)
+
+
+def _builtin_constants(name, n):
+    # Exact constants of a built-in family; ValueError for an unknown family or dimension.
+    if name == "Zn":
+        if n < 1:
+            raise ValueError("Zn needs n >= 1")
+        return dict(packing_radius=0.5, covering_radius=math.sqrt(n) / 2.0,
+                    nsm=1.0 / 12.0, det=1.0)
+    if name == "Dn":
+        if n < 2:
+            raise ValueError("Dn needs n >= 2")
+        return dict(packing_radius=math.sqrt(2.0) / 2.0,
+                    covering_radius=1.0 if n <= 4 else math.sqrt(n) / 2.0,
+                    nsm=13.0 / (120.0 * math.sqrt(2.0)) if n == 4 else None, det=2.0)
+    if name == "A2":
+        if n != 2:
+            raise ValueError("A2 is two-dimensional")
+        return dict(packing_radius=0.5, covering_radius=1.0 / math.sqrt(3.0),
+                    nsm=5.0 / (36.0 * math.sqrt(3.0)), det=math.sqrt(3.0) / 2.0)
+    if name == "E8":
+        if n != 8:
+            raise ValueError("E8 is eight-dimensional")
+        return dict(packing_radius=math.sqrt(2.0) / 2.0, covering_radius=1.0,
+                    nsm=929.0 / 12960.0, det=1.0)
     raise ValueError(f"unknown lattice family {name!r}; expected one of {_BUILTIN_FAMILIES}")
 
 
@@ -344,10 +429,7 @@ def lattice_from_config(text: str, name: str = "user") -> Lattice:
         if key not in ("packing_radius", "covering_radius", "nsm"):
             raise ValueError(f"unknown config key: {key!r}")
         opts[key] = float(val)
-    packing = opts.get("packing_radius")
-    if packing is None:
-        packing = 0.5 * _min_nonzero_norm(G)
-    return Lattice(name, G, packing_radius=packing,
+    return Lattice(name, G, packing_radius=opts.get("packing_radius"),
                    covering_radius=opts.get("covering_radius"),
                    nsm=opts.get("nsm"), family="generic").validate()
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dither import derive_seeds, fold_rows, gathered_uniforms, stream_uniforms
-from .lattices import Lattice, LatticePoint, packing_density
+from .lattices import Lattice, LatticePoint, check_rows, packing_density
 
 
 class RejectionCapError(RuntimeError):
@@ -83,11 +83,8 @@ def _reject_rows(lat, gamma, X, seeds, reserved, max_iters, accept):
     Xg = X / gamma
     # From 2**52 on a float64 no longer resolves the fraction that the
     # nearest-point search rounds; NaN and inf fail the comparison as well.
-    bad = np.flatnonzero(~(np.abs(Xg) < 2.0 ** 52).all(axis=1))
-    if bad.size:
-        raise ValueError(
-            f"input row {bad[0]} is not finite or too large to quantize "
-            "(|x / scale| must stay below 2**52)")
+    check_rows(Xg, 2.0 ** 52, "is not finite or too large to quantize "
+               "(|x / scale| must stay below 2**52)")
     N, n = X.shape
     K = np.zeros(N, dtype=np.int64)
     J = np.zeros((N, n), dtype=np.int64)

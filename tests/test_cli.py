@@ -191,6 +191,25 @@ def test_wrong_user_lattice_config_is_a_format_error(tmp_path, vec_file):
     assert np.linalg.norm(read_vectors(rec.read_bytes()) - X3, axis=1).max() <= 0.05
 
 
+@pytest.mark.parametrize("line,key", [("covering_radius=inf", "covering_radius"),
+                                      ("nsm=nan", "nsm"), ("0 nan 1", "generator matrix")])
+def test_nonfinite_lattice_config_is_a_usage_error(tmp_path, vec_file, line, key):
+    # covering_radius=inf used to pass the config check and crash encode with
+    # an OverflowError traceback (exit 1)
+    path, X = vec_file
+    path.write_bytes(write_vectors(np.hstack([X, X[:, :1]])))
+    rows = ["1 1 0", "1 0 1", "0 1 1"]
+    if line[0].isdigit():
+        rows[2] = line
+    else:
+        rows.append(line)
+    cfg = tmp_path / "bad.lat"
+    cfg.write_text("3\n" + "\n".join(rows) + "\n")
+    code, _, err = run_cli("encode", "--input", str(path), "--lattice", str(cfg), "--dim",
+                           "3", "--radius", "0.05", "--output", str(tmp_path / "f.rsq"))
+    assert code == 2 and key in err
+
+
 def test_scalar_lattice_z1(tmp_path, vec_file):
     # Z1 has packing density exactly 1: every draw is accepted
     path, X = vec_file

@@ -1,6 +1,7 @@
 """Golomb code optimality/prefix-freeness and container round trips."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from _golomb_ref import (BitReader, BitWriter, encode_stream_ref, golomb_decode,
                          golomb_encode)
 from rsuq.bounds import geometric_entropy
-from rsuq.coding import (MODE_BALL, MODE_GAUSSIAN, FormatError, GolombCode,
+from rsuq.coding import (MAGIC, MODE_BALL, MODE_GAUSSIAN, VERSION, FormatError, GolombCode,
                          StreamHeader, coord_width_for_bound, decode_stream,
                          encode_stream, golomb_for_lattice,
                          optimal_golomb_parameter, read_header, read_vectors,
@@ -279,6 +280,44 @@ def test_non_ascii_lattice_id_is_a_format_error():
     data[10] = 0xFF  # first byte of the lattice id
     with pytest.raises(FormatError, match="ASCII"):
         read_header(bytes(data))
+
+
+@pytest.mark.parametrize("name,n", [("Zn", 34), ("Zn", 2 ** 24), ("Dn", 43),
+                                    ("Dn", 2 ** 32 - 1)])
+def test_undecodable_dimension_is_a_format_error(name, n):
+    # 1 - packing density rounds to 1 from Zn34 and Dn43 on; the header is
+    # refused before an n x n generator is built (2^24 asked for 2 PiB)
+    h = StreamHeader(n=n, lattice_id=name, gamma=1.0, param=0.5, mode=MODE_GAUSSIAN,
+                     seed=0, count=0, coord_bound=0)
+    with pytest.raises(FormatError, match="packing density"):
+        decode_stream(write_header(h))
+
+
+def test_largest_decodable_dimensions_still_decode():
+    for name, n in (("Zn", 33), ("Dn", 42)):
+        h = StreamHeader(n=n, lattice_id=name, gamma=1.0, param=0.5, mode=MODE_GAUSSIAN,
+                         seed=0, count=0, coord_bound=0)
+        assert decode_stream(write_header(h))[0] == h
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(n=st.one_of(st.integers(0, 48), st.integers(0, 2 ** 32 - 1)),
+       name=st.sampled_from(["Zn", "Dn", "A2", "E8", "", "fcc"]),
+       gamma=st.floats(), param=st.floats(), mode=st.integers(0, 255),
+       seed=st.integers(0, 2 ** 64 - 1),
+       count=st.one_of(st.integers(0, 8), st.integers(0, 2 ** 64 - 1)),
+       bound=st.one_of(st.integers(0, 8), st.integers(0, 2 ** 32 - 1)),
+       payload=st.binary(max_size=24), cut=st.integers(0, 80))
+def test_fuzz_header_fields(n, name, gamma, param, mode, seed, count, bound, payload, cut):
+    # every header field is untrusted: decoding fails only with ValueError
+    # (FormatError is one), whatever the fields or where the stream is cut
+    blob = (MAGIC + struct.pack("<BIB", VERSION, n, len(name)) + name.encode("ascii")
+            + struct.pack("<ddBQQI", gamma, param, mode, seed, count, bound) + payload)
+    for data in (blob, blob[:cut]):
+        try:
+            decode_stream(data)
+        except ValueError:
+            pass
 
 
 # Golomb parameters m = 1, 2, 2, 3, 5, 9 in turn.

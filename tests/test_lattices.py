@@ -1,12 +1,16 @@
 """Lattice geometry and nearest-point tests against independent oracles."""
 
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import rsuq.lattices as lattices
+from _scan_ref import scan_ref
 from rsuq.lattices import (Lattice, ball_volume, builtin_lattice,
                            covering_density, lattice_from_config,
                            load_lattice, log2_ball_volume, nearest_point,
@@ -419,3 +423,121 @@ def test_log2_ball_volume_matches_closed_forms():
     # stays finite far beyond the overflow range of direct Gamma
     assert log2_ball_volume(64) == pytest.approx(
         32 * math.log2(math.pi) - math.lgamma(33) / math.log(2), rel=1e-12)
+
+
+# -- the pruned scan against the per-offset reference ---------------------------
+
+
+@st.composite
+def _scan_case(draw):
+    # A well-conditioned 2-4 dimensional integer or real basis, a covering
+    # radius that keeps the box below ~2000 offsets (the scan and the
+    # reference see the same box, so it need not cover the Voronoi cell), and
+    # rows at scale 1 to 1e6, on the quarter grid (exact ties) or not.
+    n = draw(st.sampled_from([2, 3, 4]))
+    integer = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    while True:
+        G = (rng.integers(-2, 3, size=(n, n)) if integer
+             else rng.uniform(-2, 2, size=(n, n))).astype(np.float64)
+        if abs(np.linalg.det(G)) > 0.5 and np.linalg.cond(G) < 6:
+            break
+    reach = np.linalg.norm(np.linalg.inv(G), axis=1)
+    cover = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    while np.prod(2 * np.ceil(reach * cover + 0.5) + 1) > 2000:
+        cover /= 2
+    lat = Lattice("user", G, packing_radius=0.01, covering_radius=max(cover, 0.01))
+    X = rng.uniform(-4, 4, size=(draw(st.integers(1, 150)), n))
+    X *= draw(st.sampled_from([1.0, 1e3, 1e6]))
+    if draw(st.booleans()):
+        X = np.round(X * 4) / 4
+    # one row per block when the box has more offsets than the block
+    return lat, X, draw(st.sampled_from([2 ** 14, 64, 7, 1]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_scan_case())
+def test_scan_matches_per_offset_reference(case):
+    lat, X, block = case
+    with mock.patch.object(lattices, "_SCAN_BLOCK", block):
+        got = lat.nearest_rows(X)
+        single = [lat.nearest_rows(x[None])[0] for x in X[:4]]
+        point = nearest_point(lat, X[0]).coords
+    base = lattices._round_half_down(lat.coords_rows(X))
+    assert np.array_equal(got, scan_ref(lat, X, base, lat._offset_table().O))
+    assert np.array_equal(single, got[:4])
+    assert np.array_equal(point, got[0])
+
+
+@pytest.mark.parametrize("block", [2 ** 14, 3, 1])
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_a2_scan_matches_per_offset_reference(block, scale):
+    lat = builtin_lattice("A2", 2)
+    X = RNG.uniform(-5, 5, size=(2000, 2)) * scale
+    X[::2] = np.round(X[::2] * 4) / 4
+    with mock.patch.object(lattices, "_SCAN_BLOCK", block):
+        got = lat.nearest_rows(X)
+    base = np.floor(lat.coords_rows(X)).astype(np.int64)
+    assert np.array_equal(got, scan_ref(lat, X, base, ((0, 0), (0, 1), (1, 0), (1, 1))))
+
+
+FCC_CONFIG = "3\n1 1 0\n1 0 1\n0 1 1\n"
+
+
+@pytest.mark.parametrize("lat", [builtin_lattice("Zn", 2), builtin_lattice("Dn", 3),
+                                 builtin_lattice("A2", 2), builtin_lattice("E8", 8),
+                                 lattice_from_config(FCC_CONFIG)],
+                         ids=["Zn2", "Dn3", "A2", "E8", "fcc"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_rows_rejected(lat, bad):
+    X = np.zeros((4, lat.n))
+    X[2, -1] = bad
+    with pytest.raises(ValueError, match="row 2 is not finite"):
+        lat.nearest_rows(X)
+    with pytest.raises(ValueError, match="row 0 is not finite"):
+        nearest_point(lat, X[2])
+
+
+@pytest.mark.parametrize("text,key", [
+    ("2\n1 0\n0 1\ncovering_radius=inf\n", "covering_radius"),
+    ("2\n1 0\n0 1\ncovering_radius=nan\n", "covering_radius"),
+    ("2\n1 0\n0 1\nnsm=nan\n", "nsm"),
+    ("2\n1 0\n0 1\nnsm=-0.1\n", "nsm"),
+    ("2\n1 0\n0 1\npacking_radius=nan\n", "packing_radius"),
+    ("2\n1 0\n0 1\npacking_radius=inf\n", "packing_radius"),
+    ("2\n1 nan\n0 1\n", "generator matrix"),
+    ("2\n1 0\n-inf 1\n", "generator matrix"),
+    ("2\n1e200 0\n0 1e200\n", "determinant"),
+])
+def test_nonfinite_config_is_refused_by_key(text, key):
+    with pytest.raises(ValueError, match=key):
+        lattice_from_config(text)
+
+
+# Valid configs; the fuzz below replaces some of their tokens.
+_FUZZ_CONFIGS = [
+    "2\n1 0\n0 1\n",
+    A2_CONFIG,
+    "3\n1 1 0\n1 0 1\n0 1 1\npacking_radius=0.7071067811865476\n",
+    "2\n2 0\n0 2\npacking_radius=1.0\ncovering_radius=1.4142135623730951\nnsm=0.0833\n",
+]
+_FUZZ_TOKENS = ["nan", "inf", "-inf", "1e999", "-1", "0", "-0", "1e-300", "1e300",
+                "5e-324", "3", "x", "", "=", "\n", "# c", "nsm", "covering_radius"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@example(A2_CONFIG, [(12, "inf")])  # covering_radius=inf
+@given(st.sampled_from(_FUZZ_CONFIGS),
+       st.lists(st.tuples(st.integers(0, 40), st.sampled_from(_FUZZ_TOKENS)), max_size=3))
+def test_fuzz_lattice_config(text, edits):
+    # an untrusted config is refused with ValueError, or gives a lattice
+    # whose decoder works or refuses with ValueError
+    tokens = re.split(r"([\s=]+)", text)
+    for pos, token in edits:
+        tokens[pos % len(tokens)] = token
+    try:
+        lat = lattice_from_config("".join(tokens))
+        packing_density(lat)
+        lat.nearest_rows(np.linspace(-2, 2, 3 * lat.n).reshape(3, lat.n))
+    except ValueError:
+        pass
