@@ -291,9 +291,12 @@ class ConstantsRegistry:
 
 def parse_registry(text: str) -> ConstantsRegistry:
     """Parse registry CSV: columns n, delta, theta, nsm, source."""
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise ValueError(f"malformed registry CSV: {exc}") from exc
     entries = []
-    reader = csv.reader(io.StringIO(text))
-    for row in reader:
+    for row in rows:
         if not row or row[0].strip().startswith("#") or row[0].strip() == "n":
             continue
         row = [c.strip() for c in row]
@@ -301,11 +304,16 @@ def parse_registry(text: str) -> ConstantsRegistry:
             raise ValueError(f"registry row needs 5 columns: {row}")
 
         def num(s):
-            return None if s in ("", "-") else float(s)
+            v = None if s in ("", "-") else float(s)
+            if v is not None and not math.isfinite(v):
+                raise ValueError(f"registry value {s!r} is not finite")
+            return v
 
-        entries.append(RegistryEntry(n=int(row[0]), delta=num(row[1]),
-                                     theta=num(row[2]), nsm=num(row[3]),
-                                     source=row[4]))
+        n = int(row[0])
+        if not 1 <= n < 2 ** 32:
+            raise ValueError(f"registry dimension {n} outside 1..2**32-1")
+        entries.append(RegistryEntry(n=n, delta=num(row[1]), theta=num(row[2]),
+                                     nsm=num(row[3]), source=row[4]))
     return ConstantsRegistry(entries)
 
 

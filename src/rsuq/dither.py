@@ -76,5 +76,4 @@ def fold_rows(lat: Lattice, U):
     reduced mod the lattice, landing uniformly in the (unscaled) cell.
     """
     W = lat.embed_rows(U)
-    J = lat.nearest_rows(W)
-    return W - lat.embed_rows(J)
+    return W - lat.nearest_points(W)

@@ -2,7 +2,11 @@
 
 Built-in families: the integer lattice Zn (any n), the checkerboard
 lattice Dn (n >= 2), the hexagonal lattice A2 and the Gosset lattice E8,
-all with closed-form decoders and exact geometric constants.  User
+all with closed-form decoders and exact geometric constants.  The Zn, Dn
+and E8 decoders (Conway & Sloane 1982) return lattice points in R^n
+(`nearest_points`), which the quantizer uses directly; 4 G^-1 and 2 G are
+integer matrices there, so coordinates j = (4 G^-1)(2 z) / 8 and
+embeddings G j = (2 G) j / 2 are exact int64 products.  User
 generator matrices fall back to a search over a box of offsets around the
 rounded basis coordinates, the box holding every possible minimizer.  The
 search prunes, then rescores: one matrix product per block of rows ranks
@@ -11,6 +15,11 @@ point, and only the offsets within a stated float-error margin of the best
 rank are scored with the exact distance formula.  Its cost is one
 (rows x offsets x n) product plus exact scores for a few candidates per
 row; the box grows exponentially with n, so it gets slow beyond n ~ 10.
+
+Quantizer inputs, in cell units, stay below `Lattice.input_limit` =
+min(2**52, 2**53 / max_i sum_k |G^-1_ik|): from 2**52 a float64 no longer
+resolves the fraction the search rounds, and the second term keeps every
+coordinate below 2**53 (E8: about 2**49.4).
 
 Basis vectors are the *columns* of the generator matrix G, so the lattice
 is {G j : j integer vector}.  Voronoi ties are broken toward the
@@ -73,6 +82,8 @@ class Lattice:
     packing_radius : half the minimal nonzero vector norm (searched for if not given)
     covering_radius : optional
     nsm : normalized second moment of the Voronoi cell, where known
+    native : True for Zn, Dn and E8, whose decoders return points in R^n
+    input_limit : quantizer inputs, in cell units, must stay below this in size
     """
 
     def __init__(self, name, G, packing_radius=None, covering_radius=None,
@@ -104,6 +115,11 @@ class Lattice:
         self.nsm = None if nsm is None else float(nsm)
         self.family = family
         self._invG = np.linalg.inv(G)
+        self.input_limit = min(2.0 ** 52, 2.0 ** 53 / float(np.abs(self._invG).sum(axis=1).max()))
+        self.native = family in _POINT_DECODERS
+        # Exact integer forms of 2 G and 4 G^-1 for the native families.
+        self._g2 = np.rint(2.0 * G).astype(np.int64) if self.native else None
+        self._inv4 = np.rint(4.0 * self._invG).astype(np.int64) if self.native else None
         # Column/row views used by the fixed-order accumulation loops below.
         self._g_cols = [np.ascontiguousarray(G[:, k]) for k in range(n)]
         self._inv_rows_for_col = [np.ascontiguousarray(self._invG[:, k]) for k in range(n)]
@@ -117,12 +133,29 @@ class Lattice:
     # -- embedding / coordinates -------------------------------------------
 
     def embed_rows(self, J):
+        """G j per row: an exact int64 product for integer rows of a native
+        lattice, else a column sum in fixed order, so bits do not depend on the batch."""
+        J = np.asarray(J)
+        if self.native and J.dtype.kind in "iu":
+            return (J.astype(np.int64, copy=False) @ self._g2.T) * 0.5
         return _accumulate_columns(J, self._g_cols)
 
     def coords_rows(self, X):
         return _accumulate_columns(X, self._inv_rows_for_col)
 
+    def point_coords(self, Z):
+        """Integer coordinates G^-1 z of the rows of Z, points of a native lattice."""
+        return ((2.0 * Z).astype(np.int64) @ self._inv4.T) // 8
+
     # -- nearest point ------------------------------------------------------
+
+    def nearest_points(self, X):
+        """Nearest lattice points of the finite rows of X: embed_rows(nearest_rows(X)) bit for bit."""
+        if not self.native:
+            return self.embed_rows(self.nearest_rows(X))
+        z = _POINT_DECODERS[self.family](X)
+        z += 0.0  # ceil gives -0.0 where embed_rows gives +0.0
+        return z
 
     def nearest_rows(self, X):
         """Nearest-point integer coordinates for each row of X."""
@@ -130,18 +163,12 @@ class Lattice:
         if X.shape[1] != self.n:
             raise ValueError(f"expected dimension {self.n}, got {X.shape[1]}")
         check_rows(X)
-        if self.family == "Zn":
-            return _round_half_down(X)
-        if self.family == "Dn":
-            z = _nearest_dn_points(X)
-            return _round_exact(self.coords_rows(z))
+        if self.native:
+            return self.point_coords(self.nearest_points(X))
         if self.family == "A2":
             # |c - j| <= covering_radius / sigma_min(G) < 1 per coordinate, so
             # the four corners of the basis-coordinate cell cover every minimizer.
             return _scan(self, X, np.floor(self.coords_rows(X)).astype(np.int64))
-        if self.family == "E8":
-            z = _nearest_e8_points(X)
-            return _round_exact(self.coords_rows(z))
         # Bounded enumeration: the nearest point satisfies |x - G j| <= R,
         # hence |c_i - j_i| <= |row_i(G^-1)| * R in basis coordinates.
         return _scan(self, X, _round_half_down(self.coords_rows(X)))
@@ -282,16 +309,18 @@ def _round_half_down(X):
     return np.ceil(np.asarray(X) - 0.5).astype(np.int64)
 
 
-def _round_exact(C):
-    # C is integer-valued up to float dust (products of exact generators).
-    return np.floor(np.asarray(C) + 0.5).astype(np.int64)
+def _nearest_zn_points(X):
+    """Nearest integer point of each row; ties go to the smaller integer."""
+    return np.ceil(X - 0.5)
 
 
 def _nearest_dn_points(X):
     """Nearest point of {z integer : sum z even} for each row, in Z^n coords."""
     f = np.ceil(X - 0.5)
     e = X - f
-    odd = (f.sum(axis=1).astype(np.int64) & 1) == 1
+    # an int64 sum: a float sum of n coordinates near the input limit can
+    # pass 2**53 and round away the parity
+    odd = (f.astype(np.int64).sum(axis=1) & 1) == 1
     rows = np.arange(X.shape[0])
     k = np.argmax(np.abs(e), axis=1)
     step = np.where(e[rows, k] > 0, 1.0, -1.0)
@@ -307,6 +336,10 @@ def _nearest_e8_points(X):
     d0 = _sqnorm_rows(X - y0)
     d1 = _sqnorm_rows(X - y1)
     return np.where((d0 <= d1)[:, None], y0, y1)
+
+
+# Closed-form decoders that return lattice points in R^n ("native" families).
+_POINT_DECODERS = {"Zn": _nearest_zn_points, "Dn": _nearest_dn_points, "E8": _nearest_e8_points}
 
 
 # -- public operations -------------------------------------------------------
@@ -429,9 +462,15 @@ def lattice_from_config(text: str, name: str = "user") -> Lattice:
         if key not in ("packing_radius", "covering_radius", "nsm"):
             raise ValueError(f"unknown config key: {key!r}")
         opts[key] = float(val)
-    return Lattice(name, G, packing_radius=opts.get("packing_radius"),
-                   covering_radius=opts.get("covering_radius"),
-                   nsm=opts.get("nsm"), family="generic").validate()
+    lat = Lattice(name, G, packing_radius=opts.get("packing_radius"),
+                  covering_radius=opts.get("covering_radius"),
+                  nsm=opts.get("nsm"), family="generic").validate()
+    # Every generator column is a nonzero lattice vector, so no packing radius
+    # exceeds half the shortest one (slack for float noise only).
+    if lat.packing_radius > 0.5 * float(np.linalg.norm(G, axis=0).min()) * (1.0 + 1e-12):
+        raise ValueError(f"packing_radius {lat.packing_radius!r} exceeds half the "
+                         "shortest generator column")
+    return lat
 
 
 def load_lattice(path) -> Lattice:

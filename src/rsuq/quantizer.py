@@ -81,10 +81,9 @@ def _reject_rows(lat, gamma, X, seeds, reserved, max_iters, accept):
     row's accepting round, bit-identical to what the decoder rebuilds.
     """
     Xg = X / gamma
-    # From 2**52 on a float64 no longer resolves the fraction that the
-    # nearest-point search rounds; NaN and inf fail the comparison as well.
-    check_rows(Xg, 2.0 ** 52, "is not finite or too large to quantize "
-               "(|x / scale| must stay below 2**52)")
+    # NaN and inf fail the comparison as well.
+    check_rows(Xg, lat.input_limit, "is not finite or too large to quantize "
+               f"(|x / scale| must stay below 2**{math.log2(lat.input_limit):.4g})")
     N, n = X.shape
     K = np.zeros(N, dtype=np.int64)
     J = np.zeros((N, n), dtype=np.int64)
@@ -96,12 +95,17 @@ def _reject_rows(lat, gamma, X, seeds, reserved, max_iters, accept):
         first = reserved + t * n
         u = stream_uniforms(seeds[active], first, n)
         v = fold_rows(lat, u)
-        j = lat.nearest_rows(Xg[active] - v)
-        y = gamma * (lat.embed_rows(j) + v)
+        if lat.native:
+            # Native lattices stay in R^n: only accepted rows get coordinates.
+            z = lat.nearest_points(Xg[active] - v)
+        else:
+            j = lat.nearest_rows(Xg[active] - v)
+            z = lat.embed_rows(j)
+        y = gamma * (z + v)
         ok = accept(y - X[active], active)
         hit = active[ok]
         K[hit] = t + 1
-        J[hit] = j[ok]
+        J[hit] = lat.point_coords(z[ok]) if lat.native else j[ok]
         Y[hit] = y[ok]
         active = active[~ok]
         if active.size == 0:

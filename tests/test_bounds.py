@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import digamma
 
 from rsuq import bounds as bd
@@ -236,6 +238,27 @@ def test_registry_parse_and_merge(tmp_path):
     bad.write_text("n,delta,theta,nsm,source\n3,1.5,1.4,0.08,oops\n")
     with pytest.raises(ValueError):
         bd.load_registry(bad)
+
+
+_REGISTRY_TOKEN = st.one_of(
+    st.sampled_from(["", "-", "n", "#x", '"', "nan", "inf", "-inf", "1e400", "0", "1", "2",
+                     "0.5", "1.2", "0.07", "-3", "1" + "0" * 400, "x" * 140000]),
+    st.integers(-3, 50).map(str), st.floats().map(repr), st.text(max_size=6))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.lists(_REGISTRY_TOKEN, max_size=6), max_size=4), st.text(max_size=20))
+def test_fuzz_parse_registry(rows, tail):
+    # untrusted registry CSV may fail only with ValueError; what it accepts is usable
+    text = "\n".join(",".join(row) for row in rows) + tail
+    try:
+        reg = bd.parse_registry(text)
+    except ValueError:
+        return
+    for n in reg.dims():
+        e = reg.get(n)
+        assert n >= 1
+        assert all(v is None or math.isfinite(v) for v in (e.delta, e.theta, e.nsm))
 
 
 def test_registry_ordering_claims():

@@ -238,6 +238,23 @@ def _ball_header(lat, **fields):
                         param=0.5, mode=MODE_BALL, **fields)
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.one_of(
+    st.binary(max_size=40),
+    st.builds(lambda dim, count, body: b"VQF1" + struct.pack("<IQ", dim, count) + body,
+              st.one_of(st.integers(0, 3), st.integers(0, 2 ** 32 - 1)),
+              st.one_of(st.integers(0, 3), st.integers(0, 2 ** 64 - 1)),
+              st.binary(max_size=72))))
+def test_fuzz_read_vectors(data):
+    # untrusted VQF1 bytes may fail only with FormatError (a ValueError)
+    try:
+        X = read_vectors(data)
+    except FormatError:
+        return
+    assert X.dtype == np.float64 and X.ndim == 2 and X.shape[1] >= 1
+    assert write_vectors(X) == data
+
+
 def test_ball_stream_scale_must_match_lattice():
     from rsuq.lattices import lattice_from_config
 

@@ -355,6 +355,16 @@ def test_user_lattice_config_errors():
         lattice_from_config("2\n1 0\n0 1\npacking_radius=0.9\n")
 
 
+def test_packing_radius_above_half_the_shortest_column_is_refused():
+    # 0.55 keeps the density of Z2 below 1 (0.95), but an r-ball no longer fits
+    # the scaled cell, so the error would not be uniform over the ball
+    with pytest.raises(ValueError, match="shortest generator column"):
+        lattice_from_config("2\n1 0\n0 1\npacking_radius=0.55\n")
+    # exactly half the shortest column loads: fcc, 1/2 |(1, 1, 0)|
+    fcc = lattice_from_config("3\n1 1 0\n1 0 1\n0 1 1\npacking_radius=0.7071067811865476\n")
+    assert fcc.packing_radius == 0.5 * math.sqrt(2.0)
+
+
 @pytest.mark.parametrize("G,expect", [
     ([[1.0, 0.3], [0.2, 1.1]], "0x1.0511de5a8265fp+0"),
     ([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], "0x1.6a09e667f3bcdp+0"),

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsuq.dither import derive_seed
 from rsuq.lattices import builtin_lattice, lattice_from_config
@@ -17,6 +19,12 @@ from rsuq.quantizer import (Description, RejectionCapError, RsuqConfig,
 
 Z2 = builtin_lattice("Zn", 2)
 FCC_CONFIG = "3\n1 1 0\n1 0 1\n0 1 1\npacking_radius=0.7071067811865476\n"
+ROUND_TRIP_LATTICES = [
+    builtin_lattice("Zn", 1), builtin_lattice("Zn", 3), builtin_lattice("Dn", 2),
+    builtin_lattice("Dn", 5), builtin_lattice("A2", 2), builtin_lattice("E8", 8),
+    lattice_from_config(FCC_CONFIG, name="fcc"),
+    lattice_from_config("2\n1 0.3\n0.2 1.1\n", name="skew2"),
+]
 
 
 def test_config_defaults():
@@ -93,6 +101,33 @@ def test_encoder_reconstruction_is_decoder_output(lat, model):
         g = GaussianNoise(lat.n, lat)
         K, J, Y, _ = lrsuq_encode_batch(g, lat, 404, X)
         assert np.array_equal(lrsuq_decode_batch(g, lat, 404, K, J), Y)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.data())
+def test_round_trip_property(data):
+    # decode(encode(X)) rebuilds the encoder's reconstruction bit for bit, on
+    # every family, with the ball error bound for the ball quantizer
+    lat = data.draw(st.sampled_from(ROUND_TRIP_LATTICES), label="lattice")
+    rows = data.draw(st.integers(0, 5))
+    X = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=rows * lat.n,
+                                    max_size=rows * lat.n))).reshape(rows, lat.n)
+    seed = data.draw(st.integers(0, 2 ** 64 - 1))
+    if data.draw(st.booleans(), label="gaussian"):
+        noise = GaussianNoise(lat.n, lat)
+        K, J, Y, _ = lrsuq_encode_batch(noise, lat, seed, X)
+        assert np.array_equal(_bits(lrsuq_decode_batch(noise, lat, seed, K, J)), _bits(Y))
+    else:
+        cfg = RsuqConfig(lat, r=data.draw(st.floats(1e-3, 10.0)), seed=seed)
+        K, J, Y = encode_batch(cfg, X)
+        assert np.array_equal(_bits(decode_batch(cfg, K, J)), _bits(Y))
+        assert np.all(np.einsum("ij,ij->i", Y - X, Y - X) <= cfg.r ** 2)
+    assert K.shape == (rows,) and np.all(K >= 1)
+    assert J.dtype == np.int64 and J.shape == X.shape == Y.shape
 
 
 def test_readme_quick_start_runs():
