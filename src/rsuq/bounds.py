@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from scipy.special import digamma
-
 from .lattices import LN2, Lattice, log2_ball_volume, packing_density
 
 LOG2E = 1.0 / LN2
@@ -214,6 +212,10 @@ def gaussian_layered_entropy(n: int) -> float:
     n + 2 degrees of freedom.  With a = n/2, E[ln V] = ln 2 + psi(a + 1),
     so the value is a log2(2 pi) + (a psi(a + 1) - ln Gamma(a + 1)) / ln 2.
     """
+    # scipy.special loads only here and in the level draw and the mc tests:
+    # ball encode and decode never pay for its import
+    from scipy.special import digamma
+
     if n < 1:
         raise ValueError("dimension must be >= 1")
     a = n / 2.0

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattices import Lattice, builtin_lattice, builtin_packing_density, packing_density
+from .lattices import (_BUILTIN_FAMILIES, Lattice, builtin_lattice, builtin_packing_density,
+                       packing_density)
 
 MAGIC = b"RSQ1"
 VQF_MAGIC = b"VQF1"
@@ -155,6 +156,8 @@ def read_header(data: bytes) -> tuple[StreamHeader, int]:
         if version != VERSION:
             raise FormatError(f"unsupported version {version}")
         (n,) = struct.unpack_from("<I", data, pos); pos += 4
+        if n == 0:
+            raise FormatError("header dimension must be at least 1, got 0")
         (name_len,) = struct.unpack_from("<B", data, pos); pos += 1
         name = data[pos : pos + name_len].decode("ascii"); pos += name_len
         if len(name) != name_len:
@@ -178,12 +181,13 @@ def read_header(data: bytes) -> tuple[StreamHeader, int]:
 def lattice_for_header(header: StreamHeader, lat: Lattice | None = None) -> Lattice:
     """Coding lattice (`lat`, else the built-in id); a ball stream's gamma must fit it."""
     if lat is None:
+        if header.lattice_id not in _BUILTIN_FAMILIES:
+            raise FormatError(f"stream uses non-builtin lattice {header.lattice_id!r}; "
+                              "pass its config to decode")
         try:
             density = builtin_packing_density(header.lattice_id, header.n)
         except ValueError as exc:
-            raise FormatError(
-                f"stream uses non-builtin lattice {header.lattice_id!r}; "
-                "pass its config to decode") from exc
+            raise FormatError(f"header dimension {header.n} does not fit: {exc}") from exc
         # Checked before G is built: a corrupt n would ask for n^2 floats.
         if 1.0 - density == 1.0:
             raise FormatError(f"{header.lattice_id} at n = {header.n} has packing density "

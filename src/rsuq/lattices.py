@@ -22,10 +22,16 @@ resolves the fraction the search rounds, and the second term keeps every
 coordinate below 2**53 (E8: about 2**49.4).
 
 Basis vectors are the *columns* of the generator matrix G, so the lattice
-is {G j : j integer vector}.  Voronoi ties are broken toward the
-lexicographically smallest integer coordinate vector j; on the boundary
-set (measure zero) this is implemented exactly for Zn and by a fixed
-deterministic rule for the other decoders.
+is {G j : j integer vector}.  Voronoi ties (a set of measure zero) go to
+the lexicographically smallest integer coordinate vector j for Zn, A2 and
+user bases.  Dn and E8 follow a fixed rule instead, and since the dither
+fold decodes every draw, every dither depends on it bit for bit:
+  - each coordinate rounds half down;
+  - a row whose rounded sum is odd moves its first coordinate of largest
+    |x - f| one step toward x, downward when that residual is 0;
+  - E8 takes the D8 point unless its squared distance, summed as the
+    pairwise tree ((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7)), exceeds that of
+    the D8 + (1/2)^8 point.
 """
 
 from __future__ import annotations
@@ -315,27 +321,51 @@ def _nearest_zn_points(X):
 
 
 def _nearest_dn_points(X):
-    """Nearest point of {z integer : sum z even} for each row, in Z^n coords."""
-    f = np.ceil(X - 0.5)
-    e = X - f
-    # an int64 sum: a float sum of n coordinates near the input limit can
+    """Nearest point of {z integer : sum z even} for each row, in Z^n coords.
+
+    Each coordinate rounds half down; a row whose rounded sum is odd then
+    moves its first coordinate of largest |x - f| one step toward x,
+    downward when that residual is 0.
+    """
+    f = X - 0.5
+    np.ceil(f, out=f)
+    # an int64 row sum: a float sum of n coordinates near the input limit can
     # pass 2**53 and round away the parity
-    odd = (f.astype(np.int64).sum(axis=1) & 1) == 1
-    rows = np.arange(X.shape[0])
+    odd = np.flatnonzero((f.astype(np.int64) @ np.ones(X.shape[1], dtype=np.int64)) & 1)
+    e = np.take(X, odd, axis=0)
+    e -= np.take(f, odd, axis=0)
     k = np.argmax(np.abs(e), axis=1)
-    step = np.where(e[rows, k] > 0, 1.0, -1.0)
-    g = f.copy()
-    g[rows, k] += step
-    return np.where(odd[:, None], g, f)
+    f[odd, k] += np.where(e[np.arange(odd.size), k] > 0, 1.0, -1.0)
+    return f
+
+
+def _coset_sqnorm(D):
+    # |d|^2 of 8-column rows as the pairwise tree ((s0+s1)+(s2+s3)) +
+    # ((s4+s5)+(s6+s7)), s_i = d_i^2: the order numpy's sum uses for
+    # 8 contiguous values, written out so no reduction internals decide it.
+    s = D * D
+    s = s[..., 0::2] + s[..., 1::2]
+    s = s[..., 0::2] + s[..., 1::2]
+    return s[..., 0] + s[..., 1]
 
 
 def _nearest_e8_points(X):
-    """Nearest E8 point via the D8 / D8 + (1/2)^8 coset decomposition."""
-    y0 = _nearest_dn_points(X)
-    y1 = _nearest_dn_points(X - 0.5) + 0.5
-    d0 = _sqnorm_rows(X - y0)
-    d1 = _sqnorm_rows(X - y1)
-    return np.where((d0 <= d1)[:, None], y0, y1)
+    """Nearest E8 point via the D8 / D8 + (1/2)^8 coset decomposition.
+
+    Both cosets go through one D8 pass over the stacked rows [X; X - 1/2]
+    (the Dn tie rule applies to each); the D8 point wins unless its
+    distance from x, summed by `_coset_sqnorm`, exceeds the other coset's.
+    """
+    m = X.shape[0]
+    Y = np.empty((2 * m, 8))
+    Y[:m] = X
+    np.subtract(X, 0.5, out=Y[m:])
+    Y = _nearest_dn_points(Y)
+    Y[m:] += 0.5
+    Y = Y.reshape(2, m, 8)
+    d = _coset_sqnorm(X - Y)
+    np.copyto(Y[0], Y[1], where=(d[0] > d[1])[:, None])
+    return Y[0]
 
 
 # Closed-form decoders that return lattice points in R^n ("native" families).

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .dither import stream_uniforms
 from .lattices import Lattice, LatticePoint, log2_ball_volume
@@ -92,6 +91,8 @@ class GaussianNoise(NoiseModel):
         return np.exp(-0.5 * v + self._log_t_offset)
 
     def sample_level(self, u):
+        from scipy.special import gammaincinv  # a slow import; ball paths skip it
+
         v = 2.0 * gammaincinv((self.n + 2) / 2.0, np.asarray(u)[..., 0])
         return self._t_of_v(v)
 

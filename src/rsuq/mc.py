@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, kolmogorov, ndtr
 
 from .bounds import LOG2E
 from .coding import mean_code_length
@@ -91,6 +90,8 @@ def ks_statistic(u) -> float:
 
 def ks_test(cdf_values, name: str, alpha: float = 0.01, seed: int = 0) -> TestResult:
     """KS test of probability-integral-transformed samples against U[0,1]."""
+    from scipy.special import kolmogorov  # a slow import; encode and decode skip it
+
     u = np.asarray(cdf_values, dtype=np.float64)
     _require_samples(u.size)
     d = ks_statistic(u)
@@ -101,6 +102,8 @@ def ks_test(cdf_values, name: str, alpha: float = 0.01, seed: int = 0) -> TestRe
 
 def ks_two_sample(a, b, name: str, alpha: float = 0.01, seed: int = 0) -> TestResult:
     """Two-sample KS with the asymptotic null distribution."""
+    from scipy.special import kolmogorov
+
     a = np.sort(np.asarray(a, dtype=np.float64))
     b = np.sort(np.asarray(b, dtype=np.float64))
     _require_samples(min(a.size, b.size))
@@ -117,6 +120,8 @@ def ks_two_sample(a, b, name: str, alpha: float = 0.01, seed: int = 0) -> TestRe
 def chi_square_gof(observed, expected, name: str, alpha: float = 0.01,
                    seed: int = 0) -> TestResult:
     """Chi-square goodness of fit; degrees of freedom = bins - 1."""
+    from scipy.special import gammaincc
+
     obs = np.asarray(observed, dtype=np.float64)
     exp = np.asarray(expected, dtype=np.float64)
     if np.any(exp <= 0):
@@ -265,6 +270,8 @@ def test_uniform_ball(errors, r: float, n: int, alpha: float = 0.01,
 
 def test_gaussian(errors, n: int, alpha: float = 0.01, seed: int = 0) -> TestResult:
     """Per-coordinate KS vs the standard normal, covariance band, norm2 KS."""
+    from scipy.special import gammainc, ndtr
+
     Z = np.atleast_2d(np.asarray(errors, dtype=np.float64))
     _require_samples(Z.shape[0])
     N = Z.shape[0]

@@ -301,14 +301,39 @@ def test_vanishing_packing_density_is_a_usage_error(tmp_path):
     assert "packing density" in err
 
 
-def test_import_leaves_out_scipy_integrate():
-    # the closed forms need only scipy.special; scipy.integrate is a slow import
+def test_ball_encode_decode_loads_no_scipy(tmp_path):
+    # scipy is a slow import that only the Gaussian level draw, the layered
+    # entropy and the mc tests need
     src = os.path.dirname(os.path.dirname(rsuq.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c",
-                          "import sys, rsuq.cli; print('scipy.integrate' in sys.modules)"],
+    (tmp_path / "in.vqf").write_bytes(write_vectors(np.linspace(-3, 3, 12).reshape(6, 2)))
+    script = (
+        "import sys, rsuq.cli\n"
+        "d = sys.argv[1]\n"
+        "assert rsuq.cli.main(['encode', '--input', d + '/in.vqf', '--lattice', 'Zn', '--dim', '2',\n"
+        "                      '--radius', '0.5', '--seed', '3', '--output', d + '/o.rsq']) == 0\n"
+        "assert rsuq.cli.main(['decode', '--input', d + '/o.rsq', '--output', d + '/o.vqf']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                          env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "o.vqf").exists()
+
+
+@pytest.mark.parametrize("lattice_id, n, rule", [
+    ("E8", 3, "E8 is eight-dimensional"), ("A2", 4, "A2 is two-dimensional"),
+    ("Dn", 1, "Dn needs n >= 2"), ("Zn", 0, "header dimension must be at least 1")])
+def test_bad_header_dimension_names_the_rule(tmp_path, lattice_id, n, rule):
+    from rsuq.coding import MODE_BALL, StreamHeader, write_header
+
+    header = StreamHeader(n=max(n, 1), lattice_id=lattice_id, gamma=1.0, param=0.5,
+                          mode=MODE_BALL, seed=0, count=0, coord_bound=0)
+    blob = bytearray(write_header(header))
+    blob[5:9] = n.to_bytes(4, "little")  # write_header refuses n = 0
+    path = tmp_path / "bad.rsq"
+    path.write_bytes(bytes(blob))
+    code, _, err = run_cli("decode", "--input", str(path), "--output", str(tmp_path / "o.vqf"))
+    assert code == 2 and rule in err and "non-builtin" not in err
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
