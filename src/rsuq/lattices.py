@@ -6,15 +6,10 @@ all with closed-form decoders and exact geometric constants.  The Zn, Dn
 and E8 decoders (Conway & Sloane 1982) return lattice points in R^n
 (`nearest_points`), which the quantizer uses directly; 4 G^-1 and 2 G are
 integer matrices there, so coordinates j = (4 G^-1)(2 z) / 8 and
-embeddings G j = (2 G) j / 2 are exact int64 products.  User
-generator matrices fall back to a search over a box of offsets around the
-rounded basis coordinates, the box holding every possible minimizer.  The
-search prunes, then rescores: one matrix product per block of rows ranks
-all offsets by |G o|^2 - 2 e.G o, with e the row's residual to the rounded
-point, and only the offsets within a stated float-error margin of the best
-rank are scored with the exact distance formula.  Its cost is one
-(rows x offsets x n) product plus exact scores for a few candidates per
-row; the box grows exponentially with n, so it gets slow beyond n ~ 10.
+embeddings G j = (2 G) j / 2 are exact int64 products.  A2 and user bases
+go through `_scan`: offsets o around the rounded basis coordinates with
+|G o| <= R + rho, R a covering-radius bound (Babai's if none is configured),
+rho the largest residual; fcc keeps 55, A2 7, growing exponentially with n.
 
 Quantizer inputs, in cell units, stay below `Lattice.input_limit` =
 min(2**52, 2**53 / max_i sum_k |G^-1_ik|): from 2**52 a float64 no longer
@@ -36,7 +31,6 @@ fold decodes every draw, every dither depends on it bit for bit:
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -100,12 +94,15 @@ class Lattice:
         if not np.isfinite(G).all():
             raise ValueError("generator matrix entries must be finite")
         n = G.shape[0]
-        if det is None:
-            det = abs(float(np.linalg.det(G)))
-        if not (math.isfinite(det) and det > 0):
-            raise ValueError("generator matrix must be full rank with a finite determinant")
-        if packing_radius is None:
-            packing_radius = 0.5 * _min_nonzero_norm(G)
+        # Huge entries overflow here; the checks below refuse them by name.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if det is None:
+                det = abs(float(np.linalg.det(G)))
+            if not (math.isfinite(det) and det > 0):
+                raise ValueError("generator matrix must be full rank with a finite determinant")
+            if packing_radius is None:
+                packing_radius = 0.5 * _min_nonzero_norm(G)
+            self._invG = np.linalg.inv(G)
         for key, value in (("packing_radius", packing_radius),
                            ("covering_radius", covering_radius), ("nsm", nsm)):
             if value is not None and not (math.isfinite(value) and value > 0):
@@ -120,7 +117,6 @@ class Lattice:
         self.covering_radius = None if covering_radius is None else float(covering_radius)
         self.nsm = None if nsm is None else float(nsm)
         self.family = family
-        self._invG = np.linalg.inv(G)
         self.input_limit = min(2.0 ** 52, 2.0 ** 53 / float(np.abs(self._invG).sum(axis=1).max()))
         self.native = family in _POINT_DECODERS
         # Exact integer forms of 2 G and 4 G^-1 for the native families.
@@ -129,7 +125,7 @@ class Lattice:
         # Column/row views used by the fixed-order accumulation loops below.
         self._g_cols = [np.ascontiguousarray(G[:, k]) for k in range(n)]
         self._inv_rows_for_col = [np.ascontiguousarray(self._invG[:, k]) for k in range(n)]
-        self._scan_table = None
+        self._scan_tables = {}
         self.G.setflags(write=False)
         self._invG.setflags(write=False)
 
@@ -171,24 +167,13 @@ class Lattice:
         check_rows(X)
         if self.native:
             return self.point_coords(self.nearest_points(X))
-        if self.family == "A2":
-            # |c - j| <= covering_radius / sigma_min(G) < 1 per coordinate, so
-            # the four corners of the basis-coordinate cell cover every minimizer.
-            return _scan(self, X, np.floor(self.coords_rows(X)).astype(np.int64))
-        # Bounded enumeration: the nearest point satisfies |x - G j| <= R,
-        # hence |c_i - j_i| <= |row_i(G^-1)| * R in basis coordinates.
         return _scan(self, X, _round_half_down(self.coords_rows(X)))
 
-    def _offset_table(self):
-        # The scan's offsets with their embeddings, built once per lattice.
-        if self._scan_table is None:
-            if self.family == "A2":
-                box = ((0, 0), (0, 1), (1, 0), (1, 1))
-            else:
-                box = _box(self._invG, _covering_radius_bound(self), 0.5,
-                           "supply covering_radius in the lattice config or use a built-in family")
-            self._scan_table = _ScanTable.build(self.G, list(box))
-        return self._scan_table
+    def _offset_table(self, full=False):
+        # The scan's certified offsets (or the whole box), built once per lattice.
+        if full not in self._scan_tables:
+            self._scan_tables[full] = _ScanTable.build(self, full)
+        return self._scan_tables[full]
 
     # -- sanity -------------------------------------------------------------
 
@@ -204,11 +189,17 @@ class Lattice:
         return self
 
 
-def _covering_radius_bound(lat) -> float:
-    """Covering radius, or sqrt(n) times the longest basis column if unknown."""
+def _covering_radius_bound(lat, babai=True) -> float:
+    """Covering radius, else sqrt(n) max |g_k| or, if smaller and `babai`, Babai's 1/2 |diag R|
+    for G = QR, widened for QR's backward error (c n u |g_k| per column, times |G^-1|)."""
     if lat.covering_radius is not None:
         return lat.covering_radius
-    return math.sqrt(lat.n) * max(np.linalg.norm(c) for c in lat._g_cols)
+    with np.errstate(over="ignore"):
+        crude = math.sqrt(lat.n) * max(np.linalg.norm(c) for c in lat._g_cols)
+    if not babai:
+        return crude
+    slack = 1.0 + 32.0 * lat.n * 2.0 ** -53 * float(np.linalg.norm(lat.G) * np.linalg.norm(lat._invG))
+    return min(crude, 0.5 * float(np.linalg.norm(np.linalg.qr(lat.G, mode="r").diagonal())) * slack)
 
 
 def _accumulate_columns(X, cols):
@@ -223,16 +214,22 @@ def _accumulate_columns(X, cols):
 
 
 def _box(invG, radius, pad, hint):
-    # Offsets |j_i| <= ceil(|row_i(G^-1)| * radius + pad) in lexicographic
-    # order; `hint` tells the user how to avoid a box above the cap.
-    extent = [np.linalg.norm(row) * radius + pad for row in invG]
+    # The (m, n) offsets |j_i| <= ceil(|row_i(G^-1)| * radius + pad) in
+    # lexicographic order; `hint` tells the user how to avoid a box above the cap.
+    with np.errstate(over="ignore", invalid="ignore"):
+        extent = [np.linalg.norm(row) * radius + pad for row in invG]
     if not all(math.isfinite(h) for h in extent):
         raise ValueError(f"enumeration box is unbounded; {hint}")
-    half = [int(math.ceil(h)) for h in extent]
-    total = math.prod(2 * h + 1 for h in half)
+    half = np.array([math.ceil(h) for h in extent], dtype=np.int64)
+    total = math.prod(2 * int(h) + 1 for h in half)
     if total > _MAX_ENUM_CANDIDATES:
         raise ValueError(f"enumeration would scan {total} candidates; {hint}")
-    return itertools.product(*[range(-h, h + 1) for h in half])
+    return np.indices(2 * half + 1).reshape(len(half), -1).T - half
+
+
+def _margin(n, S):
+    # Rank margin (see _scan) for n-dim squared norms of coordinates up to S, plus a subnormal floor.
+    return 64.0 * n * (n + 2) * 2.0 ** -53 * S * S + n * 2.0 ** -1060
 
 
 class _ScanTable(NamedTuple):
@@ -241,14 +238,25 @@ class _ScanTable(NamedTuple):
     O: np.ndarray
     GOm2: np.ndarray  # -2 GO^T: e @ GOm2 is -2 e.G o for every offset
     GO2: np.ndarray   # |G o|^2
-    reach: float      # max_i sum_k |G_ik| max|O_k|: no offset moves a coordinate further
+    reach: float      # max_i sum_k |G_ik| max|O_k| over the box: no offset moves a coordinate further
+    rho: float        # the residual norm |e| the offsets are certified for
 
     @classmethod
-    def build(cls, G, offsets):
-        O = np.array(offsets, dtype=np.int64).reshape(-1, G.shape[0])
+    def build(cls, lat, full):
+        # Unless `full`, keep |G o| <= R + rho plus the float error of GO.  rho
+        # is max |G d| over the vertices d ~ -d of [-1/2, 1/2]^n (at most 2^12:
+        # the box cap keeps n <= 13), widened by 2^-20 for the guard in _scan.
+        G, n = lat.G, lat.n
+        O = _box(lat._invG, _covering_radius_bound(lat, babai=False), 0.5,
+                 "supply covering_radius in the lattice config or use a built-in family")
         GO = O @ G.T
-        return cls(O, -2.0 * GO.T, np.einsum("ij,ij->i", GO, GO),
-                   float((np.abs(G) @ np.abs(O).max(axis=0)).max()))
+        GO2 = np.einsum("ij,ij->i", GO, GO)
+        reach = float((np.abs(G) @ np.abs(O).max(axis=0)).max())
+        D = ((np.arange(2 ** (n - 1))[:, None] >> np.arange(n)) & 1) - 0.5
+        rho = math.inf if full else float(np.sqrt(_sqnorm_rows(D @ G.T).max())) * (1.0 + 2.0 ** -20)
+        limit = _covering_radius_bound(lat) + rho
+        keep = np.sqrt(GO2) <= limit + 4.0 * n * (n + 2) * 2.0 ** -53 * (reach + limit)
+        return cls(O[keep], -2.0 * GO[keep].T, GO2[keep], reach, rho)
 
 
 def _scan(lat, X, base):
@@ -256,40 +264,43 @@ def _scan(lat, X, base):
     # table in lexicographic order; exact ties go to the first offset, which
     # is the lexicographically smallest j.
     #
-    # Prune: with e = x - G base, |x - G(base + o)|^2 = |e|^2 + q_o where
-    # q_o = |G o|^2 - 2 e.G o, so one matmul ranks every offset of a block
-    # of rows.  Rescore: offsets with q_o <= min q + margin get the exact
-    # score _sqnorm_rows(x - embed_rows(base + o)); the first smallest wins.
-    # Every coordinate in either formula is at most S = |x|_inf +
-    # |(|G| |base|)|_inf + reach in size, so in float arithmetic (unit
-    # roundoff u = 2^-53) q_o is within 12 n (n+1) u S^2 of d_o - |e|^2 and
-    # the exact score within 3 n (n+1) u S^2 of d_o, d_o the true distance.
-    # The winner of the full exact scan thus ranks within 30 n (n+1) u S^2
-    # of the best q; the margin, 64 n (n+2) u S^2 plus a floor of n 2^-1060
-    # for subnormal rounding, is over twice that, so the result equals
-    # scoring every offset.  A row whose ranking is not finite (S^2
-    # overflows) keeps every offset.
+    # Prune: with e = x - G base, |x - G(base + o)|^2 = |e|^2 + q_o, q_o =
+    # |G o|^2 - 2 e.G o, so one matmul ranks every offset of a block of rows.
+    # Rescore: offsets with q_o <= min q + margin get the exact score
+    # _sqnorm_rows(x - embed_rows(base + o)); the first smallest wins.  Every
+    # coordinate in either formula is at most S = |x|_inf + |(|G| |base|)|_inf
+    # + reach in size, so (u = 2^-53) q_o is within 12 n (n+1) u S^2 of d_o -
+    # |e|^2 and the exact score within 3 n (n+1) u S^2 of d_o, the true
+    # distance: the exact winner ranks within 30 n (n+1) u S^2 of the best q,
+    # under half of _margin.  A row without a finite rank keeps every offset.
+    #
+    # Certify: the box holds a j* with |x - G j*| <= R; square roots of exact
+    # scores and |e| are within 2 n (n+2) u S of the truth, so the box's
+    # winner w has |G(w - base)| <= |e| + R + 8 n (n+2) u S.  If that is at
+    # most R + rho for every row, w is in the certified table and wins it.
     if not len(X):
         return base
     t, n = lat._offset_table(), lat.n
-    e = X - lat.embed_rows(base)
+    e = X - base @ lat.G.T
     S = np.abs(X).max(axis=1) + (np.abs(base) @ np.abs(lat.G).T).max(axis=1) + t.reach
-    margin = 64.0 * n * (n + 2) * 2.0 ** -53 * S * S + n * 2.0 ** -1060
+    if not (np.sqrt(_sqnorm_rows(e)) + 8.0 * n * (n + 2) * 2.0 ** -53 * S <= t.rho).all():
+        t = lat._offset_table(full=True)
     step = max(1, _SCAN_BLOCK // len(t.O))
     kept = []
     for lo in range(0, len(X), step):
         q = e[lo : lo + step] @ t.GOm2
         q += t.GO2
         # NaN compares false, so a row without a finite rank keeps every offset
-        kept.append(np.flatnonzero(~(q > (q.min(axis=1) + margin[lo : lo + step])[:, None]))
+        kept.append(np.flatnonzero(~(q > (q.min(axis=1) + _margin(n, S[lo : lo + step]))[:, None]))
                     + lo * len(t.O))
     r, o = np.divmod(np.concatenate(kept), len(t.O))
     J = base[r] + t.O[o]
+    if len(r) == len(X):  # one candidate per row: the winner
+        return J
     d = _sqnorm_rows(X[r] - lat.embed_rows(J))
     # r is sorted and every row keeps its best-ranked offset, so the runs of
     # equal r start at the same places after a stable sort by (r, d).
-    first = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
-    return J[np.lexsort((d, r))[first]]
+    return J[np.lexsort((d, r))[np.searchsorted(r, np.arange(len(X)))]]
 
 
 def check_rows(X, limit=math.inf, why="is not finite"):
@@ -497,7 +508,9 @@ def lattice_from_config(text: str, name: str = "user") -> Lattice:
                   nsm=opts.get("nsm"), family="generic").validate()
     # Every generator column is a nonzero lattice vector, so no packing radius
     # exceeds half the shortest one (slack for float noise only).
-    if lat.packing_radius > 0.5 * float(np.linalg.norm(G, axis=0).min()) * (1.0 + 1e-12):
+    with np.errstate(over="ignore"):
+        shortest = float(np.linalg.norm(G, axis=0).min())
+    if lat.packing_radius > 0.5 * shortest * (1.0 + 1e-12):
         raise ValueError(f"packing_radius {lat.packing_radius!r} exceeds half the "
                          "shortest generator column")
     return lat
@@ -512,16 +525,14 @@ def load_lattice(path) -> Lattice:
 
 def _min_nonzero_norm(G):
     # Shortest-vector search over the box that must contain any vector no
-    # longer than the shortest generator column.  Exponential in n.  Each
-    # candidate keeps its own G @ j: a batched product can differ in the
-    # last bit, and this value fixes gamma for configs without packing_radius.
+    # longer than the shortest generator column.  Exponential in n.  One
+    # product ranks the box by |G j|^2; candidates within _margin of the best
+    # rank keep their own G @ j: a batched product can differ in the last
+    # bit, and this value fixes gamma for configs without packing_radius.
     s = min(np.linalg.norm(G[:, k]) for k in range(G.shape[0]))
-    best = s
-    for j in _box(np.linalg.inv(G), s, 0.0, "supply packing_radius"):
-        if not any(j):
-            continue
-        v = G @ np.array(j, dtype=np.float64)
-        norm = math.sqrt(float(v @ v))
-        if norm < best:
-            best = norm
-    return best
+    O = _box(np.linalg.inv(G), s, 0.0, "supply packing_radius")
+    rank = _sqnorm_rows(O @ G.T)
+    rank[len(O) // 2] = np.inf  # the centre of the box is j = 0
+    S = float((np.abs(G) @ np.abs(O).max(axis=0)).max())
+    near = O[~(rank > rank.min() + _margin(G.shape[0], S))].astype(np.float64)
+    return min([s] + [math.sqrt(float(v @ v)) for v in (G @ j for j in near)])

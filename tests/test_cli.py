@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +209,19 @@ def test_nonfinite_lattice_config_is_a_usage_error(tmp_path, vec_file, line, key
     code, _, err = run_cli("encode", "--input", str(path), "--lattice", str(cfg), "--dim",
                            "3", "--radius", "0.05", "--output", str(tmp_path / "f.rsq"))
     assert code == 2 and key in err
+
+
+def test_huge_lattice_config_is_refused_without_warnings(tmp_path, vec_file):
+    # numpy's overflow warnings used to reach stderr ahead of the exit-2 message
+    path, X = vec_file
+    path.write_bytes(write_vectors(np.hstack([X, X[:, :1]])))
+    cfg = tmp_path / "huge.lat"
+    cfg.write_text("3\n1e200 0 0\n0 1e200 0\n0 0 1\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli("encode", "--input", str(path), "--lattice", str(cfg), "--dim",
+                               "3", "--radius", "0.05", "--output", str(tmp_path / "f.rsq"))
+    assert code == 2 and "determinant" in err and not caught
 
 
 def test_scalar_lattice_z1(tmp_path, vec_file):

@@ -1,5 +1,6 @@
 """Lattice geometry and nearest-point tests against independent oracles."""
 
+import itertools
 import math
 import re
 from unittest import mock
@@ -382,6 +383,25 @@ def test_min_nonzero_norm_pinned(G, expect):
     assert float(_min_nonzero_norm(np.array(G))).hex() == expect
 
 
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.sampled_from([("A2", 2), ("Zn", 3), ("Dn", 3), ("Dn", 4)]), st.integers(0, 2 ** 32 - 1))
+def test_min_nonzero_norm_matches_per_candidate_loop(family, seed):
+    # Rotated bases with many shortest vectors of one true norm, whose float
+    # norms differ in the last bits: the ranked search must return what
+    # scoring every candidate with its own G @ j returns.
+    from rsuq.lattices import _box, _min_nonzero_norm
+
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.normal(size=(family[1], family[1])))[0]
+    G = Q @ builtin_lattice(*family).G * rng.uniform(0.5, 3.0)
+    best = min(np.linalg.norm(G[:, k]) for k in range(G.shape[0]))
+    for j in _box(np.linalg.inv(G), best, 0.0, ""):
+        if j.any():
+            v = G @ j.astype(np.float64)
+            best = min(best, math.sqrt(float(v @ v)))
+    assert float(_min_nonzero_norm(G)).hex() == float(best).hex()
+
+
 def _brute_nearest(lat, x):
     # Any minimizer j has |c_i - j_i| <= |row_i(G^-1)| * |x - G j0| for the
     # rounded coordinates j0; scan that box in lexicographic order and keep
@@ -489,6 +509,58 @@ def test_a2_scan_matches_per_offset_reference(block, scale):
         got = lat.nearest_rows(X)
     base = np.floor(lat.coords_rows(X)).astype(np.int64)
     assert np.array_equal(got, scan_ref(lat, X, base, ((0, 0), (0, 1), (1, 0), (1, 1))))
+
+
+@st.composite
+def _pruning_case(draw):
+    # A well-conditioned 2-4 dimensional integer or real basis without
+    # covering_radius, whose pre-change box (sqrt(n) max |g_k|) stays small
+    # enough for the per-offset reference; rows at scale 1 to 1e6, on the
+    # quarter grid (exact ties) or not, and a few rows just below input_limit.
+    n = draw(st.sampled_from([2, 3, 4]))
+    integer = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    while True:
+        G = (rng.integers(-2, 3, size=(n, n)) if integer
+             else rng.uniform(-2, 2, size=(n, n))).astype(np.float64)
+        if abs(np.linalg.det(G)) > 0.5 and np.linalg.cond(G) < 6:
+            half = np.ceil(np.linalg.norm(np.linalg.inv(G), axis=1) * math.sqrt(n)
+                           * np.linalg.norm(G, axis=0).max() + 0.5).astype(int)
+            if np.prod(2 * half + 1) <= 10000:
+                break
+    X = rng.uniform(-4, 4, size=(draw(st.integers(1, 60)), n))
+    X *= draw(st.sampled_from([1.0, 1e3, 1e6]))
+    if draw(st.booleans()):
+        X = np.round(X * 4) / 4
+    box = np.array(list(itertools.product(*[range(-h, h + 1) for h in half])))
+    return Lattice("user", G), X, box
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(_pruning_case())
+def test_pruned_scan_matches_pre_change_box(case):
+    # The certified table gives the first minimum over the whole box; rows
+    # just below input_limit fail its residual guard and scan the whole box.
+    lat, X, box = case
+    huge = np.nextafter(lat.input_limit, 0) * RNG.uniform(-1, 1, size=(3, lat.n))
+    huge[:, 0] = np.copysign(np.nextafter(lat.input_limit, 0), huge[:, 0])
+    rows = np.vstack([X, huge])
+    want = scan_ref(lat, rows, lattices._round_half_down(lat.coords_rows(rows)), box)
+    assert np.array_equal(lat.nearest_rows(X), want[: len(X)])
+    if np.abs(X).max() <= 4:
+        assert True not in lat._scan_tables  # the guard kept the pruned table
+    assert np.array_equal(lat.nearest_rows(rows), want)
+    assert len(lat._scan_tables[True].O) == len(box)
+
+
+def test_certified_table_sizes():
+    # the pre-change boxes held 343 (fcc) and 528,471 offsets
+    fcc = lattice_from_config("3\n1 1 0\n1 0 1\n0 1 1\n")
+    assert len(fcc._offset_table().O) <= 79
+    basis = Lattice("user", [[1.0, 0.1, -0.3, 0.2], [0.4, 1.2, 0.05, -0.5],
+                             [-0.2, 0.3, 0.8, 0.6], [0.15, -0.25, 0.45, 1.1]])
+    assert len(basis._offset_table().O) <= 1000
+    assert len(builtin_lattice("A2", 2)._offset_table().O) == 7
 
 
 FCC_CONFIG = "3\n1 1 0\n1 0 1\n0 1 1\n"
