@@ -23,6 +23,7 @@ import numpy as np
 
 from .lattices import (_BUILTIN_FAMILIES, Lattice, builtin_lattice, builtin_packing_density,
                        packing_density)
+from .quantizer import description_arrays
 
 MAGIC = b"RSQ1"
 VQF_MAGIC = b"VQF1"
@@ -65,7 +66,6 @@ class GolombCode:
     """
 
     m: int
-    p: float | None = None
 
     def __post_init__(self):
         if not 1 <= self.m <= 2 ** 56:
@@ -75,7 +75,7 @@ class GolombCode:
 
     @classmethod
     def for_geometric(cls, p: float) -> "GolombCode":
-        return cls(m=optimal_golomb_parameter(p), p=p)
+        return cls(m=optimal_golomb_parameter(p))
 
     def fields(self, k):
         """(quotient, remainder field, remainder field width), vectorized over k."""
@@ -122,6 +122,12 @@ def coord_width_for_bound(bound: int) -> int:
     return int(2 * bound).bit_length()
 
 
+# The fixed fields around the lattice id: magic, version, n and the id's
+# length before it; gamma, param, mode, seed, count and the bound after it.
+_HEAD = struct.Struct("<4sBIB")
+_TAIL = struct.Struct("<ddBQQI")
+
+
 def write_header(header: StreamHeader) -> bytes:
     name = header.lattice_id.encode("ascii")
     if len(name) > 255:
@@ -132,50 +138,34 @@ def write_header(header: StreamHeader) -> bytes:
         raise ValueError("coordinate bound must fit an unsigned 32-bit field")
     if not 0 <= header.seed < 2 ** 64 or not 0 <= header.count < 2 ** 64:
         raise ValueError("seed and count must fit unsigned 64-bit fields")
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<B", VERSION)
-    out += struct.pack("<I", header.n)
-    out += struct.pack("<B", len(name)) + name
-    out += struct.pack("<d", header.gamma)
-    out += struct.pack("<d", header.param)
-    out += struct.pack("<B", header.mode)
-    out += struct.pack("<Q", header.seed)
-    out += struct.pack("<Q", header.count)
-    out += struct.pack("<I", header.coord_bound)
-    return bytes(out)
+    return (_HEAD.pack(MAGIC, VERSION, header.n, len(name)) + name
+            + _TAIL.pack(header.gamma, header.param, header.mode, header.seed,
+                         header.count, header.coord_bound))
 
 
 def read_header(data: bytes) -> tuple[StreamHeader, int]:
     """Parse a header; returns (header, payload byte offset)."""
     if len(data) < 4 or data[:4] != MAGIC:
         raise FormatError("bad magic; not an RSQ1 stream")
-    pos = 4
+    # A short head unpacks zero-padded: the version is checked once byte 5 is
+    # there, n once byte 9 is, in the order of the layout.
+    _, version, n, name_len = _HEAD.unpack(bytes(data[:_HEAD.size]).ljust(_HEAD.size, b"\0"))
+    if len(data) >= 5 and version != VERSION:
+        raise FormatError(f"unsupported version {version}")
+    if len(data) >= 9 and n == 0:
+        raise FormatError("header dimension must be at least 1, got 0")
+    pos = _HEAD.size + name_len
     try:
-        (version,) = struct.unpack_from("<B", data, pos); pos += 1
-        if version != VERSION:
-            raise FormatError(f"unsupported version {version}")
-        (n,) = struct.unpack_from("<I", data, pos); pos += 4
-        if n == 0:
-            raise FormatError("header dimension must be at least 1, got 0")
-        (name_len,) = struct.unpack_from("<B", data, pos); pos += 1
-        name = data[pos : pos + name_len].decode("ascii"); pos += name_len
-        if len(name) != name_len:
-            raise FormatError("truncated header")
-        (gamma,) = struct.unpack_from("<d", data, pos); pos += 8
-        (param,) = struct.unpack_from("<d", data, pos); pos += 8
-        (mode,) = struct.unpack_from("<B", data, pos); pos += 1
-        (seed,) = struct.unpack_from("<Q", data, pos); pos += 8
-        (count,) = struct.unpack_from("<Q", data, pos); pos += 8
-        (bound,) = struct.unpack_from("<I", data, pos); pos += 4
-    except struct.error as exc:
-        raise FormatError("truncated header") from exc
+        name = data[_HEAD.size : pos].decode("ascii")
     except UnicodeDecodeError as exc:
         raise FormatError("lattice id is not ASCII") from exc
+    if len(data) < pos + _TAIL.size or len(name) != name_len:
+        raise FormatError("truncated header")
+    gamma, param, mode, seed, count, bound = _TAIL.unpack_from(data, pos)
     if mode not in (MODE_BALL, MODE_GAUSSIAN):
         raise FormatError(f"unknown mode {mode}")
     return StreamHeader(n=n, lattice_id=name, gamma=gamma, param=param,
-                        mode=mode, seed=seed, count=count, coord_bound=bound), pos
+                        mode=mode, seed=seed, count=count, coord_bound=bound), pos + _TAIL.size
 
 
 def lattice_for_header(header: StreamHeader, lat: Lattice | None = None) -> Lattice:
@@ -189,9 +179,11 @@ def lattice_for_header(header: StreamHeader, lat: Lattice | None = None) -> Latt
         except ValueError as exc:
             raise FormatError(f"header dimension {header.n} does not fit: {exc}") from exc
         # Checked before G is built: a corrupt n would ask for n^2 floats.
-        if 1.0 - density == 1.0:
+        try:
+            optimal_golomb_parameter(density)
+        except ValueError as exc:
             raise FormatError(f"{header.lattice_id} at n = {header.n} has packing density "
-                              f"{density:.3g}: 1 - p rounds to 1, no Golomb code can decode it")
+                              f"{density:.3g}: {exc}") from exc
         lat = builtin_lattice(header.lattice_id, header.n)
     elif lat.n != header.n:
         raise FormatError("supplied lattice dimension does not match stream")
@@ -200,22 +192,6 @@ def lattice_for_header(header: StreamHeader, lat: Lattice | None = None) -> Latt
         raise FormatError(f"stream scale {header.gamma!r} does not match lattice "
                           f"{lat.name!r} at radius {header.param!r}")
     return lat
-
-
-def _integer_array(values, name: str, shape: tuple) -> np.ndarray:
-    """`values` as int64 of the given shape; ValueError for any other shape or a non-integer."""
-    a = np.asarray(values)
-    if a.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
-    try:
-        with np.errstate(invalid="ignore"):
-            out = a.astype(np.int64)
-        exact = np.array_equal(out, a)
-    except (TypeError, ValueError, OverflowError):
-        exact = False
-    if not exact:
-        raise ValueError(f"{name} must hold integers")
-    return out
 
 
 def _msb_bits(values, width: int) -> np.ndarray:
@@ -246,10 +222,7 @@ def encode_stream(header: StreamHeader, K, J, lat: Lattice | None = None) -> byt
     code = golomb_for_lattice(lat)
     B, n = header.coord_bound, header.n
     width = coord_width_for_bound(B)
-    K = _integer_array(K, "K", (header.count,))
-    J = _integer_array(J, "J", (header.count, n))
-    if np.any(K < 1):
-        raise ValueError("stopping indices K must be >= 1")
+    K, J = description_arrays(K, J, header.count, n)
     outside = (J < -B) | (J > B)
     if outside.any():
         raise ValueError(f"coordinate {J[outside][0]} outside [-B, B] with B={B}")

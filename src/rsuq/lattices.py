@@ -73,6 +73,9 @@ class LatticePoint:
 class Lattice:
     """Immutable lattice with cached geometric constants.
 
+    Refuses a packing density outside (0, 1] and a packing radius above half
+    the shortest generator column: the quantizer's ball must fit the cell.
+
     Attributes
     ----------
     name : str
@@ -109,6 +112,16 @@ class Lattice:
                 raise ValueError(f"{key} must be finite and positive, got {value!r}")
         if covering_radius is not None and covering_radius < packing_radius:
             raise ValueError("covering radius cannot be below packing radius")
+        density = _packing_density(n, packing_radius, det)
+        if not 0.0 < density <= 1.0:
+            raise ValueError(f"packing density {density} outside (0, 1]")
+        # Every generator column is a nonzero lattice vector, so no packing radius
+        # exceeds half the shortest one (slack for float noise only).
+        with np.errstate(over="ignore"):
+            shortest = float(np.linalg.norm(G, axis=0).min())
+        if packing_radius > 0.5 * shortest * (1.0 + 1e-12):
+            raise ValueError(f"packing_radius {packing_radius!r} exceeds half the "
+                             "shortest generator column")
         self.name = str(name)
         self.n = n
         self.G = G
@@ -174,19 +187,6 @@ class Lattice:
         if full not in self._scan_tables:
             self._scan_tables[full] = _ScanTable.build(self, full)
         return self._scan_tables[full]
-
-    # -- sanity -------------------------------------------------------------
-
-    def validate(self):
-        """Check the cached constants against their defining inequalities."""
-        if self.covering_radius is not None and self.packing_radius > self.covering_radius:
-            raise ValueError("packing radius exceeds covering radius")
-        dens = packing_density(self)
-        if not 0.0 < dens <= 1.0:
-            raise ValueError(f"packing density {dens} outside (0, 1]")
-        if self.covering_radius is not None and covering_density(self) < 1.0 - 1e-12:
-            raise ValueError("covering density below 1")
-        return self
 
 
 def _covering_radius_bound(lat, babai=True) -> float:
@@ -286,21 +286,23 @@ def _scan(lat, X, base):
     if not (np.sqrt(_sqnorm_rows(e)) + 8.0 * n * (n + 2) * 2.0 ** -53 * S <= t.rho).all():
         t = lat._offset_table(full=True)
     step = max(1, _SCAN_BLOCK // len(t.O))
-    kept = []
+    J = np.empty_like(base)
     for lo in range(0, len(X), step):
         q = e[lo : lo + step] @ t.GOm2
         q += t.GO2
         # NaN compares false, so a row without a finite rank keeps every offset
-        kept.append(np.flatnonzero(~(q > (q.min(axis=1) + _margin(n, S[lo : lo + step]))[:, None]))
-                    + lo * len(t.O))
-    r, o = np.divmod(np.concatenate(kept), len(t.O))
-    J = base[r] + t.O[o]
-    if len(r) == len(X):  # one candidate per row: the winner
-        return J
-    d = _sqnorm_rows(X[r] - lat.embed_rows(J))
-    # r is sorted and every row keeps its best-ranked offset, so the runs of
-    # equal r start at the same places after a stable sort by (r, d).
-    return J[np.lexsort((d, r))[np.searchsorted(r, np.arange(len(X)))]]
+        keep = np.flatnonzero(~(q > (q.min(axis=1) + _margin(n, S[lo : lo + step]))[:, None]))
+        r, o = np.divmod(keep, len(t.O))
+        r += lo
+        C = base[r] + t.O[o]
+        if len(r) == len(q):  # one candidate per row: the winner
+            J[lo : lo + step] = C
+            continue
+        d = _sqnorm_rows(X[r] - lat.embed_rows(C))
+        # r is sorted and every row keeps its best-ranked offset, so the runs of
+        # equal r start at the same places after a stable sort by (r, d).
+        J[lo : lo + step] = C[np.lexsort((d, r))[np.searchsorted(r, np.arange(lo, lo + len(q)))]]
+    return J
 
 
 def check_rows(X, limit=math.inf, why="is not finite"):
@@ -408,7 +410,7 @@ def builtin_packing_density(name: str, n: int) -> float:
 
 def _packing_density(n, packing_radius, det):
     d = 2.0 ** (n * math.log2(packing_radius) + log2_ball_volume(n) - math.log2(det))
-    # Absorb log-space rounding only (Z1 reads 1 + 2**-52): validate refuses the rest.
+    # Absorb log-space rounding only (Z1 reads 1 + 2**-52): Lattice refuses the rest.
     return 1.0 if 1.0 < d <= 1.0 + 1e-12 else d
 
 
@@ -505,14 +507,9 @@ def lattice_from_config(text: str, name: str = "user") -> Lattice:
         opts[key] = float(val)
     lat = Lattice(name, G, packing_radius=opts.get("packing_radius"),
                   covering_radius=opts.get("covering_radius"),
-                  nsm=opts.get("nsm"), family="generic").validate()
-    # Every generator column is a nonzero lattice vector, so no packing radius
-    # exceeds half the shortest one (slack for float noise only).
-    with np.errstate(over="ignore"):
-        shortest = float(np.linalg.norm(G, axis=0).min())
-    if lat.packing_radius > 0.5 * shortest * (1.0 + 1e-12):
-        raise ValueError(f"packing_radius {lat.packing_radius!r} exceeds half the "
-                         "shortest generator column")
+                  nsm=opts.get("nsm"), family="generic")
+    if lat.covering_radius is not None and covering_density(lat) < 1.0 - 1e-12:
+        raise ValueError("covering density below 1")
     return lat
 
 

@@ -131,15 +131,12 @@ def _levels_and_betas(noise, seeds):
     return t, beta
 
 
-def lrsuq_encode(noise: NoiseModel, lat: Lattice, seed: int, x,
-                 max_iters: int | None = None) -> Description:
+def lrsuq_encode(noise: NoiseModel, lat: Lattice, seed: int, x) -> Description:
     """Layered encode of one vector; returns the stopping index and point."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (lat.n,):
         raise ValueError(f"expected vector of dimension {lat.n}, got shape {x.shape}")
-    K, J, _, _ = _lrsuq_encode_rows(noise, lat,
-                                    np.asarray([seed], dtype=np.uint64),
-                                    x[None, :], max_iters)
+    K, J, _, _ = _lrsuq_encode_rows(noise, lat, np.asarray([seed], dtype=np.uint64), x[None, :])
     return Description(K=int(K[0]),
                        M=LatticePoint(coords=J[0], embedding=lat.embed_rows(J)[0]))
 
@@ -151,10 +148,10 @@ def lrsuq_decode(noise: NoiseModel, lat: Lattice, seed: int, d: Description):
     construction; supplying the encoding configuration is the contract.
     """
     seeds = np.asarray([seed], dtype=np.uint64)
-    return _lrsuq_decode_rows(noise, lat, seeds, [d.K], d.M.coords)[0]
+    return _lrsuq_decode_rows(noise, lat, seeds, [d.K], np.atleast_2d(d.M.coords))[0]
 
 
-def _lrsuq_encode_rows(noise, lat, seeds, X, max_iters):
+def _lrsuq_encode_rows(noise, lat, seeds, X):
     """Layered encode of rows; returns (K, J, Y, levels)."""
     if noise.n != lat.n:
         raise ValueError("noise/lattice dimension mismatch")
@@ -168,11 +165,10 @@ def _lrsuq_encode_rows(noise, lat, seeds, X, max_iters):
         def accept(err, active):
             return np.asarray(noise.in_level_set(err * beta[active, None], t[active]),
                               dtype=bool)
-    cap = default_max_iters(lat) if max_iters is None else max_iters
     # The loop runs in x/beta coordinates (scale 1); its accepted rows are
     # scaled back exactly as the decoder scales M + V_K.
     K, J, Y = _reject_rows(lat, 1.0, X / beta[:, None], seeds,
-                           noise.level_words, cap, accept)
+                           noise.level_words, default_max_iters(lat), accept)
     return K, J, beta[:, None] * Y, t
 
 
@@ -184,8 +180,7 @@ def _lrsuq_decode_rows(noise, lat, seeds, K, J):
 # -- batched drivers ---------------------------------------------------------
 
 
-def lrsuq_encode_batch(noise: NoiseModel, lat: Lattice, seed: int, X,
-                       max_iters: int | None = None):
+def lrsuq_encode_batch(noise: NoiseModel, lat: Lattice, seed: int, X):
     """Encode rows of X with per-row derived streams; returns (K, J, Y, levels).
 
     Y are the encoder-side reconstructions; levels are the drawn density
@@ -194,9 +189,9 @@ def lrsuq_encode_batch(noise: NoiseModel, lat: Lattice, seed: int, X,
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != lat.n:
         raise ValueError(f"expected dimension {lat.n}, got {X.shape[1]}")
-    return _lrsuq_encode_rows(noise, lat, batch_seeds(seed, X.shape[0]), X, max_iters)
+    return _lrsuq_encode_rows(noise, lat, batch_seeds(seed, X.shape[0]), X)
 
 
 def lrsuq_decode_batch(noise: NoiseModel, lat: Lattice, seed: int, K, J):
     """Reconstructions for a batch of descriptions (inverse of encode batch)."""
-    return _lrsuq_decode_rows(noise, lat, batch_seeds(seed, len(K)), K, J)
+    return _lrsuq_decode_rows(noise, lat, batch_seeds(seed, np.size(K)), K, J)

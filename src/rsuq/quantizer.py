@@ -128,12 +128,30 @@ def _dithers_at(lat, seeds, draws, reserved):
     return fold_rows(lat, gathered_uniforms(seeds, idx))
 
 
+def description_arrays(K, J, count: int, n: int):
+    """(K, J) as int64 arrays; ValueError unless K holds integers >= 1 of shape
+    (count,) and J integers of shape (count, n)."""
+    out = []
+    for name, a, shape in (("K", K, (count,)), ("J", J, (count, n))):
+        a = np.asarray(a)
+        if a.shape != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+        try:
+            with np.errstate(invalid="ignore"):
+                out.append(a.astype(np.int64, copy=False))
+            exact = np.array_equal(out[-1], a)
+        except (TypeError, ValueError, OverflowError):
+            exact = False
+        if not exact:
+            raise ValueError(f"{name} must hold integers")
+    if np.any(out[0] < 1):
+        raise ValueError("stopping indices K must be >= 1")
+    return out
+
+
 def _decode_rows(lat, scale, seeds, K, J, reserved=0):
     """Reconstructions scale * (M + V_K) per row, shared by every decoder."""
-    K = np.asarray(K, dtype=np.int64)
-    if np.any(K < 1):
-        raise ValueError("stopping index must be >= 1")
-    J = np.atleast_2d(np.asarray(J, dtype=np.int64))
+    K, J = description_arrays(K, J, len(seeds), lat.n)
     return scale * (lat.embed_rows(J) + _dithers_at(lat, seeds, K - 1, reserved))
 
 
@@ -160,7 +178,7 @@ def rsuq_decode(cfg: RsuqConfig, d: Description):
     construction; supplying the encoding configuration is the contract.
     """
     seeds = np.asarray([cfg.seed], dtype=np.uint64)
-    return _decode_rows(cfg.lat, cfg.gamma, seeds, [d.K], d.M.coords)[0]
+    return _decode_rows(cfg.lat, cfg.gamma, seeds, [d.K], np.atleast_2d(d.M.coords))[0]
 
 
 def error_sample(cfg: RsuqConfig, x):
@@ -191,4 +209,4 @@ def encode_batch(cfg: RsuqConfig, X):
 
 def decode_batch(cfg: RsuqConfig, K, J):
     """Reconstructions for a batch of descriptions (inverse of encode_batch)."""
-    return _decode_rows(cfg.lat, cfg.gamma, batch_seeds(cfg.seed, len(K)), K, J)
+    return _decode_rows(cfg.lat, cfg.gamma, batch_seeds(cfg.seed, np.size(K)), K, J)

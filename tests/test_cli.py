@@ -315,6 +315,15 @@ def test_vanishing_packing_density_is_a_usage_error(tmp_path):
     assert "packing density" in err
 
 
+def test_underflowing_packing_density_is_a_usage_error(tmp_path):
+    # the density of Z400 underflows to 0: refused with exit 2, not a traceback
+    path = tmp_path / "z400.vqf"
+    path.write_bytes(write_vectors(np.zeros((1, 400))))
+    code, _, err = run_cli("encode", "--input", str(path), "--lattice", "Zn", "--dim", "400",
+                           "--radius", "0.5", "--output", str(tmp_path / "z.rsq"))
+    assert code == 2 and "packing density" in err
+
+
 def test_ball_encode_decode_loads_no_scipy(tmp_path):
     # scipy is a slow import that only the Gaussian level draw, the layered
     # entropy and the mc tests need

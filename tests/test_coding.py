@@ -1,7 +1,10 @@
 """Golomb code optimality/prefix-freeness and container round trips."""
 
+import contextlib
+import itertools
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from rsuq.coding import (MAGIC, MODE_BALL, MODE_GAUSSIAN, VERSION, FormatError, 
                          optimal_golomb_parameter, read_header, read_vectors,
                          write_header, write_vectors)
 from rsuq.dither import stream_uniforms
-from rsuq.lattices import Lattice, builtin_lattice
+from rsuq.lattices import builtin_lattice
 
 
 def test_unary_example():
@@ -290,6 +293,43 @@ def test_coordinate_offset_above_2b_rejected():
         decode_stream(write_header(h) + payload)
 
 
+def _hand_built_header(version=1, n=2, name=b"Zn", mode=MODE_BALL):
+    return (b"RSQ1" + struct.pack("<BIB", version, n, len(name)) + name
+            + struct.pack("<ddBQQI", 1.0, 0.5, mode, 3, 1, 1))
+
+
+# read_header's message at every cut point of each 49-byte header, as runs of
+# (message, cut points), recorded from the field-by-field parser.
+_CUT_MESSAGES = {
+    "non-ascii": (_hand_built_header(name=b"Z\xff"), [
+        ("bad magic; not an RSQ1 stream", 4), ("truncated header", 8),
+        ("lattice id is not ASCII", 38)]),
+    "version-2": (_hand_built_header(version=2), [
+        ("bad magic; not an RSQ1 stream", 4), ("truncated header", 1),
+        ("unsupported version 2", 45)]),
+    "n-0": (_hand_built_header(n=0), [
+        ("bad magic; not an RSQ1 stream", 4), ("truncated header", 5),
+        ("header dimension must be at least 1, got 0", 41)]),
+    "mode-9": (_hand_built_header(mode=9), [
+        ("bad magic; not an RSQ1 stream", 4), ("truncated header", 45), ("unknown mode 9", 1)]),
+    "valid": (_hand_built_header(), [
+        ("bad magic; not an RSQ1 stream", 4), ("truncated header", 45), ("ok", 1)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CUT_MESSAGES))
+def test_read_header_message_at_every_cut_point(case):
+    blob, runs = _CUT_MESSAGES[case]
+    got = []
+    for cut in range(len(blob) + 1):
+        try:
+            read_header(blob[:cut])
+            got.append("ok")
+        except FormatError as exc:
+            got.append(str(exc))
+    assert [(msg, len(list(g))) for msg, g in itertools.groupby(got)] == runs
+
+
 def test_non_ascii_lattice_id_is_a_format_error():
     data = bytearray(write_header(StreamHeader(n=2, lattice_id="Zn", gamma=1.0, param=0.5,
                                                mode=MODE_BALL, seed=3, count=0,
@@ -472,14 +512,16 @@ def test_golden_stream_bytes(name):
 # -- vectorized coder against the scalar reference ---------------------------------
 
 
+@contextlib.contextmanager
 def _cube_for_golomb(m, n):
-    """Z^n with a packing radius that makes its stopping-index code Golomb(m)."""
-    from rsuq.lattices import log2_ball_volume
+    """Z^n, whose stopping-index code is Golomb(m) while the block runs.
 
+    No lattice may claim a packing radius above its true one, so the codec's
+    packing density is patched to one whose optimal parameter is m.
+    """
     grid = [p for p in np.linspace(0.999, 0.01, 990) if optimal_golomb_parameter(p) == m]
-    p = grid[len(grid) // 2]
-    r = 2.0 ** ((math.log2(p) - log2_ball_volume(n)) / n)
-    return Lattice(f"cube-m{m}", np.eye(n), packing_radius=r)
+    with mock.patch("rsuq.coding.packing_density", lambda lat: grid[len(grid) // 2]):
+        yield builtin_lattice("Zn", n)
 
 
 @settings(derandomize=True, deadline=None, max_examples=120)
@@ -491,13 +533,13 @@ def test_stream_bytes_equal_scalar_reference(data):
     K = data.draw(st.lists(st.integers(1, 300), min_size=count, max_size=count))
     J = np.reshape(data.draw(st.lists(st.integers(-bound, bound), min_size=count * n,
                                       max_size=count * n)), (count, n))
-    lat = _cube_for_golomb(m, n)
-    code = golomb_for_lattice(lat)
-    assert code.m == m
-    h = _ball_header(lat, seed=5, count=count, coord_bound=bound)
-    blob = encode_stream(h, K, J, lat=lat)
-    assert blob == encode_stream_ref(h, K, J, code)
-    h2, K2, J2 = decode_stream(blob, lat=lat)
+    with _cube_for_golomb(m, n) as lat:
+        code = golomb_for_lattice(lat)
+        assert code.m == m
+        h = _ball_header(lat, seed=5, count=count, coord_bound=bound)
+        blob = encode_stream(h, K, J, lat=lat)
+        assert blob == encode_stream_ref(h, K, J, code)
+        h2, K2, J2 = decode_stream(blob, lat=lat)
     assert h2 == h and K2.tolist() == K and np.array_equal(J2, J)
 
 

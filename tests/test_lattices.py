@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -366,6 +367,18 @@ def test_packing_radius_above_half_the_shortest_column_is_refused():
     assert fcc.packing_radius == 0.5 * math.sqrt(2.0)
 
 
+def test_constructor_holds_the_packing_rules():
+    # the rules hold for every Lattice, not only for configs
+    with pytest.raises(ValueError, match="shortest generator column"):
+        Lattice("z2", np.eye(2), packing_radius=0.55)
+    # a radius that breaks both rules names the density
+    with pytest.raises(ValueError, match="packing density"):
+        Lattice("z2", np.eye(2), packing_radius=0.9)
+    # the density of Z^n underflows to 0 from n = 340 on
+    with pytest.raises(ValueError, match="packing density 0.0 outside"):
+        builtin_lattice("Zn", 400)
+
+
 @pytest.mark.parametrize("G,expect", [
     ([[1.0, 0.3], [0.2, 1.1]], "0x1.0511de5a8265fp+0"),
     ([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], "0x1.6a09e667f3bcdp+0"),
@@ -564,6 +577,25 @@ def test_certified_table_sizes():
 
 
 FCC_CONFIG = "3\n1 1 0\n1 0 1\n0 1 1\n"
+
+
+def test_scan_memory_is_bounded_per_block():
+    # Rows near input_limit keep every offset of the whole box through the
+    # margin; with one row per block, each block is ranked, rescored and
+    # written before the next, so no call holds rows x offsets candidates.
+    fcc = lattice_from_config(FCC_CONFIG)
+    X = 0.999 * fcc.input_limit * np.random.default_rng(5).uniform(-1, 1, size=(2000, 3))
+    want = fcc.nearest_rows(X)  # also builds the whole-box table outside the trace
+    with mock.patch.object(lattices, "_SCAN_BLOCK", 1):
+        tracemalloc.start()
+        try:
+            got = fcc.nearest_rows(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert np.array_equal(got, want)
+    # 2000 x 343 candidates would hold tens of MB; one block holds 343
+    assert peak < 2 ** 21
 
 
 @pytest.mark.parametrize("lat", [builtin_lattice("Zn", 2), builtin_lattice("Dn", 3),

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsuq.dither import derive_seed
-from rsuq.lattices import builtin_lattice, lattice_from_config
-from rsuq.layered import (GaussianNoise, lrsuq_decode_batch, lrsuq_encode,
+from rsuq.lattices import LatticePoint, builtin_lattice, lattice_from_config
+from rsuq.layered import (GaussianNoise, lrsuq_decode, lrsuq_decode_batch, lrsuq_encode,
                           lrsuq_encode_batch)
 from rsuq.quantizer import (Description, RejectionCapError, RsuqConfig,
                             decode_batch, encode_batch, error_sample,
@@ -231,6 +231,30 @@ def test_decode_rejects_bad_k():
         rsuq_decode(cfg, Description(K=0, M=rsuq_encode(cfg, np.zeros(2)).M))
     with pytest.raises(ValueError):
         decode_batch(cfg, [1, 0], np.zeros((2, 2)))
+
+
+def test_decoders_refuse_malformed_descriptions():
+    # K must hold integers of shape (count,), J integers of shape (count, n)
+    cfg = RsuqConfig(Z2, r=0.5, seed=3)
+    g = GaussianNoise(2, Z2)
+    M = rsuq_encode(cfg, np.zeros(2)).M
+    cases = [([1, 1, 1], [[0, 0]], r"shape \(3, 2\)"), ([1.7], [[1, 0]], "K must hold integers"),
+             ([1], [[1.5, 0]], "J must hold integers"), ([[1]], [[1, 0]], r"shape \(1,\)"),
+             ([1], [1, 0], r"shape \(1, 2\)"), ([1], [[1, 0, 0]], r"shape \(1, 2\)"),
+             (1, [[1, 0]], r"shape \(1,\)")]
+    for K, J, match in cases:
+        with pytest.raises(ValueError, match=match):
+            decode_batch(cfg, K, J)
+        with pytest.raises(ValueError, match=match):
+            lrsuq_decode_batch(g, Z2, 3, K, J)
+    for d in (Description(K=1.7, M=M),
+              Description(K=1, M=LatticePoint(np.array([1.5, 0.0]), M.embedding))):
+        with pytest.raises(ValueError, match="must hold integers"):
+            rsuq_decode(cfg, d)
+        with pytest.raises(ValueError, match="must hold integers"):
+            lrsuq_decode(g, Z2, 3, d)
+    # integral floats are integers
+    assert np.array_equal(decode_batch(cfg, [2.0], [[1.0, 0.0]]), decode_batch(cfg, [2], [[1, 0]]))
 
 
 def test_lattice_insensitive_error_law():
