@@ -7,8 +7,8 @@ Conventions:
   formulas stay finite up to n = 64 and beyond.
 * "Hbar" denotes a normalized entropy: conditional entropy minus the log
   volume of the input support, in the high-resolution limit.
-* Redundancies are per dimension: the gap between Hbar/n and the matching
-  lower bound (maximum-error, Shannon-MSE or Zador-MSE form).
+* Redundancies are per dimension, against the maximum-error or the
+  Zador-MSE lower bound; they feed the figure-2 tables.
 """
 
 from __future__ import annotations
@@ -48,27 +48,6 @@ def zador_lb_mse(n: int, D: float) -> float:
     return -(n / 2.0) * math.log2((n + 2) * D / n) - log2_ball_volume(n)
 
 
-def mse_redundancy_gap(n: int) -> float:
-    """Gap between the Shannon and Zador MSE redundancies at dimension n."""
-    return 0.5 * math.log2(2.0 * math.pi * math.e / (n + 2)) - log2_ball_volume(n) / n
-
-
-# -- redundancies of a given normalized entropy -------------------------------
-
-
-def redundancy_max_error(hbar: float, n: int, r: float) -> float:
-    """Per-dimension redundancy of Hbar against the max-error bound at r."""
-    return hbar / n + math.log2(r) + log2_ball_volume(n) / n
-
-
-def shannon_red_mse(hbar: float, n: int, D: float) -> float:
-    return hbar / n + 0.5 * math.log2(2.0 * math.pi * math.e * D / n)
-
-
-def zador_red_mse(hbar: float, n: int, D: float) -> float:
-    return hbar / n + 0.5 * math.log2((n + 2) * D / n) + log2_ball_volume(n) / n
-
-
 # -- lattice quantizer redundancies -------------------------------------------
 
 
@@ -77,11 +56,6 @@ def lattice_red_max_error(n: int, theta: float) -> float:
     if not theta >= 1:
         raise ValueError("covering density is at least 1")
     return math.log2(theta) / n
-
-
-def lattice_shannon_red_mse(nsm: float) -> float:
-    """Shannon-MSE redundancy of a cell with normalized second moment nsm."""
-    return 0.5 * math.log2(2.0 * math.pi * math.e * nsm)
 
 
 def lattice_zador_red_mse(n: int, nsm: float) -> float:
@@ -160,46 +134,14 @@ def rsuq_red_per_dim(n: int, delta: float | None = None) -> float:
     return geometric_excess(delta) / n
 
 
-def universal_bound_terms(n: int, p: float) -> float:
-    """Computable part of the universal squared-error rate bound.
-
-    Returns -log2(p) + (n/2) log2(4 pi e G_n(ball)) + log2(e); the caller
-    adds the rate-distortion value of its source.  The ball's normalized
-    second moment is scale invariant, so no radius enters.
-    """
-    if not 0.0 < p <= 1.0:
-        raise ValueError("acceptance probability must lie in (0, 1]")
-    c_term = (n / 2.0) * math.log2(4.0 * math.pi * math.e * ball_nsm(n))
-    return -math.log2(p) + c_term + LOG2E
-
-
 def ball_nsm(n: int) -> float:
     """Normalized second moment of the n-ball: 1 / ((n+2) kappa_n^(2/n))."""
     return 2.0 ** (-math.log2(n + 2) - 2.0 * log2_ball_volume(n) / n)
 
 
-def gaussian_delta_eps(eps: float, sigma_min_eig: float, mean_norm: float) -> float:
-    """Smoothness penalty (bits) of a full-rank Gaussian source at scale eps."""
-    if eps < 0 or sigma_min_eig <= 0 or mean_norm < 0:
-        raise ValueError("need eps >= 0, positive eigenvalue, nonneg mean norm")
-    return eps / sigma_min_eig * (mean_norm + eps / 2.0) * LOG2E
-
-
-def h_inf_bound(f_max: float) -> float:
-    """Order-infinity differential entropy: -log2 of the peak density."""
-    if not f_max > 0:
-        raise ValueError("peak density must be positive")
-    return -math.log2(f_max)
-
-
 def gaussian_h(n: int) -> float:
     """Differential entropy (bits) of the standard n-dim Gaussian."""
     return (n / 2.0) * math.log2(2.0 * math.pi * math.e)
-
-
-def gaussian_h_inf(n: int) -> float:
-    """Order-infinity entropy (bits) of the standard n-dim Gaussian."""
-    return (n / 2.0) * math.log2(2.0 * math.pi)
 
 
 # -- layered entropy of the Gaussian -------------------------------------------

@@ -18,8 +18,8 @@ from . import bounds as bd
 from . import mc
 from .coding import (MODE_BALL, FormatError, GolombCode, StreamHeader,
                      coord_width_for_bound, decode_stream, encode_stream,
-                     lattice_for_header, mean_code_length, read_header,
-                     read_vectors, write_header, write_vectors)
+                     golomb_for_lattice, lattice_for_header, mean_code_length,
+                     read_header, read_vectors, write_header, write_vectors)
 from .dither import derive_seed, stream_uniforms
 from .lattices import (_BUILTIN_FAMILIES, Lattice, builtin_lattice,
                        load_lattice, packing_density)
@@ -59,6 +59,9 @@ def cmd_encode(args) -> int:
     if X.shape[1] != args.dim:
         raise ValueError(f"input file has dimension {X.shape[1]}, expected {args.dim}")
     lat = _resolve_lattice(args.lattice, args.dim)
+    # A density too small for a Golomb code would only fail after the
+    # rejection loop, which at such densities runs for ever.
+    golomb_for_lattice(lat)
     cfg = RsuqConfig(lat, r=args.radius, seed=args.seed)
     K, J, _ = encode_batch(cfg, X)
     bound = int(np.abs(J).max()) if J.size else 0
@@ -110,6 +113,7 @@ def cmd_simulate(args) -> int:
     lat = _resolve_lattice(args.lattice, args.dim)
     noise = GaussianNoise(args.dim, lat)
     if len(X):
+        golomb_for_lattice(lat)  # refused before the loop, as in cmd_encode
         K, J, Y, _ = lrsuq_encode_batch(noise, lat, args.seed, X)
         rate = mean_code_length(lat, K, int(np.abs(J).max())) / args.dim
     else:

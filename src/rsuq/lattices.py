@@ -57,11 +57,6 @@ def log2_ball_volume(n: int) -> float:
     return (n / 2.0) * math.log2(math.pi) - math.lgamma(n / 2.0 + 1.0) / LN2
 
 
-def ball_volume(n: int) -> float:
-    """Volume of the unit n-ball."""
-    return 2.0 ** log2_ball_volume(n)
-
-
 @dataclass
 class LatticePoint:
     """A lattice point: integer coordinates j and its embedding G j."""

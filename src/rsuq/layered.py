@@ -27,7 +27,7 @@ import numpy as np
 from .dither import stream_uniforms
 from .lattices import Lattice, LatticePoint, log2_ball_volume
 from .quantizer import (Description, _decode_rows, _reject_rows, _within_radius,
-                        batch_seeds, default_max_iters)
+                        batch_seeds)
 
 
 class NoiseModel:
@@ -167,8 +167,7 @@ def _lrsuq_encode_rows(noise, lat, seeds, X):
                               dtype=bool)
     # The loop runs in x/beta coordinates (scale 1); its accepted rows are
     # scaled back exactly as the decoder scales M + V_K.
-    K, J, Y = _reject_rows(lat, 1.0, X / beta[:, None], seeds,
-                           noise.level_words, default_max_iters(lat), accept)
+    K, J, Y = _reject_rows(lat, 1.0, X / beta[:, None], seeds, noise.level_words, accept)
     return K, J, beta[:, None] * Y, t
 
 

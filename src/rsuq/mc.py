@@ -21,13 +21,14 @@ import numpy as np
 from .bounds import LOG2E
 from .coding import mean_code_length
 from .dither import derive_seed, stream_uniforms
-from .lattices import Lattice, _covering_radius_bound, log2_ball_volume
+from .lattices import Lattice, log2_ball_volume
 from .layered import NoiseModel, lrsuq_encode_batch
 from .quantizer import RsuqConfig, encode_batch
 
 _AUX_BASE = 1 << 62
-_INPUT_LAWS = ("uniform-ball", "fixed-point", "gaussian")
+_INPUT_LAWS = ("uniform-ball", "gaussian")
 _MIN_SAMPLES = 1000
+_MASS_POINTS = 10
 
 
 class InsufficientSamplesError(ValueError):
@@ -42,7 +43,6 @@ class TrialPlan:
     tau: float = 50.0
     seed_base: int = 0
     input_law: str = "uniform-ball"
-    point: np.ndarray | None = None  # fixed-point law only
 
     def __post_init__(self):
         if self.samples < 1:
@@ -171,11 +171,6 @@ def _standard_normals(plan: TrialPlan, stream: int, count: int, n: int):
 def sample_inputs(plan: TrialPlan, n: int) -> np.ndarray:
     """Deterministic input batch for the plan's law, shape (samples, n)."""
     N = plan.samples
-    if plan.input_law == "fixed-point":
-        point = np.zeros(n) if plan.point is None else np.asarray(plan.point, dtype=np.float64)
-        if point.shape != (n,):
-            raise ValueError(f"fixed point must have dimension {n}")
-        return np.tile(point, (N, 1))
     g = _standard_normals(plan, 0, N, n)
     if plan.input_law == "gaussian":
         return plan.tau * g
@@ -196,7 +191,6 @@ class RateEstimate:
     h_k: float
     h_m: float
     mean_code_len: float
-    coord_bound: int
     n_samples: int
 
 
@@ -220,7 +214,7 @@ def rate_from_descriptions(lat, K, J) -> RateEstimate:
     bound = int(np.abs(J).max()) if J.size else 0
     return RateEstimate(h_k=plugin_entropy(K), h_m=plugin_entropy(J),
                         mean_code_len=mean_code_length(lat, K, bound),
-                        coord_bound=bound, n_samples=int(K.size))
+                        n_samples=int(K.size))
 
 
 def estimate_mse(cfg: RsuqConfig, plan: TrialPlan) -> float:
@@ -246,6 +240,17 @@ def lrsuq_error_batch(noise: NoiseModel, lat: Lattice, seed: int, plan: TrialPla
 # -- distributional tests ---------------------------------------------------------
 
 
+def _all_of(name, subs, p_value=None) -> TestResult:
+    """Passes when every sub-check does; reports the first failing one (else the
+    first), with p_value in place of its p-value when given."""
+    bad = [s for s in subs if not s.verdict]
+    worst = bad[0] if bad else subs[0]
+    return TestResult(test=name, statistic=worst.statistic, threshold=worst.threshold,
+                      p_value=worst.p_value if p_value is None else p_value,
+                      verdict=not bad, n_samples=subs[0].n_samples, seed=subs[0].seed,
+                      subresults=subs)
+
+
 def test_uniform_ball(errors, r: float, n: int, alpha: float = 0.01,
                       seed: int = 0) -> TestResult:
     """Radial KS against the uniform-ball law plus a 3-sigma mean-vector band."""
@@ -259,13 +264,7 @@ def test_uniform_ball(errors, r: float, n: int, alpha: float = 0.01,
     mean_ok = TestResult(test="uniform-ball[mean]", statistic=dev, threshold=band,
                          p_value=None, verdict=dev <= band,
                          n_samples=Z.shape[0], seed=seed)
-    subs = [ks, mean_ok]
-    bad = [s for s in subs if not s.verdict]
-    worst = bad[0] if bad else subs[0]
-    return TestResult(test="uniform-ball", statistic=worst.statistic,
-                      threshold=worst.threshold, p_value=ks.p_value,
-                      verdict=not bad, n_samples=Z.shape[0], seed=seed,
-                      subresults=subs)
+    return _all_of("uniform-ball", [ks, mean_ok], p_value=ks.p_value)
 
 
 def test_gaussian(errors, n: int, alpha: float = 0.01, seed: int = 0) -> TestResult:
@@ -286,11 +285,7 @@ def test_gaussian(errors, n: int, alpha: float = 0.01, seed: int = 0) -> TestRes
     norm2 = np.einsum("ij,ij->i", Z, Z)
     subs.append(ks_test(gammainc(n / 2.0, norm2 / 2.0), "gaussian[norm2-ks]",
                         alpha, seed))
-    bad = [s for s in subs if not s.verdict]
-    worst = bad[0] if bad else subs[0]
-    return TestResult(test="gaussian", statistic=worst.statistic,
-                      threshold=worst.threshold, p_value=worst.p_value,
-                      verdict=not bad, n_samples=N, seed=seed, subresults=subs)
+    return _all_of("gaussian", subs)
 
 
 def test_independence(xs, errors, alpha: float = 0.01, seed: int = 0) -> TestResult:
@@ -322,31 +317,24 @@ def test_independence(xs, errors, alpha: float = 0.01, seed: int = 0) -> TestRes
     if split.sum() >= _MIN_SAMPLES and (~split).sum() >= _MIN_SAMPLES:
         subs.append(ks_two_sample(norms[split], norms[~split],
                                   "independence[region-ks]", alpha, seed))
-    bad = [s for s in subs if not s.verdict]
-    worst = bad[0] if bad else subs[0]
-    return TestResult(test="independence", statistic=worst.statistic,
-                      threshold=worst.threshold, p_value=worst.p_value,
-                      verdict=not bad, n_samples=N, seed=seed, subresults=subs)
+    return _all_of("independence", subs)
 
 
 # -- stopping-index statistics -----------------------------------------------------
 
 
-def k_statistics(cfg: RsuqConfig, plan: TrialPlan, mass_points: int = 10):
-    """(mean K, chi-square TestResult against the geometric law)."""
+def k_statistics(cfg: RsuqConfig, plan: TrialPlan):
+    """(mean K, chi-square TestResult of K = 1..10 and K > 10 against the
+    geometric law)."""
     _require_samples(plan.samples)
     _, K, _, _ = run_quantizer(cfg, plan)
     p = cfg.acceptance_probability
-    return float(K.mean()), _geometric_gof(K, p, mass_points, plan.seed_base)
-
-
-def _geometric_gof(K, p, mass_points, seed):
-    N = K.size
-    obs = np.asarray([(K == k).sum() for k in range(1, mass_points + 1)]
-                     + [(K > mass_points).sum()], dtype=np.float64)
-    pmf = p * (1.0 - p) ** (np.arange(1, mass_points + 1) - 1)
-    exp = N * np.concatenate([pmf, [(1.0 - p) ** mass_points]])
-    return chi_square_gof(obs, exp, "stopping-index[geometric-chi2]", seed=seed)
+    obs = np.asarray([(K == k).sum() for k in range(1, _MASS_POINTS + 1)]
+                     + [(K > _MASS_POINTS).sum()], dtype=np.float64)
+    pmf = p * (1.0 - p) ** (np.arange(1, _MASS_POINTS + 1) - 1)
+    exp = K.size * np.concatenate([pmf, [(1.0 - p) ** _MASS_POINTS]])
+    return float(K.mean()), chi_square_gof(obs, exp, "stopping-index[geometric-chi2]",
+                                           seed=plan.seed_base)
 
 
 # -- rate-bound checks ---------------------------------------------------------------
@@ -366,25 +354,3 @@ def rsuq_rate_check(cfg: RsuqConfig, plan: TrialPlan, slack: float = 0.1) -> Tes
                       threshold=rhs, p_value=None, verdict=lhs <= rhs,
                       n_samples=est.n_samples, seed=plan.seed_base)
 
-
-def lrsuq_rate_check(noise: NoiseModel, lat: Lattice, seed: int,
-                     plan: TrialPlan, layered_entropy_bits: float,
-                     slack: float = 0.1) -> TestResult:
-    """Layered rate check: plug-in rate vs -h_layered + log2 e + support term.
-
-    The support term n E[log2(1 + 3 eta beta / tau)] uses the sampled cell
-    scales; eta is the circumradius of the unscaled Voronoi cell.
-    """
-    _require_samples(plan.samples)
-    X = sample_inputs(plan, lat.n)
-    K, J, _, levels = lrsuq_encode_batch(noise, lat, seed, X)
-    est = rate_from_descriptions(lat, K, J)
-    n = lat.n
-    lhs = est.h_k + est.h_m - (n * math.log2(plan.tau) + log2_ball_volume(n))
-    beta = np.asarray(noise.beta(levels), dtype=np.float64)
-    eta = _covering_radius_bound(lat)
-    support = n * float(np.log2(1.0 + 3.0 * eta * beta / plan.tau).mean())
-    rhs = -layered_entropy_bits + LOG2E + support + slack
-    return TestResult(test=f"layered-rate-bound[{lat.name}]", statistic=lhs,
-                      threshold=rhs, p_value=None, verdict=lhs <= rhs,
-                      n_samples=est.n_samples, seed=plan.seed_base)

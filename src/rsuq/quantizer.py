@@ -25,7 +25,7 @@ from .lattices import Lattice, LatticePoint, check_rows, packing_density
 
 
 class RejectionCapError(RuntimeError):
-    """The safety cap on rejection rounds was hit (mis-configured cap)."""
+    """A row found no acceptance within default_max_iters(lat) rounds."""
 
 
 def default_max_iters(lat: Lattice) -> int:
@@ -45,15 +45,10 @@ class RsuqConfig:
     lat: Lattice
     r: float
     seed: int = 0
-    max_iters: int | None = None
 
     def __post_init__(self):
         if not self.r > 0:
             raise ValueError("ball radius must be positive")
-        if self.max_iters is None:
-            self.max_iters = default_max_iters(self.lat)
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
 
     @property
     def gamma(self) -> float:
@@ -72,7 +67,7 @@ class Description:
     M: LatticePoint
 
 
-def _reject_rows(lat, gamma, X, seeds, reserved, max_iters, accept):
+def _reject_rows(lat, gamma, X, seeds, reserved, accept):
     """Shared rejection loop over rows; returns (K, J, Y).
 
     Round t draws dither t of every still-active row, quantizes X / gamma
@@ -91,6 +86,7 @@ def _reject_rows(lat, gamma, X, seeds, reserved, max_iters, accept):
     if N == 0:
         return K, J, Y
     active = np.arange(N)
+    max_iters = default_max_iters(lat)
     for t in range(max_iters):
         first = reserved + t * n
         u = stream_uniforms(seeds[active], first, n)
@@ -111,8 +107,7 @@ def _reject_rows(lat, gamma, X, seeds, reserved, max_iters, accept):
         if active.size == 0:
             return K, J, Y
     raise RejectionCapError(
-        f"no acceptance within {max_iters} rounds for {active.size} input(s); "
-        "raise max_iters")
+        f"no acceptance within {max_iters} rounds for {active.size} input(s)")
 
 
 def _within_radius(r2):
@@ -157,8 +152,7 @@ def _decode_rows(lat, scale, seeds, K, J, reserved=0):
 
 def _encode_rows(cfg: RsuqConfig, seeds, X):
     r2 = np.full(X.shape[0], cfg.r ** 2)
-    return _reject_rows(cfg.lat, cfg.gamma, X, seeds, 0, cfg.max_iters,
-                        _within_radius(r2))
+    return _reject_rows(cfg.lat, cfg.gamma, X, seeds, 0, _within_radius(r2))
 
 
 def rsuq_encode(cfg: RsuqConfig, x) -> Description:

@@ -11,6 +11,7 @@ and `_decode_rows`, and their outputs are compared bit for bit.
 
 import numpy as np
 
+import rsuq.quantizer
 from rsuq.dither import gathered_uniforms, stream_uniforms
 from rsuq.lattices import _accumulate_columns
 
@@ -25,13 +26,14 @@ def fold_ref(lat, U):
     return W - embed_ref(lat, lat.nearest_rows(W))
 
 
-def reject_ref(lat, gamma, X, seeds, reserved, max_iters, accept):
+def reject_ref(lat, gamma, X, seeds, reserved, accept):
     Xg = X / gamma
     N, n = X.shape
     K = np.zeros(N, dtype=np.int64)
     J = np.zeros((N, n), dtype=np.int64)
     Y = np.zeros((N, n))
     active = np.arange(N)
+    max_iters = rsuq.quantizer.default_max_iters(lat)
     for t in range(max_iters):
         if active.size == 0:
             return K, J, Y

@@ -61,25 +61,18 @@ def test_mse_lower_bounds_scaling():
                 pytest.approx(drop, abs=1e-9)
 
 
-def test_mse_gap_value_and_bound():
-    # gap at n=2: (1/2) log2(2 pi e / 4) - (1/2) log2 pi = (1/2) log2(e/2)
-    assert bd.mse_redundancy_gap(2) == pytest.approx(0.5 * math.log2(math.e / 2), abs=1e-12)
-    for n in range(2, 65):
-        assert bd.mse_redundancy_gap(n) <= math.log2(n) / (2 * n) - 0.05 / n + 1e-12
-        # consistency: gap equals shannon_red - zador_red at any (Hbar, D)
-        g = bd.shannon_red_mse(3.0, n, 1.7) - bd.zador_red_mse(3.0, n, 1.7)
-        assert g == pytest.approx(bd.mse_redundancy_gap(n), abs=1e-9)
-
-
 def test_redundancy_of_ball_quantizer_is_log2e_over_n():
+    # redundancy = Hbar/n minus the per-dimension lower bound, in max-error
+    # form at r and in Zador-MSE form at the matched distortion D
+    r = 0.37
     for n in (1, 2, 8, 48):
         lat = builtin_lattice("Zn", n)
-        hbar = bd.rsuq_norment_ub(lat, r=0.37, tight=False)
-        red = bd.redundancy_max_error(hbar, n, 0.37)
+        hbar = bd.rsuq_norment_ub(lat, r=r, tight=False)
+        red = (hbar - bd.rd_lower_max_error(n, r)) / n
         assert red == pytest.approx(bd.LOG2E / n, abs=1e-12)
-        # same value against the Zador-MSE bound at the matched distortion
-        D = n * 0.37 ** 2 / (n + 2)
-        assert bd.zador_red_mse(hbar, n, D) == pytest.approx(bd.LOG2E / n, abs=1e-12)
+        D = n * r ** 2 / (n + 2)
+        red_zador = (hbar - bd.zador_lb_mse(n, D)) / n
+        assert red_zador == pytest.approx(bd.LOG2E / n, abs=1e-12)
 
 
 def test_tight_bound_below_loose_bound():
@@ -116,9 +109,6 @@ def test_geometric_excess_keeps_precision_for_tiny_p():
 def test_lattice_redundancy_formulas():
     # 1-D interval lattice is an optimal covering: zero max-error redundancy
     assert bd.lattice_red_max_error(1, 1.0) == 0.0
-    # cube cell: (1/2) log2(2 pi e / 12)
-    assert bd.lattice_shannon_red_mse(1.0 / 12.0) == pytest.approx(
-        0.5 * math.log2(2 * math.pi * math.e / 12.0), abs=1e-12)
     # Zador equality point gives exactly zero
     for n in (1, 2, 8):
         assert bd.lattice_zador_red_mse(n, bd.ball_nsm(n)) == pytest.approx(0.0, abs=1e-9)
@@ -160,34 +150,19 @@ def test_sinc_definition():
     assert bd.sinc(0.25) == pytest.approx(math.sin(math.pi / 4) / (math.pi / 4), rel=1e-12)
 
 
-def test_universal_bound_terms():
+def test_ball_nsm():
     # ball second moment: 1-D value 1/12 matches the unit interval
     assert bd.ball_nsm(1) == pytest.approx(1.0 / 12.0, rel=1e-12)
     assert bd.ball_nsm(2) == pytest.approx(1.0 / (4 * math.pi), rel=1e-12)
-    # n=2: the channel term is exactly log2 e, so p=1 gives 2 log2 e
-    assert bd.universal_bound_terms(2, 1.0) == pytest.approx(2 * bd.LOG2E, rel=1e-12)
-    assert bd.universal_bound_terms(2, 0.5) == pytest.approx(1.0 + 2 * bd.LOG2E, rel=1e-12)
-
-
-def test_gaussian_delta_eps():
-    assert bd.gaussian_delta_eps(0.0, 1.0, 5.0) == 0.0
-    assert bd.gaussian_delta_eps(0.1, 1.0, 1.0) == pytest.approx(0.105 * bd.LOG2E, rel=1e-12)
-    # near-linear for eps << mean norm
-    small = bd.gaussian_delta_eps(1e-4, 1.0, 1.0)
-    assert bd.gaussian_delta_eps(2e-4, 1.0, 1.0) == pytest.approx(2 * small, rel=1e-3)
 
 
 def test_entropy_ordering_chain():
     for n in list(range(1, 49)):
-        h_inf = bd.gaussian_h_inf(n)
+        # order-infinity entropy: -log2 of the peak density (2 pi)^(-n/2)
+        h_inf = (n / 2.0) * math.log2(2 * math.pi)
         h_l = bd.gaussian_layered_entropy(n)
         h = bd.gaussian_h(n)
         assert h_inf < h_l < h
-    assert bd.h_inf_bound((2 * math.pi) ** -0.5) == pytest.approx(
-        0.5 * math.log2(2 * math.pi), rel=1e-12)
-    # uniform density on measure mu: all three entropies coincide at log2 mu
-    mu = 3.7
-    assert bd.h_inf_bound(1.0 / mu) == pytest.approx(math.log2(mu), rel=1e-12)
 
 
 def test_layered_entropy_against_digamma_oracle():

@@ -324,6 +324,22 @@ def test_underflowing_packing_density_is_a_usage_error(tmp_path):
     assert code == 2 and "packing density" in err
 
 
+def test_uncodable_packing_density_is_refused_before_the_loop(tmp_path):
+    # Zn40 has density 3.3e-21: 1 - p rounds to 1, and the rejection loop
+    # would run about 1e21 rounds before the stream could refuse it
+    src = os.path.dirname(os.path.dirname(rsuq.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    path = tmp_path / "z40.vqf"
+    path.write_bytes(write_vectors(np.zeros((1, 40))))
+    common = ["--input", str(path), "--lattice", "Zn", "--dim", "40",
+              "--output", str(tmp_path / "out")]
+    for argv in (["encode", "--radius", "0.5"] + common, ["simulate"] + common):
+        out = subprocess.run([sys.executable, "-m", "rsuq.cli"] + argv, env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 2, out.stderr
+        assert "1 - p rounds to 1" in out.stderr
+
+
 def test_ball_encode_decode_loads_no_scipy(tmp_path):
     # scipy is a slow import that only the Gaussian level draw, the layered
     # entropy and the mc tests need

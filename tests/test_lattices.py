@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import rsuq.lattices as lattices
 from _scan_ref import scan_ref
-from rsuq.lattices import (Lattice, ball_volume, builtin_lattice,
+from rsuq.lattices import (Lattice, builtin_lattice,
                            covering_density, lattice_from_config,
                            load_lattice, log2_ball_volume, nearest_point,
                            packing_density)
@@ -159,7 +159,8 @@ def test_packing_radius_is_half_min_norm(family, n):
 def test_packing_density_unit_scaling():
     for n in range(1, 17):
         zn = builtin_lattice("Zn", n)
-        assert packing_density(zn) * 2 ** n / ball_volume(n) == pytest.approx(1.0, rel=1e-12)
+        assert packing_density(zn) * 2 ** n / 2 ** log2_ball_volume(n) == pytest.approx(
+            1.0, rel=1e-12)
 
 
 def test_covering_examples():
@@ -460,9 +461,9 @@ def test_load_lattice_file(tmp_path):
 
 
 def test_log2_ball_volume_matches_closed_forms():
-    assert ball_volume(1) == pytest.approx(2.0, rel=1e-12)
-    assert ball_volume(2) == pytest.approx(math.pi, rel=1e-12)
-    assert ball_volume(3) == pytest.approx(4 * math.pi / 3, rel=1e-12)
+    assert 2 ** log2_ball_volume(1) == pytest.approx(2.0, rel=1e-12)
+    assert 2 ** log2_ball_volume(2) == pytest.approx(math.pi, rel=1e-12)
+    assert 2 ** log2_ball_volume(3) == pytest.approx(4 * math.pi / 3, rel=1e-12)
     # stays finite far beyond the overflow range of direct Gamma
     assert log2_ball_volume(64) == pytest.approx(
         32 * math.log2(math.pi) - math.lgamma(33) / math.log(2), rel=1e-12)

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rsuq.quantizer
 from rsuq.dither import derive_seed
 from rsuq.lattices import LatticePoint, builtin_lattice, lattice_from_config
 from rsuq.layered import (GaussianNoise, lrsuq_decode, lrsuq_decode_batch, lrsuq_encode,
                           lrsuq_encode_batch)
 from rsuq.quantizer import (Description, RejectionCapError, RsuqConfig,
-                            decode_batch, encode_batch, error_sample,
-                            rsuq_decode, rsuq_encode)
+                            decode_batch, default_max_iters, encode_batch,
+                            error_sample, rsuq_decode, rsuq_encode)
 
 Z2 = builtin_lattice("Zn", 2)
 FCC_CONFIG = "3\n1 1 0\n1 0 1\n0 1 1\npacking_radius=0.7071067811865476\n"
@@ -31,7 +32,7 @@ def test_config_defaults():
     cfg = RsuqConfig(Z2, r=0.5, seed=1)
     assert cfg.gamma == 1.0
     assert cfg.acceptance_probability == pytest.approx(math.pi / 4, rel=1e-12)
-    assert cfg.max_iters == math.ceil(50.0 / (math.pi / 4))
+    assert default_max_iters(Z2) == math.ceil(50.0 / (math.pi / 4))
     with pytest.raises(ValueError):
         RsuqConfig(Z2, r=-1.0)
 
@@ -205,8 +206,9 @@ def test_stopping_index_geometric(family, n):
     assert chi_square_gof(obs, exp, f"geom[{family}]").verdict
 
 
-def test_rejection_cap_error():
-    cfg = RsuqConfig(Z2, r=0.5, seed=3, max_iters=1)
+def test_rejection_cap_error(monkeypatch):
+    monkeypatch.setattr(rsuq.quantizer, "default_max_iters", lambda lat: 1)
+    cfg = RsuqConfig(Z2, r=0.5, seed=3)
     rng = np.random.default_rng(6)
     X = rng.uniform(-5, 5, size=(500, 2))
     with pytest.raises(RejectionCapError):
