@@ -224,9 +224,6 @@ class ConstantsRegistry:
     def get(self, n: int) -> RegistryEntry | None:
         return self.entries.get(n)
 
-    def dims(self):
-        return sorted(self.entries)
-
     def merge(self, other: "ConstantsRegistry") -> "ConstantsRegistry":
         merged = dict(self.entries)
         merged.update(other.entries)
@@ -292,12 +289,6 @@ class BoundsReport:
 
     def add(self, n: int, quantity: str, value_bits: float, tag: str):
         self.rows.append(ReportEntry(n, quantity, float(value_bits), tag))
-
-    def value(self, n: int, quantity: str) -> float:
-        for row in self.rows:
-            if row.n == n and row.quantity == quantity:
-                return row.value_bits
-        raise KeyError(f"no entry ({n}, {quantity})")
 
     def to_csv(self) -> str:
         lines = [self.CSV_HEADER]

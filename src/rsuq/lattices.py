@@ -130,9 +130,9 @@ class Lattice:
         # Exact integer forms of 2 G and 4 G^-1 for the native families.
         self._g2 = np.rint(2.0 * G).astype(np.int64) if self.native else None
         self._inv4 = np.rint(4.0 * self._invG).astype(np.int64) if self.native else None
-        # Column/row views used by the fixed-order accumulation loops below.
-        self._g_cols = [np.ascontiguousarray(G[:, k]) for k in range(n)]
-        self._inv_rows_for_col = [np.ascontiguousarray(self._invG[:, k]) for k in range(n)]
+        # The nonzero row spans of G's and G^-1's columns, for _accumulate_columns.
+        self._g_spans = _column_spans(G)
+        self._inv_spans = _column_spans(self._invG)
         self._scan_tables = {}
         self.G.setflags(write=False)
         self._invG.setflags(write=False)
@@ -144,14 +144,20 @@ class Lattice:
 
     def embed_rows(self, J):
         """G j per row: an exact int64 product for integer rows of a native
-        lattice, else a column sum in fixed order, so bits do not depend on the batch."""
+        lattice, else a column sum in fixed order that skips G's zero entries,
+        so bits do not depend on the batch.  For finite rows the skip is exact:
+        the sum equals the dense sum_k j_k G[:, k] bit for bit.  A row with a
+        NaN or inf stays non-finite but may differ from the dense sum, where
+        inf * 0 is NaN."""
         J = np.asarray(J)
         if self.native and J.dtype.kind in "iu":
             return (J.astype(np.int64, copy=False) @ self._g2.T) * 0.5
-        return _accumulate_columns(J, self._g_cols)
+        return _accumulate_columns(J, self._g_spans)
 
     def coords_rows(self, X):
-        return _accumulate_columns(X, self._inv_rows_for_col)
+        """G^-1 x per row by the same zero-skipping column sum as `embed_rows`,
+        with the same caveat for rows holding a NaN or inf."""
+        return _accumulate_columns(X, self._inv_spans)
 
     def point_coords(self, Z):
         """Integer coordinates G^-1 z of the rows of Z, points of a native lattice."""
@@ -190,22 +196,37 @@ def _covering_radius_bound(lat, babai=True) -> float:
     if lat.covering_radius is not None:
         return lat.covering_radius
     with np.errstate(over="ignore"):
-        crude = math.sqrt(lat.n) * max(np.linalg.norm(c) for c in lat._g_cols)
+        crude = math.sqrt(lat.n) * float(np.linalg.norm(lat.G, axis=0).max())
     if not babai:
         return crude
     slack = 1.0 + 32.0 * lat.n * 2.0 ** -53 * float(np.linalg.norm(lat.G) * np.linalg.norm(lat._invG))
     return min(crude, 0.5 * float(np.linalg.norm(np.linalg.qr(lat.G, mode="r").diagonal())) * slack)
 
 
-def _accumulate_columns(X, cols):
-    # sum_k X[:, k] * cols[k], one column at a time: every row sees the same
-    # float operations whatever the batch size, so single-vector and batched
-    # paths stay bit-identical.
-    X = np.asarray(X, dtype=np.float64)
-    out = np.zeros_like(X)
-    for k, col in enumerate(cols):
-        out += X[:, k : k + 1] * col
-    return out
+def _column_spans(A):
+    # Per column k of the nonsingular A: (lo, hi, A[lo:hi, k] as a column),
+    # [lo, hi) the rows that hold its nonzeros.
+    spans = []
+    for col in A.T:
+        nz = np.flatnonzero(col)
+        lo, hi = int(nz[0]), int(nz[-1]) + 1
+        spans.append((lo, hi, col[lo:hi, None].copy()))
+    return spans
+
+
+def _accumulate_columns(X, spans):
+    # sum_k X[:, k] * A[:, k] for k = 0..n-1 in order, on transposed rows and
+    # only over each column's nonzero span: every row sees the same float
+    # operations whatever the batch size, so single-vector and batched paths
+    # stay bit-identical.  For finite X this equals the dense sum bit for bit:
+    # a skipped term is an exact +-0, and adding +-0 changes no accumulator,
+    # which starts at +0.0 and never becomes -0.0 (x + -x rounds to +0.0).
+    # A NaN or inf in X differs, since the dense sum's inf * 0 is NaN.
+    XT = np.asarray(X, dtype=np.float64).T
+    out = np.zeros(XT.shape)
+    for k, (lo, hi, col) in enumerate(spans):
+        out[lo:hi] += col * XT[k]
+    return np.ascontiguousarray(out.T)
 
 
 def _box(invG, radius, pad, hint):

@@ -47,8 +47,10 @@ class RsuqConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.r > 0:
-            raise ValueError("ball radius must be positive")
+        # NaN fails both tests; r * r overflows for r above about 1.3e154.
+        if not (self.r > 0 and math.isfinite(self.r * self.r)):
+            raise ValueError(f"ball radius must be positive, finite and have a finite square, "
+                             f"got {self.r!r}")
 
     @property
     def gamma(self) -> float:

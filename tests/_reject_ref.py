@@ -2,7 +2,8 @@
 
 `reject_ref` runs every round through integer coordinates, for every
 lattice family: `nearest_rows` gives j, and the embedding G j is the
-fixed-order column sum.  The fold is `W - G nearest_rows(W)` the same way.
+dense fixed-order column sum `dense_column_sum`, written out here apart
+from the library's kernel.  The fold is `W - G nearest_rows(W)` the same way.
 The library keeps Zn, Dn and E8 in R^n, converts only accepted rows to
 coordinates and embeds integer rows by an int64 product; `reject_ref` and
 `decode_ref` are drop-in replacements for `rsuq.quantizer._reject_rows`
@@ -13,12 +14,19 @@ import numpy as np
 
 import rsuq.quantizer
 from rsuq.dither import gathered_uniforms, stream_uniforms
-from rsuq.lattices import _accumulate_columns
+
+
+def dense_column_sum(X, A):
+    # sum_k X[:, k] * A[:, k], one column at a time, every term kept
+    X = np.asarray(X, dtype=np.float64)
+    out = np.zeros_like(X)
+    for k in range(A.shape[1]):
+        out += X[:, k : k + 1] * A[:, k]
+    return out
 
 
 def embed_ref(lat, J):
-    # G j as sum_k j_k G[:, k], one column at a time
-    return _accumulate_columns(J, lat._g_cols)
+    return dense_column_sum(J, lat.G)
 
 
 def fold_ref(lat, U):

@@ -2,7 +2,10 @@
 
 Every function or class in src/rsuq must be referenced inside the package
 (as a name, an attribute or an import) or exported through rsuq.__all__;
-a helper kept only for a test belongs in that test.
+a helper kept only for a test belongs in that test.  A method counts as
+used only through an attribute reference, so a local variable of the same
+name does not keep it, and fields read off the argparse namespace (`args.x`)
+count for nothing.
 """
 
 import ast
@@ -19,28 +22,33 @@ def _trees():
 
 
 def _references(trees):
-    names = set()
+    names, attrs = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                if not (isinstance(node.value, ast.Name) and node.value.id == "args"):
+                    attrs.add(node.attr)
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
-    return names
+    return names, attrs
 
 
 def test_every_definition_is_used_or_exported():
     trees = _trees()
-    used = _references(trees) | set(rsuq.__all__)
-    unused = sorted(
-        f"{module}:{node.name}"
-        for module, tree in trees.items()
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in used)
+    names, attrs = _references(trees)
+    used = names | attrs | set(rsuq.__all__)
+    unused = []
+    for module, tree in trees.items():
+        owner = {id(item): cls.name + "." for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for item in cls.body}
+        unused += sorted(
+            f"{module}:{owner.get(id(node), '')}{node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and node.name not in (attrs if id(node) in owner else used))
     assert not unused, "defined in src/rsuq but never used or exported: " + ", ".join(unused)
 
 

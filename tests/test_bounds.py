@@ -194,8 +194,8 @@ def test_excess_info_structure():
 
 def test_shipped_registry_entries():
     reg = bd.load_registry()
-    assert reg.dims() == [1, 2, 4, 8]
-    for n in reg.dims():
+    assert sorted(reg.entries) == [1, 2, 4, 8]
+    for n in sorted(reg.entries):
         e = reg.get(n)
         assert 0 < e.delta <= 1.0
         assert e.theta >= 1.0
@@ -208,7 +208,7 @@ def test_registry_parse_and_merge(tmp_path):
     extra = tmp_path / "extra.csv"
     extra.write_text("n,delta,theta,nsm,source\n3,0.74048,1.4635,0.078543,fcc\n")
     reg = bd.load_registry(extra)
-    assert 3 in reg.dims()
+    assert 3 in reg.entries
     bad = tmp_path / "bad.csv"
     bad.write_text("n,delta,theta,nsm,source\n3,1.5,1.4,0.08,oops\n")
     with pytest.raises(ValueError):
@@ -230,7 +230,7 @@ def test_fuzz_parse_registry(rows, tail):
         reg = bd.parse_registry(text)
     except ValueError:
         return
-    for n in reg.dims():
+    for n in sorted(reg.entries):
         e = reg.get(n)
         assert n >= 1
         assert all(v is None or math.isfinite(v) for v in (e.delta, e.theta, e.nsm))
@@ -250,12 +250,14 @@ def test_bounds_report_csv():
     assert missing == [3]
     csv_text = rep.to_csv()
     assert csv_text.startswith("n,quantity,value_bits,equation_tag\n")
-    assert rep.value(8, "rsuq_any_lattice") == pytest.approx(bd.LOG2E / 8, rel=1e-12)
+    values = {(r.n, r.quantity): r.value_bits for r in rep.rows}
+    assert values[8, "rsuq_any_lattice"] == pytest.approx(bd.LOG2E / 8, rel=1e-12)
     rep2, missing2 = bd.table_mse_redundancy([2, 8, 48], bd.load_registry())
     assert missing2 == [48]
-    assert rep2.value(8, "ordentlich_ub") == pytest.approx(bd.ordentlich_ub(8), rel=1e-12)
-    rep3 = bd.table_layered_gaussian([1, 24])
-    assert rep3.value(24, "layered_entropy") == pytest.approx(46.71338, abs=1e-4)
+    values = {(r.n, r.quantity): r.value_bits for r in rep2.rows}
+    assert values[8, "ordentlich_ub"] == pytest.approx(bd.ordentlich_ub(8), rel=1e-12)
+    values = {(r.n, r.quantity): r.value_bits for r in bd.table_layered_gaussian([1, 24]).rows}
+    assert values[24, "layered_entropy"] == pytest.approx(46.71338, abs=1e-4)
 
 
 def test_table1_runtime_under_budget():

@@ -282,6 +282,30 @@ def test_usage_and_io_errors(tmp_path, vec_file):
                    str(path), "--output", str(tmp_path / "s.vqf"))[0] == 2
 
 
+@pytest.mark.parametrize("radius", ["inf", "1e200"])
+def test_nonfinite_or_overflowing_radius_is_a_usage_error(tmp_path, vec_file, radius):
+    # inf used to write a stream that decodes to +-inf with exit 0, and 1e200
+    # died in cfg.r ** 2 with an OverflowError traceback (exit 1)
+    path, _ = vec_file
+    rsq = tmp_path / "r.rsq"
+    code, _, err = run_cli("encode", "--input", str(path), "--lattice", "Zn", "--dim", "2",
+                           "--radius", radius, "--output", str(rsq))
+    assert code == 2 and "ball radius" in err and not rsq.exists()
+
+
+def test_inf_radius_stream_is_a_usage_error(tmp_path):
+    # gamma = param = inf passes the header's scale check (isclose(inf, inf))
+    from rsuq.coding import MODE_BALL, StreamHeader, encode_stream
+
+    header = StreamHeader(n=2, lattice_id="Zn", gamma=math.inf, param=math.inf,
+                          mode=MODE_BALL, seed=0, count=1, coord_bound=0)
+    path = tmp_path / "inf.rsq"
+    path.write_bytes(encode_stream(header, [1], [[0, 0]]))
+    out = tmp_path / "inf.vqf"
+    code, _, err = run_cli("decode", "--input", str(path), "--output", str(out))
+    assert code == 2 and "ball radius" in err and not out.exists()
+
+
 def test_oversized_stream_count_is_a_format_error(tmp_path):
     # a 50-byte stream claiming 2**40 Z2 vectors must fail before allocating
     from rsuq.coding import (MODE_BALL, FormatError, StreamHeader,

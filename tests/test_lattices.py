@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rsuq.lattices as lattices
+from _reject_ref import dense_column_sum
 from _scan_ref import scan_ref
 from rsuq.lattices import (Lattice, builtin_lattice,
                            covering_density, lattice_from_config,
@@ -597,6 +598,58 @@ def test_scan_memory_is_bounded_per_block():
     assert np.array_equal(got, want)
     # 2000 x 343 candidates would hold tens of MB; one block holds 343
     assert peak < 2 ** 21
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+# Below-diagonal entries of the bases for the column-sum test.
+_SUM_ENTRIES = [0.0, -0.0, 5e-324, -2.0 ** -1060, 2.0 ** -1030, -1.5, 0.75, -3.0]
+
+
+@st.composite
+def _column_sum_case(draw):
+    """A basis P L Q (L lower triangular with |diagonal| in [1/4, 4], signed
+    zeros above it; P, Q permutations) and 0, 1 or many integer or float rows,
+    stored contiguously, as every other row, or column-major."""
+    n = draw(st.integers(1, 6))
+    L = np.zeros((n, n))
+    for i in range(n):
+        L[i, i] = draw(st.floats(0.25, 4.0)) * draw(st.sampled_from([1.0, -1.0]))
+        for k in range(n):
+            if k < i:
+                L[i, k] = draw(st.sampled_from(_SUM_ENTRIES) | st.floats(-4.0, 4.0))
+            elif k > i:
+                L[i, k] = draw(st.sampled_from([0.0, -0.0]))
+    G = L[draw(st.permutations(range(n)))][:, draw(st.permutations(range(n)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = draw(st.sampled_from([0, 1, 2, 50]))
+    if draw(st.booleans(), label="integer"):
+        X = rng.integers(-2 ** 40, 2 ** 40, size=(2 * rows, n))
+    else:
+        X = rng.standard_normal((2 * rows, n)) * 10.0 ** rng.integers(-320, 100, size=(2 * rows, n))
+        zero = rng.random(X.shape) < 0.2
+        X[zero] = rng.choice([0.0, -0.0, 5e-324], size=zero.sum())
+    layout = draw(st.sampled_from(["C", "strided", "F"]))
+    X = X[::2] if layout == "strided" else X[:rows]
+    return G, (np.asfortranarray(X) if layout == "F" else X)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_column_sum_case())
+def test_column_sums_match_dense_loop(case):
+    # embed_rows (float or non-native rows) and coords_rows skip G's zeros;
+    # for finite rows that must equal the dense loop bit for bit, and row i of
+    # a batch must equal the 1-row call
+    G, X = case
+    lat = Lattice("t", G, packing_radius=0.125 * np.abs(np.diag(np.linalg.qr(G)[1])).min())
+    for f, A in ((lat.embed_rows, G), (lat.coords_rows, lat._invG)):
+        got = f(X)
+        assert got.shape == X.shape
+        assert np.array_equal(_bits(got), _bits(dense_column_sum(X, A)))
+        for i in range(len(X)):
+            assert np.array_equal(_bits(f(X[i : i + 1])), _bits(got[i : i + 1]))
 
 
 @pytest.mark.parametrize("lat", [builtin_lattice("Zn", 2), builtin_lattice("Dn", 3),

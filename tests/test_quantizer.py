@@ -33,8 +33,9 @@ def test_config_defaults():
     assert cfg.gamma == 1.0
     assert cfg.acceptance_probability == pytest.approx(math.pi / 4, rel=1e-12)
     assert default_max_iters(Z2) == math.ceil(50.0 / (math.pi / 4))
-    with pytest.raises(ValueError):
-        RsuqConfig(Z2, r=-1.0)
+    for r in (-1.0, 0.0, math.nan, math.inf, 1e200):
+        with pytest.raises(ValueError, match="ball radius"):
+            RsuqConfig(Z2, r=r)
 
 
 def test_guard_bound_always_within_radius():
