@@ -31,6 +31,7 @@ fold decodes every draw, every dither depends on it bit for bit:
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -48,6 +49,11 @@ _MAX_ENUM_CANDIDATES = 4_000_000
 # The scan ranks offsets for max(1, _SCAN_BLOCK // offsets) rows at a time,
 # which bounds its (rows x offsets) rank matrix near this many entries.
 _SCAN_BLOCK = 2 ** 14
+
+# Built-in lattices and parsed configs are kept, least recently used first
+# out, up to this many of each: a lattice holds its scan tables, and a
+# whole-box table can take tens of MB.
+_LATTICE_CACHE = 4
 
 
 def log2_ball_volume(n: int) -> float:
@@ -70,6 +76,11 @@ class Lattice:
 
     Refuses a packing density outside (0, 1] and a packing radius above half
     the shortest generator column: the quantizer's ball must fit the cell.
+
+    `builtin_lattice` and `lattice_from_config` (keyed by the config's text
+    and name) build each lattice once per process and return the same shared
+    instance, with its scan tables, to every caller; each keeps at most
+    `_LATTICE_CACHE` lattices.  Every array a lattice holds is read-only.
 
     Attributes
     ----------
@@ -134,8 +145,7 @@ class Lattice:
         self._g_spans = _column_spans(G)
         self._inv_spans = _column_spans(self._invG)
         self._scan_tables = {}
-        self.G.setflags(write=False)
-        self._invG.setflags(write=False)
+        _freeze(self.G, self._invG, self._g2, self._inv4)
 
     def __repr__(self):
         return f"Lattice({self.name!r}, n={self.n})"
@@ -203,6 +213,13 @@ def _covering_radius_bound(lat, babai=True) -> float:
     return min(crude, 0.5 * float(np.linalg.norm(np.linalg.qr(lat.G, mode="r").diagonal())) * slack)
 
 
+def _freeze(*arrays):
+    # Mark arrays read-only: a lattice and its tables are shared by every caller.
+    for a in arrays:
+        if a is not None:
+            a.setflags(write=False)
+
+
 def _column_spans(A):
     # Per column k of the nonsingular A: (lo, hi, A[lo:hi, k] as a column),
     # [lo, hi) the rows that hold its nonzeros.
@@ -210,7 +227,9 @@ def _column_spans(A):
     for col in A.T:
         nz = np.flatnonzero(col)
         lo, hi = int(nz[0]), int(nz[-1]) + 1
-        spans.append((lo, hi, col[lo:hi, None].copy()))
+        span = col[lo:hi, None].copy()
+        _freeze(span)
+        spans.append((lo, hi, span))
     return spans
 
 
@@ -249,11 +268,12 @@ def _margin(n, S):
 
 
 class _ScanTable(NamedTuple):
-    """Scan offsets O in lexicographic order with their embeddings GO = O G^T."""
+    """Scan offsets O in lexicographic order with their embeddings GO = O G^T; arrays read-only."""
 
     O: np.ndarray
     GOm2: np.ndarray  # -2 GO^T: e @ GOm2 is -2 e.G o for every offset
     GO2: np.ndarray   # |G o|^2
+    absGT: np.ndarray  # |G|^T, for _scan's bound S
     reach: float      # max_i sum_k |G_ik| max|O_k| over the box: no offset moves a coordinate further
     rho: float        # the residual norm |e| the offsets are certified for
 
@@ -263,16 +283,19 @@ class _ScanTable(NamedTuple):
         # is max |G d| over the vertices d ~ -d of [-1/2, 1/2]^n (at most 2^12:
         # the box cap keeps n <= 13), widened by 2^-20 for the guard in _scan.
         G, n = lat.G, lat.n
+        absG = np.abs(G)
         O = _box(lat._invG, _covering_radius_bound(lat, babai=False), 0.5,
                  "supply covering_radius in the lattice config or use a built-in family")
         GO = O @ G.T
         GO2 = np.einsum("ij,ij->i", GO, GO)
-        reach = float((np.abs(G) @ np.abs(O).max(axis=0)).max())
+        reach = float((absG @ np.abs(O).max(axis=0)).max())
         D = ((np.arange(2 ** (n - 1))[:, None] >> np.arange(n)) & 1) - 0.5
         rho = math.inf if full else float(np.sqrt(_sqnorm_rows(D @ G.T).max())) * (1.0 + 2.0 ** -20)
         limit = _covering_radius_bound(lat) + rho
         keep = np.sqrt(GO2) <= limit + 4.0 * n * (n + 2) * 2.0 ** -53 * (reach + limit)
-        return cls(O[keep], -2.0 * GO[keep].T, GO2[keep], reach, rho)
+        table = cls(O[keep], -2.0 * GO[keep].T, GO2[keep], absG.T, reach, rho)
+        _freeze(table.O, table.GOm2, table.GO2, table.absGT)
+        return table
 
 
 def _scan(lat, X, base):
@@ -297,8 +320,9 @@ def _scan(lat, X, base):
     if not len(X):
         return base
     t, n = lat._offset_table(), lat.n
-    e = X - base @ lat.G.T
-    S = np.abs(X).max(axis=1) + (np.abs(base) @ np.abs(lat.G).T).max(axis=1) + t.reach
+    B = base.astype(np.float64)  # the cast each int64-by-float product would make
+    e = X - B @ lat.G.T
+    S = _row_max(np.abs(X)) + _row_max(np.abs(B) @ t.absGT) + t.reach
     if not (np.sqrt(_sqnorm_rows(e)) + 8.0 * n * (n + 2) * 2.0 ** -53 * S <= t.rho).all():
         t = lat._offset_table(full=True)
     step = max(1, _SCAN_BLOCK // len(t.O))
@@ -319,6 +343,15 @@ def _scan(lat, X, base):
         # equal r start at the same places after a stable sort by (r, d).
         J[lo : lo + step] = C[np.lexsort((d, r))[np.searchsorted(r, np.arange(lo, lo + len(q)))]]
     return J
+
+
+def _row_max(A):
+    # max over each row of A, one np.maximum per column: on rows of a few
+    # entries that is several times faster than A.max(axis=1), and as exact.
+    out = A[:, 0].copy()
+    for k in range(1, A.shape[1]):
+        np.maximum(out, A[:, k], out=out)
+    return out
 
 
 def check_rows(X, limit=math.inf, why="is not finite"):
@@ -438,8 +471,9 @@ def covering_density(lat: Lattice) -> float:
                    + log2_ball_volume(lat.n) - math.log2(lat.det))
 
 
+@functools.lru_cache(maxsize=_LATTICE_CACHE)
 def builtin_lattice(name: str, n: int) -> Lattice:
-    """Construct a built-in lattice with exact analytic constants.
+    """The built-in lattice with exact analytic constants, shared per (name, n).
 
     Families: "Zn" (any n >= 1), "Dn" (n >= 2), "A2" (n = 2), "E8" (n = 8).
     """
@@ -491,13 +525,15 @@ def _builtin_constants(name, n):
     raise ValueError(f"unknown lattice family {name!r}; expected one of {_BUILTIN_FAMILIES}")
 
 
+@functools.lru_cache(maxsize=_LATTICE_CACHE)
 def lattice_from_config(text: str, name: str = "user") -> Lattice:
-    """Parse a user lattice from its text config.
+    """Parse a user lattice from its text config, shared per (text, name).
 
     Format: first line n, then n rows of n reals (row-major G), then
-    optional "packing_radius=", "covering_radius=", "nsm=" lines.
+    optional "packing_radius=", "covering_radius=", "nsm=" lines.  Blank
+    lines and lines whose first non-blank character is "#" are skipped.
     """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = [s for s in (ln.strip() for ln in text.splitlines()) if s and not s.startswith("#")]
     if not lines:
         raise ValueError("empty lattice config")
     try:
@@ -507,8 +543,11 @@ def lattice_from_config(text: str, name: str = "user") -> Lattice:
     if n < 1 or len(lines) < 1 + n:
         raise ValueError("config does not contain a full generator matrix")
     rows = []
-    for ln in lines[1 : 1 + n]:
-        vals = [float(v) for v in ln.replace(",", " ").split()]
+    for i, ln in enumerate(lines[1 : 1 + n]):
+        try:
+            vals = [float(v) for v in ln.replace(",", " ").split()]
+        except ValueError as exc:
+            raise ValueError(f"generator row {i} is not numeric: {ln!r}") from exc
         if len(vals) != n:
             raise ValueError(f"expected {n} entries per generator row, got {len(vals)}")
         rows.append(vals)
@@ -520,7 +559,10 @@ def lattice_from_config(text: str, name: str = "user") -> Lattice:
         key, val = (s.strip() for s in ln.split("=", 1))
         if key not in ("packing_radius", "covering_radius", "nsm"):
             raise ValueError(f"unknown config key: {key!r}")
-        opts[key] = float(val)
+        try:
+            opts[key] = float(val)
+        except ValueError as exc:
+            raise ValueError(f"{key} is not numeric: {val!r}") from exc
     lat = Lattice(name, G, packing_radius=opts.get("packing_radius"),
                   covering_radius=opts.get("covering_radius"),
                   nsm=opts.get("nsm"), family="generic")

@@ -192,6 +192,71 @@ def test_wrong_user_lattice_config_is_a_format_error(tmp_path, vec_file):
     assert np.linalg.norm(read_vectors(rec.read_bytes()) - X3, axis=1).max() <= 0.05
 
 
+def _run_twice(commands, outputs):
+    # Run the commands twice in this process, the first time with empty
+    # lattice caches; returns the bytes of the output files after each run.
+    from rsuq import lattices
+
+    lattices.builtin_lattice.cache_clear()
+    lattices.lattice_from_config.cache_clear()
+    runs = []
+    for _ in range(2):
+        for cmd in commands:
+            assert run_cli(*cmd)[0] == 0
+        runs.append([p.read_bytes() for p in outputs])
+    return runs
+
+
+def _write_input(tmp_path, dim, seed):
+    inp = tmp_path / "in.vqf"
+    inp.write_bytes(write_vectors(np.random.default_rng(seed).uniform(-20, 20, size=(300, dim))))
+    return inp
+
+
+@pytest.mark.parametrize("lat,dim", [("Zn", 3), ("A2", 2), ("E8", 8)])
+def test_warm_calls_write_the_cold_bytes(tmp_path, lat, dim):
+    # The second encode and decode reuse the cached lattice (and A2's scan
+    # table); they must write the bytes of the first, cold calls.
+    inp, rsq, rec = _write_input(tmp_path, dim, 3), tmp_path / "out.rsq", tmp_path / "rec.vqf"
+    cold, warm = _run_twice(
+        [("encode", "--input", str(inp), "--lattice", lat, "--dim", str(dim),
+          "--radius", "0.3", "--seed", "11", "--output", str(rsq)),
+         ("decode", "--input", str(rsq), "--output", str(rec))], [rsq, rec])
+    assert cold == warm
+
+
+def test_warm_simulate_writes_the_cold_bytes(tmp_path):
+    inp, sim = _write_input(tmp_path, 8, 4), tmp_path / "sim.vqf"
+    cold, warm = _run_twice(
+        [("simulate", "--noise", "gaussian", "--dim", "8", "--lattice", "E8",
+          "--seed", "5", "--input", str(inp), "--output", str(sim))], [sim])
+    assert cold == warm
+
+
+def test_edited_lattice_config_is_loaded_again(tmp_path):
+    # A config is cached by its text: the second call reuses the lattice and
+    # writes the same bytes.  Once the file changes, the next call must parse
+    # the new basis (the unit cube: gamma = 0.3 / 0.5, other points).
+    from rsuq.coding import read_header
+
+    inp, rsq, rec = _write_input(tmp_path, 3, 5), tmp_path / "out.rsq", tmp_path / "rec.vqf"
+    cfg = tmp_path / "fcc.cfg"
+    cfg.write_text("3\n1 1 0\n1 0 1\n0 1 1\n")
+    commands = [("encode", "--input", str(inp), "--lattice", str(cfg), "--dim", "3",
+                 "--radius", "0.3", "--seed", "11", "--output", str(rsq)),
+                ("decode", "--input", str(rsq), "--output", str(rec), "--lattice", str(cfg))]
+    cold, warm = _run_twice(commands, [rsq, rec])
+    assert cold == warm
+    cfg.write_text("3\n1 0 0\n0 1 0\n0 0 1\n")
+    for cmd in commands:
+        assert run_cli(*cmd)[0] == 0
+    (old, old_end), (new, new_end) = read_header(cold[0]), read_header(rsq.read_bytes())
+    assert old.gamma == pytest.approx(0.3 / math.sqrt(0.5)) and new.gamma == pytest.approx(0.6)
+    assert rsq.read_bytes()[new_end:] != cold[0][old_end:]
+    X = read_vectors(inp.read_bytes())
+    assert np.linalg.norm(read_vectors(rec.read_bytes()) - X, axis=1).max() <= 0.3
+
+
 @pytest.mark.parametrize("line,key", [("covering_radius=inf", "covering_radius"),
                                       ("nsm=nan", "nsm"), ("0 nan 1", "generator matrix")])
 def test_nonfinite_lattice_config_is_a_usage_error(tmp_path, vec_file, line, key):

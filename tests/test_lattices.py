@@ -666,6 +666,67 @@ def test_nonfinite_rows_rejected(lat, bad):
         nearest_point(lat, X[2])
 
 
+def _held_arrays(obj):
+    # Every numpy array reachable from a lattice's attributes.
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, Lattice):
+        obj = vars(obj)
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [a for item in obj for a in _held_arrays(item)]
+    return []
+
+
+@pytest.mark.parametrize("make", [lambda: builtin_lattice("E8", 8), lambda: builtin_lattice("A2", 2),
+                                  lambda: lattice_from_config(FCC_CONFIG)],
+                         ids=["E8", "A2", "fcc"])
+def test_shared_lattices_are_read_only(make):
+    lat = make()
+    assert make() is lat
+    if not lat.native:
+        lat._offset_table()
+        lat._offset_table(full=True)
+    arrays = _held_arrays(lat)
+    # G, G^-1, their column spans, and the integer forms or the scan tables
+    assert len(arrays) >= 2 + 2 * lat.n + 2
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+def test_config_cache_evicts_the_oldest():
+    lattice_from_config.cache_clear()
+    first = lattice_from_config(FCC_CONFIG)
+    scaled = [f"2\n{s} 0\n0 {s}\n" for s in range(2, 2 + lattices._LATTICE_CACHE)]
+    for text in scaled[:-1]:
+        lattice_from_config(text)
+    assert lattice_from_config(FCC_CONFIG) is first
+    for text in scaled:  # the last one evicts the least recently used: fcc
+        lattice_from_config(text)
+    assert lattice_from_config.cache_info().currsize == lattices._LATTICE_CACHE
+    again = lattice_from_config(FCC_CONFIG)
+    assert again is not first and np.array_equal(again.G, first.G)
+    # the same text under another name is another lattice
+    assert lattice_from_config(FCC_CONFIG, name="other").name == "other"
+
+
+def test_config_comments_may_be_indented():
+    lat = lattice_from_config("3\n  # note\n1 1 0\n\t# another\n1 0 1\n0 1 1\n")
+    assert np.array_equal(lat.G, lattice_from_config(FCC_CONFIG).G)
+
+
+@pytest.mark.parametrize("text,match", [
+    ("2\n1 0\n0 x\n", "generator row 1 is not numeric: '0 x'"),
+    ("2\n1 # 0\n0 1\n", "generator row 0 is not numeric"),
+    ("2\n1 0\n0 1\nnsm=small\n", "nsm is not numeric: 'small'"),
+])
+def test_non_numeric_config_entry_is_named(text, match):
+    with pytest.raises(ValueError, match=re.escape(match)):
+        lattice_from_config(text)
+
+
 @pytest.mark.parametrize("text,key", [
     ("2\n1 0\n0 1\ncovering_radius=inf\n", "covering_radius"),
     ("2\n1 0\n0 1\ncovering_radius=nan\n", "covering_radius"),
