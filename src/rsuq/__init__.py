@@ -16,13 +16,11 @@ from .dither import derive_seed
 from .lattices import (Lattice, LatticePoint, builtin_lattice,
                        covering_density, lattice_from_config, load_lattice,
                        nearest_point, packing_density)
-from .layered import (GaussianNoise, NoiseModel,
-                      acceptance_probability_given_level, lrsuq_decode,
+from .layered import (GaussianNoise, NoiseModel, lrsuq_decode,
                       lrsuq_decode_batch, lrsuq_encode, lrsuq_encode_batch)
 from .mc import TestResult, TrialPlan, estimate_mse, estimate_rate
 from .quantizer import (Description, RejectionCapError, RsuqConfig,
-                        decode_batch, encode_batch, error_sample, rsuq_decode,
-                        rsuq_encode)
+                        decode_batch, encode_batch, rsuq_decode, rsuq_encode)
 
 __version__ = "0.1.0"
 
@@ -30,9 +28,8 @@ __all__ = [
     "BoundsReport", "ConstantsRegistry", "Description", "FormatError",
     "GaussianNoise", "GolombCode", "Lattice", "LatticePoint", "NoiseModel",
     "RejectionCapError", "RsuqConfig", "StreamHeader", "TestResult",
-    "TrialPlan", "acceptance_probability_given_level",
-    "builtin_lattice", "covering_density", "decode_batch", "decode_stream",
-    "derive_seed", "encode_batch", "encode_stream", "error_sample",
+    "TrialPlan", "builtin_lattice", "covering_density", "decode_batch",
+    "decode_stream", "derive_seed", "encode_batch", "encode_stream",
     "estimate_mse", "estimate_rate", "excess_info",
     "gaussian_layered_entropy",
     "lattice_from_config", "load_lattice", "load_registry", "lrsuq_decode",

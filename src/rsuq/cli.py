@@ -21,8 +21,7 @@ from .coding import (MODE_BALL, FormatError, GolombCode, StreamHeader,
                      golomb_for_lattice, lattice_for_header, mean_code_length,
                      read_header, read_vectors, write_header, write_vectors)
 from .dither import derive_seed, stream_uniforms
-from .lattices import (_BUILTIN_FAMILIES, Lattice, builtin_lattice,
-                       load_lattice, packing_density)
+from .lattices import _BUILTIN_FAMILIES, builtin_lattice, load_lattice, packing_density
 from .layered import GaussianNoise, lrsuq_decode_batch, lrsuq_encode_batch
 from .quantizer import RsuqConfig, decode_batch, encode_batch
 
@@ -30,15 +29,6 @@ from .quantizer import RsuqConfig, decode_batch, encode_batch
 def _seed64(text: str) -> int:
     """Seeds are 64-bit unsigned; other integers wrap, matching the streams."""
     return int(text) & 0xFFFFFFFFFFFFFFFF
-
-
-def _resolve_lattice(name_or_path: str, n: int) -> Lattice:
-    if name_or_path in _BUILTIN_FAMILIES:
-        return builtin_lattice(name_or_path, n)
-    lat = load_lattice(name_or_path)
-    if lat.n != n:
-        raise ValueError(f"lattice config has dimension {lat.n}, expected {n}")
-    return lat
 
 
 def _read_file(path) -> bytes:
@@ -54,14 +44,26 @@ def _write_file(path, data: bytes):
 # -- encode / decode -----------------------------------------------------------
 
 
-def cmd_encode(args) -> int:
+def _read_input(args):
+    """The rows of the VQF1 file args.input and the lattice args.lattice of
+    dimension args.dim, checked before any quantizer work starts."""
     X = read_vectors(_read_file(args.input))
     if X.shape[1] != args.dim:
         raise ValueError(f"input file has dimension {X.shape[1]}, expected {args.dim}")
-    lat = _resolve_lattice(args.lattice, args.dim)
+    if args.lattice in _BUILTIN_FAMILIES:
+        lat = builtin_lattice(args.lattice, args.dim)
+    else:
+        lat = load_lattice(args.lattice)
+        if lat.n != args.dim:
+            raise ValueError(f"lattice config has dimension {lat.n}, expected {args.dim}")
     # A density too small for a Golomb code would only fail after the
     # rejection loop, which at such densities runs for ever.
     golomb_for_lattice(lat)
+    return X, lat
+
+
+def cmd_encode(args) -> int:
+    X, lat = _read_input(args)
     cfg = RsuqConfig(lat, r=args.radius, seed=args.seed)
     K, J, _ = encode_batch(cfg, X)
     bound = int(np.abs(J).max()) if J.size else 0
@@ -107,13 +109,9 @@ def cmd_decode(args) -> int:
 def cmd_simulate(args) -> int:
     if args.noise != "gaussian":
         raise ValueError(f"unknown noise model {args.noise!r}")
-    X = read_vectors(_read_file(args.input))
-    if X.shape[1] != args.dim:
-        raise ValueError(f"input file has dimension {X.shape[1]}, expected {args.dim}")
-    lat = _resolve_lattice(args.lattice, args.dim)
+    X, lat = _read_input(args)
     noise = GaussianNoise(args.dim, lat)
     if len(X):
-        golomb_for_lattice(lat)  # refused before the loop, as in cmd_encode
         K, J, Y, _ = lrsuq_encode_batch(noise, lat, args.seed, X)
         rate = mean_code_length(lat, K, int(np.abs(J).max())) / args.dim
     else:
@@ -202,7 +200,7 @@ def cmd_bounds(args) -> int:
 
 
 def _selftest_checks(seed: int, full: bool):
-    """Yield (name, TestResult-or-(value, lo, hi)) verification records."""
+    """Yield (name, TestResult) verification records."""
     n_small = 100000 if full else 20000
     n_big = 200000 if full else 30000
     z2 = builtin_lattice("Zn", 2)
@@ -210,21 +208,19 @@ def _selftest_checks(seed: int, full: bool):
     a2 = builtin_lattice("A2", 2)
     d4 = builtin_lattice("Dn", 4)
 
+    def check(name, statistic, threshold, verdict, n_samples=0):
+        # a closed-form comparison, reported like the statistical tests
+        return name, mc.TestResult(test=name, statistic=statistic, threshold=threshold,
+                                   verdict=verdict, n_samples=n_samples, seed=seed)
+
     # closed-form table reproduction
     expected = {1: 1.52632, 8: 14.71250, 24: 46.71338}
     for n, want in expected.items():
         got = bd.gaussian_layered_entropy(n)
-        yield (f"layered-entropy[n={n}]",
-               mc.TestResult(test=f"layered-entropy[n={n}]", statistic=got,
-                             threshold=1e-4, p_value=None,
-                             verdict=abs(got - want) < 1e-4, n_samples=0, seed=seed))
+        yield check(f"layered-entropy[n={n}]", got, 1e-4, abs(got - want) < 1e-4)
 
-    ordering = bd.rsuq_red_per_dim(48) < bd.ordentlich_ub(48)
-    yield ("redundancy-ordering[n=48]",
-           mc.TestResult(test="redundancy-ordering[n=48]",
-                         statistic=bd.rsuq_red_per_dim(48),
-                         threshold=bd.ordentlich_ub(48), p_value=None,
-                         verdict=ordering, n_samples=0, seed=seed))
+    red, ub = bd.rsuq_red_per_dim(48), bd.ordentlich_ub(48)
+    yield check("redundancy-ordering[n=48]", red, ub, red < ub)
 
     # ball-error law, MSE, stopping index
     cfg = RsuqConfig(z2, r=0.5, seed=derive_seed(seed, 1))
@@ -233,16 +229,11 @@ def _selftest_checks(seed: int, full: bool):
     yield ("uniform-ball", mc.test_uniform_ball(Z, 0.5, 2, seed=seed))
     yield ("independence", mc.test_independence(X, Z, seed=seed))
     mse = float(np.einsum("ij,ij->i", Z, Z).mean())
-    yield ("mse[Z2]", mc.TestResult(test="mse[Z2]", statistic=mse, threshold=0.125,
-                                    p_value=None, verdict=abs(mse - 0.125) < 0.00125,
-                                    n_samples=n_small, seed=seed))
+    yield check("mse[Z2]", mse, 0.125, abs(mse - 0.125) < 0.00125, n_small)
     mean_k, kres = mc.k_statistics(cfg, plan)
     yield ("stopping-index[Z2]", kres)
     want = 4.0 / math.pi
-    yield ("mean-k[Z2]", mc.TestResult(test="mean-k[Z2]", statistic=mean_k,
-                                       threshold=want, p_value=None,
-                                       verdict=abs(mean_k - want) / want < 0.02,
-                                       n_samples=n_small, seed=seed))
+    yield check("mean-k[Z2]", mean_k, want, abs(mean_k - want) / want < 0.02, n_small)
 
     # rate bound across lattices
     lats = [z2, a2, d4] if full else [z2]
@@ -259,10 +250,8 @@ def _selftest_checks(seed: int, full: bool):
         mean_k8, kres8 = mc.k_statistics(cfg8, plan8)
         yield ("stopping-index[E8]", kres8)
         want8 = 384.0 / math.pi ** 4
-        yield ("mean-k[E8]", mc.TestResult(test="mean-k[E8]", statistic=mean_k8,
-                                           threshold=want8, p_value=None,
-                                           verdict=abs(mean_k8 - want8) / want8 < 0.02,
-                                           n_samples=n_small, seed=seed))
+        yield check("mean-k[E8]", mean_k8, want8, abs(mean_k8 - want8) / want8 < 0.02,
+                    n_small)
 
     # Gaussian channel simulation
     g = GaussianNoise(2, z2)
@@ -276,10 +265,7 @@ def _selftest_checks(seed: int, full: bool):
     k = np.floor(np.log1p(-u) / math.log(0.5)).astype(np.int64) + 1
     mean_len = float(code.length(k).mean())
     hk = bd.geometric_entropy(0.5)
-    yield ("golomb-rate[p=0.5]",
-           mc.TestResult(test="golomb-rate[p=0.5]", statistic=mean_len,
-                         threshold=hk + 1.0, p_value=None,
-                         verdict=mean_len <= hk + 1.0, n_samples=n_small, seed=seed))
+    yield check("golomb-rate[p=0.5]", mean_len, hk + 1.0, mean_len <= hk + 1.0, n_small)
 
 
 def cmd_selftest(args) -> int:

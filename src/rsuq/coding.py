@@ -310,6 +310,8 @@ def decode_stream(data: bytes, lat: Lattice | None = None):
 def write_vectors(X) -> bytes:
     """Serialize an (N, n) float array as a VQF1 byte string."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.ndim != 2:
+        raise ValueError(f"VQF1 holds (N, n) rows, got shape {X.shape}")
     count, dim = X.shape
     head = VQF_MAGIC + struct.pack("<I", dim) + struct.pack("<Q", count)
     body = X.astype("<f8").tobytes(order="C")

@@ -185,9 +185,7 @@ class Lattice:
 
     def nearest_rows(self, X):
         """Nearest-point integer coordinates for each row of X."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.n:
-            raise ValueError(f"expected dimension {self.n}, got {X.shape[1]}")
+        X = as_rows(X, self.n)
         check_rows(X)
         if self.native:
             return self.point_coords(self.nearest_points(X))
@@ -279,20 +277,28 @@ class _ScanTable(NamedTuple):
 
     @classmethod
     def build(cls, lat, full):
-        # Unless `full`, keep |G o| <= R + rho plus the float error of GO.  rho
+        # `full` is the whole box, the fallback.  Else keep |G o| <= R + rho plus
+        # the float error of GO, from the box |o_i| <= |row_i(G^-1)| |G o| that
+        # holds them, widened by 2^-20 for the float error of its extents.  rho
         # is max |G d| over the vertices d ~ -d of [-1/2, 1/2]^n (at most 2^12:
         # the box cap keeps n <= 13), widened by 2^-20 for the guard in _scan.
         G, n = lat.G, lat.n
         absG = np.abs(G)
-        O = _box(lat._invG, _covering_radius_bound(lat, babai=False), 0.5,
-                 "supply covering_radius in the lattice config or use a built-in family")
-        GO = O @ G.T
-        GO2 = np.einsum("ij,ij->i", GO, GO)
-        reach = float((absG @ np.abs(O).max(axis=0)).max())
-        D = ((np.arange(2 ** (n - 1))[:, None] >> np.arange(n)) & 1) - 0.5
-        rho = math.inf if full else float(np.sqrt(_sqnorm_rows(D @ G.T).max())) * (1.0 + 2.0 ** -20)
-        limit = _covering_radius_bound(lat) + rho
-        keep = np.sqrt(GO2) <= limit + 4.0 * n * (n + 2) * 2.0 ** -53 * (reach + limit)
+        hint = "supply covering_radius in the lattice config or use a built-in family"
+        # Huge entries overflow here; _box refuses the unbounded box by name.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if full:
+                rho = limit = math.inf
+                O = _box(lat._invG, _covering_radius_bound(lat, babai=False), 0.5, hint)
+            else:
+                D = ((np.arange(2 ** (n - 1))[:, None] >> np.arange(n)) & 1) - 0.5
+                rho = float(np.sqrt(_sqnorm_rows(D @ G.T).max())) * (1.0 + 2.0 ** -20)
+                limit = _covering_radius_bound(lat) + rho
+                O = _box(lat._invG, limit * (1.0 + 2.0 ** -20), 0.0, hint)
+            GO = O @ G.T
+            GO2 = np.einsum("ij,ij->i", GO, GO)
+            reach = float((absG @ np.abs(O).max(axis=0)).max())
+            keep = np.sqrt(GO2) <= limit + 4.0 * n * (n + 2) * 2.0 ** -53 * (reach + limit)
         table = cls(O[keep], -2.0 * GO[keep].T, GO2[keep], absG.T, reach, rho)
         _freeze(table.O, table.GOm2, table.GO2, table.absGT)
         return table
@@ -352,6 +358,16 @@ def _row_max(A):
     for k in range(1, A.shape[1]):
         np.maximum(out, A[:, k], out=out)
     return out
+
+
+def as_rows(X, n, single=False):
+    """X as float64 rows of shape (N, n); a vector of shape (n,) is one row.  With
+    `single`, only shape (n,) is taken.  Else ValueError naming both shapes."""
+    X = np.asarray(X, dtype=np.float64)
+    rows = np.atleast_2d(X)
+    if (X.shape if single else rows.shape[1:]) != (n,):
+        raise ValueError(f"expected shape {f'({n},)' if single else f'(N, {n})'}, got {X.shape}")
+    return rows
 
 
 def check_rows(X, limit=math.inf, why="is not finite"):
@@ -439,10 +455,7 @@ _POINT_DECODERS = {"Zn": _nearest_zn_points, "Dn": _nearest_dn_points, "E8": _ne
 
 def nearest_point(lat: Lattice, x) -> LatticePoint:
     """Exact nearest lattice point of x, ties to lexicographically least j."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (lat.n,):
-        raise ValueError(f"expected vector of dimension {lat.n}, got shape {x.shape}")
-    j = lat.nearest_rows(x[None, :])[0]
+    j = lat.nearest_rows(as_rows(x, lat.n, single=True))[0]
     return LatticePoint(coords=j, embedding=lat.embed_rows(j[None, :])[0])
 
 

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .dither import stream_uniforms
-from .lattices import Lattice, LatticePoint, log2_ball_volume
+from .lattices import Lattice, LatticePoint, as_rows
 from .quantizer import (Description, _decode_rows, _reject_rows, _within_radius,
                         batch_seeds)
 
@@ -38,11 +38,9 @@ class NoiseModel:
     in_level_set(Z, t) returning one boolean per row of error vectors Z
     (row i against level t[i]), and the cell scale beta(t) with
     superlevel(t) contained in beta(t) * Voronoi; all three work over
-    rows.  level_log_volume(t) (log2 of the level-set volume) is optional
-    and only used by diagnostics.  Models whose level sets are centered
-    balls may set level_ball = True and provide level_radius(t); the
-    encoder then runs the ball test in x / beta coordinates in place of
-    in_level_set.
+    rows.  Models whose level sets are centered balls may set
+    level_ball = True and provide level_radius(t); the encoder then runs
+    the ball test in x / beta coordinates in place of in_level_set.
     """
 
     n: int
@@ -59,9 +57,6 @@ class NoiseModel:
         raise NotImplementedError
 
     def level_radius(self, t) -> float:
-        raise NotImplementedError
-
-    def level_log_volume(self, t) -> float:
         raise NotImplementedError
 
 
@@ -106,19 +101,6 @@ class GaussianNoise(NoiseModel):
     def level_radius(self, t):
         return np.sqrt(self._v_of_t(t))
 
-    def level_log_volume(self, t):
-        return (self.n / 2.0) * np.log2(self._v_of_t(t)) + log2_ball_volume(self.n)
-
-
-def acceptance_probability_given_level(noise: NoiseModel, lat: Lattice, t) -> float:
-    """Per-dither acceptance probability conditioned on the drawn level."""
-    log2_cell = noise.n * math.log2(float(noise.beta(t))) + math.log2(lat.det)
-    if noise.level_ball:
-        log2_set = noise.n * math.log2(float(noise.level_radius(t))) + log2_ball_volume(noise.n)
-    else:
-        log2_set = float(noise.level_log_volume(t))
-    return 2.0 ** (log2_set - log2_cell)
-
 
 def _levels_and_betas(noise, seeds):
     """Level draws (from the reserved word prefix) and cell scales per row seed."""
@@ -133,10 +115,8 @@ def _levels_and_betas(noise, seeds):
 
 def lrsuq_encode(noise: NoiseModel, lat: Lattice, seed: int, x) -> Description:
     """Layered encode of one vector; returns the stopping index and point."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (lat.n,):
-        raise ValueError(f"expected vector of dimension {lat.n}, got shape {x.shape}")
-    K, J, _, _ = _lrsuq_encode_rows(noise, lat, np.asarray([seed], dtype=np.uint64), x[None, :])
+    X = as_rows(x, lat.n, single=True)
+    K, J, _, _ = _lrsuq_encode_rows(noise, lat, np.asarray([seed], dtype=np.uint64), X)
     return Description(K=int(K[0]),
                        M=LatticePoint(coords=J[0], embedding=lat.embed_rows(J)[0]))
 
@@ -185,9 +165,7 @@ def lrsuq_encode_batch(noise: NoiseModel, lat: Lattice, seed: int, X):
     Y are the encoder-side reconstructions; levels are the drawn density
     levels (useful for conditional diagnostics).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != lat.n:
-        raise ValueError(f"expected dimension {lat.n}, got {X.shape[1]}")
+    X = as_rows(X, lat.n)
     return _lrsuq_encode_rows(noise, lat, batch_seeds(seed, X.shape[0]), X)
 
 

@@ -58,10 +58,10 @@ class TestResult:
     test: str
     statistic: float
     threshold: float
-    p_value: float | None
     verdict: bool
     n_samples: int
     seed: int = 0
+    p_value: float | None = None
     subresults: list = field(default_factory=list)
 
     def csv_row(self) -> str:
@@ -262,8 +262,7 @@ def test_uniform_ball(errors, r: float, n: int, alpha: float = 0.01,
     band = 3.0 * sigma / math.sqrt(Z.shape[0])
     dev = float(np.abs(Z.mean(axis=0)).max())
     mean_ok = TestResult(test="uniform-ball[mean]", statistic=dev, threshold=band,
-                         p_value=None, verdict=dev <= band,
-                         n_samples=Z.shape[0], seed=seed)
+                         verdict=dev <= band, n_samples=Z.shape[0], seed=seed)
     return _all_of("uniform-ball", [ks, mean_ok], p_value=ks.p_value)
 
 
@@ -281,7 +280,7 @@ def test_gaussian(errors, n: int, alpha: float = 0.01, seed: int = 0) -> TestRes
     dev = float(np.abs(cov - np.eye(n)).max())
     cov_tol = max(0.02, 6.0 * math.sqrt(2.0 / N))
     subs.append(TestResult(test="gaussian[cov]", statistic=dev, threshold=cov_tol,
-                           p_value=None, verdict=dev <= cov_tol, n_samples=N, seed=seed))
+                           verdict=dev <= cov_tol, n_samples=N, seed=seed))
     norm2 = np.einsum("ij,ij->i", Z, Z)
     subs.append(ks_test(gammainc(n / 2.0, norm2 / 2.0), "gaussian[norm2-ks]",
                         alpha, seed))
@@ -310,8 +309,8 @@ def test_independence(xs, errors, alpha: float = 0.01, seed: int = 0) -> TestRes
         corr = np.where(live, (xc.T @ zc) / np.outer(sx, sz), 0.0)
     max_corr = float(np.abs(corr).max()) if corr.size else 0.0
     subs = [TestResult(test="independence[corr]", statistic=max_corr,
-                       threshold=corr_bound, p_value=None,
-                       verdict=max_corr <= corr_bound, n_samples=N, seed=seed)]
+                       threshold=corr_bound, verdict=max_corr <= corr_bound,
+                       n_samples=N, seed=seed)]
     split = X[:, 0] > np.median(X[:, 0])
     norms = np.sqrt(np.einsum("ij,ij->i", Z, Z))
     if split.sum() >= _MIN_SAMPLES and (~split).sum() >= _MIN_SAMPLES:
@@ -351,6 +350,6 @@ def rsuq_rate_check(cfg: RsuqConfig, plan: TrialPlan, slack: float = 0.1) -> Tes
     lhs = est.h_k + est.h_m - (n * math.log2(plan.tau) + log2_ball_volume(n))
     rhs = -(n * math.log2(cfg.r) + log2_ball_volume(n)) + LOG2E + slack
     return TestResult(test=f"rate-bound[{cfg.lat.name}]", statistic=lhs,
-                      threshold=rhs, p_value=None, verdict=lhs <= rhs,
+                      threshold=rhs, verdict=lhs <= rhs,
                       n_samples=est.n_samples, seed=plan.seed_base)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dither import derive_seeds, fold_rows, gathered_uniforms, stream_uniforms
-from .lattices import Lattice, LatticePoint, check_rows, packing_density
+from .lattices import Lattice, LatticePoint, as_rows, check_rows, packing_density
 
 
 class RejectionCapError(RuntimeError):
@@ -159,10 +159,8 @@ def _encode_rows(cfg: RsuqConfig, seeds, X):
 
 def rsuq_encode(cfg: RsuqConfig, x) -> Description:
     """Encode one vector with a fresh dither stream from cfg.seed."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (cfg.lat.n,):
-        raise ValueError(f"expected vector of dimension {cfg.lat.n}, got shape {x.shape}")
-    K, J, _ = _encode_rows(cfg, np.asarray([cfg.seed], dtype=np.uint64), x[None, :])
+    X = as_rows(x, cfg.lat.n, single=True)
+    K, J, _ = _encode_rows(cfg, np.asarray([cfg.seed], dtype=np.uint64), X)
     return Description(K=int(K[0]),
                        M=LatticePoint(coords=J[0], embedding=cfg.lat.embed_rows(J)[0]))
 
@@ -175,12 +173,6 @@ def rsuq_decode(cfg: RsuqConfig, d: Description):
     """
     seeds = np.asarray([cfg.seed], dtype=np.uint64)
     return _decode_rows(cfg.lat, cfg.gamma, seeds, [d.K], np.atleast_2d(d.M.coords))[0]
-
-
-def error_sample(cfg: RsuqConfig, x):
-    """decode(encode(x)) - x; distributed uniformly over the r-ball."""
-    x = np.asarray(x, dtype=np.float64)
-    return rsuq_decode(cfg, rsuq_encode(cfg, x)) - x
 
 
 # -- batched drivers ---------------------------------------------------------
@@ -197,9 +189,7 @@ def encode_batch(cfg: RsuqConfig, X):
     K are stopping indices, J integer coordinates of the lattice points,
     Y the reconstructions accepted by the encoder.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != cfg.lat.n:
-        raise ValueError(f"expected dimension {cfg.lat.n}, got {X.shape[1]}")
+    X = as_rows(X, cfg.lat.n)
     return _encode_rows(cfg, batch_seeds(cfg.seed, X.shape[0]), X)
 
 

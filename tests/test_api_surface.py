@@ -2,7 +2,9 @@
 
 Every function or class in src/rsuq must be referenced inside the package
 (as a name, an attribute or an import) or exported through rsuq.__all__;
-a helper kept only for a test belongs in that test.  A method counts as
+a helper kept only for a test belongs in that test.  An export that no
+other module of the package uses must be named in README.md, so a test
+helper cannot stay public by being exported.  A method counts as
 used only through an attribute reference, so a local variable of the same
 name does not keep it, and fields read off the argparse namespace (`args.x`)
 count for nothing.
@@ -10,6 +12,7 @@ count for nothing.
 
 import ast
 import pathlib
+import re
 
 import rsuq
 
@@ -50,6 +53,16 @@ def test_every_definition_is_used_or_exported():
             and not (node.name.startswith("__") and node.name.endswith("__"))
             and node.name not in (attrs if id(node) in owner else used))
     assert not unused, "defined in src/rsuq but never used or exported: " + ", ".join(unused)
+
+
+def test_every_export_is_used_or_documented():
+    trees = _trees()
+    del trees["__init__.py"]  # its imports and __all__ are the exports themselves
+    names, attrs = _references(trees)
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    orphans = [name for name in rsuq.__all__
+               if name not in names | attrs and not re.search(rf"\b{name}\b", readme)]
+    assert not orphans, "exported, unused in src/rsuq and not in README.md: " + ", ".join(orphans)
 
 
 def test_every_export_resolves():

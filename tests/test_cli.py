@@ -543,8 +543,7 @@ def test_selftest_failure_exit_code(monkeypatch):
 
     def failing(seed, full):
         yield ("forced", TestResult(test="forced", statistic=1.0, threshold=0.0,
-                                    p_value=None, verdict=False, n_samples=1,
-                                    seed=seed))
+                                    verdict=False, n_samples=1, seed=seed))
 
     monkeypatch.setattr(cli, "_selftest_checks", failing)
     code, out, _ = run_cli("selftest", "--quick", "--seed", "1")

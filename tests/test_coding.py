@@ -3,6 +3,7 @@
 import contextlib
 import itertools
 import math
+import re
 import struct
 from unittest import mock
 
@@ -233,6 +234,11 @@ def test_vqf_round_trip_and_errors():
         read_vectors(data[:-1])
     with pytest.raises(FormatError):
         read_vectors(b"WHAT" + data[4:])
+
+
+def test_write_vectors_refuses_a_third_axis():
+    with pytest.raises(ValueError, match=re.escape("VQF1 holds (N, n) rows, got shape (2, 2, 2)")):
+        write_vectors(np.zeros((2, 2, 2)))
 
 
 def _ball_header(lat, **fields):

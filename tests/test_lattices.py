@@ -219,6 +219,18 @@ def test_nearest_dimension_mismatch():
         nearest_point(z2, [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("lat", [builtin_lattice("Zn", 2), lattice_from_config("3\n1 1 0\n1 0 1\n0 1 1\n")],
+                         ids=["Z2", "fcc"])
+def test_row_inputs_are_checked_by_shape(lat):
+    # (N, n) rows or one (n,) vector; a third axis is refused, not decoded
+    n = lat.n
+    with pytest.raises(ValueError, match=re.escape(f"expected shape (N, {n}), got (2, 2, 2)")):
+        lat.nearest_rows(np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match=re.escape(f"expected shape ({n},), got (1, {n})")):
+        nearest_point(lat, np.zeros((1, n)))
+    assert np.array_equal(lat.nearest_rows(np.zeros(n)), np.zeros((1, n), dtype=np.int64))
+
+
 @pytest.mark.parametrize("family,n,count", [
     ("Zn", 1, 10000), ("Zn", 2, 10000), ("Zn", 4, 10000), ("Zn", 8, 10000),
 ])
@@ -579,6 +591,46 @@ def test_certified_table_sizes():
 
 
 FCC_CONFIG = "3\n1 1 0\n1 0 1\n0 1 1\n"
+PINNED_4D = [[1.0, 0.1, -0.3, 0.2], [0.4, 1.2, 0.05, -0.5], [-0.2, 0.3, 0.8, 0.6],
+             [0.15, -0.25, 0.45, 1.1]]
+
+
+def _random_basis(seed):
+    # a well-conditioned 2-4 dimensional real basis without covering_radius
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    while True:
+        G = rng.uniform(-2, 2, size=(n, n))
+        if abs(np.linalg.det(G)) > 0.5 and np.linalg.cond(G) < 6:
+            return G
+
+
+@pytest.mark.parametrize("G", [PINNED_4D] + [_random_basis(seed) for seed in range(8)],
+                         ids=["pinned"] + [f"random{seed}" for seed in range(8)])
+def test_certified_table_has_its_own_box(G):
+    # The certified table is cut from the box |o_i| <= |row_i(G^-1)| (R + rho),
+    # not from the whole box, and still holds every whole-box offset with
+    # |G o| <= R + rho, where _scan's certificate looks for the winner.
+    lat = Lattice("user", G)
+    built = []
+    box = lattices._box
+
+    def record(*args):
+        built.append(box(*args))
+        return built[-1]
+
+    with mock.patch.object(lattices, "_box", record):
+        table = lat._offset_table()
+    assert len(built) == 1
+    whole = lat._offset_table(full=True).O
+    limit = lattices._covering_radius_bound(lat) + table.rho
+    radius = np.linalg.norm(lat._invG, axis=1) * limit * (1.0 + 2.0 ** -20)
+    assert np.array_equal(np.abs(built[0]).max(axis=0), np.ceil(radius))
+    assert table.reach == float((np.abs(lat.G) @ np.ceil(radius)).max())
+    inside = whole[np.linalg.norm(whole @ lat.G.T, axis=1) <= limit]
+    assert {tuple(o) for o in inside} <= {tuple(o) for o in table.O}
+    if G is PINNED_4D:
+        assert len(built[0]) < len(whole) == 528_471
 
 
 def test_scan_memory_is_bounded_per_block():

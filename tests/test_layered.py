@@ -7,9 +7,8 @@ import pytest
 from scipy.special import gammainc
 
 from rsuq.dither import derive_seed
-from rsuq.lattices import builtin_lattice
-from rsuq.layered import (GaussianNoise, NoiseModel,
-                          acceptance_probability_given_level, lrsuq_decode,
+from rsuq.lattices import builtin_lattice, log2_ball_volume
+from rsuq.layered import (GaussianNoise, NoiseModel, lrsuq_decode,
                           lrsuq_decode_batch, lrsuq_encode, lrsuq_encode_batch)
 
 Z2 = builtin_lattice("Zn", 2)
@@ -17,6 +16,13 @@ Z2 = builtin_lattice("Zn", 2)
 
 def gaussian_v(noise, t):
     return noise._v_of_t(np.asarray(t))
+
+
+def acceptance_given_level(noise, lat, t, log2_set):
+    # per-dither acceptance probability at level t: the level set's volume
+    # over the cell's, beta(t)^n det G
+    log2_cell = noise.n * math.log2(float(noise.beta(t))) + math.log2(lat.det)
+    return 2.0 ** (log2_set - log2_cell)
 
 
 def test_noise_dimension_check():
@@ -32,8 +38,9 @@ def test_level_parameterization():
     # rows |z|^2 = 2 <= 4 and |z|^2 = 5 > 4
     inside = g.in_level_set(np.array([[1.0, 1.0], [2.0, 1.0]]), np.array([t, t]))
     assert inside.tolist() == [True, False]
-    # level-set volume: log2(pi * v)
-    assert float(g.level_log_volume(t)) == pytest.approx(math.log2(4 * math.pi), rel=1e-12)
+    # level-set volume: log2(pi * v), the ball of radius sqrt(v)
+    log2_volume = (g.n / 2.0) * np.log2(gaussian_v(g, t)) + log2_ball_volume(g.n)
+    assert float(log2_volume) == pytest.approx(math.log2(4 * math.pi), rel=1e-12)
 
 
 def test_level_draw_is_chi_square():
@@ -57,7 +64,8 @@ def test_acceptance_probability_constant(family, n, expect):
     g = GaussianNoise(n, lat)
     for v in (0.5, 2.0, 11.0):
         t = g._t_of_v(np.array([v]))[0]
-        assert acceptance_probability_given_level(g, lat, t) == pytest.approx(expect, rel=1e-9)
+        log2_ball = n * math.log2(float(g.level_radius(t))) + log2_ball_volume(n)
+        assert acceptance_given_level(g, lat, t, log2_ball) == pytest.approx(expect, rel=1e-9)
 
 
 def test_mean_stopping_index():
@@ -153,9 +161,6 @@ class TriangleNoise(NoiseModel):
     def beta(self, t):
         return (1.0 - t) / self.lat.packing_radius
 
-    def level_log_volume(self, t):
-        return math.log2(2.0 * (1.0 - t))
-
 
 def test_custom_noise_model_generic_path():
     z1 = builtin_lattice("Zn", 1)
@@ -170,4 +175,5 @@ def test_custom_noise_model_generic_path():
     assert np.array_equal(lrsuq_decode_batch(tri, z1, 808, K, J), Y)
     t0 = float(np.atleast_1d(levels)[0])
     # p(t) = mu(L_t) / (beta(t) * det) = 2(1-t) / (2(1-t)) = 1... scaled cell
-    assert acceptance_probability_given_level(tri, z1, t0) == pytest.approx(1.0, rel=1e-9)
+    log2_level = math.log2(2.0 * (1.0 - t0))
+    assert acceptance_given_level(tri, z1, t0, log2_level) == pytest.approx(1.0, rel=1e-9)

@@ -16,7 +16,7 @@ from rsuq.layered import (GaussianNoise, lrsuq_decode, lrsuq_decode_batch, lrsuq
                           lrsuq_encode_batch)
 from rsuq.quantizer import (Description, RejectionCapError, RsuqConfig,
                             decode_batch, default_max_iters, encode_batch,
-                            error_sample, rsuq_decode, rsuq_encode)
+                            rsuq_decode, rsuq_encode)
 
 Z2 = builtin_lattice("Zn", 2)
 FCC_CONFIG = "3\n1 1 0\n1 0 1\n0 1 1\npacking_radius=0.7071067811865476\n"
@@ -173,8 +173,30 @@ def test_error_sample_and_mse():
     # second moment of the uniform ball: n r^2 / (n + 2)
     assert np.einsum("ij,ij->i", Z, Z).mean() == pytest.approx(0.125, rel=0.01)
     assert np.abs(Z.mean(axis=0)).max() < 3 * (0.25 / math.sqrt(plan_size))
-    z1 = error_sample(cfg, X[0])
+    # the single-vector law: decode(encode(x)) - x lies in the r-ball
+    z1 = rsuq_decode(cfg, rsuq_encode(cfg, X[0])) - X[0]
     assert np.linalg.norm(z1) <= 0.5
+
+
+def test_row_inputs_are_checked_in_one_place():
+    # batch encoders take (N, n) rows and refuse a third axis by shape;
+    # single-vector encoders take only (n,)
+    cfg = RsuqConfig(Z2, r=0.5, seed=1)
+    g = GaussianNoise(2, Z2)
+    cube = np.zeros((2, 2, 2))
+    with pytest.raises(ValueError, match=re.escape("expected shape (N, 2), got (2, 2, 2)")):
+        encode_batch(cfg, cube)
+    with pytest.raises(ValueError, match=re.escape("expected shape (N, 2), got (2, 2, 2)")):
+        lrsuq_encode_batch(g, Z2, 1, cube)
+    with pytest.raises(ValueError, match=re.escape("expected shape (N, 2), got (3,)")):
+        encode_batch(cfg, np.zeros(3))
+    row = np.zeros((1, 2))
+    with pytest.raises(ValueError, match=re.escape("expected shape (2,), got (1, 2)")):
+        rsuq_encode(cfg, row)
+    with pytest.raises(ValueError, match=re.escape("expected shape (2,), got (1, 2)")):
+        lrsuq_encode(g, Z2, 1, row)
+    # a vector of shape (n,) is still a batch of one row
+    assert np.array_equal(encode_batch(cfg, row[0])[1], encode_batch(cfg, row)[1])
 
 
 def test_radial_law_uniform_ball():
