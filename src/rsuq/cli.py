@@ -19,7 +19,7 @@ from . import mc
 from .coding import (MODE_BALL, FormatError, GolombCode, StreamHeader,
                      coord_width_for_bound, decode_stream, encode_stream,
                      golomb_for_lattice, lattice_for_header, mean_code_length,
-                     read_header, read_vectors, write_header, write_vectors)
+                     read_vectors, write_header, write_vectors)
 from .dither import derive_seed, stream_uniforms
 from .lattices import _BUILTIN_FAMILIES, builtin_lattice, load_lattice, packing_density
 from .layered import GaussianNoise, lrsuq_decode_batch, lrsuq_encode_batch
@@ -89,9 +89,9 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     data = _read_file(args.input)
-    header, _ = read_header(data)
-    lat = lattice_for_header(header, load_lattice(args.lattice) if args.lattice else None)
-    _, K, J = decode_stream(data, lat=lat)
+    user = load_lattice(args.lattice) if args.lattice else None
+    header, K, J = decode_stream(data, lat=user)
+    lat = lattice_for_header(header, user)
     if len(K) == 0:
         Y = np.zeros((0, header.n))
     elif header.mode == MODE_BALL:

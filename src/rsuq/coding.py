@@ -197,14 +197,15 @@ def lattice_for_header(header: StreamHeader, lat: Lattice | None = None) -> Latt
 def _msb_bits(values, width: int) -> np.ndarray:
     """MSB-first bits of non-negative integers below 2**width, in a new last axis."""
     nbytes = (width + 7) // 8
-    be = np.asarray(values, dtype=">u8").view(np.uint8).reshape(*np.shape(values), 8)
-    return np.unpackbits(be[..., 8 - nbytes:], axis=-1)[..., 8 * nbytes - width:]
+    be = np.asarray(values, dtype=">u8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes:]
+    bits = np.unpackbits(be.ravel()).reshape(*np.shape(values), 8 * nbytes)
+    return bits[..., 8 * nbytes - width:]
 
 
 def _fields_at(words: np.ndarray, pos, width: int) -> np.ndarray:
     """MSB-first `width`-bit fields (width <= 57) at bit positions `pos`.
 
-    words[i] holds payload bytes i..i+7 as one big-endian integer.
+    words[i] holds buffer bytes i..i+7 as one big-endian integer.
     """
     top = np.take(words, pos >> 3)
     np.left_shift(top, (pos & 7).astype(np.uint8), out=top)
@@ -241,8 +242,20 @@ def encode_stream(header: StreamHeader, K, J, lat: Lattice | None = None) -> byt
     return write_header(header) + np.packbits(bits).tobytes()
 
 
+# Payload bits in one decoding window, a multiple of 8.  Its chain tables take
+# 15-25 bytes per bit, so this bounds the decoder's memory beyond K and J.
+_WINDOW_BITS = 1 << 20
+# The chain walk visits every 2^_STRIDE_LOG2-th record in Python and fills in
+# the records between them with gathers.
+_STRIDE_LOG2 = 4
+
+
 def decode_stream(data: bytes, lat: Lattice | None = None):
-    """Parse a stream; returns (header, K array, coords array)."""
+    """Parse a stream; returns (header, K array, coords array).
+
+    The payload is read in windows of _WINDOW_BITS bits, so the working
+    memory beyond K and J does not grow with the stream.
+    """
     header, pos = read_header(data)
     lat = lattice_for_header(header, lat)
     code = golomb_for_lattice(lat)
@@ -255,51 +268,87 @@ def decode_stream(data: bytes, lat: Lattice | None = None):
         raise FormatError(f"header claims {count} vectors but the payload "
                           f"holds only {nbits} bits")
     m, b, thr = code.m, code._b, code._threshold
-    dt = np.int32 if nbits < 2 ** 29 else np.int64  # fits a position plus a record length
-    # Bytes past the payload read as zero; a record that needs them is truncated.
-    buf = np.zeros(nbits // 8 + 16, dtype=np.uint8)
-    buf[:nbits // 8] = np.frombuffer(data, dtype=np.uint8, offset=pos)
-    words = np.ndarray((nbits // 8 + 9,), dtype=">u8", buffer=buf, strides=(1,)).astype(np.uint64)
-    # Records are chained through the zero bits that end their unary runs:
-    # after a run ending at zeros[i], the next record starts at nxt[i] and its
-    # run ends at zeros[jump[i]].  Index len(zeros) is a run that never ends.
-    is_zero = np.unpackbits(buf[:nbits // 8]) == 0
-    zeros = np.flatnonzero(is_zero).astype(dt)
-    rank = np.empty(nbits + 2, dtype=dt)  # rank[p]: zero bits before p
-    rank[0], rank[-1] = 0, len(zeros)
-    np.cumsum(is_zero, out=rank[1:-1])
-    del is_zero
-    nxt = np.empty(len(zeros) + 1, dtype=dt)
-    # (n * width exceeds nbits only in a stream of count 0.)
-    nxt[:-1] = zeros + (b + 1 + min(n * width, nbits))
-    for lo in range(0, len(zeros) if b > 1 else 0, 1 << 20):  # in slices, to bound temporaries
-        z = zeros[lo:lo + (1 << 20)]
-        nxt[lo:lo + len(z)] -= _fields_at(words, z + 1, b - 1) < thr
-    nxt[-1] = nbits + 1
-    jump = np.take(rank, nxt, mode="clip")  # past the payload: no run
-    del nxt, rank
-    # Pointer doubling: t[i] is the run of record i.  After level j, t covers
-    # records 0..2^j-1 and jump maps a run to the run 2^j records later.
-    t = np.zeros(min(count, 1), dtype=dt)
-    while len(t) < count:
-        t = np.concatenate([t, np.take(jump, t)])[:count]
-        if len(t) < count:
-            jump = np.take(jump, jump)
-    del jump
-    if count and t[-1] == len(zeros):
+    payload = np.frombuffer(data, dtype=np.uint8, offset=pos)
+    K = np.empty(count, dtype=np.int64)
+    J = np.empty((count, n), dtype=np.int64)
+    # Each window tables the bits [lo, hi) and opens where the next record
+    # starts (lo = start).  If no unary run ends inside it, the window grows
+    # by the next _WINDOW_BITS bits (lo = hi) and the record still starts
+    # at `start`.
+    done = start = lo = 0
+    bad_coord = False
+    while done < count:
+        if lo >= nbits:
+            raise FormatError("truncated bitstream")
+        base = lo & ~7
+        hi = min(base + _WINDOW_BITS, nbits)
+        # The window's bytes, then room for the tail of a record whose run
+        # ends inside it and for the 8-byte words; past the payload, zeros.
+        buf = np.zeros((hi - base + b + n * width) // 8 + 10, dtype=np.uint8)
+        part = payload[base // 8:base // 8 + len(buf)]
+        buf[:len(part)] = part
+        words = np.ndarray((len(buf) - 7,), dtype=">u8", buffer=buf,
+                           strides=(1,)).astype(np.uint64)
+        # Records are chained through the zero bits that end their unary
+        # runs: after a run ending at zeros[i], the next record starts at
+        # nxt[i] and its run ends at zeros[jump[i]].  Index S is a run that
+        # does not end inside the window.  Bit positions count from base.
+        is_zero = np.unpackbits(~buf[:(hi - base) // 8]).view(bool)
+        is_zero[:lo - base] = False  # the previous record's last bits
+        zeros = np.flatnonzero(is_zero).astype(np.int32)
+        S = len(zeros)
+        if S == 0:
+            lo = hi
+            continue
+        rank = np.empty(len(is_zero) + 1, dtype=np.int32)  # rank[p]: zero bits before p
+        rank[0] = 0
+        np.cumsum(is_zero, out=rank[1:])
+        del is_zero
+        nxt = zeros + np.int64(b + 1 + n * width)  # a record's tail may pass 2^31 bits
+        if b > 1:
+            nxt -= _fields_at(words, zeros + 1, b - 1) < thr
+        jump = np.empty(S + 1, dtype=np.int32)
+        np.take(rank, nxt, out=jump[:-1], mode="clip")  # past the window: no run
+        jump[-1] = S
+        del nxt, rank
+        # The window's first run is zeros[0].  Walk the chain in Python in
+        # strides of 2^d records, with jump applied 2^d times (each squaring
+        # frees the last), then fill in each stride by gathers from jump.
+        hop = jump
+        for _ in range(_STRIDE_LOG2):
+            hop = np.take(hop, hop)
+        a, anchors = 0, [0]
+        for _ in range(-(-(count - done) >> _STRIDE_LOG2) - 1):
+            if (a := hop.item(a)) == S:
+                break
+            anchors.append(a)
+        del hop
+        chain = np.empty((1 << _STRIDE_LOG2, len(anchors)), dtype=np.int32)
+        chain[0] = anchors
+        for row in range(1, len(chain)):
+            np.take(jump, chain[row - 1], out=chain[row])
+        del jump
+        t = chain.T.ravel()
+        t = t[:min(count - done, np.searchsorted(t, S))]
+        z = zeros[t].astype(np.int64)  # each record's zero bit, from base
+        del zeros, chain, t
+        rem = _fields_at(words, z + 1, b)  # a short remainder is its first b-1 bits
+        short = (rem >> 1) < thr
+        ends = z + 1 + b - short + n * width
+        got = slice(done, done + len(z))
+        np.subtract(z, np.concatenate([[start - base], ends[:-1]]), out=K[got])
+        K[got] *= m
+        K[got] += np.where(short, rem >> 1, rem - thr) + 1
+        np.subtract(_fields_at(words, (ends - n * width)[:, None] + width * np.arange(n),
+                               width), B, out=J[got])
+        bad_coord = bad_coord or bool(np.any(J[got] > B))
+        done += len(z)
+        start = lo = base + int(ends[-1])
+    if start > nbits:
         raise FormatError("truncated bitstream")
-    zs = zeros[t].astype(np.int64)
-    rem = _fields_at(words, zs + 1, b)  # a short remainder is its first b-1 bits
-    short = (rem >> 1) < thr
-    ends = zs + 1 + b - short + n * width
-    end = int(ends[-1]) if count else 0
-    if end > nbits:
-        raise FormatError("truncated bitstream")
-    K = (zs - np.concatenate([[0], ends[:-1]])) * m + np.where(short, rem >> 1, rem - thr) + 1
-    J = _fields_at(words, (ends - n * width)[:, None] + width * np.arange(n), width) - B
-    if np.any(J > B):
+    if bad_coord:
         raise FormatError(f"coordinate offset above 2B with B={B}")
-    if nbits - end >= 8:
+    if nbits - start >= 8:
         raise FormatError("trailing bytes after payload")
     return header, K, J
 

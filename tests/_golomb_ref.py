@@ -1,14 +1,16 @@
 """Scalar reference for the RSQ1 coder, used as a test oracle.
 
 A bit-serial writer and reader, Golomb codewords as bit strings, and a
-record-by-record stream encoder.  The library packs and unpacks whole
-arrays at once; these one-bit-at-a-time versions are what its bytes are
-compared with.  The Golomb code is rebuilt here from m alone.
+record-by-record stream encoder and decoder.  The library packs and unpacks
+whole arrays at once; these one-bit-at-a-time versions are what its bytes
+and its refusals are compared with.  The Golomb code is rebuilt here from m
+alone.
 """
 
 import numpy as np
 
-from rsuq.coding import FormatError, GolombCode, coord_width_for_bound, write_header
+from rsuq.coding import (FormatError, GolombCode, coord_width_for_bound, read_header,
+                         write_header)
 
 
 class BitWriter:
@@ -143,3 +145,29 @@ def encode_stream_ref(header, K, J, code: GolombCode) -> bytes:
         for c in coords:
             w.write_bits(int(c) + header.coord_bound, width)
     return write_header(header) + w.getvalue()
+
+
+def decode_stream_ref(data: bytes, code: GolombCode):
+    """RSQ1 stream read one record, and one bit field, at a time.
+
+    Returns (header, K, J), or raises the FormatError the library raises,
+    checked in the library's order: the count guard, truncation (of a unary
+    run or of a record), a coordinate offset above 2B, trailing bytes.
+    """
+    header, pos = read_header(data)
+    B, n, count = header.coord_bound, header.n, header.count
+    width = coord_width_for_bound(B)
+    nbits = 8 * (len(data) - pos)
+    if count * (1 + n * width) > nbits:
+        raise FormatError(f"header claims {count} vectors but the payload "
+                          f"holds only {nbits} bits")
+    r = BitReader(data, 8 * pos)
+    K, J = [], []
+    for _ in range(count):
+        K.append(read_golomb(code, r))
+        J.append([r.read_bits(width) - B for _ in range(n)])
+    if any(c > B for row in J for c in row):
+        raise FormatError(f"coordinate offset above 2B with B={B}")
+    if 8 * len(data) - r.bit_position >= 8:
+        raise FormatError("trailing bytes after payload")
+    return header, np.array(K, dtype=np.int64), np.array(J, dtype=np.int64).reshape(count, n)

@@ -5,6 +5,7 @@ import itertools
 import math
 import re
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _golomb_ref import (BitReader, BitWriter, encode_stream_ref, golomb_decode,
-                         golomb_encode)
+from _golomb_ref import (BitReader, BitWriter, decode_stream_ref, encode_stream_ref,
+                         golomb_decode, golomb_encode)
+from rsuq import coding
 from rsuq.bounds import geometric_entropy
 from rsuq.coding import (MAGIC, MODE_BALL, MODE_GAUSSIAN, VERSION, FormatError, GolombCode,
                          StreamHeader, coord_width_for_bound, decode_stream,
@@ -22,6 +24,7 @@ from rsuq.coding import (MAGIC, MODE_BALL, MODE_GAUSSIAN, VERSION, FormatError, 
                          write_header, write_vectors)
 from rsuq.dither import stream_uniforms
 from rsuq.lattices import builtin_lattice
+from rsuq.quantizer import RsuqConfig, encode_batch
 
 
 def test_unary_example():
@@ -403,13 +406,30 @@ def test_container_round_trip_property(data):
     assert K2.tolist() == K and J2.reshape(count, lat.n).tolist() == J
 
 
-def _decodes_in_range_or_format_error(blob):
+# Window sizes the stream fuzzers decode at: the library's, and a few dozen
+# bits so that a 48-byte payload spans many windows.
+FUZZ_WINDOWS = [coding._WINDOW_BITS, 24]
+
+
+def _decodes_like_the_reference(blob):
+    """At every window size, decode_stream refuses what the bit-serial reader
+    refuses, with its message, and otherwise returns its K and J, in range."""
+    code = golomb_for_lattice(builtin_lattice("Zn", 2))
     try:
-        header, K, J = decode_stream(blob)
-    except FormatError:
-        return
-    assert np.all(K >= 1)
-    assert np.all(np.abs(J) <= header.coord_bound)
+        want = decode_stream_ref(blob, code)
+    except FormatError as exc:
+        want = exc
+    for window in FUZZ_WINDOWS:
+        with mock.patch.object(coding, "_WINDOW_BITS", window):
+            if isinstance(want, FormatError):
+                with pytest.raises(FormatError) as refused:
+                    decode_stream(blob)
+                assert str(refused.value) == str(want)
+                continue
+            header, K, J = decode_stream(blob)
+        assert np.array_equal(K, want[1]) and np.array_equal(J, want[2])
+        assert np.all(K >= 1)
+        assert np.all(np.abs(J) <= header.coord_bound)
 
 
 _FUZZ_HEADER = st.builds(lambda count, bound: _ball_header(builtin_lattice("Zn", 2), seed=7,
@@ -420,7 +440,7 @@ _FUZZ_HEADER = st.builds(lambda count, bound: _ball_header(builtin_lattice("Zn",
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(_FUZZ_HEADER, st.binary(max_size=48))
 def test_fuzz_random_payload(header, payload):
-    _decodes_in_range_or_format_error(write_header(header) + payload)
+    _decodes_like_the_reference(write_header(header) + payload)
 
 
 def _valid_stream(header, data):
@@ -436,7 +456,7 @@ def _valid_stream(header, data):
 def test_fuzz_truncated_payload(header, data):
     blob = _valid_stream(header, data)
     cut = data.draw(st.integers(len(write_header(header)), len(blob)))
-    _decodes_in_range_or_format_error(blob[:cut])
+    _decodes_like_the_reference(blob[:cut])
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -446,7 +466,7 @@ def test_fuzz_one_bit_flipped(header, data):
     start = len(write_header(header))
     bit = data.draw(st.integers(8 * start, 8 * len(blob) - 1))
     blob[bit >> 3] ^= 0x80 >> (bit & 7)
-    _decodes_in_range_or_format_error(bytes(blob))
+    _decodes_like_the_reference(bytes(blob))
 
 
 # -- golden bytes ---------------------------------------------------------------
@@ -547,6 +567,91 @@ def test_stream_bytes_equal_scalar_reference(data):
         assert blob == encode_stream_ref(h, K, J, code)
         h2, K2, J2 = decode_stream(blob, lat=lat)
     assert h2 == h and K2.tolist() == K and np.array_equal(J2, J)
+
+
+# An offset-binary coordinate is never 1 bit wide (2B is even), so width 1 is
+# pinned by the remainder field of Golomb(2); every other width is both a
+# coordinate and a remainder width here.
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 16, 17, 32, 33])
+def test_stream_bytes_equal_scalar_reference_at_byte_edges(width):
+    m = max(1, (1 << width) - 1)  # remainder fields of width-1 and width bits
+    bound = ((1 << width) - 1) // 2
+    rng = np.random.default_rng(width)
+    K = rng.integers(1, 3 * m + 1, size=9)
+    J = rng.integers(-bound, bound + 1, size=(9, 3))
+    J[0], J[1] = -bound, bound
+    lat = builtin_lattice("Zn", 3)
+    h = _ball_header(lat, seed=5, count=9, coord_bound=bound)
+    with mock.patch("rsuq.coding.golomb_for_lattice", lambda lat: GolombCode(m)):
+        blob = encode_stream(h, K, J, lat=lat)
+        assert blob == encode_stream_ref(h, K, J, GolombCode(m))
+        _, K2, J2 = decode_stream(blob, lat=lat)
+    assert coord_width_for_bound(bound) == (width if width != 1 else 0)
+    assert np.array_equal(K2, K) and np.array_equal(J2, J)
+
+
+# Window sizes (bits) the windowed reader is run at against the bit-serial one:
+# shorter and longer than one record, and the library's own.
+SMALL_WINDOWS = [8, 16, 24, 32, 40, 64]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 9])
+@pytest.mark.parametrize("bound", [0, 2 ** 32 - 1])  # coordinate widths 0 and 33
+@pytest.mark.parametrize("count", [0, 1, 2, 37])
+def test_windowed_decode_equals_scalar_reference(m, bound, count):
+    # Records of a few bits (width 0) or of 100 bits and more (width 33) put
+    # the window edges inside records at many offsets; one unary run of 199
+    # ones spans several windows.
+    rng = np.random.default_rng(1000 * m + count)
+    K = rng.integers(1, 3 * m + 1, size=count)
+    K[count // 2:count // 2 + 1] = 200 * m
+    J = rng.integers(-bound, bound + 1, size=(count, 3))
+    with _cube_for_golomb(m, 3) as lat:
+        code = golomb_for_lattice(lat)
+        h = _ball_header(lat, seed=5, count=count, coord_bound=bound)
+        blob = encode_stream(h, K, J, lat=lat)
+        _, K_ref, J_ref = decode_stream_ref(blob, code)
+        assert np.array_equal(K_ref, K) and np.array_equal(J_ref, J)
+        for window in SMALL_WINDOWS + [coding._WINDOW_BITS]:
+            with mock.patch.object(coding, "_WINDOW_BITS", window):
+                h2, K2, J2 = decode_stream(blob, lat=lat)
+            assert h2 == h and np.array_equal(K2, K) and np.array_equal(J2, J), window
+            # a cut stream is refused as the scalar reader refuses it
+            for cut in (len(blob) - 1, len(blob) - 9):
+                if cut < len(write_header(h)) or count == 0:
+                    continue
+                with pytest.raises(FormatError, match="truncated bitstream"):
+                    decode_stream_ref(blob[:cut], code)
+                with mock.patch.object(coding, "_WINDOW_BITS", window), \
+                        pytest.raises(FormatError, match="truncated bitstream"):
+                    decode_stream(blob[:cut], lat=lat)
+
+
+@pytest.fixture(scope="module")
+def z2_stream_200k():
+    """200,000 N(0, 1) vectors coded on Z2 at r = 0.05 (about 382 KB)."""
+    lat = builtin_lattice("Zn", 2)
+    cfg = RsuqConfig(lat, r=0.05, seed=1)
+    K, J, _ = encode_batch(cfg, np.random.default_rng(1).normal(size=(200_000, 2)))
+    h = StreamHeader(n=2, lattice_id="Zn", gamma=cfg.gamma, param=0.05, mode=MODE_BALL,
+                     seed=1, count=len(K), coord_bound=int(np.abs(J).max()))
+    return encode_stream(h, K, J, lat=lat), K, J
+
+
+@pytest.mark.parametrize("window", [1 << 16, coding._WINDOW_BITS])
+def test_decode_memory_is_bounded_by_the_window(z2_stream_200k, window):
+    blob, K, J = z2_stream_200k
+    assert 8 * len(blob) > 2 * window  # the stream spans several windows
+    with mock.patch.object(coding, "_WINDOW_BITS", window):
+        tracemalloc.start()
+        try:
+            _, K2, J2 = decode_stream(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert np.array_equal(K2, K) and np.array_equal(J2, J)
+    # The chain tables take 15-25 bytes per window bit.
+    assert peak <= K2.nbytes + J2.nbytes + 32 * window
 
 
 def test_non_integer_descriptions_rejected():
