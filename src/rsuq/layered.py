@@ -26,8 +26,7 @@ import numpy as np
 
 from .dither import stream_uniforms
 from .lattices import Lattice, LatticePoint, as_rows
-from .quantizer import (Description, _decode_rows, _reject_rows, _within_radius,
-                        batch_seeds)
+from .quantizer import Description, _decode_rows, _reject_rows, batch_seeds
 
 
 class NoiseModel:
@@ -40,7 +39,8 @@ class NoiseModel:
     superlevel(t) contained in beta(t) * Voronoi; all three work over
     rows.  Models whose level sets are centered balls may set
     level_ball = True and provide level_radius(t); the encoder then runs
-    the ball test in x / beta coordinates in place of in_level_set.
+    the ball test in x / beta coordinates in place of in_level_set, and
+    screens each draw with one nearest-point search (see quantizer).
     """
 
     n: int
@@ -136,18 +136,17 @@ def _lrsuq_encode_rows(noise, lat, seeds, X):
     if noise.n != lat.n:
         raise ValueError("noise/lattice dimension mismatch")
     t, beta = _levels_and_betas(noise, seeds)
+    r2 = accept = None
     if noise.level_ball:
         # In x/beta coordinates the level set is a ball of this radius
         # around the input; for the minimal beta it equals the packing radius.
-        r_scaled = np.asarray(noise.level_radius(t), dtype=np.float64) / beta
-        accept = _within_radius(r_scaled ** 2)
+        r2 = (np.asarray(noise.level_radius(t), dtype=np.float64) / beta) ** 2
     else:
-        def accept(err, active):
-            return np.asarray(noise.in_level_set(err * beta[active, None], t[active]),
-                              dtype=bool)
+        def accept(err, rows):
+            return np.asarray(noise.in_level_set(err * beta[rows, None], t[rows]), dtype=bool)
     # The loop runs in x/beta coordinates (scale 1); its accepted rows are
     # scaled back exactly as the decoder scales M + V_K.
-    K, J, Y = _reject_rows(lat, 1.0, X / beta[:, None], seeds, noise.level_words, accept)
+    K, J, Y = _reject_rows(lat, 1.0, X / beta[:, None], seeds, noise.level_words, r2, accept)
     return K, J, beta[:, None] * Y, t
 
 

@@ -1,13 +1,14 @@
 """Per-round reference for the rejection loop and the decoder, used as a test oracle.
 
-`reject_ref` runs every round through integer coordinates, for every
-lattice family: `nearest_rows` gives j, and the embedding G j is the
-dense fixed-order column sum `dense_column_sum`, written out here apart
-from the library's kernel.  The fold is `W - G nearest_rows(W)` the same way.
-The library keeps Zn, Dn and E8 in R^n, converts only accepted rows to
-coordinates and embeds integer rows by an int64 product; `reject_ref` and
-`decode_ref` are drop-in replacements for `rsuq.quantizer._reject_rows`
-and `_decode_rows`, and their outputs are compared bit for bit.
+`reject_ref` runs every round through integer coordinates and two searches,
+the fold and then the search on x / gamma - V, for every lattice family:
+`nearest_rows` gives j, and the embedding G j is the dense fixed-order
+column sum `dense_column_sum`, written out here apart from the library's
+kernel.  The fold is `W - G nearest_rows(W)` the same way.  The library
+screens each draw with one search in R^n and rebuilds M and y once, at
+the accepted draw; `reject_ref` and `decode_ref` are drop-in replacements
+for `rsuq.quantizer._reject_rows` and `_decode_rows`, and their outputs
+are compared bit for bit.
 """
 
 import numpy as np
@@ -34,7 +35,7 @@ def fold_ref(lat, U):
     return W - embed_ref(lat, lat.nearest_rows(W))
 
 
-def reject_ref(lat, gamma, X, seeds, reserved, accept):
+def reject_ref(lat, gamma, X, seeds, reserved, r2=None, accept=None):
     Xg = X / gamma
     N, n = X.shape
     K = np.zeros(N, dtype=np.int64)
@@ -49,7 +50,11 @@ def reject_ref(lat, gamma, X, seeds, reserved, accept):
         v = fold_ref(lat, u)
         j = lat.nearest_rows(Xg[active] - v)
         y = gamma * (embed_ref(lat, j) + v)
-        ok = accept(y - X[active], active)
+        err = y - X[active]
+        if accept is None:
+            ok = np.einsum("ij,ij->i", err, err) <= r2[active]
+        else:
+            ok = accept(err, active)
         hit = active[ok]
         K[hit] = t + 1
         J[hit] = j[ok]
@@ -58,6 +63,19 @@ def reject_ref(lat, gamma, X, seeds, reserved, accept):
     if active.size:
         raise RuntimeError(f"no acceptance within {max_iters} rounds")
     return K, J, Y
+
+
+def count_fold_rows(monkeypatch):
+    """Count the rows the library passes to `fold_rows`; returns a one-item list."""
+    rows = [0]
+    fold = rsuq.quantizer.fold_rows
+
+    def counted(lat, U):
+        rows[0] += len(U)
+        return fold(lat, U)
+
+    monkeypatch.setattr(rsuq.quantizer, "fold_rows", counted)
+    return rows
 
 
 def decode_ref(lat, scale, seeds, K, J, reserved=0):

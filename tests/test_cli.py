@@ -358,6 +358,19 @@ def test_nonfinite_or_overflowing_radius_is_a_usage_error(tmp_path, vec_file, ra
     assert code == 2 and "ball radius" in err and not rsq.exists()
 
 
+def test_subnormal_radius_is_a_usage_error_without_warnings(tmp_path, vec_file):
+    # x / gamma overflowed, and numpy's warning reached stderr ahead of the
+    # exit-2 message
+    path, _ = vec_file
+    rsq = tmp_path / "r.rsq"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli("encode", "--input", str(path), "--lattice", "Dn", "--dim", "2",
+                               "--radius", "1e-320", "--output", str(rsq))
+    assert code == 2 and "not finite or too large" in err and not rsq.exists()
+    assert not caught and "Warning" not in err
+
+
 def test_inf_radius_stream_is_a_usage_error(tmp_path):
     # gamma = param = inf passes the header's scale check (isclose(inf, inf))
     from rsuq.coding import MODE_BALL, StreamHeader, encode_stream

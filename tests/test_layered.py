@@ -1,11 +1,14 @@
 """Layered quantizer: level law, exact Gaussian errors, bit-exact decode."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.special import gammainc
 
+import rsuq.layered
+from _reject_ref import count_fold_rows, reject_ref
 from rsuq.dither import derive_seed
 from rsuq.lattices import builtin_lattice, log2_ball_volume
 from rsuq.layered import (GaussianNoise, NoiseModel, lrsuq_decode,
@@ -177,3 +180,28 @@ def test_custom_noise_model_generic_path():
     # p(t) = mu(L_t) / (beta(t) * det) = 2(1-t) / (2(1-t)) = 1... scaled cell
     log2_level = math.log2(2.0 * (1.0 - t0))
     assert acceptance_given_level(tri, z1, t0, log2_level) == pytest.approx(1.0, rel=1e-9)
+
+
+class BallSetGaussian(GaussianNoise):
+    """The Gaussian model through its membership predicate, as a model
+    without a level radius: every draw takes the exact per-round test."""
+
+    level_ball = False
+
+
+@pytest.mark.parametrize("family,n,model", [("Zn", 1, TriangleNoise), ("Zn", 1, BallSetGaussian),
+                                            ("E8", 8, BallSetGaussian)])
+def test_custom_noise_model_matches_reference(monkeypatch, family, n, model):
+    lat = builtin_lattice(family, n)
+    noise = TriangleNoise(lat) if model is TriangleNoise else model(n, lat)
+    X = np.random.default_rng(12).standard_normal((500, n)) * 3
+    folded = count_fold_rows(monkeypatch)
+    K, J, Y, levels = lrsuq_encode_batch(noise, lat, 44, X)
+    # no screen without a radius: one fold per draw, plus the pass at K
+    assert folded[0] == K.sum() + len(K)
+    with mock.patch.object(rsuq.layered, "_reject_rows", reject_ref):
+        K0, J0, Y0, levels0 = lrsuq_encode_batch(noise, lat, 44, X)
+    assert np.array_equal(K, K0) and np.array_equal(J, J0)
+    assert np.array_equal(Y.view(np.uint64), Y0.view(np.uint64))
+    assert np.array_equal(levels, levels0)
+    assert np.array_equal(lrsuq_decode_batch(noise, lat, 44, K, J), Y)

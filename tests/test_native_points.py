@@ -1,4 +1,8 @@
-"""Zn, Dn and E8 in native coordinates: bit identity with the coordinate loop, input limit."""
+"""Zn, Dn and E8 in native coordinates: bit identity with the coordinate loop, input limit.
+
+The rejection loop is held to the coordinate loop on tie inputs for the
+scanned families A2 and fcc as well.
+"""
 
 import math
 from unittest import mock
@@ -13,11 +17,14 @@ import rsuq.quantizer
 from _reject_ref import decode_ref, embed_ref, reject_ref
 from rsuq.cli import main
 from rsuq.coding import write_vectors
-from rsuq.lattices import builtin_lattice
+from rsuq.lattices import builtin_lattice, lattice_from_config
 from rsuq.layered import GaussianNoise, lrsuq_decode_batch, lrsuq_encode_batch
 from rsuq.quantizer import RsuqConfig, batch_seeds, decode_batch, encode_batch
 
 NATIVE = [("Zn", n) for n in range(1, 5)] + [("Dn", n) for n in range(2, 10)] + [("E8", 8)]
+LOOP_LATTICES = [builtin_lattice(*family) for family in NATIVE] + [
+    builtin_lattice("A2", 2),
+    lattice_from_config("3\n1 1 0\n1 0 1\n0 1 1\npacking_radius=0.7071067811865476\n", name="fcc")]
 
 
 def _bits(a):
@@ -53,7 +60,7 @@ def test_native_points_equal_embedded_coordinates(data):
 @settings(derandomize=True, deadline=None, max_examples=120)
 @given(st.data())
 def test_rejection_loop_matches_coordinate_reference(data):
-    lat = builtin_lattice(*data.draw(st.sampled_from(NATIVE)))
+    lat = data.draw(st.sampled_from(LOOP_LATTICES))
     Xg = data.draw(_grid_rows(lat))
     seed = data.draw(st.integers(0, 2 ** 64 - 1))
     if data.draw(st.booleans(), label="gaussian"):

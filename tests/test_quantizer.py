@@ -3,6 +3,7 @@
 import math
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -230,12 +231,27 @@ def test_stopping_index_geometric(family, n):
 
 
 def test_rejection_cap_error(monkeypatch):
+    # ball and Gaussian models (screened draws) and a model without a level
+    # radius (exact test every draw) all stop at the cap
     monkeypatch.setattr(rsuq.quantizer, "default_max_iters", lambda lat: 1)
     cfg = RsuqConfig(Z2, r=0.5, seed=3)
     rng = np.random.default_rng(6)
     X = rng.uniform(-5, 5, size=(500, 2))
     with pytest.raises(RejectionCapError):
         encode_batch(cfg, X)
+    set_gaussian = type("SetGaussian", (GaussianNoise,), {"level_ball": False})
+    for noise in (GaussianNoise(2, Z2), set_gaussian(2, Z2)):
+        with pytest.raises(RejectionCapError):
+            lrsuq_encode_batch(noise, Z2, 3, X)
+
+
+def test_subnormal_radius_is_refused_without_warnings():
+    # x / gamma overflowed with a numpy RuntimeWarning ahead of the ValueError
+    lat = builtin_lattice("Dn", 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="row 0 is not finite or too large"):
+            encode_batch(RsuqConfig(lat, r=1e-320), np.ones((3, 8)))
 
 
 def test_embedding_is_unscaled_lattice_point():
