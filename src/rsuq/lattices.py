@@ -6,10 +6,15 @@ all with closed-form decoders and exact geometric constants.  The Zn, Dn
 and E8 decoders (Conway & Sloane 1982) return lattice points in R^n
 (`nearest_points`), which the quantizer uses directly; 4 G^-1 and 2 G are
 integer matrices there, so coordinates j = (4 G^-1)(2 z) / 8 and
-embeddings G j = (2 G) j / 2 are exact int64 products.  A2 and user bases
-go through `_scan`: offsets o around the rounded basis coordinates with
-|G o| <= R + rho, R a covering-radius bound (Babai's if none is configured),
-rho the largest residual; fcc keeps 55, A2 7, growing exponentially with n.
+embeddings G j = (2 G) j / 2 are exact int64 products.  Their squared
+distances to the lattice (`sqdist_rows`, one per draw in the quantizer's
+screen) are closed forms in the round-half-down residuals r, with no point
+built: sum r^2 on Zn, plus 1 - 2 max |r| for an odd rounded sum on Dn,
+and on E8 the smaller of the D8 and D8 + (1/2)^8 forms.  A2 and user
+bases take one search per distance, through `_scan`: offsets o around the
+rounded basis coordinates with |G o| <= R + rho, R a covering-radius bound
+(Babai's if none is configured), rho the largest residual; fcc keeps 55,
+A2 7, growing exponentially with n.
 
 Quantizer inputs, in cell units, stay below `Lattice.input_limit` =
 min(2**52, 2**53 / max_i sum_k |G^-1_ik|): from 2**52 a float64 no longer
@@ -183,6 +188,16 @@ class Lattice:
         z += 0.0  # ceil gives -0.0 where embed_rows gives +0.0
         return z
 
+    def sqdist_rows(self, X):
+        """Squared distance of each finite row of X to the lattice, to within
+        rounding: for Zn, Dn and E8 a closed form in the residuals of round
+        half down (no point is built), else |nearest_points(X) - X|^2."""
+        if self.native:
+            return _SQDIST[self.family](X)
+        e = self.nearest_points(X)
+        e -= X
+        return np.einsum("ij,ij->i", e, e)
+
     def nearest_rows(self, X):
         """Nearest-point integer coordinates for each row of X."""
         X = as_rows(X, self.n)
@@ -352,11 +367,22 @@ def _scan(lat, X, base):
 
 
 def _row_max(A):
-    # max over each row of A, one np.maximum per column: on rows of a few
-    # entries that is several times faster than A.max(axis=1), and as exact.
+    # max over each row of A (see _by_columns)
+    return _by_columns(np.maximum, A)
+
+
+def _row_min(A):
+    # min over each row of A (see _by_columns)
+    return _by_columns(np.minimum, A)
+
+
+def _by_columns(op, A):
+    # op (np.maximum or np.minimum) over each row of A, one call per column:
+    # on rows of a few entries that is several times faster than
+    # op.reduce(A, axis=1), and as exact.
     out = A[:, 0].copy()
     for k in range(1, A.shape[1]):
-        np.maximum(out, A[:, k], out=out)
+        op(out, A[:, k], out=out)
     return out
 
 
@@ -395,7 +421,9 @@ def _round_half_down(X):
 
 def _nearest_zn_points(X):
     """Nearest integer point of each row; ties go to the smaller integer."""
-    return np.ceil(X - 0.5)
+    f = X - 0.5
+    np.ceil(f, out=f)
+    return f
 
 
 def _nearest_dn_points(X):
@@ -405,11 +433,8 @@ def _nearest_dn_points(X):
     moves its first coordinate of largest |x - f| one step toward x,
     downward when that residual is 0.
     """
-    f = X - 0.5
-    np.ceil(f, out=f)
-    # an int64 row sum: a float sum of n coordinates near the input limit can
-    # pass 2**53 and round away the parity
-    odd = np.flatnonzero((f.astype(np.int64) @ np.ones(X.shape[1], dtype=np.int64)) & 1)
+    f = _nearest_zn_points(X)
+    odd = np.flatnonzero(_odd_sum(f))
     e = np.take(X, odd, axis=0)
     e -= np.take(f, odd, axis=0)
     k = np.argmax(np.abs(e), axis=1)
@@ -446,8 +471,61 @@ def _nearest_e8_points(X):
     return Y[0]
 
 
-# Closed-form decoders that return lattice points in R^n ("native" families).
+def _odd_sum(f):
+    # 1 for each integer row of f with an odd sum, else 0.  An int64 sum: a
+    # float sum of n coordinates near the input limit can pass 2**53 and
+    # round away the parity.
+    return (f.astype(np.int64) @ np.ones(f.shape[1], dtype=np.int64)) & 1
+
+
+def _half_down_residuals(X):
+    # r = X - f and _odd_sum(f) for f = _nearest_zn_points(X); r is exact,
+    # since f is an integer within 1/2 of X
+    r = _nearest_zn_points(X)
+    odd = _odd_sum(r)
+    np.subtract(X, r, out=r)
+    return r, odd
+
+
+def _zn_sqdist(X):
+    r = _nearest_zn_points(X)
+    np.subtract(X, r, out=r)
+    return np.einsum("ij,ij->i", r, r)
+
+
+def _dn_sqdist(X):
+    """Squared distance to Dn: sum r^2 over the rounded residuals, plus, for
+    an odd rounded sum, the step of the largest |r|, which turns r^2 into
+    (1 - |r|)^2 and so costs 1 - 2 max |r|."""
+    r, odd = _half_down_residuals(X)
+    np.abs(r, out=r)
+    d = np.einsum("ij,ij->i", r, r)
+    d += odd * (1.0 - 2.0 * _row_max(r))
+    return d
+
+
+def _e8_sqdist(X):
+    """Squared distance to E8: the smaller of the distances to D8, as in
+    `_dn_sqdist`, and to D8 + (1/2)^8.  The nearest half-integers are f - 1/2
+    where r < 0, else f + 1/2, with residuals 1/2 - |r|; their integer parts
+    sum to sum f - #{r < 0}, and an odd sum steps the largest residual,
+    1/2 - min |r|, which costs 2 min |r|."""
+    r, odd = _half_down_residuals(X)
+    half_odd = odd ^ (((r < 0) @ np.ones(8)).astype(np.int64) & 1)
+    np.abs(r, out=r)
+    d = np.einsum("ij,ij->i", r, r)
+    d += odd * (1.0 - 2.0 * _row_max(r))
+    step = 2.0 * _row_min(r)
+    np.subtract(0.5, r, out=r)
+    d_half = np.einsum("ij,ij->i", r, r)
+    d_half += half_odd * step
+    return np.minimum(d, d_half, out=d)
+
+
+# Closed-form decoders that return lattice points in R^n ("native" families),
+# and the squared distances to them.
 _POINT_DECODERS = {"Zn": _nearest_zn_points, "Dn": _nearest_dn_points, "E8": _nearest_e8_points}
+_SQDIST = {"Zn": _zn_sqdist, "Dn": _dn_sqdist, "E8": _e8_sqdist}
 
 
 # -- public operations -------------------------------------------------------

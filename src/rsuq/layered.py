@@ -40,7 +40,7 @@ class NoiseModel:
     rows.  Models whose level sets are centered balls may set
     level_ball = True and provide level_radius(t); the encoder then runs
     the ball test in x / beta coordinates in place of in_level_set, and
-    screens each draw with one nearest-point search (see quantizer).
+    screens each draw with one squared distance (see quantizer).
     """
 
     n: int

@@ -7,13 +7,16 @@ inside the scaled Voronoi cell, the acceptance probability per draw equals
 the packing density of the lattice, and the error is exactly uniform over
 the r-ball and independent of the input.
 
-Each draw costs one nearest-point search.  The dither is the fold of
-W = G u into the Voronoi cell, V = W mod the lattice, and the error of
-draw k does not depend on that reduction, so the loop decides each draw
-on x / gamma - W.  Draws within a proved rounding band of the radius are
-decided again by the exact fold-and-search, and one pass at every row's
-stopping index K rebuilds the accepted V, M and reconstruction as the
-decoder does: K, M and every output bit are those of testing V itself.
+Each draw costs one closed-form squared distance on Zn, Dn and E8, and
+one nearest-point search on other bases.  The dither is the fold of
+W = G u into the Voronoi cell, V = W mod the lattice, and the norm of
+the error of draw k does not depend on that reduction, so the loop
+decides each draw on the squared distance of x / gamma - W to the
+lattice (`Lattice.sqdist_rows`), with no lattice point built on Zn, Dn
+and E8.  Draws within a proved rounding band of the radius are decided
+again by the exact fold-and-search, and one pass at every row's stopping
+index K rebuilds the accepted V, M and reconstruction as the decoder
+does: K, M and every output bit are those of testing V itself.
 
 Batched entry points derive one stream seed per row (derive_seed mixed
 with the row index), so batch results are reproducible and independent of
@@ -87,10 +90,12 @@ def _reject_rows(lat, gamma, X, seeds, reserved, r2=None, accept=None):
     rows) over the batch indices `rows`.  Y holds the y of each row's
     accepting round, bit-identical to what the decoder rebuilds.
 
-    With r2 a draw costs one nearest-point search.  The dither V = W - Q(W)
+    With r2 a draw costs one closed-form squared distance on Zn, Dn and
+    E8, one nearest-point search on other bases.  The dither V = W - Q(W)
     folds W = G u into the cell, V = W mod the lattice, so quantizing
-    x / gamma - W leaves the same error as x / gamma - V up to rounding
-    (Zamir & Feder 1992): the screen decides on that error, in cell units.
+    x / gamma - W leaves an error of the same norm as x / gamma - V up to
+    rounding (Zamir & Feder 1992): the screen decides on that norm,
+    `lat.sqdist_rows` of x / gamma - W in cell units, and builds no point.
     A draw whose screened |err|^2 lies within the band of `_screen_limits`
     around r2, and every draw of a model without a radius, gets the exact
     test: the fold, then the search on x / gamma - V, as the decoder
@@ -118,12 +123,9 @@ def _reject_rows(lat, gamma, X, seeds, reserved, r2=None, accept=None):
             ok = np.zeros(active.size, dtype=bool)
             near = np.arange(active.size)
         else:
-            W = lat.embed_rows(u)
-            p = Xg[active]
-            e = lat.nearest_points(p - W)
-            e += W
-            e -= p
-            d = np.einsum("ij,ij->i", e, e)
+            y = Xg[active]
+            y -= lat.embed_rows(u)
+            d = lat.sqdist_rows(y)
             ok = d < lo[active]
             near = np.flatnonzero(~ok & (d <= hi[active]))
         if near.size:
@@ -156,16 +158,21 @@ _BAND_ULPS = 64.0
 
 def _screen_limits(lat, Xg, gamma, r2):
     """Per-row (lo, hi) in cell units: the screen accepts a draw whose
-    |Q(p - W) + W - p|^2, p = x / gamma, is below lo, rejects it above hi
+    lat.sqdist_rows(p - W), p = x / gamma, is below lo, rejects it above hi
     and leaves the rest to the exact test."""
     # With u = 2**-53, |p|_inf <= P, |W|_inf <= a = max_i sum_k |G_ik|,
     # kappa = a max_i sum_k |G^-1_ik|, R1 one more than the covering-radius
-    # bound R and S = P + a + 2 R1, every vector either error is formed from
-    # stays below S in size, and the screened error and the exact one over
-    # gamma each differ from the distance F <= R of p - W to the lattice by
-    # at most 12 n^1.5 kappa u S in norm.  A search may also return a point
+    # bound R and S = P + a + 2 R1, every vector either test is formed from
+    # stays below S in size.  Let F <= R be the distance of p - W, and so of
+    # p - V, to the lattice.  The exact error over gamma differs from F by
+    # at most 12 n^1.5 kappa u S in norm, and its search may return a point
     # up to tau^2 <= 15 n^1.5 kappa u S R1 farther in squared distance (the
-    # scan's rescore; E8's coset comparison is far tighter), and each
+    # scan's rescore; E8's coset comparison is far tighter).  The screened
+    # value is sqdist_rows(y), y = fl(p - W) within sqrt(n) u S of p - W,
+    # so the distance of y is within that of F.  On Zn, Dn and E8 it is that
+    # distance squared in closed form, from exact residuals of size <= 1/2,
+    # to within (n + 4) u relative: no search, so no tau.  On other bases
+    # it is |Q(y) - y|^2, with the exact error's bounds, tau included.  Each
     # |err|^2 sum rounds by (n + 1) u relative.  So the screened sum and the
     # exact one over gamma^2 lie within h (R1 + h) of each other, h = 64 n
     # (n + 2) kappa u S (64 is _BAND_ULPS), plus a floor for subnormal squares of the exact

@@ -5,7 +5,7 @@ the fold and then the search on x / gamma - V, for every lattice family:
 `nearest_rows` gives j, and the embedding G j is the dense fixed-order
 column sum `dense_column_sum`, written out here apart from the library's
 kernel.  The fold is `W - G nearest_rows(W)` the same way.  The library
-screens each draw with one search in R^n and rebuilds M and y once, at
+screens each draw with one squared distance and rebuilds M and y once, at
 the accepted draw; `reject_ref` and `decode_ref` are drop-in replacements
 for `rsuq.quantizer._reject_rows` and `_decode_rows`, and their outputs
 are compared bit for bit.

@@ -1,4 +1,5 @@
-"""Zn, Dn and E8 in native coordinates: bit identity with the coordinate loop, input limit.
+"""Zn, Dn and E8 in native coordinates: bit identity with the coordinate loop, input limit,
+and the closed-form squared distances the rejection screen uses.
 
 The rejection loop is held to the coordinate loop on tie inputs for the
 scanned families A2 and fcc as well.
@@ -22,9 +23,10 @@ from rsuq.layered import GaussianNoise, lrsuq_decode_batch, lrsuq_encode_batch
 from rsuq.quantizer import RsuqConfig, batch_seeds, decode_batch, encode_batch
 
 NATIVE = [("Zn", n) for n in range(1, 5)] + [("Dn", n) for n in range(2, 10)] + [("E8", 8)]
-LOOP_LATTICES = [builtin_lattice(*family) for family in NATIVE] + [
-    builtin_lattice("A2", 2),
-    lattice_from_config("3\n1 1 0\n1 0 1\n0 1 1\npacking_radius=0.7071067811865476\n", name="fcc")]
+SCANNED = [builtin_lattice("A2", 2),
+           lattice_from_config("3\n1 1 0\n1 0 1\n0 1 1\npacking_radius=0.7071067811865476\n",
+                               name="fcc")]
+LOOP_LATTICES = [builtin_lattice(*family) for family in NATIVE] + SCANNED
 
 
 def _bits(a):
@@ -127,3 +129,67 @@ def test_simulate_beyond_exact_limit_is_a_usage_error(tmp_path):
     code = main(["simulate", "--lattice", "E8", "--dim", "8", "--input", str(path),
                  "--output", str(tmp_path / "out.vqf")])
     assert code == 2
+
+
+def _searched_sqdist(lat, X):
+    # the squared distance through the nearest point, the formula sqdist_rows
+    # keeps for scanned bases
+    e = lat.nearest_points(X)
+    e -= X
+    return np.einsum("ij,ij->i", e, e)
+
+
+def _assert_closed_form_distance(lat, X):
+    # The closed form is within (n + 4) 2**-53 of the squared distance,
+    # relative (the bound _screen_limits' proof states); the searched value
+    # rounds its sum by (n + 1) 2**-53 and E8's coset comparison by twice
+    # that, so the two agree within 4 (n + 4) 2**-53 of it, plus a floor for
+    # subnormal squares.
+    n = lat.n
+    d = lat.sqdist_rows(X)
+    want = _searched_sqdist(lat, X)
+    assert d.shape == (len(X),)
+    assert np.all(np.abs(d - want) <= 4.0 * (n + 4) * 2.0 ** -53 * want + n * 2.0 ** -1074)
+    for i in range(min(len(X), 3)):  # a row's value does not depend on its batch
+        assert _bits(lat.sqdist_rows(X[i : i + 1]))[0] == _bits(d)[i]
+
+
+def _equidistant_e8_rows(rng, rows):
+    # z + s / 4, z in D8 and s in {-1, 1}^8 with an even number of -1: at
+    # squared distance 1/2 from both z and z + s / 2, a point of D8 + (1/2)^8
+    z = rng.integers(-6, 7, size=(rows, 8))
+    z[:, 0] += z.sum(axis=1) & 1
+    s = rng.choice([-1, 1], size=(rows, 8))
+    s[:, 0] *= np.prod(s, axis=1)
+    return z + s / 4.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.data())
+def test_closed_form_distance_on_tie_rows(data):
+    lat = builtin_lattice(*data.draw(st.sampled_from(NATIVE)))
+    _assert_closed_form_distance(lat, data.draw(_grid_rows(lat)))
+
+
+@pytest.mark.parametrize("family", NATIVE, ids=lambda f: f"{f[0]}{f[1]}")
+def test_closed_form_distance(family):
+    lat = builtin_lattice(*family)
+    rng = np.random.default_rng(31)
+    n = lat.n
+    X = rng.standard_normal((2000, n)) * 2.0 ** rng.uniform(0, 45, size=(2000, 1))
+    for rows in (X, np.zeros((5, n)), np.zeros((0, n)), X[:1]):
+        _assert_closed_form_distance(lat, rows)
+    if family == ("E8", 8):
+        E = _equidistant_e8_rows(rng, 500)
+        d = lat.sqdist_rows(E)
+        assert np.array_equal(d, np.full(500, 0.5))
+        _assert_closed_form_distance(lat, E)
+        _assert_closed_form_distance(lat, E + 4.0 * 2.0 ** 40)
+
+
+@pytest.mark.parametrize("lat", SCANNED, ids=lambda lat: lat.name)
+def test_scanned_distance_is_the_searched_formula(lat):
+    rng = np.random.default_rng(32)
+    X = rng.standard_normal((500, lat.n)) * 2.0 ** rng.uniform(0, 45, size=(500, 1))
+    for rows in (X, np.zeros((0, lat.n)), X[:1]):
+        assert np.array_equal(_bits(lat.sqdist_rows(rows)), _bits(_searched_sqdist(lat, rows)))

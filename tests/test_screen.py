@@ -1,9 +1,10 @@
-"""The one-search rejection screen: bit identity with the two-search reference, and its saving.
+"""The rejection screen: bit identity with the two-search reference, and its saving.
 
-`_reject_rows` decides each draw on the error of x / gamma - W, W = G u the
-unfolded dither, and sends only draws within its band of the radius to the
-fold and the second search.  `reject_ref` runs both searches every round;
-the two must agree on K, J and Y bit for bit.
+`_reject_rows` decides each draw on the squared distance of x / gamma - W,
+W = G u the unfolded dither, to the lattice: one closed form on Zn, Dn and
+E8, one nearest-point search on other bases.  Only draws within its band
+of the radius go to the fold and the search.  `reject_ref` runs both
+searches every round; the two must agree on K, J and Y bit for bit.
 """
 
 from unittest import mock
@@ -14,7 +15,7 @@ import pytest
 import rsuq.layered
 import rsuq.quantizer
 from _reject_ref import count_fold_rows, embed_ref, fold_ref, reject_ref
-from rsuq.lattices import builtin_lattice, lattice_from_config
+from rsuq.lattices import Lattice, builtin_lattice, lattice_from_config
 from rsuq.layered import GaussianNoise, _levels_and_betas, lrsuq_encode_batch
 from rsuq.quantizer import RsuqConfig, batch_seeds, encode_batch
 
@@ -78,9 +79,10 @@ def test_screen_equals_two_search_reference(name, mode, scale):
 @pytest.mark.parametrize("name", sorted(LATTICES))
 @pytest.mark.parametrize("exponents", [(0, 1), (10, 30), (30, 45)])
 def test_band_bounds_the_rounding_gap(name, exponents):
-    # the screened |Q(p - W) + W - p|^2 and the exact test's |y - x|^2 (at
-    # gamma = 1) differ by at most the band wherever the screen decides; the
-    # native searches often agree to the bit, A2 and E8 at unit scale do not
+    # the screen's sqdist_rows(p - W), like the searched |Q(p - W) + W - p|^2,
+    # and the exact test's |y - x|^2 (at gamma = 1) differ by at most the
+    # band wherever the screen decides; the native searches often agree to
+    # the bit, A2 and E8 at unit scale do not
     lat = LATTICES[name]
     rng = np.random.default_rng(8)
     N, n = 5000, lat.n
@@ -91,10 +93,13 @@ def test_band_bounds_the_rounding_gap(name, exponents):
     e = lat.nearest_points(Xg - W) + W - Xg
     v = fold_ref(lat, U)
     err = embed_ref(lat, lat.nearest_rows(Xg - v)) + v - Xg
-    gap = np.abs(np.einsum("ij,ij->i", e, e) - np.einsum("ij,ij->i", err, err))
+    exact = np.einsum("ij,ij->i", err, err)
+    gap = np.abs(np.einsum("ij,ij->i", e, e) - exact)
+    screened_gap = np.abs(lat.sqdist_rows(Xg - W) - exact)
     decided = np.isfinite(hi)
     assert decided.mean() > 0.1
     assert np.all(gap[decided] <= ((hi - lo) / 2)[decided])
+    assert np.all(screened_gap[decided] <= ((hi - lo) / 2)[decided])
     if name in ("A2", "E8") and exponents == (0, 1):
         assert gap.max() > 0
 
@@ -124,12 +129,32 @@ def test_extreme_scales_equal_reference(r):
 
 def test_gaussian_e8_encode_folds_each_row_once(monkeypatch):
     # one fold per row, in the pass at K: no draw of 4096 N(0, 1) rows fell
-    # into the band, so each draw cost one search.  A band too wide to
-    # decide draws would bring back a second search per draw, unseen by
-    # every bit-identity test.
+    # into the band, so each draw cost one distance.  A band too wide to
+    # decide draws would bring back the fold and a search per draw, unseen
+    # by every bit-identity test.
     lat = builtin_lattice("E8", 8)
     rows = count_fold_rows(monkeypatch)
     X = np.random.default_rng(0).standard_normal((4096, 8))
     K, _, _, _ = lrsuq_encode_batch(GaussianNoise(8, lat), lat, 1, X)
     assert K.mean() > 3.5
     assert rows[0] == 4096
+
+
+def test_gaussian_e8_screen_builds_no_point(monkeypatch):
+    # the E8 screen is a closed-form distance: of a 4096-row N(0, 1)
+    # Gaussian encode, only the pass at K passes rows to nearest_points,
+    # once for the fold and once for the search.  A screen routed through
+    # the search would add one row per draw, unseen by every bit-identity test.
+    lat = builtin_lattice("E8", 8)
+    rows = [0]
+    search = Lattice.nearest_points
+
+    def counted(self, X):
+        rows[0] += len(X)
+        return search(self, X)
+
+    monkeypatch.setattr(Lattice, "nearest_points", counted)
+    X = np.random.default_rng(0).standard_normal((4096, 8))
+    K, _, _, _ = lrsuq_encode_batch(GaussianNoise(8, lat), lat, 1, X)
+    assert K.mean() > 3.5
+    assert rows[0] == 2 * 4096
