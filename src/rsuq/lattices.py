@@ -11,10 +11,11 @@ distances to the lattice (`sqdist_rows`, one per draw in the quantizer's
 screen) are closed forms in the round-half-down residuals r, with no point
 built: sum r^2 on Zn, plus 1 - 2 max |r| for an odd rounded sum on Dn,
 and on E8 the smaller of the D8 and D8 + (1/2)^8 forms.  A2 and user
-bases take one search per distance, through `_scan`: offsets o around the
-rounded basis coordinates with |G o| <= R + rho, R a covering-radius bound
-(Babai's if none is configured), rho the largest residual; fcc keeps 55,
-A2 7, growing exponentially with n.
+bases search through `_scan`: offsets o around the rounded basis
+coordinates with |G o| <= R + rho, R a covering-radius bound (Babai's if
+none is configured), rho the largest residual; fcc keeps 55, A2 7,
+growing exponentially with n.  Their distances are the minimum of the
+scan's ranks, with no rescore and no point built.
 
 Quantizer inputs, in cell units, stay below `Lattice.input_limit` =
 min(2**52, 2**53 / max_i sum_k |G^-1_ik|): from 2**52 a float64 no longer
@@ -190,13 +191,15 @@ class Lattice:
 
     def sqdist_rows(self, X):
         """Squared distance of each finite row of X to the lattice, to within
-        rounding: for Zn, Dn and E8 a closed form in the residuals of round
-        half down (no point is built), else |nearest_points(X) - X|^2."""
+        rounding, with no point built: for Zn, Dn and E8 a closed form in the
+        residuals of round half down, else |e|^2 + min_o q_o, the smallest of
+        `_scan`'s ranks around the base X G^-T (one product) rounded half down."""
         if self.native:
             return _SQDIST[self.family](X)
-        e = self.nearest_points(X)
-        e -= X
-        return np.einsum("ij,ij->i", e, e)
+        d = np.empty(len(X))
+        for _, lo, q, e2, _ in _ranks(self, X, _round_half_down(X @ self._invG.T)):
+            d[lo : lo + len(q)] = e2 + q.min(axis=1)
+        return d
 
     def nearest_rows(self, X):
         """Nearest-point integer coordinates for each row of X."""
@@ -211,6 +214,14 @@ class Lattice:
         if full not in self._scan_tables:
             self._scan_tables[full] = _ScanTable.build(self, full)
         return self._scan_tables[full]
+
+    @functools.cached_property
+    def _screen_constants(self):
+        # (a, kappa, R1) of quantizer._screen_limits, computed on first use
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = float(np.abs(self.G).sum(axis=1).max())
+            kappa = a * float(np.abs(self._invG).sum(axis=1).max())
+        return a, kappa, _covering_radius_bound(self) + 1.0
 
 
 def _covering_radius_bound(lat, babai=True) -> float:
@@ -340,30 +351,41 @@ def _scan(lat, X, base):
     # most R + rho for every row, w is in the certified table and wins it.
     if not len(X):
         return base
-    t, n = lat._offset_table(), lat.n
-    B = base.astype(np.float64)  # the cast each int64-by-float product would make
-    e = X - B @ lat.G.T
-    S = _row_max(np.abs(X)) + _row_max(np.abs(B) @ t.absGT) + t.reach
-    if not (np.sqrt(_sqnorm_rows(e)) + 8.0 * n * (n + 2) * 2.0 ** -53 * S <= t.rho).all():
-        t = lat._offset_table(full=True)
-    step = max(1, _SCAN_BLOCK // len(t.O))
     J = np.empty_like(base)
-    for lo in range(0, len(X), step):
-        q = e[lo : lo + step] @ t.GOm2
-        q += t.GO2
+    for t, lo, q, _, S in _ranks(lat, X, base):
+        hi = lo + len(q)
         # NaN compares false, so a row without a finite rank keeps every offset
-        keep = np.flatnonzero(~(q > (q.min(axis=1) + _margin(n, S[lo : lo + step]))[:, None]))
+        keep = np.flatnonzero(~(q > (q.min(axis=1) + _margin(lat.n, S))[:, None]))
         r, o = np.divmod(keep, len(t.O))
         r += lo
         C = base[r] + t.O[o]
         if len(r) == len(q):  # one candidate per row: the winner
-            J[lo : lo + step] = C
+            J[lo:hi] = C
             continue
         d = _sqnorm_rows(X[r] - lat.embed_rows(C))
         # r is sorted and every row keeps its best-ranked offset, so the runs of
         # equal r start at the same places after a stable sort by (r, d).
-        J[lo : lo + step] = C[np.lexsort((d, r))[np.searchsorted(r, np.arange(lo, lo + len(q)))]]
+        J[lo:hi] = C[np.lexsort((d, r))[np.searchsorted(r, np.arange(lo, hi))]]
     return J
+
+
+def _ranks(lat, X, base):
+    # _scan's prologue, shared with sqdist_rows: yields (t, lo, q, |e|^2, S)
+    # for rows lo .. lo + len(q), max(1, _SCAN_BLOCK // offsets) at a time,
+    # with e = x - G base, t the certified table, or the whole box if a row
+    # fails the certificate, q the rank matrix and S the bound of those rows.
+    t, n = lat._offset_table(), lat.n
+    B = base.astype(np.float64)  # the cast each int64-by-float product would make
+    e = X - B @ lat.G.T
+    S = _row_max(np.abs(X)) + _row_max(np.abs(B) @ t.absGT) + t.reach
+    e2 = _sqnorm_rows(e)
+    if not (np.sqrt(e2) + 8.0 * n * (n + 2) * 2.0 ** -53 * S <= t.rho).all():
+        t = lat._offset_table(full=True)
+    step = max(1, _SCAN_BLOCK // len(t.O))
+    for lo in range(0, len(X), step):
+        q = e[lo : lo + step] @ t.GOm2
+        q += t.GO2
+        yield t, lo, q, e2[lo : lo + step], S[lo : lo + step]
 
 
 def _row_max(A):

@@ -7,16 +7,16 @@ inside the scaled Voronoi cell, the acceptance probability per draw equals
 the packing density of the lattice, and the error is exactly uniform over
 the r-ball and independent of the input.
 
-Each draw costs one closed-form squared distance on Zn, Dn and E8, and
-one nearest-point search on other bases.  The dither is the fold of
-W = G u into the Voronoi cell, V = W mod the lattice, and the norm of
-the error of draw k does not depend on that reduction, so the loop
-decides each draw on the squared distance of x / gamma - W to the
-lattice (`Lattice.sqdist_rows`), with no lattice point built on Zn, Dn
-and E8.  Draws within a proved rounding band of the radius are decided
-again by the exact fold-and-search, and one pass at every row's stopping
-index K rebuilds the accepted V, M and reconstruction as the decoder
-does: K, M and every output bit are those of testing V itself.
+Each draw costs one product W = G u and one squared distance with no
+lattice point built: a closed form on Zn, Dn and E8, the least of the
+scan's ranks on other bases.  The dither is the fold of W into the
+Voronoi cell, V = W mod the lattice, and the norm of the error of draw
+k does not depend on that reduction, so the loop decides each draw on
+the squared distance of x / gamma - W to the lattice (`sqdist_rows`).
+Draws within a proved rounding band of the radius are decided again by
+the exact fold-and-search, and one pass at every row's stopping index K
+rebuilds the accepted V, M and reconstruction as the decoder does: K, M
+and every output bit are those of testing V itself.
 
 Batched entry points derive one stream seed per row (derive_seed mixed
 with the row index), so batch results are reproducible and independent of
@@ -32,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dither import derive_seeds, fold_rows, gathered_uniforms, stream_uniforms
-from .lattices import (Lattice, LatticePoint, _covering_radius_bound, _row_max, as_rows,
-                       check_rows, packing_density)
+from .lattices import Lattice, LatticePoint, _row_max, as_rows, check_rows, packing_density
 
 
 class RejectionCapError(RuntimeError):
@@ -90,12 +89,13 @@ def _reject_rows(lat, gamma, X, seeds, reserved, r2=None, accept=None):
     rows) over the batch indices `rows`.  Y holds the y of each row's
     accepting round, bit-identical to what the decoder rebuilds.
 
-    With r2 a draw costs one closed-form squared distance on Zn, Dn and
-    E8, one nearest-point search on other bases.  The dither V = W - Q(W)
-    folds W = G u into the cell, V = W mod the lattice, so quantizing
-    x / gamma - W leaves an error of the same norm as x / gamma - V up to
-    rounding (Zamir & Feder 1992): the screen decides on that norm,
-    `lat.sqdist_rows` of x / gamma - W in cell units, and builds no point.
+    With r2 a draw costs one product and one squared distance: a closed
+    form on Zn, Dn and E8, the least of the scan's ranks on other bases.
+    The dither V = W - Q(W) folds W = G u into the cell, V = W mod the
+    lattice, so quantizing x / gamma - W leaves an error of the same norm
+    as x / gamma - V up to rounding (Zamir & Feder 1992): the screen
+    decides on that norm, `lat.sqdist_rows` of x / gamma - W in cell units,
+    W = u G^T by one product whose bits may depend on the batch.
     A draw whose screened |err|^2 lies within the band of `_screen_limits`
     around r2, and every draw of a model without a radius, gets the exact
     test: the fold, then the search on x / gamma - V, as the decoder
@@ -124,7 +124,7 @@ def _reject_rows(lat, gamma, X, seeds, reserved, r2=None, accept=None):
             near = np.arange(active.size)
         else:
             y = Xg[active]
-            y -= lat.embed_rows(u)
+            y -= u @ lat.G.T
             d = lat.sqdist_rows(y)
             ok = d < lo[active]
             near = np.flatnonzero(~ok & (d <= hi[active]))
@@ -160,33 +160,38 @@ def _screen_limits(lat, Xg, gamma, r2):
     """Per-row (lo, hi) in cell units: the screen accepts a draw whose
     lat.sqdist_rows(p - W), p = x / gamma, is below lo, rejects it above hi
     and leaves the rest to the exact test."""
-    # With u = 2**-53, |p|_inf <= P, |W|_inf <= a = max_i sum_k |G_ik|,
+    # With u = 2**-53, |p|_inf <= P, |G u|_inf <= a = max_i sum_k |G_ik|,
     # kappa = a max_i sum_k |G^-1_ik|, R1 one more than the covering-radius
     # bound R and S = P + a + 2 R1, every vector either test is formed from
-    # stays below S in size.  Let F <= R be the distance of p - W, and so of
-    # p - V, to the lattice.  The exact error over gamma differs from F by
-    # at most 12 n^1.5 kappa u S in norm, and its search may return a point
-    # up to tau^2 <= 15 n^1.5 kappa u S R1 farther in squared distance (the
-    # scan's rescore; E8's coset comparison is far tighter).  The screened
-    # value is sqdist_rows(y), y = fl(p - W) within sqrt(n) u S of p - W,
-    # so the distance of y is within that of F.  On Zn, Dn and E8 it is that
-    # distance squared in closed form, from exact residuals of size <= 1/2,
-    # to within (n + 4) u relative: no search, so no tau.  On other bases
-    # it is |Q(y) - y|^2, with the exact error's bounds, tau included.  Each
-    # |err|^2 sum rounds by (n + 1) u relative.  So the screened sum and the
-    # exact one over gamma^2 lie within h (R1 + h) of each other, h = 64 n
-    # (n + 2) kappa u S (64 is _BAND_ULPS), plus a floor for subnormal squares of the exact
-    # test, and r2 / gamma^2 rounds by 2 u relative.  The bound needs tau
-    # below R1, which holds while the band is below R1^2; the screen decides
-    # a row only while its band is also below r2 / gamma^2, and a wider band
-    # leaves every draw of the row to the exact test.
+    # stays below S in size.  Let W be the exact test's G u, a column sum
+    # within n u a of G u, and F <= R the distance of p - W, and so of p - V,
+    # to the lattice.  The exact error over gamma differs from F by at most
+    # 12 n^1.5 kappa u S in norm, and its search may return a point up to
+    # tau^2 <= 15 n^1.5 kappa u S R1 farther in squared distance (the scan's
+    # rescore; E8's coset comparison is far tighter).  The screened W is one
+    # product, also within n u a of G u, and y = fl(p - W) adds u S per
+    # coordinate, so the distance of y is within 3 n^1.5 u S of F.  On Zn, Dn
+    # and E8 sqdist_rows(y) is that distance squared in closed form, from
+    # exact residuals of size <= 1/2, to within (n + 4) u relative.  On other
+    # bases it is |e|^2 + min_o q_o over the scan's table, certified to hold
+    # the nearest point of e = fl(y - G base): e is within 2 n^1.5 kappa u S
+    # of a translate of y, the table's G o within 2 n^2 kappa u S of lattice
+    # points, and the sums of the ranks near the minimum, over vectors below
+    # R1 + 2 rho with rho^2 <= n a^2 / 4 and a <= 2 kappa R1, round by
+    # 6 n (n + 2) kappa u S R1.  Neither screen searches, so neither has a
+    # tau, and every term is linear in S.  Each |err|^2 sum rounds by (n + 1)
+    # u relative.  So the screened sum and the exact one over gamma^2 lie
+    # within h (R1 + h) of each other, h = 64 n (n + 2) kappa u S (64 is
+    # _BAND_ULPS), plus a floor for subnormal squares of the exact test, and
+    # r2 / gamma^2 rounds by 2 u relative.  The bound needs tau below R1,
+    # which holds while the band is below R1^2; the screen decides a row only
+    # while its band is also below r2 / gamma^2, and a wider band leaves
+    # every draw of the row to the exact test.
     n = lat.n
+    a, kappa, R1 = lat._screen_constants
     # A gamma whose square underflows gives an infinite band, or with r2 = 0
     # a NaN limit: the comparison below leaves such rows to the exact test.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        a = float(np.abs(lat.G).sum(axis=1).max())
-        kappa = a * float(np.abs(lat._invG).sum(axis=1).max())
-        R1 = _covering_radius_bound(lat) + 1.0
         h = _BAND_ULPS * 2.0 ** -53 * n * (n + 2) * kappa * (_row_max(np.abs(Xg)) + a + 2.0 * R1)
         g2 = np.float64(gamma) ** 2
         band = h * (R1 + h) + n * 2.0 ** -1060 / g2

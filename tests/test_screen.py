@@ -1,10 +1,11 @@
 """The rejection screen: bit identity with the two-search reference, and its saving.
 
 `_reject_rows` decides each draw on the squared distance of x / gamma - W,
-W = G u the unfolded dither, to the lattice: one closed form on Zn, Dn and
-E8, one nearest-point search on other bases.  Only draws within its band
-of the radius go to the fold and the search.  `reject_ref` runs both
-searches every round; the two must agree on K, J and Y bit for bit.
+W = G u the unfolded dither from one product, to the lattice: one closed
+form on Zn, Dn and E8, the least of the scan's ranks on other bases.  Only
+draws within its band of the radius go to the fold and the search.
+`reject_ref` runs both searches every round; the two must agree on K, J and
+Y bit for bit.
 """
 
 from unittest import mock
@@ -140,21 +141,69 @@ def test_gaussian_e8_encode_folds_each_row_once(monkeypatch):
     assert rows[0] == 4096
 
 
-def test_gaussian_e8_screen_builds_no_point(monkeypatch):
-    # the E8 screen is a closed-form distance: of a 4096-row N(0, 1)
-    # Gaussian encode, only the pass at K passes rows to nearest_points,
-    # once for the fold and once for the search.  A screen routed through
-    # the search would add one row per draw, unseen by every bit-identity test.
-    lat = builtin_lattice("E8", 8)
-    rows = [0]
-    search = Lattice.nearest_points
+def _counted(monkeypatch, name):
+    # [calls, rows] passed to the Lattice method `name`
+    seen = [0, 0]
+    method = getattr(Lattice, name)
 
     def counted(self, X):
-        rows[0] += len(X)
-        return search(self, X)
+        seen[0] += 1
+        seen[1] += len(X)
+        return method(self, X)
 
-    monkeypatch.setattr(Lattice, "nearest_points", counted)
+    monkeypatch.setattr(Lattice, name, counted)
+    return seen
+
+
+def test_gaussian_e8_screen_builds_no_point(monkeypatch):
+    # the E8 screen is a closed-form distance of x / gamma - u G^T, one
+    # product: of a 4096-row N(0, 1) Gaussian encode, only the pass at K
+    # passes rows to nearest_points, once for the fold and once for the
+    # search, and to embed_rows, for the fold.  A screen routed through the
+    # search or the column sum would add rows per draw, unseen by every
+    # bit-identity test.
+    lat = builtin_lattice("E8", 8)
+    points = _counted(monkeypatch, "nearest_points")
+    embedded = _counted(monkeypatch, "embed_rows")
     X = np.random.default_rng(0).standard_normal((4096, 8))
     K, _, _, _ = lrsuq_encode_batch(GaussianNoise(8, lat), lat, 1, X)
     assert K.mean() > 3.5
-    assert rows[0] == 2 * 4096
+    assert points[1] == 2 * 4096
+    assert embedded[1] == 4096
+
+
+def test_user_basis_screen_runs_no_search(monkeypatch):
+    # the fcc screen is the scan's rank minimum: of a 512-row ball encode
+    # only the pass at K calls nearest_rows, once for the fold and once for
+    # the search.  A screen routed through the search would add a call per
+    # round, unseen by every bit-identity test.
+    calls = _counted(monkeypatch, "nearest_rows")
+    X = np.random.default_rng(0).standard_normal((512, 3))
+    K, _, _ = _encode(LATTICES["fcc"], "ball", 1, X)
+    assert K.max() > 1
+    assert calls == [2, 2 * 512]
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+@pytest.mark.parametrize("mode", ["ball", "gaussian"])
+def test_outputs_do_not_depend_on_the_product_rounding(monkeypatch, name, mode):
+    # The band covers the rounding of the screened W = u G^T, at most n 2**-53 a
+    # per entry (a = max_i sum_k |G_ik|), with room to spare: moving each entry
+    # of y = x / gamma - W by up to n 2**-53 (|y|_inf + a) must leave K, J and
+    # Y bit for bit.
+    lat = LATTICES[name]
+    rng = np.random.default_rng(23)
+    Xg = rng.standard_normal((300, lat.n)) * 2.0 ** rng.uniform(0, 45, size=(300, 1))
+    X = _cell_rows(lat, mode, 6, Xg)
+    K, J, Y = _encode(lat, mode, 6, X)
+    sqdist, a = Lattice.sqdist_rows, lat._screen_constants[0]
+
+    def nudged(self, P):
+        step = self.n * 2.0 ** -53 * (np.abs(P).max(axis=1, keepdims=True) + a)
+        return sqdist(self, P + step * rng.integers(-1, 2, size=P.shape))
+
+    monkeypatch.setattr(Lattice, "sqdist_rows", nudged)
+    K1, J1, Y1 = _encode(lat, mode, 6, X)
+    assert np.array_equal(K1, K)
+    assert np.array_equal(J1, J)
+    assert np.array_equal(_bits(Y1), _bits(Y))
