@@ -98,7 +98,7 @@ def cmd_decode(args) -> int:
         cfg = RsuqConfig(lat, r=header.param, seed=header.seed)
         Y = decode_batch(cfg, K, J)
     else:
-        noise = GaussianNoise(header.n, lat)
+        noise = GaussianNoise(header.n)
         Y = lrsuq_decode_batch(noise, lat, header.seed, K, J)
     _write_file(args.output, write_vectors(Y))
     print(f"vectors={len(K)} dim={header.n} lattice={header.lattice_id} "
@@ -107,10 +107,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.noise != "gaussian":
-        raise ValueError(f"unknown noise model {args.noise!r}")
     X, lat = _read_input(args)
-    noise = GaussianNoise(args.dim, lat)
+    noise = GaussianNoise(args.dim)
     if len(X):
         K, J, Y, _ = lrsuq_encode_batch(noise, lat, args.seed, X)
         rate = mean_code_length(lat, K, int(np.abs(J).max())) / args.dim
@@ -254,7 +252,7 @@ def _selftest_checks(seed: int, full: bool):
                     n_small)
 
     # Gaussian channel simulation
-    g = GaussianNoise(2, z2)
+    g = GaussianNoise(2)
     plan_g = mc.TrialPlan(samples=n_big, tau=50.0, seed_base=derive_seed(seed, 7))
     _, Zg, _ = mc.lrsuq_error_batch(g, z2, derive_seed(seed, 8), plan_g)
     yield ("gaussian-sim", mc.test_gaussian(Zg, 2, seed=seed))
@@ -313,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec.set_defaults(func=cmd_decode)
 
     sim = sub.add_parser("simulate", help="one-shot additive-noise channel simulation")
-    sim.add_argument("--noise", default="gaussian")
+    sim.add_argument("--noise", default="gaussian", choices=("gaussian",))
     sim.add_argument("--dim", type=int, required=True)
     sim.add_argument("--lattice", default="Zn")
     sim.add_argument("--seed", type=_seed64, default=0)

@@ -97,6 +97,8 @@ class Lattice:
     packing_radius : half the minimal nonzero vector norm (searched for if not given)
     covering_radius : optional
     nsm : normalized second moment of the Voronoi cell, where known
+    family : "generic", or the built-in family ("Zn", "Dn", "A2", "E8") whose
+        generator matrix G must be; Zn, Dn and E8 select closed-form decoders
     native : True for Zn, Dn and E8, whose decoders return points in R^n
     input_limit : quantizer inputs, in cell units, must stay below this in size
     """
@@ -109,6 +111,11 @@ class Lattice:
         if not np.isfinite(G).all():
             raise ValueError("generator matrix entries must be finite")
         n = G.shape[0]
+        if family != "generic":
+            _builtin_constants(family, n)  # ValueError for an unknown family or dimension
+            if not np.array_equal(G, _builtin_generator(family, n)):
+                raise ValueError(f"family {family!r} needs the built-in generator matrix "
+                                 f"of {family} at n = {n}; use family='generic'")
         # Huge entries overflow here; the checks below refuse them by name.
         with np.errstate(over="ignore", invalid="ignore"):
             if det is None:
@@ -591,25 +598,29 @@ def builtin_lattice(name: str, n: int) -> Lattice:
     Families: "Zn" (any n >= 1), "Dn" (n >= 2), "A2" (n = 2), "E8" (n = 8).
     """
     constants = _builtin_constants(name, n)
+    return Lattice(name, _builtin_generator(name, n), family=name, **constants)
+
+
+def _builtin_generator(name, n):
+    # G of a built-in family at a dimension _builtin_constants accepts.
     if name == "Zn":
-        G = np.eye(n)
-    elif name == "Dn":
-        G = np.zeros((n, n))
+        return np.eye(n)
+    if name == "A2":
+        return np.array([[1.0, 0.5], [0.0, math.sqrt(3.0) / 2.0]])
+    G = np.zeros((n, n))
+    if name == "Dn":
         for i in range(n - 1):
             G[i, i] = 1.0
             G[i + 1, i] = -1.0
         G[n - 2, n - 1] = 1.0
         G[n - 1, n - 1] = 1.0
-    elif name == "A2":
-        G = np.array([[1.0, 0.5], [0.0, math.sqrt(3.0) / 2.0]])
     else:
-        G = np.zeros((8, 8))
         G[0, 0] = 2.0
         for i in range(1, 7):
             G[i - 1, i] = -1.0
             G[i, i] = 1.0
         G[:, 7] = 0.5
-    return Lattice(name, G, family=name, **constants)
+    return G
 
 
 def _builtin_constants(name, n):

@@ -9,13 +9,14 @@ regenerates T and the accepted dither from the shared stream, so
 reconstructions are bit-identical.
 
 The built-in model is the standard Gaussian: its level sets are balls of
-radius sqrt(V) with V chi-square distributed on n + 2 degrees of freedom,
-and the minimal valid scale is beta = sqrt(V) / packing_radius, which
-makes the per-dither acceptance probability exactly the packing density.
-Custom models supply sample_level / in_level_set / beta; the membership
-predicate is evaluated once per rejection round over all active rows.
-Checking that the level sets are bounded and integrable is the caller's
-obligation.
+radius sqrt(V) with V chi-square distributed on n + 2 degrees of freedom.
+For a ball model the quantizer takes the minimal valid scale beta =
+level radius / packing radius of the lattice it quantizes with, which
+makes the per-dither acceptance probability exactly the packing density;
+the model itself holds no lattice.  Other models supply in_level_set and
+beta; the membership predicate is evaluated once per rejection round over
+all active rows.  Checking that the level sets are bounded and integrable
+is the caller's obligation.
 """
 
 from __future__ import annotations
@@ -32,15 +33,16 @@ from .quantizer import Description, _decode_rows, _reject_rows, batch_seeds
 class NoiseModel:
     """Continuous error law exposed through its superlevel-set geometry.
 
-    Subclasses define sample_level(u) mapping rows of `level_words`
-    uniforms to density levels t, the membership predicate
-    in_level_set(Z, t) returning one boolean per row of error vectors Z
-    (row i against level t[i]), and the cell scale beta(t) with
-    superlevel(t) contained in beta(t) * Voronoi; all three work over
-    rows.  Models whose level sets are centered balls may set
-    level_ball = True and provide level_radius(t); the encoder then runs
-    the ball test in x / beta coordinates in place of in_level_set, and
-    screens each draw with one squared distance (see quantizer).
+    Every model defines sample_level(u), mapping rows of `level_words`
+    uniforms to density levels t.  A model whose level sets are centered
+    balls sets level_ball = True and provides level_radius(t); the
+    quantizer then scales the cell by level_radius / packing_radius of its
+    lattice, runs the ball test in x / beta coordinates and screens each
+    draw with one squared distance (see quantizer).  Any other model
+    provides the membership predicate in_level_set(Z, t), one boolean per
+    row of error vectors Z (row i against level t[i]), and the cell scale
+    beta(t) with superlevel(t) contained in beta(t) * Voronoi.  All of them
+    work over rows.
     """
 
     n: int
@@ -50,18 +52,18 @@ class NoiseModel:
     def sample_level(self, u):
         raise NotImplementedError
 
+    def level_radius(self, t):
+        raise NotImplementedError
+
     def in_level_set(self, Z, t):
         raise NotImplementedError
 
-    def beta(self, t) -> float:
-        raise NotImplementedError
-
-    def level_radius(self, t) -> float:
+    def beta(self, t):
         raise NotImplementedError
 
 
 class GaussianNoise(NoiseModel):
-    """Standard n-dimensional Gaussian error, simulated exactly.
+    """Standard n-dimensional Gaussian error, simulated exactly on any lattice.
 
     Levels are parameterized internally by v with t = (2 pi)^(-n/2) e^(-v/2);
     the superlevel set at t is the ball of radius sqrt(v), and v follows the
@@ -72,11 +74,8 @@ class GaussianNoise(NoiseModel):
 
     level_ball = True
 
-    def __init__(self, n: int, lat: Lattice):
-        if lat.n != n:
-            raise ValueError(f"lattice dimension {lat.n} != noise dimension {n}")
+    def __init__(self, n: int):
         self.n = n
-        self.lat = lat
         self._log_t_offset = -(n / 2.0) * math.log(2.0 * math.pi)
 
     def _v_of_t(self, t):
@@ -91,26 +90,29 @@ class GaussianNoise(NoiseModel):
         v = 2.0 * gammaincinv((self.n + 2) / 2.0, np.asarray(u)[..., 0])
         return self._t_of_v(v)
 
-    def in_level_set(self, Z, t):
-        Z = np.asarray(Z, dtype=np.float64)
-        return np.einsum("ij,ij->i", Z, Z) <= self._v_of_t(t)
-
-    def beta(self, t):
-        return np.sqrt(self._v_of_t(t)) / self.lat.packing_radius
-
     def level_radius(self, t):
         return np.sqrt(self._v_of_t(t))
 
 
-def _levels_and_betas(noise, seeds):
-    """Level draws (from the reserved word prefix) and cell scales per row seed."""
-    u = stream_uniforms(seeds, 0, noise.level_words)
-    t = noise.sample_level(u)
-    beta = np.asarray(noise.beta(np.atleast_1d(np.asarray(t, dtype=np.float64))),
-                      dtype=np.float64)
+def _levels_and_betas(noise, lat, seeds):
+    """Per row seed: the level (from the reserved word prefix), the cell scale
+    on `lat` and, for a ball model, the squared level radius in x / beta
+    coordinates (else None).  Refuses a noise model of another dimension."""
+    if noise.n != lat.n:
+        raise ValueError(f"noise dimension {noise.n} != lattice dimension {lat.n}")
+    t = np.atleast_1d(np.asarray(noise.sample_level(stream_uniforms(seeds, 0, noise.level_words)),
+                                 dtype=np.float64))
+    r2 = None
+    if noise.level_ball:
+        radius = np.asarray(noise.level_radius(t), dtype=np.float64)
+        beta = radius / lat.packing_radius
+        # for this minimal beta the ball's radius is the packing radius, to rounding
+        r2 = (radius / beta) ** 2
+    else:
+        beta = np.asarray(noise.beta(t), dtype=np.float64)
     if not np.all(beta > 0):
         raise ValueError("noise model produced a nonpositive cell scale")
-    return t, beta
+    return t, beta, r2
 
 
 def lrsuq_encode(noise: NoiseModel, lat: Lattice, seed: int, x) -> Description:
@@ -133,15 +135,9 @@ def lrsuq_decode(noise: NoiseModel, lat: Lattice, seed: int, d: Description):
 
 def _lrsuq_encode_rows(noise, lat, seeds, X):
     """Layered encode of rows; returns (K, J, Y, levels)."""
-    if noise.n != lat.n:
-        raise ValueError("noise/lattice dimension mismatch")
-    t, beta = _levels_and_betas(noise, seeds)
-    r2 = accept = None
-    if noise.level_ball:
-        # In x/beta coordinates the level set is a ball of this radius
-        # around the input; for the minimal beta it equals the packing radius.
-        r2 = (np.asarray(noise.level_radius(t), dtype=np.float64) / beta) ** 2
-    else:
+    t, beta, r2 = _levels_and_betas(noise, lat, seeds)
+    accept = None
+    if r2 is None:
         def accept(err, rows):
             return np.asarray(noise.in_level_set(err * beta[rows, None], t[rows]), dtype=bool)
     # The loop runs in x/beta coordinates (scale 1); its accepted rows are
@@ -151,7 +147,7 @@ def _lrsuq_encode_rows(noise, lat, seeds, X):
 
 
 def _lrsuq_decode_rows(noise, lat, seeds, K, J):
-    _, beta = _levels_and_betas(noise, seeds)
+    beta = _levels_and_betas(noise, lat, seeds)[1]
     return _decode_rows(lat, beta[:, None], seeds, K, J, noise.level_words)
 
 

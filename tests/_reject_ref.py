@@ -15,6 +15,7 @@ import numpy as np
 
 import rsuq.quantizer
 from rsuq.dither import gathered_uniforms, stream_uniforms
+from rsuq.layered import GaussianNoise
 
 
 def dense_column_sum(X, A):
@@ -63,6 +64,25 @@ def reject_ref(lat, gamma, X, seeds, reserved, r2=None, accept=None):
     if active.size:
         raise RuntimeError(f"no acceptance within {max_iters} rounds")
     return K, J, Y
+
+
+class BallSetGaussian(GaussianNoise):
+    """The Gaussian model through its membership predicate and its cell scale
+    on `lat`, as a model without a level radius: every draw takes the exact
+    per-round test."""
+
+    level_ball = False
+
+    def __init__(self, n, lat):
+        super().__init__(n)
+        self.lat = lat
+
+    def in_level_set(self, Z, t):
+        Z = np.asarray(Z, dtype=np.float64)
+        return np.einsum("ij,ij->i", Z, Z) <= self._v_of_t(t)
+
+    def beta(self, t):
+        return self.level_radius(t) / self.lat.packing_radius
 
 
 def count_fold_rows(monkeypatch):

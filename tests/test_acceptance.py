@@ -109,7 +109,7 @@ def test_criterion_5_gaussian_channel_simulation():
     """Exact Gaussian error law and input independence at 2e5 trials."""
     with budget("5 gaussian-simulation", 180.0) as out:
         z2 = builtin_lattice("Zn", 2)
-        noise = GaussianNoise(2, z2)
+        noise = GaussianNoise(2)
         N = 200000
         _, _, Y0, _ = lrsuq_encode_batch(noise, z2, 50001, np.zeros((N, 2)))
         Z0 = Y0

@@ -125,7 +125,7 @@ def test_decode_gaussian_stream_round_trip(tmp_path, vec_file):
 
     path, X = vec_file
     lat = builtin_lattice("Zn", 2)
-    noise = GaussianNoise(2, lat)
+    noise = GaussianNoise(2)
     K, J, Y, _ = lrsuq_encode_batch(noise, lat, 314, X)
     h = StreamHeader(n=2, lattice_id="Zn", gamma=1.0, param=1.0,
                      mode=MODE_GAUSSIAN, seed=314, count=len(X),
@@ -169,6 +169,22 @@ def test_user_lattice_config_encode_decode(tmp_path, vec_file):
     assert code == 0
     Y = read_vectors(rec.read_bytes())
     assert np.linalg.norm(Y - X, axis=1).max() <= 0.3
+
+
+def test_builtin_lattice_ids_are_reserved(tmp_path, vec_file):
+    # a config named A2 that holds Z^2 used to be written as an A2 stream,
+    # which decodes without --lattice on the built-in A2 to wrong vectors
+    path, X = vec_file
+    fake = tmp_path / "A2"
+    fake.write_text("2\n1 0\n0 1\n")
+    rsq = tmp_path / "a.rsq"
+    code, _, err = run_cli("encode", "--input", str(path), "--lattice", str(fake), "--dim",
+                           "2", "--radius", "0.3", "--output", str(rsq))
+    assert code == 2 and "reserved for the built-in A2 lattice" in err
+    assert not rsq.exists()
+    # the built-in lattice itself still writes A2 streams
+    assert run_cli("encode", "--input", str(path), "--lattice", "A2", "--dim", "2",
+                   "--radius", "0.3", "--output", str(rsq))[0] == 0
 
 
 def test_wrong_user_lattice_config_is_a_format_error(tmp_path, vec_file):

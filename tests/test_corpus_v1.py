@@ -80,7 +80,7 @@ def test_library_decode(case):
         Y = decode_batch(RsuqConfig(lat, r=header.param, seed=header.seed), K, J)
         assert np.all(np.einsum("ij,ij->i", Y - X, Y - X) <= case.radius ** 2)
     else:
-        Y = lrsuq_decode_batch(GaussianNoise(case.n, lat), lat, header.seed, K, J)
+        Y = lrsuq_decode_batch(GaussianNoise(case.n), lat, header.seed, K, J)
     assert Y.shape == X.shape
     assert _sha256(write_vectors(Y)) == case.sha256
 
@@ -105,7 +105,7 @@ def _encode(case, out):
         return
     lat = builtin_lattice(case.lattice, case.n)
     X = read_vectors(case.path(".vqf").read_bytes())
-    K, J, _, _ = lrsuq_encode_batch(GaussianNoise(case.n, lat), lat, case.seed, X)
+    K, J, _, _ = lrsuq_encode_batch(GaussianNoise(case.n), lat, case.seed, X)
     header = StreamHeader(n=case.n, lattice_id=lat.name, gamma=1.0, param=1.0,
                           mode=MODE_GAUSSIAN, seed=case.seed, count=len(X),
                           coord_bound=int(np.abs(J).max()))

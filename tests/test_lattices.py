@@ -393,6 +393,25 @@ def test_constructor_holds_the_packing_rules():
         builtin_lattice("Zn", 400)
 
 
+def test_family_must_match_the_generator():
+    # the family picks the decoder: the Zn decoder on 2 Z^2 put (1.1, 0.9) at
+    # j = (0, 0), z = (1, 1), against the nearest j = (1, 0), z = (2, 0)
+    with pytest.raises(ValueError, match="built-in generator matrix of Zn"):
+        Lattice("x", 2 * np.eye(2), packing_radius=1.0, family="Zn")
+    lat = Lattice("x", 2 * np.eye(2), packing_radius=1.0)
+    assert lat.nearest_rows(np.array([[1.1, 0.9]])).tolist() == [[1, 0]]
+    assert np.array_equal(lat.nearest_points(np.array([[1.1, 0.9]])), [[2.0, 0.0]])
+    with pytest.raises(ValueError, match="unknown lattice family"):
+        Lattice("x", np.eye(2), family="Z2")
+    with pytest.raises(ValueError, match="E8 is eight-dimensional"):
+        Lattice("x", np.eye(2), family="E8")
+    # the built-in generators pass, under any name
+    for family, n in (("Zn", 3), ("Dn", 4), ("A2", 2), ("E8", 8)):
+        lat = builtin_lattice(family, n)
+        copy = Lattice("copy", lat.G, packing_radius=lat.packing_radius, family=family)
+        assert copy.native == (family != "A2")
+
+
 @pytest.mark.parametrize("G,expect", [
     ([[1.0, 0.3], [0.2, 1.1]], "0x1.0511de5a8265fp+0"),
     ([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], "0x1.6a09e667f3bcdp+0"),

@@ -8,11 +8,12 @@ import pytest
 from scipy.special import gammainc
 
 import rsuq.layered
-from _reject_ref import count_fold_rows, reject_ref
+from _reject_ref import BallSetGaussian, count_fold_rows, reject_ref
 from rsuq.dither import derive_seed
 from rsuq.lattices import builtin_lattice, log2_ball_volume
-from rsuq.layered import (GaussianNoise, NoiseModel, lrsuq_decode,
+from rsuq.layered import (GaussianNoise, NoiseModel, _levels_and_betas, lrsuq_decode,
                           lrsuq_decode_batch, lrsuq_encode, lrsuq_encode_batch)
+from rsuq.quantizer import batch_seeds
 
 Z2 = builtin_lattice("Zn", 2)
 
@@ -23,23 +24,41 @@ def gaussian_v(noise, t):
 
 def acceptance_given_level(noise, lat, t, log2_set):
     # per-dither acceptance probability at level t: the level set's volume
-    # over the cell's, beta(t)^n det G
-    log2_cell = noise.n * math.log2(float(noise.beta(t))) + math.log2(lat.det)
+    # over the cell's, beta(t)^n det G; a ball model's beta is its level
+    # radius over the packing radius
+    beta = noise.level_radius(t) / lat.packing_radius if noise.level_ball else noise.beta(t)
+    log2_cell = noise.n * math.log2(float(beta)) + math.log2(lat.det)
     return 2.0 ** (log2_set - log2_cell)
 
 
 def test_noise_dimension_check():
-    with pytest.raises(ValueError):
-        GaussianNoise(3, Z2)
+    g = GaussianNoise(3)
+    with pytest.raises(ValueError, match="noise dimension 3 != lattice dimension 2"):
+        lrsuq_encode_batch(g, Z2, 1, np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="noise dimension 3 != lattice dimension 2"):
+        lrsuq_decode_batch(g, Z2, 1, np.ones(4, dtype=np.int64), np.zeros((4, 2), dtype=np.int64))
+
+
+def test_beta_follows_the_quantizing_lattice():
+    # one model, two lattices: the cell scale is the level radius over the
+    # packing radius of the lattice passed in
+    g = GaussianNoise(4)
+    seeds = batch_seeds(5, 64)
+    for family, rho in (("Zn", 0.5), ("Dn", math.sqrt(2.0) / 2.0)):
+        lat = builtin_lattice(family, 4)
+        t, beta, r2 = _levels_and_betas(g, lat, seeds)
+        assert np.array_equal(beta, g.level_radius(t) / rho)
+        assert r2 == pytest.approx(rho ** 2, rel=1e-12)
 
 
 def test_level_parameterization():
-    g = GaussianNoise(2, Z2)
+    g = GaussianNoise(2)
     t = g._t_of_v(np.array([4.0]))[0]
-    assert float(g.beta(t)) == pytest.approx(4.0, rel=1e-12)
+    assert float(g.level_radius(t) / Z2.packing_radius) == pytest.approx(4.0, rel=1e-12)
     assert float(g.level_radius(t)) == pytest.approx(2.0, rel=1e-12)
     # rows |z|^2 = 2 <= 4 and |z|^2 = 5 > 4
-    inside = g.in_level_set(np.array([[1.0, 1.0], [2.0, 1.0]]), np.array([t, t]))
+    inside = BallSetGaussian(2, Z2).in_level_set(np.array([[1.0, 1.0], [2.0, 1.0]]),
+                                                 np.array([t, t]))
     assert inside.tolist() == [True, False]
     # level-set volume: log2(pi * v), the ball of radius sqrt(v)
     log2_volume = (g.n / 2.0) * np.log2(gaussian_v(g, t)) + log2_ball_volume(g.n)
@@ -47,7 +66,7 @@ def test_level_parameterization():
 
 
 def test_level_draw_is_chi_square():
-    g = GaussianNoise(2, Z2)
+    g = GaussianNoise(2)
     N = 100000
     _, _, _, levels = lrsuq_encode_batch(g, Z2, 4321, np.zeros((N, 2)))
     V = gaussian_v(g, levels)
@@ -64,7 +83,7 @@ def test_level_draw_is_chi_square():
 ])
 def test_acceptance_probability_constant(family, n, expect):
     lat = builtin_lattice(family, n)
-    g = GaussianNoise(n, lat)
+    g = GaussianNoise(n)
     for v in (0.5, 2.0, 11.0):
         t = g._t_of_v(np.array([v]))[0]
         log2_ball = n * math.log2(float(g.level_radius(t))) + log2_ball_volume(n)
@@ -72,13 +91,13 @@ def test_acceptance_probability_constant(family, n, expect):
 
 
 def test_mean_stopping_index():
-    g = GaussianNoise(2, Z2)
+    g = GaussianNoise(2)
     K, _, _, _ = lrsuq_encode_batch(g, Z2, 99, np.zeros((100000, 2)))
     assert K.mean() == pytest.approx(4.0 / math.pi, rel=0.01)
 
 
 def test_decode_bit_exact_and_matches_single():
-    g = GaussianNoise(2, Z2)
+    g = GaussianNoise(2)
     rng = np.random.default_rng(12)
     X = rng.uniform(-30, 30, size=(200, 2))
     K, J, Y, _ = lrsuq_encode_batch(g, Z2, 1111, X)
@@ -94,7 +113,7 @@ def test_decode_bit_exact_and_matches_single():
 def test_error_is_standard_gaussian():
     from rsuq.mc import test_gaussian
 
-    g = GaussianNoise(2, Z2)
+    g = GaussianNoise(2)
     X = np.zeros((200000, 2))
     _, _, Y, _ = lrsuq_encode_batch(g, Z2, 2718, X)
     res = test_gaussian(Y - X, 2)
@@ -104,7 +123,7 @@ def test_error_is_standard_gaussian():
 def test_error_independent_of_input():
     from rsuq.mc import ks_two_sample
 
-    g = GaussianNoise(2, Z2)
+    g = GaussianNoise(2)
     seeds = 3141
     norms = {}
     for name, x in (("origin", np.zeros(2)), ("far", np.array([10.0, 10.0]))):
@@ -122,7 +141,7 @@ def test_conditional_uniformity_within_level_bucket():
     # conditioned on V in [a, b], (|Z| / sqrt(V))^n follows the ball radial law
     from rsuq.mc import ks_test
 
-    g = GaussianNoise(2, Z2)
+    g = GaussianNoise(2)
     X = np.zeros((200000, 2))
     _, _, Y, levels = lrsuq_encode_batch(g, Z2, 515, X)
     V = gaussian_v(g, levels)
@@ -136,7 +155,7 @@ def test_conditional_uniformity_within_level_bucket():
 def test_norm_squared_is_chi_square_n():
     from rsuq.mc import ks_test
 
-    g = GaussianNoise(4, builtin_lattice("Dn", 4))
+    g = GaussianNoise(4)
     lat = builtin_lattice("Dn", 4)
     X = np.zeros((100000, 4))
     _, _, Y, _ = lrsuq_encode_batch(g, lat, 62, X)
@@ -180,13 +199,6 @@ def test_custom_noise_model_generic_path():
     # p(t) = mu(L_t) / (beta(t) * det) = 2(1-t) / (2(1-t)) = 1... scaled cell
     log2_level = math.log2(2.0 * (1.0 - t0))
     assert acceptance_given_level(tri, z1, t0, log2_level) == pytest.approx(1.0, rel=1e-9)
-
-
-class BallSetGaussian(GaussianNoise):
-    """The Gaussian model through its membership predicate, as a model
-    without a level radius: every draw takes the exact per-round test."""
-
-    level_ball = False
 
 
 @pytest.mark.parametrize("family,n,model", [("Zn", 1, TriangleNoise), ("Zn", 1, BallSetGaussian),

@@ -28,7 +28,7 @@ def layered_rate_check(noise, lat, seed, plan, layered_entropy_bits):
     est = mc.rate_from_descriptions(lat, K, J)
     n = lat.n
     lhs = est.h_k + est.h_m - (n * math.log2(plan.tau) + log2_ball_volume(n))
-    beta = np.asarray(noise.beta(levels), dtype=np.float64)
+    beta = np.asarray(noise.level_radius(levels), dtype=np.float64) / lat.packing_radius
     eta = _covering_radius_bound(lat)
     support = n * float(np.log2(1.0 + 3.0 * eta * beta / plan.tau).mean())
     return lhs, -layered_entropy_bits + LOG2E + support + 0.1
@@ -170,7 +170,7 @@ def test_independence_pass_fail_and_vacuous():
 
 
 def test_gaussian_test_pass_and_fail():
-    g = GaussianNoise(2, Z2)
+    g = GaussianNoise(2)
     plan = mc.TrialPlan(samples=100000, tau=50.0, seed_base=44)
     _, Z, _ = mc.lrsuq_error_batch(g, Z2, 444, plan)
     assert mc.test_gaussian(Z, 2).verdict
@@ -193,7 +193,7 @@ def test_estimate_mse_dimensions_and_scaling():
 def test_gaussian_test_one_dimensional_degenerate_cov():
     # at n=1 the covariance band reduces to a variance-near-1 check
     z1 = builtin_lattice("Zn", 1)
-    g = GaussianNoise(1, z1)
+    g = GaussianNoise(1)
     from rsuq.layered import lrsuq_encode_batch
 
     _, _, Y, _ = lrsuq_encode_batch(g, z1, 58, np.zeros((50000, 1)))
@@ -227,7 +227,7 @@ def test_rate_checks():
         cfg = RsuqConfig(lat, r=0.5, seed=606)
         res = mc.rsuq_rate_check(cfg, plan)
         assert res.verdict, (family, res.statistic, res.threshold)
-    lhs, rhs = layered_rate_check(GaussianNoise(2, Z2), Z2, 607, plan,
+    lhs, rhs = layered_rate_check(GaussianNoise(2), Z2, 607, plan,
                                   gaussian_layered_entropy(2))
     assert lhs <= rhs, (lhs, rhs)
 

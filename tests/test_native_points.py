@@ -66,8 +66,8 @@ def test_rejection_loop_matches_coordinate_reference(data):
     Xg = data.draw(_grid_rows(lat))
     seed = data.draw(st.integers(0, 2 ** 64 - 1))
     if data.draw(st.booleans(), label="gaussian"):
-        noise = GaussianNoise(lat.n, lat)
-        _, beta = rsuq.layered._levels_and_betas(noise, batch_seeds(seed, len(Xg)))
+        noise = GaussianNoise(lat.n)
+        _, beta, _ = rsuq.layered._levels_and_betas(noise, lat, batch_seeds(seed, len(Xg)))
         X = Xg * beta[:, None]  # the loop sees X / beta, near Xg
 
         def encode():
@@ -112,7 +112,7 @@ def test_input_beyond_exact_limit_is_refused(family, n, size):
     with pytest.raises(ValueError, match="row 1"):
         encode_batch(RsuqConfig(lat, r=lat.packing_radius, seed=1), X)
     with pytest.raises(ValueError, match="row 1"):
-        lrsuq_encode_batch(GaussianNoise(n, lat), lat, 1, X * 16)
+        lrsuq_encode_batch(GaussianNoise(n), lat, 1, X * 16)
     # just below the limit every row still encodes and decodes exactly
     X[1] = 4.0 * math.floor(lat.input_limit / 4.0) - 4.0
     cfg = RsuqConfig(lat, r=lat.packing_radius, seed=1)

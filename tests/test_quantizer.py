@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rsuq.quantizer
+from _reject_ref import BallSetGaussian
 from rsuq.dither import derive_seed
 from rsuq.lattices import LatticePoint, builtin_lattice, lattice_from_config
 from rsuq.layered import (GaussianNoise, lrsuq_decode, lrsuq_decode_batch, lrsuq_encode,
@@ -101,7 +102,7 @@ def test_encoder_reconstruction_is_decoder_output(lat, model):
         assert np.array_equal(decode_batch(cfg, K, J), Y)
         assert np.linalg.norm(Y - X, axis=1).max() <= 0.05
     else:
-        g = GaussianNoise(lat.n, lat)
+        g = GaussianNoise(lat.n)
         K, J, Y, _ = lrsuq_encode_batch(g, lat, 404, X)
         assert np.array_equal(lrsuq_decode_batch(g, lat, 404, K, J), Y)
 
@@ -121,7 +122,7 @@ def test_round_trip_property(data):
                                     max_size=rows * lat.n))).reshape(rows, lat.n)
     seed = data.draw(st.integers(0, 2 ** 64 - 1))
     if data.draw(st.booleans(), label="gaussian"):
-        noise = GaussianNoise(lat.n, lat)
+        noise = GaussianNoise(lat.n)
         K, J, Y, _ = lrsuq_encode_batch(noise, lat, seed, X)
         assert np.array_equal(_bits(lrsuq_decode_batch(noise, lat, seed, K, J)), _bits(Y))
     else:
@@ -149,7 +150,7 @@ def test_nonfinite_or_huge_input_rejected(bad):
     X = np.zeros((3, 2))
     X[1, 0] = bad
     cfg = RsuqConfig(Z2, r=0.5, seed=1)
-    g = GaussianNoise(2, Z2)
+    g = GaussianNoise(2)
     with pytest.raises(ValueError, match="row 1"):
         encode_batch(cfg, X)
     with pytest.raises(ValueError, match="row 1"):
@@ -183,7 +184,7 @@ def test_row_inputs_are_checked_in_one_place():
     # batch encoders take (N, n) rows and refuse a third axis by shape;
     # single-vector encoders take only (n,)
     cfg = RsuqConfig(Z2, r=0.5, seed=1)
-    g = GaussianNoise(2, Z2)
+    g = GaussianNoise(2)
     cube = np.zeros((2, 2, 2))
     with pytest.raises(ValueError, match=re.escape("expected shape (N, 2), got (2, 2, 2)")):
         encode_batch(cfg, cube)
@@ -239,8 +240,7 @@ def test_rejection_cap_error(monkeypatch):
     X = rng.uniform(-5, 5, size=(500, 2))
     with pytest.raises(RejectionCapError):
         encode_batch(cfg, X)
-    set_gaussian = type("SetGaussian", (GaussianNoise,), {"level_ball": False})
-    for noise in (GaussianNoise(2, Z2), set_gaussian(2, Z2)):
+    for noise in (GaussianNoise(2), BallSetGaussian(2, Z2)):
         with pytest.raises(RejectionCapError):
             lrsuq_encode_batch(noise, Z2, 3, X)
 
@@ -261,7 +261,7 @@ def test_embedding_is_unscaled_lattice_point():
     lat = builtin_lattice("E8", 8)
     x = np.linspace(-1, 1, 8)
     points = [nearest_point(lat, x), rsuq_encode(RsuqConfig(lat, r=0.25, seed=4), x).M,
-              lrsuq_encode(GaussianNoise(8, lat), lat, 4, x).M]
+              lrsuq_encode(GaussianNoise(8), lat, 4, x).M]
     for M in points:
         assert np.array_equal(M.embedding, lat.embed_rows(M.coords[None])[0])
 
@@ -277,7 +277,7 @@ def test_decode_rejects_bad_k():
 def test_decoders_refuse_malformed_descriptions():
     # K must hold integers of shape (count,), J integers of shape (count, n)
     cfg = RsuqConfig(Z2, r=0.5, seed=3)
-    g = GaussianNoise(2, Z2)
+    g = GaussianNoise(2)
     M = rsuq_encode(cfg, np.zeros(2)).M
     cases = [([1, 1, 1], [[0, 0]], r"shape \(3, 2\)"), ([1.7], [[1, 0]], "K must hold integers"),
              ([1], [[1.5, 0]], "J must hold integers"), ([[1]], [[1, 0]], r"shape \(1,\)"),
