@@ -194,6 +194,18 @@ def lattice_for_header(header: StreamHeader, lat: Lattice | None = None) -> Latt
     return lat
 
 
+def check_lattice_id(header: StreamHeader, lat: Lattice):
+    """A built-in lattice id (Zn, Dn, A2, E8) is reserved for that built-in
+    lattice, with its family and constants, since a decoder given no lattice
+    uses it: a header naming one with another `lat` is a ValueError."""
+    if header.lattice_id in _BUILTIN_FAMILIES:
+        builtin = lattice_for_header(header)
+        if (lat.family, lat.packing_radius, lat.det) != (builtin.family, builtin.packing_radius,
+                                                         builtin.det):
+            raise ValueError(f"lattice id {header.lattice_id!r} is reserved for the built-in "
+                             f"{header.lattice_id} lattice, which {lat!r} is not")
+
+
 def _msb_bits(values, width: int) -> np.ndarray:
     """MSB-first bits of non-negative integers below 2**width, in a new last axis."""
     nbytes = (width + 7) // 8
@@ -217,17 +229,11 @@ def encode_stream(header: StreamHeader, K, J, lat: Lattice | None = None) -> byt
     """Header, then per vector Golomb(K) and n offset-binary coordinates; bit-exact.
 
     K has shape (count,) with integers >= 1, J shape (count, n) with
-    integers in [-coord_bound, coord_bound].  A built-in lattice id (Zn, Dn,
-    A2, E8) is reserved for that built-in lattice, with its family and
-    constants, since a decoder given no lattice uses it: another `lat` is a
-    ValueError.
+    integers in [-coord_bound, coord_bound].  The lattice id must pass
+    `check_lattice_id`.
     """
-    if lat is not None and header.lattice_id in _BUILTIN_FAMILIES:
-        builtin = lattice_for_header(header)
-        if (lat.family, lat.packing_radius, lat.det) != (builtin.family, builtin.packing_radius,
-                                                         builtin.det):
-            raise ValueError(f"lattice id {header.lattice_id!r} is reserved for the built-in "
-                             f"{header.lattice_id} lattice, which {lat!r} is not")
+    if lat is not None:
+        check_lattice_id(header, lat)
     lat = lattice_for_header(header, lat)
     code = golomb_for_lattice(lat)
     B, n = header.coord_bound, header.n

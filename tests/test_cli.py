@@ -171,15 +171,23 @@ def test_user_lattice_config_encode_decode(tmp_path, vec_file):
     assert np.linalg.norm(Y - X, axis=1).max() <= 0.3
 
 
-def test_builtin_lattice_ids_are_reserved(tmp_path, vec_file):
+def test_builtin_lattice_ids_are_reserved(tmp_path, vec_file, monkeypatch):
     # a config named A2 that holds Z^2 used to be written as an A2 stream,
     # which decodes without --lattice on the built-in A2 to wrong vectors
+    from rsuq import cli
+
     path, X = vec_file
     fake = tmp_path / "A2"
     fake.write_text("2\n1 0\n0 1\n")
     rsq = tmp_path / "a.rsq"
-    code, _, err = run_cli("encode", "--input", str(path), "--lattice", str(fake), "--dim",
-                           "2", "--radius", "0.3", "--output", str(rsq))
+
+    def no_quantizer_work(*args, **kwargs):
+        raise AssertionError("the reserved id is refused before the rejection loop")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "encode_batch", no_quantizer_work)
+        code, _, err = run_cli("encode", "--input", str(path), "--lattice", str(fake), "--dim",
+                               "2", "--radius", "0.3", "--output", str(rsq))
     assert code == 2 and "reserved for the built-in A2 lattice" in err
     assert not rsq.exists()
     # the built-in lattice itself still writes A2 streams
@@ -475,6 +483,75 @@ def test_ball_encode_decode_loads_no_scipy(tmp_path):
                          env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "o.vqf").exists()
+
+
+def _has_mallopt():
+    import ctypes
+
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt (not glibc)")
+def test_warm_gaussian_e8_simulate_faults_in_few_pages(tmp_path):
+    # glibc trims the freed top of the heap after every call unless the CLI
+    # raises its thresholds; then each warm call faulted in about 950 pages
+    src = os.path.dirname(os.path.dirname(rsuq.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    X = np.random.default_rng(5).standard_normal((4096, 8))
+    (tmp_path / "in.vqf").write_bytes(write_vectors(X))
+    script = (
+        "import contextlib, io, resource, sys\n"
+        "import rsuq.cli\n"
+        "d = sys.argv[1]\n"
+        "argv = ['simulate', '--noise', 'gaussian', '--lattice', 'E8', '--dim', '8',\n"
+        "        '--seed', '3', '--input', d + '/in.vqf', '--output', d + '/o.vqf']\n"
+        "def call():\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert rsuq.cli.main(argv) == 0\n"
+        "for _ in range(3):\n"
+        "    call()\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(5):\n"
+        "    call()\n"
+        "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)\n")
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    faults = float(out.stdout.splitlines()[-1])
+    assert faults < 100, f"{faults} minor faults per warm call"
+
+
+@pytest.mark.parametrize("cdll", ["raises", "no-mallopt"])
+def test_cli_runs_without_mallopt(tmp_path, vec_file, monkeypatch, cdll):
+    # a C library that cannot be opened, or has no mallopt, changes nothing
+    import ctypes
+
+    from rsuq import cli
+
+    path, X = vec_file
+    argv = [["encode", "--input", str(path), "--lattice", "Zn", "--dim", "2", "--radius",
+             "0.5", "--seed", "4", "--output", str(tmp_path / "a.rsq")],
+            ["decode", "--input", str(tmp_path / "a.rsq"), "--output", str(tmp_path / "a.vqf")]]
+    for cmd in argv:
+        assert run_cli(*cmd)[0] == 0
+    want = [(tmp_path / name).read_bytes() for name in ("a.rsq", "a.vqf")]
+
+    loads = []
+
+    def fake_cdll(name, *args, **kwargs):
+        loads.append(name)
+        if cdll == "raises":
+            raise OSError("no C library")
+        return object()
+
+    monkeypatch.setattr(ctypes, "CDLL", fake_cdll)
+    monkeypatch.setattr(cli, "_parser", None)  # so main sets the heap up again
+    for cmd in argv:
+        assert run_cli(*cmd)[0] == 0
+    assert loads == [None]
+    assert [(tmp_path / name).read_bytes() for name in ("a.rsq", "a.vqf")] == want
 
 
 @pytest.mark.parametrize("lattice_id, n, rule", [
