@@ -18,7 +18,7 @@ from .lattices import (Lattice, LatticePoint, builtin_lattice,
                        nearest_point, packing_density)
 from .layered import (GaussianNoise, NoiseModel, lrsuq_decode,
                       lrsuq_decode_batch, lrsuq_encode, lrsuq_encode_batch)
-from .mc import TestResult, TrialPlan, estimate_mse, estimate_rate
+from .mc import TestResult, TrialPlan, estimate_rate
 from .quantizer import (Description, RejectionCapError, RsuqConfig,
                         decode_batch, encode_batch, rsuq_decode, rsuq_encode)
 
@@ -30,8 +30,7 @@ __all__ = [
     "RejectionCapError", "RsuqConfig", "StreamHeader", "TestResult",
     "TrialPlan", "builtin_lattice", "covering_density", "decode_batch",
     "decode_stream", "derive_seed", "encode_batch", "encode_stream",
-    "estimate_mse", "estimate_rate", "excess_info",
-    "gaussian_layered_entropy",
+    "estimate_rate", "excess_info", "gaussian_layered_entropy",
     "lattice_from_config", "load_lattice", "load_registry", "lrsuq_decode",
     "lrsuq_decode_batch", "lrsuq_encode", "lrsuq_encode_batch",
     "nearest_point", "packing_density", "rd_lower_max_error", "read_vectors",

@@ -117,7 +117,7 @@ def rsuq_norment_ub(lat: Lattice, r: float, tight: bool = False) -> float:
     form replaces it with the geometric-excess term of the stopping index
     at the lattice's packing density.
     """
-    base = -lat.n * math.log2(r) - log2_ball_volume(lat.n)
+    base = rd_lower_max_error(lat.n, r)
     if tight:
         return base + geometric_excess(packing_density(lat))
     return base + LOG2E

@@ -16,10 +16,9 @@ import numpy as np
 
 from . import bounds as bd
 from . import mc
-from .coding import (MODE_BALL, FormatError, GolombCode, StreamHeader, check_lattice_id,
-                     coord_width_for_bound, decode_stream, encode_stream,
-                     golomb_for_lattice, lattice_for_header, mean_code_length,
-                     read_vectors, write_header, write_vectors)
+from .coding import (MODE_BALL, FormatError, GolombCode, StreamHeader, coord_width_for_bound,
+                     decode_stream, encode_stream, golomb_for_lattice, lattice_for_header,
+                     mean_code_length, read_vectors, write_header, write_vectors)
 from .dither import derive_seed, stream_uniforms
 from .lattices import _BUILTIN_FAMILIES, builtin_lattice, load_lattice, packing_density
 from .layered import GaussianNoise, lrsuq_decode_batch, lrsuq_encode_batch
@@ -68,7 +67,7 @@ def cmd_encode(args) -> int:
     header = StreamHeader(n=args.dim, lattice_id=lat.name, gamma=cfg.gamma,
                           param=args.radius, mode=MODE_BALL, seed=args.seed,
                           count=len(X), coord_bound=0)
-    check_lattice_id(header, lat)
+    lattice_for_header(header, lat)
     K, J, _ = encode_batch(cfg, X)
     header.coord_bound = bound = int(np.abs(J).max()) if J.size else 0
     blob = encode_stream(header, K, J, lat=lat)
@@ -224,12 +223,13 @@ def _selftest_checks(seed: int, full: bool):
     # ball-error law, MSE, stopping index
     cfg = RsuqConfig(z2, r=0.5, seed=derive_seed(seed, 1))
     plan = mc.TrialPlan(samples=n_small, tau=50.0, seed_base=derive_seed(seed, 2))
-    X, Z = mc.error_batch(cfg, plan)
+    X, K, _, Y = mc.run_quantizer(cfg, plan)
+    Z = Y - X
     yield ("uniform-ball", mc.test_uniform_ball(Z, 0.5, 2, seed=seed))
     yield ("independence", mc.test_independence(X, Z, seed=seed))
     mse = float(np.einsum("ij,ij->i", Z, Z).mean())
     yield check("mse[Z2]", mse, 0.125, abs(mse - 0.125) < 0.00125, n_small)
-    mean_k, kres = mc.k_statistics(cfg, plan)
+    mean_k, kres = mc.k_statistics(K, packing_density(z2), plan.seed_base)
     yield ("stopping-index[Z2]", kres)
     want = 4.0 / math.pi
     yield check("mean-k[Z2]", mean_k, want, abs(mean_k - want) / want < 0.02, n_small)
@@ -246,7 +246,8 @@ def _selftest_checks(seed: int, full: bool):
         cfg8 = RsuqConfig(e8, r=e8.packing_radius, seed=derive_seed(seed, 5))
         plan8 = mc.TrialPlan(samples=n_small, tau=50.0,
                              seed_base=derive_seed(seed, 6))
-        mean_k8, kres8 = mc.k_statistics(cfg8, plan8)
+        mean_k8, kres8 = mc.k_statistics(mc.run_quantizer(cfg8, plan8)[1],
+                                         packing_density(e8), plan8.seed_base)
         yield ("stopping-index[E8]", kres8)
         want8 = 384.0 / math.pi ** 4
         yield check("mean-k[E8]", mean_k8, want8, abs(mean_k8 - want8) / want8 < 0.02,
@@ -255,8 +256,9 @@ def _selftest_checks(seed: int, full: bool):
     # Gaussian channel simulation
     g = GaussianNoise(2)
     plan_g = mc.TrialPlan(samples=n_big, tau=50.0, seed_base=derive_seed(seed, 7))
-    _, Zg, _ = mc.lrsuq_error_batch(g, z2, derive_seed(seed, 8), plan_g)
-    yield ("gaussian-sim", mc.test_gaussian(Zg, 2, seed=seed))
+    Xg = mc.sample_inputs(plan_g, 2)
+    Yg = lrsuq_encode_batch(g, z2, derive_seed(seed, 8), Xg)[2]
+    yield ("gaussian-sim", mc.test_gaussian(Yg - Xg, 2, seed=seed))
 
     # coding layer
     code = GolombCode.for_geometric(0.5)

@@ -169,11 +169,17 @@ def read_header(data: bytes) -> tuple[StreamHeader, int]:
 
 
 def lattice_for_header(header: StreamHeader, lat: Lattice | None = None) -> Lattice:
-    """Coding lattice (`lat`, else the built-in id); a ball stream's gamma must fit it."""
-    if lat is None:
-        if header.lattice_id not in _BUILTIN_FAMILIES:
-            raise FormatError(f"stream uses non-builtin lattice {header.lattice_id!r}; "
-                              "pass its config to decode")
+    """The lattice that codes a stream with this header; FormatError if none can.
+
+    A built-in id (Zn, Dn, A2, E8) is reserved for the built-in lattice of
+    that family, since a decoder given no lattice uses it: that lattice is
+    returned, and a supplied `lat` that differs from it in family, packing
+    radius or determinant is refused.  Any other id needs `lat`.  A ball
+    stream's gamma must fit the lattice.
+    """
+    if lat is not None and lat.n != header.n:
+        raise FormatError("supplied lattice dimension does not match stream")
+    if header.lattice_id in _BUILTIN_FAMILIES:
         try:
             density = builtin_packing_density(header.lattice_id, header.n)
         except ValueError as exc:
@@ -184,26 +190,20 @@ def lattice_for_header(header: StreamHeader, lat: Lattice | None = None) -> Latt
         except ValueError as exc:
             raise FormatError(f"{header.lattice_id} at n = {header.n} has packing density "
                               f"{density:.3g}: {exc}") from exc
-        lat = builtin_lattice(header.lattice_id, header.n)
-    elif lat.n != header.n:
-        raise FormatError("supplied lattice dimension does not match stream")
+        builtin = builtin_lattice(header.lattice_id, header.n)
+        if lat is not None and (lat.family, lat.packing_radius, lat.det) != (
+                builtin.family, builtin.packing_radius, builtin.det):
+            raise FormatError(f"lattice id {header.lattice_id!r} is reserved for the built-in "
+                              f"{header.lattice_id} lattice, which {lat!r} is not")
+        lat = builtin
+    elif lat is None:
+        raise FormatError(f"stream uses non-builtin lattice {header.lattice_id!r}; "
+                          "pass its config to decode")
     if header.mode == MODE_BALL and not math.isclose(
             header.gamma, header.param / lat.packing_radius, rel_tol=1e-9):
         raise FormatError(f"stream scale {header.gamma!r} does not match lattice "
                           f"{lat.name!r} at radius {header.param!r}")
     return lat
-
-
-def check_lattice_id(header: StreamHeader, lat: Lattice):
-    """A built-in lattice id (Zn, Dn, A2, E8) is reserved for that built-in
-    lattice, with its family and constants, since a decoder given no lattice
-    uses it: a header naming one with another `lat` is a ValueError."""
-    if header.lattice_id in _BUILTIN_FAMILIES:
-        builtin = lattice_for_header(header)
-        if (lat.family, lat.packing_radius, lat.det) != (builtin.family, builtin.packing_radius,
-                                                         builtin.det):
-            raise ValueError(f"lattice id {header.lattice_id!r} is reserved for the built-in "
-                             f"{header.lattice_id} lattice, which {lat!r} is not")
 
 
 def _msb_bits(values, width: int) -> np.ndarray:
@@ -229,11 +229,9 @@ def encode_stream(header: StreamHeader, K, J, lat: Lattice | None = None) -> byt
     """Header, then per vector Golomb(K) and n offset-binary coordinates; bit-exact.
 
     K has shape (count,) with integers >= 1, J shape (count, n) with
-    integers in [-coord_bound, coord_bound].  The lattice id must pass
-    `check_lattice_id`.
+    integers in [-coord_bound, coord_bound].  The header and `lat` must
+    pass `lattice_for_header`.
     """
-    if lat is not None:
-        check_lattice_id(header, lat)
     lat = lattice_for_header(header, lat)
     code = golomb_for_lattice(lat)
     B, n = header.coord_bound, header.n

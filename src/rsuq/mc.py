@@ -8,7 +8,8 @@ and re-running reproduces identical statistics bit for bit.
 
 Significance tests use the asymptotic Kolmogorov distribution for KS
 p-values and the chi-square upper tail for goodness of fit; sample floors
-are enforced wherever a significance level is quoted.
+are enforced wherever a significance level is quoted.  Checks take the
+arrays they test; their tolerances are the constants ALPHA and RATE_SLACK.
 """
 
 from __future__ import annotations
@@ -18,17 +19,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import LOG2E
+from .bounds import rd_lower_max_error, rsuq_norment_ub
 from .coding import mean_code_length
 from .dither import derive_seed, stream_uniforms
-from .lattices import Lattice, log2_ball_volume
-from .layered import NoiseModel, lrsuq_encode_batch
 from .quantizer import RsuqConfig, encode_batch
 
 _AUX_BASE = 1 << 62
 _INPUT_LAWS = ("uniform-ball", "gaussian")
 _MIN_SAMPLES = 1000
 _MASS_POINTS = 10
+# Significance level of every KS and chi-square check.
+ALPHA = 0.01
+# Bits allowed above the rate bound in rsuq_rate_check.
+RATE_SLACK = 0.1
 
 
 class InsufficientSamplesError(ValueError):
@@ -88,7 +91,7 @@ def ks_statistic(u) -> float:
     return float(max((grid - u).max(), (u - (grid - 1.0 / n)).max()))
 
 
-def ks_test(cdf_values, name: str, alpha: float = 0.01, seed: int = 0) -> TestResult:
+def ks_test(cdf_values, name: str, seed: int = 0) -> TestResult:
     """KS test of probability-integral-transformed samples against U[0,1]."""
     from scipy.special import kolmogorov  # a slow import; encode and decode skip it
 
@@ -96,11 +99,11 @@ def ks_test(cdf_values, name: str, alpha: float = 0.01, seed: int = 0) -> TestRe
     _require_samples(u.size)
     d = ks_statistic(u)
     p = float(kolmogorov(math.sqrt(u.size) * d))
-    return TestResult(test=name, statistic=d, threshold=alpha, p_value=p,
-                      verdict=p >= alpha, n_samples=u.size, seed=seed)
+    return TestResult(test=name, statistic=d, threshold=ALPHA, p_value=p,
+                      verdict=p >= ALPHA, n_samples=u.size, seed=seed)
 
 
-def ks_two_sample(a, b, name: str, alpha: float = 0.01, seed: int = 0) -> TestResult:
+def ks_two_sample(a, b, name: str, seed: int = 0) -> TestResult:
     """Two-sample KS with the asymptotic null distribution."""
     from scipy.special import kolmogorov
 
@@ -113,12 +116,11 @@ def ks_two_sample(a, b, name: str, alpha: float = 0.01, seed: int = 0) -> TestRe
     d = float(np.abs(cdf_a - cdf_b).max())
     n_eff = a.size * b.size / (a.size + b.size)
     p = float(kolmogorov(math.sqrt(n_eff) * d))
-    return TestResult(test=name, statistic=d, threshold=alpha, p_value=p,
-                      verdict=p >= alpha, n_samples=a.size + b.size, seed=seed)
+    return TestResult(test=name, statistic=d, threshold=ALPHA, p_value=p,
+                      verdict=p >= ALPHA, n_samples=a.size + b.size, seed=seed)
 
 
-def chi_square_gof(observed, expected, name: str, alpha: float = 0.01,
-                   seed: int = 0) -> TestResult:
+def chi_square_gof(observed, expected, name: str, seed: int = 0) -> TestResult:
     """Chi-square goodness of fit; degrees of freedom = bins - 1."""
     from scipy.special import gammaincc
 
@@ -129,8 +131,8 @@ def chi_square_gof(observed, expected, name: str, alpha: float = 0.01,
     stat = float(((obs - exp) ** 2 / exp).sum())
     df = obs.size - 1
     p = float(gammaincc(df / 2.0, stat / 2.0))
-    return TestResult(test=name, statistic=stat, threshold=alpha, p_value=p,
-                      verdict=p >= alpha, n_samples=int(obs.sum()), seed=seed)
+    return TestResult(test=name, statistic=stat, threshold=ALPHA, p_value=p,
+                      verdict=p >= ALPHA, n_samples=int(obs.sum()), seed=seed)
 
 
 def plugin_entropy(values) -> float:
@@ -217,26 +219,6 @@ def rate_from_descriptions(lat, K, J) -> RateEstimate:
                         n_samples=int(K.size))
 
 
-def estimate_mse(cfg: RsuqConfig, plan: TrialPlan) -> float:
-    """Mean squared reconstruction error over the planned batch."""
-    X, _, _, Y = run_quantizer(cfg, plan)
-    err = Y - X
-    return float(np.einsum("ij,ij->i", err, err).mean())
-
-
-def error_batch(cfg: RsuqConfig, plan: TrialPlan):
-    """(X, errors) for the planned batch."""
-    X, _, _, Y = run_quantizer(cfg, plan)
-    return X, Y - X
-
-
-def lrsuq_error_batch(noise: NoiseModel, lat: Lattice, seed: int, plan: TrialPlan):
-    """(X, errors, levels) for a layered run on the planned batch."""
-    X = sample_inputs(plan, lat.n)
-    _, _, Y, levels = lrsuq_encode_batch(noise, lat, seed, X)
-    return X, Y - X, levels
-
-
 # -- distributional tests ---------------------------------------------------------
 
 
@@ -251,13 +233,12 @@ def _all_of(name, subs, p_value=None) -> TestResult:
                       subresults=subs)
 
 
-def test_uniform_ball(errors, r: float, n: int, alpha: float = 0.01,
-                      seed: int = 0) -> TestResult:
+def test_uniform_ball(errors, r: float, n: int, seed: int = 0) -> TestResult:
     """Radial KS against the uniform-ball law plus a 3-sigma mean-vector band."""
     Z = np.atleast_2d(np.asarray(errors, dtype=np.float64))
     _require_samples(Z.shape[0])
     radial = (np.sqrt(np.einsum("ij,ij->i", Z, Z)) / r) ** n
-    ks = ks_test(radial, "uniform-ball[radial-ks]", alpha, seed)
+    ks = ks_test(radial, "uniform-ball[radial-ks]", seed)
     sigma = r / math.sqrt(n + 2)
     band = 3.0 * sigma / math.sqrt(Z.shape[0])
     dev = float(np.abs(Z.mean(axis=0)).max())
@@ -266,7 +247,7 @@ def test_uniform_ball(errors, r: float, n: int, alpha: float = 0.01,
     return _all_of("uniform-ball", [ks, mean_ok], p_value=ks.p_value)
 
 
-def test_gaussian(errors, n: int, alpha: float = 0.01, seed: int = 0) -> TestResult:
+def test_gaussian(errors, n: int, seed: int = 0) -> TestResult:
     """Per-coordinate KS vs the standard normal, covariance band, norm2 KS."""
     from scipy.special import gammainc, ndtr
 
@@ -275,19 +256,18 @@ def test_gaussian(errors, n: int, alpha: float = 0.01, seed: int = 0) -> TestRes
     N = Z.shape[0]
     subs = []
     for c in range(n):
-        subs.append(ks_test(ndtr(Z[:, c]), f"gaussian[coord{c}-ks]", alpha, seed))
+        subs.append(ks_test(ndtr(Z[:, c]), f"gaussian[coord{c}-ks]", seed))
     cov = (Z.T @ Z) / N - np.outer(Z.mean(axis=0), Z.mean(axis=0))
     dev = float(np.abs(cov - np.eye(n)).max())
     cov_tol = max(0.02, 6.0 * math.sqrt(2.0 / N))
     subs.append(TestResult(test="gaussian[cov]", statistic=dev, threshold=cov_tol,
                            verdict=dev <= cov_tol, n_samples=N, seed=seed))
     norm2 = np.einsum("ij,ij->i", Z, Z)
-    subs.append(ks_test(gammainc(n / 2.0, norm2 / 2.0), "gaussian[norm2-ks]",
-                        alpha, seed))
+    subs.append(ks_test(gammainc(n / 2.0, norm2 / 2.0), "gaussian[norm2-ks]", seed))
     return _all_of("gaussian", subs)
 
 
-def test_independence(xs, errors, alpha: float = 0.01, seed: int = 0) -> TestResult:
+def test_independence(xs, errors, seed: int = 0) -> TestResult:
     """Cross-correlation band plus a two-sample KS across input halves.
 
     Inputs with (near-)constant coordinates make both checks vacuous
@@ -315,40 +295,36 @@ def test_independence(xs, errors, alpha: float = 0.01, seed: int = 0) -> TestRes
     norms = np.sqrt(np.einsum("ij,ij->i", Z, Z))
     if split.sum() >= _MIN_SAMPLES and (~split).sum() >= _MIN_SAMPLES:
         subs.append(ks_two_sample(norms[split], norms[~split],
-                                  "independence[region-ks]", alpha, seed))
+                                  "independence[region-ks]", seed))
     return _all_of("independence", subs)
 
 
 # -- stopping-index statistics -----------------------------------------------------
 
 
-def k_statistics(cfg: RsuqConfig, plan: TrialPlan):
-    """(mean K, chi-square TestResult of K = 1..10 and K > 10 against the
-    geometric law)."""
-    _require_samples(plan.samples)
-    _, K, _, _ = run_quantizer(cfg, plan)
-    p = cfg.acceptance_probability
+def k_statistics(K, p: float, seed: int = 0):
+    """(mean K, chi-square TestResult of the stopping indices K = 1..10 and
+    K > 10 against the geometric law of success probability p)."""
+    _require_samples(K.size)
     obs = np.asarray([(K == k).sum() for k in range(1, _MASS_POINTS + 1)]
                      + [(K > _MASS_POINTS).sum()], dtype=np.float64)
     pmf = p * (1.0 - p) ** (np.arange(1, _MASS_POINTS + 1) - 1)
     exp = K.size * np.concatenate([pmf, [(1.0 - p) ** _MASS_POINTS]])
-    return float(K.mean()), chi_square_gof(obs, exp, "stopping-index[geometric-chi2]",
-                                           seed=plan.seed_base)
+    return float(K.mean()), chi_square_gof(obs, exp, "stopping-index[geometric-chi2]", seed)
 
 
 # -- rate-bound checks ---------------------------------------------------------------
 
 
-def rsuq_rate_check(cfg: RsuqConfig, plan: TrialPlan, slack: float = 0.1) -> TestResult:
+def rsuq_rate_check(cfg: RsuqConfig, plan: TrialPlan) -> TestResult:
     """Normalized plug-in rate against the ball quantizer's entropy bound.
 
     Passes when Hhat(K) + Hhat(M) - log2 vol(tau ball) stays below
-    -log2 vol(r ball) + log2 e + slack.
+    -log2 vol(r ball) + log2 e + RATE_SLACK.
     """
     est = estimate_rate(cfg, plan)
-    n = cfg.lat.n
-    lhs = est.h_k + est.h_m - (n * math.log2(plan.tau) + log2_ball_volume(n))
-    rhs = -(n * math.log2(cfg.r) + log2_ball_volume(n)) + LOG2E + slack
+    lhs = est.h_k + est.h_m + rd_lower_max_error(cfg.lat.n, plan.tau)
+    rhs = rsuq_norment_ub(cfg.lat, cfg.r) + RATE_SLACK
     return TestResult(test=f"rate-bound[{cfg.lat.name}]", statistic=lhs,
                       threshold=rhs, verdict=lhs <= rhs,
                       n_samples=est.n_samples, seed=plan.seed_base)

@@ -67,10 +67,6 @@ class RsuqConfig:
     def gamma(self) -> float:
         return self.r / self.lat.packing_radius
 
-    @property
-    def acceptance_probability(self) -> float:
-        return packing_density(self.lat)
-
 
 @dataclass
 class Description:

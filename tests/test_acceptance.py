@@ -19,7 +19,7 @@ from rsuq.cli import main as cli_main
 from rsuq.coding import GolombCode, StreamHeader, MODE_BALL, decode_stream, \
     encode_stream, write_vectors
 from rsuq.dither import stream_uniforms
-from rsuq.lattices import builtin_lattice
+from rsuq.lattices import builtin_lattice, packing_density
 from rsuq.layered import GaussianNoise, lrsuq_encode_batch
 from rsuq.quantizer import RsuqConfig
 
@@ -63,9 +63,11 @@ def test_criterion_2_distributional_exactness():
     with budget("2 distributional-exactness", 30.0) as out:
         cfg = RsuqConfig(builtin_lattice("Zn", 2), r=0.5, seed=20001)
         plan = mc.TrialPlan(samples=100000, tau=50.0, seed_base=20002)
-        X, Z = mc.error_batch(cfg, plan)
-        res = mc.test_uniform_ball(Z, 0.5, 2, alpha=0.01)
+        X, _, _, Y = mc.run_quantizer(cfg, plan)
+        Z = Y - X
+        res = mc.test_uniform_ball(Z, 0.5, 2)
         ks, mean_band = res.subresults
+        assert mc.ALPHA == 0.01 and ks.threshold == 0.01
         assert ks.verdict, f"radial KS p={ks.p_value}"
         mse = float(np.einsum("ij,ij->i", Z, Z).mean())
         assert abs(mse - 0.125) <= 0.01 * 0.125, mse
@@ -82,8 +84,10 @@ def test_criterion_3_geometric_stopping():
             lat = builtin_lattice(family, n)
             cfg = RsuqConfig(lat, r=lat.packing_radius, seed=seed)
             plan = mc.TrialPlan(samples=100000, tau=50.0, seed_base=seed + 7)
-            mean_k, fit = mc.k_statistics(cfg, plan)
-            want = 1.0 / cfg.acceptance_probability
+            mean_k, fit = mc.k_statistics(mc.run_quantizer(cfg, plan)[1],
+                                          packing_density(lat), plan.seed_base)
+            want = 1.0 / packing_density(lat)
+            assert fit.threshold == 0.01
             assert abs(mean_k - want) / want <= 0.02, (family, mean_k, want)
             assert fit.verdict, (family, fit.p_value)
             details.append(f"{family}: mean={mean_k:.4f} (want {want:.4f}), "
@@ -99,7 +103,9 @@ def test_criterion_4_rate_bound_lattice_insensitive():
             lat = builtin_lattice(family, n)
             cfg = RsuqConfig(lat, r=0.5, seed=40001)
             plan = mc.TrialPlan(samples=100000, tau=50.0, seed_base=40002)
-            res = mc.rsuq_rate_check(cfg, plan, slack=0.1)
+            res = mc.rsuq_rate_check(cfg, plan)
+            assert mc.RATE_SLACK == 0.1
+            assert res.threshold == bd.rsuq_norment_ub(lat, 0.5) + 0.1
             assert res.verdict, (family, res.statistic, res.threshold)
             details.append(f"{family}: {res.statistic:.3f} <= {res.threshold:.3f}")
         out["detail"] = "; ".join(details)
@@ -113,10 +119,11 @@ def test_criterion_5_gaussian_channel_simulation():
         N = 200000
         _, _, Y0, _ = lrsuq_encode_batch(noise, z2, 50001, np.zeros((N, 2)))
         Z0 = Y0
-        res = mc.test_gaussian(Z0, 2, alpha=0.01)
+        res = mc.test_gaussian(Z0, 2)
         coord_ks = [s for s in res.subresults if "coord" in s.test]
         cov = [s for s in res.subresults if s.test == "gaussian[cov]"][0]
         norm2 = [s for s in res.subresults if "norm2" in s.test][0]
+        assert all(s.threshold == 0.01 for s in coord_ks + [norm2])
         assert all(s.verdict for s in coord_ks), [s.p_value for s in coord_ks]
         assert cov.statistic < 0.02, cov.statistic
         assert norm2.verdict, norm2.p_value
@@ -125,7 +132,8 @@ def test_criterion_5_gaussian_channel_simulation():
         Z1 = Y1 - X1
         two = mc.ks_two_sample(np.linalg.norm(Z0, axis=1),
                                np.linalg.norm(Z1, axis=1),
-                               "input-shift", alpha=0.01)
+                               "input-shift")
+        assert two.threshold == 0.01
         assert two.verdict, two.p_value
         out["detail"] = (f"coord KS p>={min(s.p_value for s in coord_ks):.3f}, "
                          f"cov dev={cov.statistic:.4f}, norm2 p={norm2.p_value:.3f}, "

@@ -7,7 +7,8 @@ other module of the package uses must be named in README.md, so a test
 helper cannot stay public by being exported.  A method counts as
 used only through an attribute reference, so a local variable of the same
 name does not keep it, and fields read off the argparse namespace (`args.x`)
-count for nothing.
+count for nothing.  Every name a module other than __init__.py imports
+is referenced in that module.
 """
 
 import ast
@@ -69,3 +70,17 @@ def test_every_export_resolves():
     missing = [name for name in rsuq.__all__ if not hasattr(rsuq, name)]
     assert not missing, missing
     assert len(set(rsuq.__all__)) == len(rsuq.__all__)
+
+
+def test_every_import_is_used():
+    unused = []
+    for module, tree in _trees().items():
+        if module == "__init__.py":  # its imports are the exports
+            continue
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                bound = (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                unused += [f"{module}:{name}" for name in bound if name not in names]
+    assert not unused, "imported in src/rsuq but never referenced: " + ", ".join(unused)

@@ -195,6 +195,31 @@ def test_builtin_lattice_ids_are_reserved(tmp_path, vec_file, monkeypatch):
                    "--radius", "0.3", "--output", str(rsq))[0] == 0
 
 
+def test_builtin_lattice_ids_are_reserved_on_decode(tmp_path):
+    # a Zn stream decoded with a config of A2's generator, whose packing
+    # radius is also 0.5, passed the scale check and decoded to wrong vectors
+    from rsuq.coding import FormatError, decode_stream
+    from rsuq.lattices import load_lattice
+
+    X = np.random.default_rng(3).standard_normal((50, 2))
+    src = tmp_path / "in.vqf"
+    src.write_bytes(write_vectors(X))
+    hexagonal = tmp_path / "hex.cfg"
+    hexagonal.write_text("2\n1 0.5\n0 0.8660254037844386\n")
+    rsq = tmp_path / "z.rsq"
+    rec = tmp_path / "z.vqf"
+    assert run_cli("encode", "--input", str(src), "--lattice", "Zn", "--dim", "2",
+                   "--radius", "0.3", "--output", str(rsq))[0] == 0
+    code, _, err = run_cli("decode", "--input", str(rsq), "--output", str(rec),
+                           "--lattice", str(hexagonal))
+    assert code == 2 and "reserved for the built-in Zn lattice" in err
+    assert not rec.exists()
+    with pytest.raises(FormatError, match="reserved for the built-in Zn lattice"):
+        decode_stream(rsq.read_bytes(), lat=load_lattice(str(hexagonal)))
+    assert run_cli("decode", "--input", str(rsq), "--output", str(rec))[0] == 0
+    assert np.linalg.norm(read_vectors(rec.read_bytes()) - X, axis=1).max() <= 0.3
+
+
 def test_wrong_user_lattice_config_is_a_format_error(tmp_path, vec_file):
     # the ball stream's scale pins the packing radius of the encoding lattice
     path, X = vec_file

@@ -9,7 +9,8 @@ from scipy.special import kolmogorov
 from rsuq import mc
 from rsuq.bounds import LOG2E, gaussian_layered_entropy
 from rsuq.dither import stream_uniforms
-from rsuq.lattices import _covering_radius_bound, builtin_lattice, log2_ball_volume
+from rsuq.lattices import (_covering_radius_bound, builtin_lattice, log2_ball_volume,
+                           packing_density)
 from rsuq.layered import GaussianNoise, lrsuq_encode_batch
 from rsuq.quantizer import RsuqConfig
 
@@ -32,6 +33,11 @@ def layered_rate_check(noise, lat, seed, plan, layered_entropy_bits):
     eta = _covering_radius_bound(lat)
     support = n * float(np.log2(1.0 + 3.0 * eta * beta / plan.tau).mean())
     return lhs, -layered_entropy_bits + LOG2E + support + 0.1
+
+
+def mean_squared_error(cfg, plan):
+    X, _, _, Y = mc.run_quantizer(cfg, plan)
+    return float(np.einsum("ij,ij->i", Y - X, Y - X).mean())
 
 
 def gaussian_smoothness_penalty(eps, sigma_min_eig, mean_norm):
@@ -127,7 +133,7 @@ def test_estimate_rate_and_mse():
 
     assert est.h_k == pytest.approx(geometric_entropy(math.pi / 4), abs=0.02)
     assert est.mean_code_len >= est.h_k  # realized code cannot beat entropy
-    assert mc.estimate_mse(cfg, plan) == pytest.approx(0.125, rel=0.01)
+    assert mean_squared_error(cfg, plan) == pytest.approx(0.125, rel=0.01)
     with pytest.raises(ValueError):
         mc.estimate_rate(cfg, mc.TrialPlan(samples=5000, tau=1.0, seed_base=1))
 
@@ -145,7 +151,8 @@ def test_degenerate_full_cell_acceptance():
 def test_uniform_ball_test_pass_and_fail():
     cfg = RsuqConfig(Z2, r=0.5, seed=21)
     plan = mc.TrialPlan(samples=100000, tau=50.0, seed_base=22)
-    _, Z = mc.error_batch(cfg, plan)
+    X, _, _, Y = mc.run_quantizer(cfg, plan)
+    Z = Y - X
     assert mc.test_uniform_ball(Z, 0.5, 2).verdict
     # adversarial: inputs uniform over a 0.9 r ball must fail the radial test
     shrunk = mc.sample_inputs(mc.TrialPlan(samples=20000, tau=0.45, seed_base=8), 2)
@@ -157,7 +164,8 @@ def test_uniform_ball_test_pass_and_fail():
 def test_independence_pass_fail_and_vacuous():
     cfg = RsuqConfig(Z2, r=0.5, seed=31)
     plan = mc.TrialPlan(samples=100000, tau=50.0, seed_base=32)
-    X, Z = mc.error_batch(cfg, plan)
+    X, _, _, Y = mc.run_quantizer(cfg, plan)
+    Z = Y - X
     assert mc.test_independence(X, Z).verdict
     # deterministic (non-dithered) lattice quantizer: error is a function of x
     Xs = mc.sample_inputs(mc.TrialPlan(samples=20000, tau=2.0, seed_base=33), 2)
@@ -172,8 +180,9 @@ def test_independence_pass_fail_and_vacuous():
 def test_gaussian_test_pass_and_fail():
     g = GaussianNoise(2)
     plan = mc.TrialPlan(samples=100000, tau=50.0, seed_base=44)
-    _, Z, _ = mc.lrsuq_error_batch(g, Z2, 444, plan)
-    assert mc.test_gaussian(Z, 2).verdict
+    X = mc.sample_inputs(plan, 2)
+    _, _, Y, _ = lrsuq_encode_batch(g, Z2, 444, X)
+    assert mc.test_gaussian(Y - X, 2).verdict
     # ball-uniform errors must fail the norm test
     ball = mc.sample_inputs(mc.TrialPlan(samples=20000, tau=1.0, seed_base=45), 2)
     assert not mc.test_gaussian(ball, 2).verdict
@@ -183,10 +192,10 @@ def test_estimate_mse_dimensions_and_scaling():
     e8 = builtin_lattice("E8", 8)
     plan = mc.TrialPlan(samples=50000, tau=20.0, seed_base=57)
     # n r^2 / (n+2) at n=8, r=1 is 0.8
-    assert mc.estimate_mse(RsuqConfig(e8, r=1.0, seed=56), plan) == \
+    assert mean_squared_error(RsuqConfig(e8, r=1.0, seed=56), plan) == \
         pytest.approx(0.8, rel=0.01)
-    tiny = mc.estimate_mse(RsuqConfig(Z2, r=0.01, seed=56),
-                           mc.TrialPlan(samples=5000, tau=5.0, seed_base=57))
+    tiny = mean_squared_error(RsuqConfig(Z2, r=0.01, seed=56),
+                              mc.TrialPlan(samples=5000, tau=5.0, seed_base=57))
     assert tiny == pytest.approx(0.01 ** 2 * 0.5, rel=0.05)  # -> 0 as r -> 0
 
 
@@ -215,7 +224,8 @@ def test_rsuq_redundancies_nonnegative():
 def test_k_distribution_and_estimator():
     cfg = RsuqConfig(Z2, r=0.5, seed=52)
     plan = mc.TrialPlan(samples=100000, tau=50.0, seed_base=53)
-    mean_k, res = mc.k_statistics(cfg, plan)
+    mean_k, res = mc.k_statistics(mc.run_quantizer(cfg, plan)[1], packing_density(Z2),
+                                  plan.seed_base)
     assert res.verdict
     assert mean_k == pytest.approx(4.0 / math.pi, rel=0.02)
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import rsuq.quantizer
 from _reject_ref import BallSetGaussian
 from rsuq.dither import derive_seed
-from rsuq.lattices import LatticePoint, builtin_lattice, lattice_from_config
+from rsuq.lattices import LatticePoint, builtin_lattice, lattice_from_config, packing_density
 from rsuq.layered import (GaussianNoise, lrsuq_decode, lrsuq_decode_batch, lrsuq_encode,
                           lrsuq_encode_batch)
 from rsuq.quantizer import (Description, RejectionCapError, RsuqConfig,
@@ -33,7 +33,7 @@ ROUND_TRIP_LATTICES = [
 def test_config_defaults():
     cfg = RsuqConfig(Z2, r=0.5, seed=1)
     assert cfg.gamma == 1.0
-    assert cfg.acceptance_probability == pytest.approx(math.pi / 4, rel=1e-12)
+    assert packing_density(cfg.lat) == pytest.approx(math.pi / 4, rel=1e-12)
     assert default_max_iters(Z2) == math.ceil(50.0 / (math.pi / 4))
     for r in (-1.0, 0.0, math.nan, math.inf, 1e200):
         with pytest.raises(ValueError, match="ball radius"):
@@ -222,7 +222,7 @@ def test_stopping_index_geometric(family, n):
     rng = np.random.default_rng(5)
     X = rng.uniform(-10, 10, size=(100000, n))
     K, _, _ = encode_batch(cfg, X)
-    p = cfg.acceptance_probability
+    p = packing_density(lat)
     assert K.mean() == pytest.approx(1.0 / p, rel=0.01)
     obs = np.asarray([(K == k).sum() for k in range(1, 11)] + [(K > 10).sum()],
                      dtype=float)
