@@ -13,27 +13,23 @@ from .bounds import (BoundsReport, ConstantsRegistry, excess_info,
 from .coding import (FormatError, GolombCode, StreamHeader, decode_stream,
                      encode_stream, read_vectors, write_vectors)
 from .dither import derive_seed
-from .lattices import (Lattice, LatticePoint, builtin_lattice,
-                       covering_density, lattice_from_config, load_lattice,
-                       nearest_point, packing_density)
-from .layered import (GaussianNoise, NoiseModel, lrsuq_decode,
-                      lrsuq_decode_batch, lrsuq_encode, lrsuq_encode_batch)
+from .lattices import (Lattice, builtin_lattice, covering_density,
+                       lattice_from_config, load_lattice, packing_density)
+from .layered import (GaussianNoise, NoiseModel, lrsuq_decode_batch,
+                      lrsuq_encode_batch)
 from .mc import TestResult, TrialPlan, estimate_rate
-from .quantizer import (Description, RejectionCapError, RsuqConfig,
-                        decode_batch, encode_batch, rsuq_decode, rsuq_encode)
+from .quantizer import RejectionCapError, RsuqConfig, decode_batch, encode_batch
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundsReport", "ConstantsRegistry", "Description", "FormatError",
-    "GaussianNoise", "GolombCode", "Lattice", "LatticePoint", "NoiseModel",
-    "RejectionCapError", "RsuqConfig", "StreamHeader", "TestResult",
-    "TrialPlan", "builtin_lattice", "covering_density", "decode_batch",
-    "decode_stream", "derive_seed", "encode_batch", "encode_stream",
-    "estimate_rate", "excess_info", "gaussian_layered_entropy",
-    "lattice_from_config", "load_lattice", "load_registry", "lrsuq_decode",
-    "lrsuq_decode_batch", "lrsuq_encode", "lrsuq_encode_batch",
-    "nearest_point", "packing_density", "rd_lower_max_error", "read_vectors",
-    "rsuq_decode", "rsuq_encode", "rsuq_norment_ub", "shannon_lb_mse",
-    "write_vectors", "zador_lb_mse",
+    "BoundsReport", "ConstantsRegistry", "FormatError", "GaussianNoise",
+    "GolombCode", "Lattice", "NoiseModel", "RejectionCapError", "RsuqConfig",
+    "StreamHeader", "TestResult", "TrialPlan", "builtin_lattice",
+    "covering_density", "decode_batch", "decode_stream", "derive_seed",
+    "encode_batch", "encode_stream", "estimate_rate", "excess_info",
+    "gaussian_layered_entropy", "lattice_from_config", "load_lattice",
+    "load_registry", "lrsuq_decode_batch", "lrsuq_encode_batch",
+    "packing_density", "rd_lower_max_error", "read_vectors",
+    "rsuq_norment_ub", "shannon_lb_mse", "write_vectors", "zador_lb_mse",
 ]

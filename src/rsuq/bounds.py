@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .lattices import LN2, Lattice, log2_ball_volume, packing_density
+from .lattices import LN2, Lattice, log2_ball_volume
 
 LOG2E = 1.0 / LN2
 
@@ -110,17 +110,13 @@ def geometric_excess(p: float) -> float:
     return -(1.0 - p) / p * math.log1p(-p) / LN2
 
 
-def rsuq_norment_ub(lat: Lattice, r: float, tight: bool = False) -> float:
+def rsuq_norment_ub(lat: Lattice, r: float) -> float:
     """Normalized-entropy bound of the ball-error rejection quantizer.
 
-    The loose form adds log2(e) and holds for every lattice; the tight
-    form replaces it with the geometric-excess term of the stopping index
-    at the lattice's packing density.
+    It adds log2(e), the supremum of the stopping index's geometric excess,
+    to the max-error floor, so it holds for every lattice.
     """
-    base = rd_lower_max_error(lat.n, r)
-    if tight:
-        return base + geometric_excess(packing_density(lat))
-    return base + LOG2E
+    return rd_lower_max_error(lat.n, r) + LOG2E
 
 
 def rsuq_red_per_dim(n: int, delta: float | None = None) -> float:

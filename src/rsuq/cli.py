@@ -68,11 +68,14 @@ def cmd_encode(args) -> int:
                           param=args.radius, mode=MODE_BALL, seed=args.seed,
                           count=len(X), coord_bound=0)
     lattice_for_header(header, lat)
+    # Refuses a lattice id the header cannot hold before the rejection loop;
+    # the header's length does not depend on the coordinate bound.
+    header_bytes = len(write_header(header))
     K, J, _ = encode_batch(cfg, X)
     header.coord_bound = bound = int(np.abs(J).max()) if J.size else 0
     blob = encode_stream(header, K, J, lat=lat)
     _write_file(args.output, blob)
-    payload_bits = 8 * (len(blob) - len(write_header(header)))
+    payload_bits = 8 * (len(blob) - header_bytes)
     print(f"vectors={len(X)} dim={args.dim} lattice={lat.name} "
           f"radius={args.radius:.6g} seed={args.seed}")
     if len(X):
@@ -110,7 +113,7 @@ def cmd_simulate(args) -> int:
     X, lat = _read_input(args)
     noise = GaussianNoise(args.dim)
     if len(X):
-        K, J, Y, _ = lrsuq_encode_batch(noise, lat, args.seed, X)
+        K, J, Y = lrsuq_encode_batch(noise, lat, args.seed, X)
         rate = mean_code_length(lat, K, int(np.abs(J).max())) / args.dim
     else:
         Y = np.zeros((0, args.dim))

@@ -129,7 +129,10 @@ _TAIL = struct.Struct("<ddBQQI")
 
 
 def write_header(header: StreamHeader) -> bytes:
-    name = header.lattice_id.encode("ascii")
+    try:
+        name = header.lattice_id.encode("ascii")
+    except UnicodeEncodeError:
+        raise ValueError(f"lattice id {header.lattice_id!r} is not ASCII") from None
     if len(name) > 255:
         raise ValueError("lattice id too long")
     if not 0 < header.n < 2 ** 32:
@@ -375,6 +378,8 @@ def write_vectors(X) -> bytes:
     if X.ndim != 2:
         raise ValueError(f"VQF1 holds (N, n) rows, got shape {X.shape}")
     count, dim = X.shape
+    if dim < 1:
+        raise ValueError("VQF1 dimension must be at least 1, got 0")
     head = VQF_MAGIC + struct.pack("<I", dim) + struct.pack("<Q", count)
     body = X.astype("<f8").tobytes(order="C")
     return head + body
@@ -386,8 +391,10 @@ def read_vectors(data: bytes) -> np.ndarray:
         raise FormatError("bad magic; not a VQF1 file")
     (dim,) = struct.unpack_from("<I", data, 4)
     (count,) = struct.unpack_from("<Q", data, 8)
+    if dim < 1:
+        raise FormatError("VQF1 dimension must be at least 1, got 0")
     need = 16 + 8 * dim * count
-    if dim < 1 or len(data) != need:
+    if len(data) != need:
         raise FormatError(f"VQF1 payload size mismatch (expected {need} bytes, got {len(data)})")
     X = np.frombuffer(data, dtype="<f8", offset=16).astype(np.float64)
     return X.reshape(count, dim)

@@ -40,7 +40,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -67,14 +66,6 @@ def log2_ball_volume(n: int) -> float:
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     return (n / 2.0) * math.log2(math.pi) - math.lgamma(n / 2.0 + 1.0) / LN2
-
-
-@dataclass
-class LatticePoint:
-    """A lattice point: integer coordinates j and its embedding G j."""
-
-    coords: np.ndarray
-    embedding: np.ndarray
 
 
 class Lattice:
@@ -209,7 +200,8 @@ class Lattice:
         return d
 
     def nearest_rows(self, X):
-        """Nearest-point integer coordinates for each row of X."""
+        """Nearest-point integer coordinates for each row of X, ties to the
+        lexicographically least j."""
         X = as_rows(X, self.n)
         check_rows(X)
         if self.native:
@@ -415,13 +407,13 @@ def _by_columns(op, A):
     return out
 
 
-def as_rows(X, n, single=False):
-    """X as float64 rows of shape (N, n); a vector of shape (n,) is one row.  With
-    `single`, only shape (n,) is taken.  Else ValueError naming both shapes."""
+def as_rows(X, n):
+    """X as float64 rows of shape (N, n); a vector of shape (n,) is one row.
+    Else ValueError naming both shapes."""
     X = np.asarray(X, dtype=np.float64)
     rows = np.atleast_2d(X)
-    if (X.shape if single else rows.shape[1:]) != (n,):
-        raise ValueError(f"expected shape {f'({n},)' if single else f'(N, {n})'}, got {X.shape}")
+    if rows.shape[1:] != (n,):
+        raise ValueError(f"expected shape (N, {n}), got {X.shape}")
     return rows
 
 
@@ -558,12 +550,6 @@ _SQDIST = {"Zn": _zn_sqdist, "Dn": _dn_sqdist, "E8": _e8_sqdist}
 
 
 # -- public operations -------------------------------------------------------
-
-
-def nearest_point(lat: Lattice, x) -> LatticePoint:
-    """Exact nearest lattice point of x, ties to lexicographically least j."""
-    j = lat.nearest_rows(as_rows(x, lat.n, single=True))[0]
-    return LatticePoint(coords=j, embedding=lat.embed_rows(j[None, :])[0])
 
 
 def packing_density(lat: Lattice) -> float:

@@ -6,7 +6,8 @@ the superlevel set at t (consuming a fixed reserved prefix of generator
 words, before any dither), then runs the ball/set rejection quantizer for
 that level set against the Voronoi cell scaled by beta(T).  The decoder
 regenerates T and the accepted dither from the shared stream, so
-reconstructions are bit-identical.
+reconstructions are bit-identical.  As in the quantizer, the entry points
+take rows, row i drawing from the stream derive_seed(seed, i).
 
 The built-in model is the standard Gaussian: its level sets are balls of
 radius sqrt(V) with V chi-square distributed on n + 2 degrees of freedom.
@@ -26,8 +27,8 @@ import math
 import numpy as np
 
 from .dither import stream_uniforms
-from .lattices import Lattice, LatticePoint, as_rows
-from .quantizer import Description, _decode_rows, _reject_rows, batch_seeds
+from .lattices import Lattice, as_rows
+from .quantizer import _decode_rows, _reject_rows, batch_seeds
 
 
 class NoiseModel:
@@ -115,26 +116,14 @@ def _levels_and_betas(noise, lat, seeds):
     return t, beta, r2
 
 
-def lrsuq_encode(noise: NoiseModel, lat: Lattice, seed: int, x) -> Description:
-    """Layered encode of one vector; returns the stopping index and point."""
-    X = as_rows(x, lat.n, single=True)
-    K, J, _, _ = _lrsuq_encode_rows(noise, lat, np.asarray([seed], dtype=np.uint64), X)
-    return Description(K=int(K[0]),
-                       M=LatticePoint(coords=J[0], embedding=lat.embed_rows(J)[0]))
+def lrsuq_encode_batch(noise: NoiseModel, lat: Lattice, seed: int, X):
+    """Encode rows of X with per-row derived streams; returns (K, J, Y).
 
-
-def lrsuq_decode(noise: NoiseModel, lat: Lattice, seed: int, d: Description):
-    """Regenerate the level and dither K; returns beta(T) * (M + V_K).
-
-    A configuration mismatch with the encoder is undetectable by
-    construction; supplying the encoding configuration is the contract.
+    K are stopping indices, J integer coordinates of the lattice points,
+    Y the reconstructions accepted by the encoder.
     """
-    seeds = np.asarray([seed], dtype=np.uint64)
-    return _lrsuq_decode_rows(noise, lat, seeds, [d.K], np.atleast_2d(d.M.coords))[0]
-
-
-def _lrsuq_encode_rows(noise, lat, seeds, X):
-    """Layered encode of rows; returns (K, J, Y, levels)."""
+    X = as_rows(X, lat.n)
+    seeds = batch_seeds(seed, X.shape[0])
     t, beta, r2 = _levels_and_betas(noise, lat, seeds)
     accept = None
     if r2 is None:
@@ -143,27 +132,15 @@ def _lrsuq_encode_rows(noise, lat, seeds, X):
     # The loop runs in x/beta coordinates (scale 1); its accepted rows are
     # scaled back exactly as the decoder scales M + V_K.
     K, J, Y = _reject_rows(lat, 1.0, X / beta[:, None], seeds, noise.level_words, r2, accept)
-    return K, J, beta[:, None] * Y, t
-
-
-def _lrsuq_decode_rows(noise, lat, seeds, K, J):
-    beta = _levels_and_betas(noise, lat, seeds)[1]
-    return _decode_rows(lat, beta[:, None], seeds, K, J, noise.level_words)
-
-
-# -- batched drivers ---------------------------------------------------------
-
-
-def lrsuq_encode_batch(noise: NoiseModel, lat: Lattice, seed: int, X):
-    """Encode rows of X with per-row derived streams; returns (K, J, Y, levels).
-
-    Y are the encoder-side reconstructions; levels are the drawn density
-    levels (useful for conditional diagnostics).
-    """
-    X = as_rows(X, lat.n)
-    return _lrsuq_encode_rows(noise, lat, batch_seeds(seed, X.shape[0]), X)
+    return K, J, beta[:, None] * Y
 
 
 def lrsuq_decode_batch(noise: NoiseModel, lat: Lattice, seed: int, K, J):
-    """Reconstructions for a batch of descriptions (inverse of encode batch)."""
-    return _lrsuq_decode_rows(noise, lat, batch_seeds(seed, np.size(K)), K, J)
+    """Regenerate each row's level and dither K; returns beta(T) * (M + V_K).
+
+    A configuration mismatch with the encoder is undetectable by
+    construction; supplying the encoding configuration is the contract.
+    """
+    seeds = batch_seeds(seed, np.size(K))
+    beta = _levels_and_betas(noise, lat, seeds)[1]
+    return _decode_rows(lat, beta[:, None], seeds, K, J, noise.level_words)

@@ -18,10 +18,10 @@ the exact fold-and-search, and one pass at every row's stopping index K
 rebuilds the accepted V, M and reconstruction as the decoder does: K, M
 and every output bit are those of testing V itself.
 
-Batched entry points derive one stream seed per row (derive_seed mixed
-with the row index), so batch results are reproducible and independent of
-batch splitting.  A single-vector call is a batch of one row whose stream
-seed is the configured seed itself.
+The entry points take rows and derive one stream seed per row
+(derive_seed mixed with the row index), so results are reproducible and
+row i's bits do not depend on the other rows.  A vector of shape (n,) is
+one row, seeded with derive_seed(seed, 0).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dither import derive_seeds, fold_rows, gathered_uniforms, stream_uniforms
-from .lattices import Lattice, LatticePoint, _row_max, as_rows, check_rows, packing_density
+from .lattices import Lattice, _row_max, as_rows, check_rows, packing_density
 
 
 class RejectionCapError(RuntimeError):
@@ -66,14 +66,6 @@ class RsuqConfig:
     @property
     def gamma(self) -> float:
         return self.r / self.lat.packing_radius
-
-
-@dataclass
-class Description:
-    """Compressible output of an encode: stopping index K and lattice point M."""
-
-    K: int
-    M: LatticePoint
 
 
 def _reject_rows(lat, gamma, X, seeds, reserved, r2=None, accept=None):
@@ -231,29 +223,7 @@ def _decode_rows(lat, scale, seeds, K, J, reserved=0):
     return scale * (lat.embed_rows(J) + _dithers_at(lat, seeds, K - 1, reserved))
 
 
-def _encode_rows(cfg: RsuqConfig, seeds, X):
-    return _reject_rows(cfg.lat, cfg.gamma, X, seeds, 0, np.full(X.shape[0], cfg.r ** 2))
-
-
-def rsuq_encode(cfg: RsuqConfig, x) -> Description:
-    """Encode one vector with a fresh dither stream from cfg.seed."""
-    X = as_rows(x, cfg.lat.n, single=True)
-    K, J, _ = _encode_rows(cfg, np.asarray([cfg.seed], dtype=np.uint64), X)
-    return Description(K=int(K[0]),
-                       M=LatticePoint(coords=J[0], embedding=cfg.lat.embed_rows(J)[0]))
-
-
-def rsuq_decode(cfg: RsuqConfig, d: Description):
-    """Reconstruct M + V_K, bit-identical to the encoder's accepted value.
-
-    A seed/lattice/radius mismatch with the encoder is undetectable by
-    construction; supplying the encoding configuration is the contract.
-    """
-    seeds = np.asarray([cfg.seed], dtype=np.uint64)
-    return _decode_rows(cfg.lat, cfg.gamma, seeds, [d.K], np.atleast_2d(d.M.coords))[0]
-
-
-# -- batched drivers ---------------------------------------------------------
+# -- entry points ------------------------------------------------------------
 
 
 def batch_seeds(seed: int, count: int):
@@ -268,9 +238,15 @@ def encode_batch(cfg: RsuqConfig, X):
     Y the reconstructions accepted by the encoder.
     """
     X = as_rows(X, cfg.lat.n)
-    return _encode_rows(cfg, batch_seeds(cfg.seed, X.shape[0]), X)
+    return _reject_rows(cfg.lat, cfg.gamma, X, batch_seeds(cfg.seed, X.shape[0]), 0,
+                        np.full(X.shape[0], cfg.r ** 2))
 
 
 def decode_batch(cfg: RsuqConfig, K, J):
-    """Reconstructions for a batch of descriptions (inverse of encode_batch)."""
+    """Reconstructions M + V_K for a batch of descriptions (inverse of
+    encode_batch), bit-identical to the encoder's accepted values.
+
+    A seed/lattice/radius mismatch with the encoder is undetectable by
+    construction; supplying the encoding configuration is the contract.
+    """
     return _decode_rows(cfg.lat, cfg.gamma, batch_seeds(cfg.seed, np.size(K)), K, J)

@@ -117,7 +117,7 @@ def test_criterion_5_gaussian_channel_simulation():
         z2 = builtin_lattice("Zn", 2)
         noise = GaussianNoise(2)
         N = 200000
-        _, _, Y0, _ = lrsuq_encode_batch(noise, z2, 50001, np.zeros((N, 2)))
+        _, _, Y0 = lrsuq_encode_batch(noise, z2, 50001, np.zeros((N, 2)))
         Z0 = Y0
         res = mc.test_gaussian(Z0, 2)
         coord_ks = [s for s in res.subresults if "coord" in s.test]
@@ -128,7 +128,7 @@ def test_criterion_5_gaussian_channel_simulation():
         assert cov.statistic < 0.02, cov.statistic
         assert norm2.verdict, norm2.p_value
         X1 = np.tile([10.0, 10.0], (N, 1))
-        _, _, Y1, _ = lrsuq_encode_batch(noise, z2, 50002, X1)
+        _, _, Y1 = lrsuq_encode_batch(noise, z2, 50002, X1)
         Z1 = Y1 - X1
         two = mc.ks_two_sample(np.linalg.norm(Z0, axis=1),
                                np.linalg.norm(Z1, axis=1),

@@ -8,7 +8,8 @@ helper cannot stay public by being exported.  A method counts as
 used only through an attribute reference, so a local variable of the same
 name does not keep it, and fields read off the argparse namespace (`args.x`)
 count for nothing.  Every name a module other than __init__.py imports
-is referenced in that module.
+is referenced in that module.  Every identifier README.md names in
+backticks is defined or referenced in src/rsuq.
 """
 
 import ast
@@ -84,3 +85,27 @@ def test_every_import_is_used():
                 bound = (alias.asname or alias.name.split(".")[0] for alias in node.names)
                 unused += [f"{module}:{name}" for name in bound if name not in names]
     assert not unused, "imported in src/rsuq but never referenced: " + ", ".join(unused)
+
+
+# A backticked span that is a dotted name, maybe called: `f(x)`, `Lattice.nearest_rows`.
+_README_NAME = re.compile(r"([A-Za-z_][\w.]*?)(?:\(.*\))?", re.S)
+
+
+def test_readme_names_only_what_src_defines():
+    # snake_case names with a lowercase letter and CamelCase names of 5 or
+    # more characters, on their last dotted part; ids such as `E8`, `VQF1`
+    # and `M_TRIM_THRESHOLD` and plain words such as `numpy` are not checked
+    trees = _trees()
+    names, attrs = _references(trees)
+    defined = names | attrs | {node.name for tree in trees.values() for node in ast.walk(tree)
+                               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    missing = set()
+    for span in re.findall(r"`([^`]*)`", re.sub(r"```.*?```", "", readme, flags=re.S)):
+        m = _README_NAME.fullmatch(span)
+        name = m and m.group(1).rsplit(".", 1)[-1]
+        if (m and name != name.upper() and ("_" in name or len(name) >= 5 and name[0].isupper())
+                and name not in defined):
+            missing.add(name)
+    assert not missing, "README.md names what src/rsuq does not define: " + ", ".join(
+        sorted(missing))

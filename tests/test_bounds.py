@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import digamma
 
 from rsuq import bounds as bd
-from rsuq.lattices import builtin_lattice, log2_ball_volume
+from rsuq.lattices import builtin_lattice, log2_ball_volume, packing_density
 
 LN2 = math.log(2.0)
 
@@ -67,7 +67,7 @@ def test_redundancy_of_ball_quantizer_is_log2e_over_n():
     r = 0.37
     for n in (1, 2, 8, 48):
         lat = builtin_lattice("Zn", n)
-        hbar = bd.rsuq_norment_ub(lat, r=r, tight=False)
+        hbar = bd.rsuq_norment_ub(lat, r=r)
         red = (hbar - bd.rd_lower_max_error(n, r)) / n
         assert red == pytest.approx(bd.LOG2E / n, abs=1e-12)
         D = n * r ** 2 / (n + 2)
@@ -75,10 +75,16 @@ def test_redundancy_of_ball_quantizer_is_log2e_over_n():
         assert red_zador == pytest.approx(bd.LOG2E / n, abs=1e-12)
 
 
+def _tight_norment_ub(lat, r):
+    # the bound with the stopping index's geometric excess at the lattice's
+    # packing density in place of log2(e)
+    return bd.rd_lower_max_error(lat.n, r) + bd.geometric_excess(packing_density(lat))
+
+
 def test_tight_bound_below_loose_bound():
     z2 = builtin_lattice("Zn", 2)
-    tight = bd.rsuq_norment_ub(z2, r=0.5, tight=True)
-    loose = bd.rsuq_norment_ub(z2, r=0.5, tight=False)
+    tight = _tight_norment_ub(z2, r=0.5)
+    loose = bd.rsuq_norment_ub(z2, r=0.5)
     p = math.pi / 4
     assert tight - loose == pytest.approx(
         bd.LOG2E * 0 + (-(1 - p) / p * math.log2(1 - p)) - bd.LOG2E, abs=1e-12)
@@ -102,7 +108,7 @@ def test_geometric_excess_keeps_precision_for_tiny_p():
     assert bd.geometric_entropy(1e-20) == pytest.approx(
         -math.log2(1e-20) + bd.LOG2E, rel=1e-12)
     z34 = builtin_lattice("Zn", 34)  # packing density 4.6e-17
-    assert bd.rsuq_norment_ub(z34, 0.5, tight=True) == pytest.approx(
+    assert _tight_norment_ub(z34, 0.5) == pytest.approx(
         bd.rsuq_norment_ub(z34, 0.5), abs=1e-12)
 
 
@@ -134,7 +140,7 @@ def test_reference_upper_bounds():
 def test_loose_bound_identity():
     # the lattice-free form is exactly the max-error floor plus log2(e)
     z2 = builtin_lattice("Zn", 2)
-    assert bd.rsuq_norment_ub(z2, 0.5, tight=False) == pytest.approx(
+    assert bd.rsuq_norment_ub(z2, 0.5) == pytest.approx(
         bd.rd_lower_max_error(2, 0.5) + bd.LOG2E, abs=1e-12)
 
 

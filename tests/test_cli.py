@@ -126,7 +126,7 @@ def test_decode_gaussian_stream_round_trip(tmp_path, vec_file):
     path, X = vec_file
     lat = builtin_lattice("Zn", 2)
     noise = GaussianNoise(2)
-    K, J, Y, _ = lrsuq_encode_batch(noise, lat, 314, X)
+    K, J, Y = lrsuq_encode_batch(noise, lat, 314, X)
     h = StreamHeader(n=2, lattice_id="Zn", gamma=1.0, param=1.0,
                      mode=MODE_GAUSSIAN, seed=314, count=len(X),
                      coord_bound=int(np.abs(J).max()))
@@ -193,6 +193,27 @@ def test_builtin_lattice_ids_are_reserved(tmp_path, vec_file, monkeypatch):
     # the built-in lattice itself still writes A2 streams
     assert run_cli("encode", "--input", str(path), "--lattice", "A2", "--dim", "2",
                    "--radius", "0.3", "--output", str(rsq))[0] == 0
+
+
+def test_non_ascii_lattice_id_is_refused_before_the_rejection_loop(tmp_path, vec_file,
+                                                                   monkeypatch):
+    # the config's file name is the stream's lattice id, which RSQ1 holds in
+    # ASCII; the header used to be refused only after the whole encode
+    from rsuq import cli
+
+    path, _ = vec_file
+    cfg = tmp_path / "gitter-\xe4.cfg"
+    cfg.write_text("2\n1 0\n0 1\n")
+    rsq = tmp_path / "g.rsq"
+
+    def no_quantizer_work(*args, **kwargs):
+        raise AssertionError("the lattice id is refused before the rejection loop")
+
+    monkeypatch.setattr(cli, "encode_batch", no_quantizer_work)
+    code, _, err = run_cli("encode", "--input", str(path), "--lattice", str(cfg), "--dim", "2",
+                           "--radius", "0.3", "--output", str(rsq))
+    assert code == 2 and "lattice id 'gitter-\xe4.cfg' is not ASCII" in err
+    assert not rsq.exists()
 
 
 def test_builtin_lattice_ids_are_reserved_on_decode(tmp_path):

@@ -237,6 +237,13 @@ def test_vqf_round_trip_and_errors():
         read_vectors(data[:-1])
     with pytest.raises(FormatError):
         read_vectors(b"WHAT" + data[4:])
+    # dimension 0 was written, then refused on reading as a "payload size
+    # mismatch (expected 16 bytes, got 16)"
+    for X in (np.zeros(0), np.zeros((3, 0))):
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            write_vectors(X)
+    with pytest.raises(FormatError, match="^VQF1 dimension must be at least 1, got 0$"):
+        read_vectors(b"VQF1" + struct.pack("<IQ", 0, 3))
 
 
 def test_write_vectors_refuses_a_third_axis():

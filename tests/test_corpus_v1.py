@@ -105,7 +105,7 @@ def _encode(case, out):
         return
     lat = builtin_lattice(case.lattice, case.n)
     X = read_vectors(case.path(".vqf").read_bytes())
-    K, J, _, _ = lrsuq_encode_batch(GaussianNoise(case.n), lat, case.seed, X)
+    K, J, _ = lrsuq_encode_batch(GaussianNoise(case.n), lat, case.seed, X)
     header = StreamHeader(n=case.n, lattice_id=lat.name, gamma=1.0, param=1.0,
                           mode=MODE_GAUSSIAN, seed=case.seed, count=len(X),
                           coord_bound=int(np.abs(J).max()))

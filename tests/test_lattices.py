@@ -16,8 +16,7 @@ from _reject_ref import dense_column_sum
 from _scan_ref import scan_ref
 from rsuq.lattices import (Lattice, builtin_lattice,
                            covering_density, lattice_from_config,
-                           load_lattice, log2_ball_volume, nearest_point,
-                           packing_density)
+                           load_lattice, log2_ball_volume, packing_density)
 
 RNG = np.random.default_rng(20240511)
 
@@ -197,18 +196,18 @@ def test_builtin_errors():
 
 def test_nearest_zn_examples():
     z2 = builtin_lattice("Zn", 2)
-    assert nearest_point(z2, [0.4, -1.6]).coords.tolist() == [0, -2]
+    assert z2.nearest_rows([0.4, -1.6])[0].tolist() == [0, -2]
     # boundary tie resolves to the lexicographically smallest minimizer
-    assert nearest_point(z2, [0.5, 0.5]).coords.tolist() == [0, 0]
-    assert nearest_point(z2, [-0.5, 0.5]).coords.tolist() == [-1, 0]
+    assert z2.nearest_rows([0.5, 0.5])[0].tolist() == [0, 0]
+    assert z2.nearest_rows([-0.5, 0.5])[0].tolist() == [-1, 0]
 
 
 def test_nearest_d4_example():
     d4 = builtin_lattice("Dn", 4)
-    p = nearest_point(d4, [0.6, 0.2, 0.0, 0.0])
-    assert np.allclose(p.embedding, 0.0, atol=1e-12)
+    p = d4.embed_rows(d4.nearest_rows([0.6, 0.2, 0.0, 0.0]))[0]
+    assert np.allclose(p, 0.0, atol=1e-12)
     x = np.array([0.6, 0.2, 0.0, 0.0])
-    assert np.sum((x - p.embedding) ** 2) == pytest.approx(0.40, abs=1e-12)
+    assert np.sum((x - p) ** 2) == pytest.approx(0.40, abs=1e-12)
     other = np.array([1.0, 1.0, 0.0, 0.0])
     assert np.sum((x - other) ** 2) == pytest.approx(0.80, abs=1e-12)
 
@@ -216,7 +215,7 @@ def test_nearest_d4_example():
 def test_nearest_dimension_mismatch():
     z2 = builtin_lattice("Zn", 2)
     with pytest.raises(ValueError):
-        nearest_point(z2, [1.0, 2.0, 3.0])
+        z2.nearest_rows([1.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize("lat", [builtin_lattice("Zn", 2), lattice_from_config("3\n1 1 0\n1 0 1\n0 1 1\n")],
@@ -226,8 +225,6 @@ def test_row_inputs_are_checked_by_shape(lat):
     n = lat.n
     with pytest.raises(ValueError, match=re.escape(f"expected shape (N, {n}), got (2, 2, 2)")):
         lat.nearest_rows(np.zeros((2, 2, 2)))
-    with pytest.raises(ValueError, match=re.escape(f"expected shape ({n},), got (1, {n})")):
-        nearest_point(lat, np.zeros((1, n)))
     assert np.array_equal(lat.nearest_rows(np.zeros(n)), np.zeros((1, n), dtype=np.int64))
 
 
@@ -538,7 +535,7 @@ def test_scan_matches_per_offset_reference(case):
     with mock.patch.object(lattices, "_SCAN_BLOCK", block):
         got = lat.nearest_rows(X)
         single = [lat.nearest_rows(x[None])[0] for x in X[:4]]
-        point = nearest_point(lat, X[0]).coords
+        point = lat.nearest_rows(X[0])[0]
     base = lattices._round_half_down(lat.coords_rows(X))
     assert np.array_equal(got, scan_ref(lat, X, base, lat._offset_table().O))
     assert np.array_equal(single, got[:4])
@@ -734,7 +731,7 @@ def test_nonfinite_rows_rejected(lat, bad):
     with pytest.raises(ValueError, match="row 2 is not finite"):
         lat.nearest_rows(X)
     with pytest.raises(ValueError, match="row 0 is not finite"):
-        nearest_point(lat, X[2])
+        lat.nearest_rows(X[2])
 
 
 def _held_arrays(obj):

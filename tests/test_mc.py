@@ -11,8 +11,8 @@ from rsuq.bounds import LOG2E, gaussian_layered_entropy
 from rsuq.dither import stream_uniforms
 from rsuq.lattices import (_covering_radius_bound, builtin_lattice, log2_ball_volume,
                            packing_density)
-from rsuq.layered import GaussianNoise, lrsuq_encode_batch
-from rsuq.quantizer import RsuqConfig
+from rsuq.layered import GaussianNoise, _levels_and_betas, lrsuq_encode_batch
+from rsuq.quantizer import RsuqConfig, batch_seeds
 
 Z2 = builtin_lattice("Zn", 2)
 
@@ -25,11 +25,11 @@ def layered_rate_check(noise, lat, seed, plan, layered_entropy_bits):
     scales; eta bounds the circumradius of the unscaled Voronoi cell.
     """
     X = mc.sample_inputs(plan, lat.n)
-    K, J, _, levels = lrsuq_encode_batch(noise, lat, seed, X)
+    K, J, _ = lrsuq_encode_batch(noise, lat, seed, X)
+    beta = _levels_and_betas(noise, lat, batch_seeds(seed, len(X)))[1]
     est = mc.rate_from_descriptions(lat, K, J)
     n = lat.n
     lhs = est.h_k + est.h_m - (n * math.log2(plan.tau) + log2_ball_volume(n))
-    beta = np.asarray(noise.level_radius(levels), dtype=np.float64) / lat.packing_radius
     eta = _covering_radius_bound(lat)
     support = n * float(np.log2(1.0 + 3.0 * eta * beta / plan.tau).mean())
     return lhs, -layered_entropy_bits + LOG2E + support + 0.1
@@ -181,7 +181,7 @@ def test_gaussian_test_pass_and_fail():
     g = GaussianNoise(2)
     plan = mc.TrialPlan(samples=100000, tau=50.0, seed_base=44)
     X = mc.sample_inputs(plan, 2)
-    _, _, Y, _ = lrsuq_encode_batch(g, Z2, 444, X)
+    _, _, Y = lrsuq_encode_batch(g, Z2, 444, X)
     assert mc.test_gaussian(Y - X, 2).verdict
     # ball-uniform errors must fail the norm test
     ball = mc.sample_inputs(mc.TrialPlan(samples=20000, tau=1.0, seed_base=45), 2)
@@ -205,7 +205,7 @@ def test_gaussian_test_one_dimensional_degenerate_cov():
     g = GaussianNoise(1)
     from rsuq.layered import lrsuq_encode_batch
 
-    _, _, Y, _ = lrsuq_encode_batch(g, z1, 58, np.zeros((50000, 1)))
+    _, _, Y = lrsuq_encode_batch(g, z1, 58, np.zeros((50000, 1)))
     res = mc.test_gaussian(Y, 1)
     cov = [s for s in res.subresults if s.test == "gaussian[cov]"][0]
     assert res.verdict

@@ -71,7 +71,7 @@ def test_rejection_loop_matches_coordinate_reference(data):
         X = Xg * beta[:, None]  # the loop sees X / beta, near Xg
 
         def encode():
-            K, J, Y, _ = lrsuq_encode_batch(noise, lat, seed, X)
+            K, J, Y = lrsuq_encode_batch(noise, lat, seed, X)
             return K, J, Y, lrsuq_decode_batch(noise, lat, seed, K, J)
     else:
         cfg = RsuqConfig(lat, r=data.draw(st.sampled_from([lat.packing_radius, 0.3])),

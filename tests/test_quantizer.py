@@ -4,6 +4,7 @@ import math
 import pathlib
 import re
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,13 +13,10 @@ from hypothesis import strategies as st
 
 import rsuq.quantizer
 from _reject_ref import BallSetGaussian
-from rsuq.dither import derive_seed
-from rsuq.lattices import LatticePoint, builtin_lattice, lattice_from_config, packing_density
-from rsuq.layered import (GaussianNoise, lrsuq_decode, lrsuq_decode_batch, lrsuq_encode,
-                          lrsuq_encode_batch)
-from rsuq.quantizer import (Description, RejectionCapError, RsuqConfig,
-                            decode_batch, default_max_iters, encode_batch,
-                            rsuq_decode, rsuq_encode)
+from rsuq.lattices import builtin_lattice, lattice_from_config, packing_density
+from rsuq.layered import GaussianNoise, lrsuq_decode_batch, lrsuq_encode_batch
+from rsuq.quantizer import (RejectionCapError, RsuqConfig, decode_batch, default_max_iters,
+                            encode_batch)
 
 Z2 = builtin_lattice("Zn", 2)
 FCC_CONFIG = "3\n1 1 0\n1 0 1\n0 1 1\npacking_radius=0.7071067811865476\n"
@@ -50,40 +48,27 @@ def test_guard_bound_always_within_radius():
 
 
 def test_round_trip_bit_exact_single():
+    # a vector of shape (n,) is a batch of one row
     cfg = RsuqConfig(Z2, r=0.5, seed=9)
     rng = np.random.default_rng(1)
     for x in rng.uniform(-50, 50, size=(200, 2)):
-        d = rsuq_encode(cfg, x)
-        y = rsuq_decode(cfg, d)
+        K, J, _ = encode_batch(cfg, x)
+        y = decode_batch(cfg, K, J)[0]
         assert np.linalg.norm(y - x) <= 0.5
         # decode twice: identical bits
-        assert np.array_equal(y, rsuq_decode(cfg, d))
+        assert np.array_equal(y, decode_batch(cfg, K, J)[0])
 
 
 def test_immediate_acceptance_at_origin():
     # find a seed whose first dither direction lands in the ball at x=0
     for seed in range(100):
         cfg = RsuqConfig(Z2, r=0.5, seed=seed)
-        d = rsuq_encode(cfg, np.zeros(2))
-        if d.K == 1:
-            assert d.M.coords.tolist() == [0, 0]
+        K, J, _ = encode_batch(cfg, np.zeros(2))
+        if K[0] == 1:
+            assert J[0].tolist() == [0, 0]
             break
     else:
         pytest.fail("no immediate acceptance in 100 seeds (p should be ~0.785)")
-
-
-def test_batch_matches_single_with_derived_seeds():
-    cfg = RsuqConfig(Z2, r=0.5, seed=77)
-    rng = np.random.default_rng(2)
-    X = rng.uniform(-20, 20, size=(100, 2))
-    K, J, Y = encode_batch(cfg, X)
-    for i in range(20):
-        cfg_i = RsuqConfig(Z2, r=0.5, seed=derive_seed(77, i))
-        d = rsuq_encode(cfg_i, X[i])
-        assert d.K == K[i]
-        assert np.array_equal(d.M.coords, J[i])
-        assert np.array_equal(rsuq_decode(cfg_i, d), Y[i])
-    assert np.array_equal(decode_batch(cfg, K, J), Y)
 
 
 @pytest.mark.parametrize("model", ["ball", "gaussian"])
@@ -103,12 +88,39 @@ def test_encoder_reconstruction_is_decoder_output(lat, model):
         assert np.linalg.norm(Y - X, axis=1).max() <= 0.05
     else:
         g = GaussianNoise(lat.n)
-        K, J, Y, _ = lrsuq_encode_batch(g, lat, 404, X)
+        K, J, Y = lrsuq_encode_batch(g, lat, 404, X)
         assert np.array_equal(lrsuq_decode_batch(g, lat, 404, K, J), Y)
 
 
 def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("model", ["ball", "gaussian"])
+@pytest.mark.parametrize("lat", [
+    builtin_lattice("Zn", 2), builtin_lattice("A2", 2), builtin_lattice("E8", 8),
+    lattice_from_config(FCC_CONFIG, name="fcc"),
+], ids=lambda lat: lat.name + str(lat.n))
+def test_batch_prefix_encodes_to_the_same_bits(lat, model):
+    # row i's stream is derive_seed(seed, i) and its bits do not depend on
+    # the other rows: a prefix of the batch encodes and decodes to the
+    # first rows of the whole batch
+    N = 3000
+    X = np.random.default_rng(13).standard_normal((N, lat.n)) * 10
+    if model == "ball":
+        cfg = RsuqConfig(lat, r=0.3, seed=606)
+        encode, decode = partial(encode_batch, cfg), partial(decode_batch, cfg)
+    else:
+        noise = GaussianNoise(lat.n)
+        encode = partial(lrsuq_encode_batch, noise, lat, 606)
+        decode = partial(lrsuq_decode_batch, noise, lat, 606)
+    K, J, Y = encode(X)
+    Yd = decode(K, J)
+    for m in (1, 7, N // 2):
+        Km, Jm, Ym = encode(X[:m])
+        assert np.array_equal(Km, K[:m]) and np.array_equal(Jm, J[:m])
+        assert np.array_equal(_bits(Ym), _bits(Y[:m]))
+        assert np.array_equal(_bits(decode(Km, Jm)), _bits(Yd[:m]))
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
@@ -123,7 +135,7 @@ def test_round_trip_property(data):
     seed = data.draw(st.integers(0, 2 ** 64 - 1))
     if data.draw(st.booleans(), label="gaussian"):
         noise = GaussianNoise(lat.n)
-        K, J, Y, _ = lrsuq_encode_batch(noise, lat, seed, X)
+        K, J, Y = lrsuq_encode_batch(noise, lat, seed, X)
         assert np.array_equal(_bits(lrsuq_decode_batch(noise, lat, seed, K, J)), _bits(Y))
     else:
         cfg = RsuqConfig(lat, r=data.draw(st.floats(1e-3, 10.0)), seed=seed)
@@ -141,7 +153,8 @@ def test_readme_quick_start_runs():
     ns = {}
     exec(block, ns)
     cfg, x = ns["cfg"], ns["x"]
-    assert np.linalg.norm(rsuq_decode(cfg, rsuq_encode(cfg, x)) - x) <= cfg.r
+    K, J, _ = encode_batch(cfg, x)
+    assert np.linalg.norm(decode_batch(cfg, K, J)[0] - x) <= cfg.r
     assert ns["y"].shape == (8,) and np.all(np.isfinite(ns["y"]))
 
 
@@ -156,9 +169,9 @@ def test_nonfinite_or_huge_input_rejected(bad):
     with pytest.raises(ValueError, match="row 1"):
         lrsuq_encode_batch(g, Z2, 1, X)
     with pytest.raises(ValueError, match="row 0"):
-        rsuq_encode(cfg, X[1])
+        encode_batch(cfg, X[1])
     with pytest.raises(ValueError, match="row 0"):
-        lrsuq_encode(g, Z2, 1, X[1])
+        lrsuq_encode_batch(g, Z2, 1, X[1])
     # below 2**52 / scale the input still quantizes exactly
     X[1, 0] = 2.0 ** 51
     _, _, Y = encode_batch(cfg, X)
@@ -175,14 +188,14 @@ def test_error_sample_and_mse():
     # second moment of the uniform ball: n r^2 / (n + 2)
     assert np.einsum("ij,ij->i", Z, Z).mean() == pytest.approx(0.125, rel=0.01)
     assert np.abs(Z.mean(axis=0)).max() < 3 * (0.25 / math.sqrt(plan_size))
-    # the single-vector law: decode(encode(x)) - x lies in the r-ball
-    z1 = rsuq_decode(cfg, rsuq_encode(cfg, X[0])) - X[0]
+    # the law of one vector: decode(encode(x)) - x lies in the r-ball
+    K, J, _ = encode_batch(cfg, X[0])
+    z1 = decode_batch(cfg, K, J)[0] - X[0]
     assert np.linalg.norm(z1) <= 0.5
 
 
 def test_row_inputs_are_checked_in_one_place():
-    # batch encoders take (N, n) rows and refuse a third axis by shape;
-    # single-vector encoders take only (n,)
+    # encoders take (N, n) rows and refuse a third axis by shape
     cfg = RsuqConfig(Z2, r=0.5, seed=1)
     g = GaussianNoise(2)
     cube = np.zeros((2, 2, 2))
@@ -193,10 +206,6 @@ def test_row_inputs_are_checked_in_one_place():
     with pytest.raises(ValueError, match=re.escape("expected shape (N, 2), got (3,)")):
         encode_batch(cfg, np.zeros(3))
     row = np.zeros((1, 2))
-    with pytest.raises(ValueError, match=re.escape("expected shape (2,), got (1, 2)")):
-        rsuq_encode(cfg, row)
-    with pytest.raises(ValueError, match=re.escape("expected shape (2,), got (1, 2)")):
-        lrsuq_encode(g, Z2, 1, row)
     # a vector of shape (n,) is still a batch of one row
     assert np.array_equal(encode_batch(cfg, row[0])[1], encode_batch(cfg, row)[1])
 
@@ -254,22 +263,10 @@ def test_subnormal_radius_is_refused_without_warnings():
             encode_batch(RsuqConfig(lat, r=1e-320), np.ones((3, 8)))
 
 
-def test_embedding_is_unscaled_lattice_point():
-    # LatticePoint.embedding is G j everywhere, also when gamma != 1
-    from rsuq.lattices import nearest_point
-
-    lat = builtin_lattice("E8", 8)
-    x = np.linspace(-1, 1, 8)
-    points = [nearest_point(lat, x), rsuq_encode(RsuqConfig(lat, r=0.25, seed=4), x).M,
-              lrsuq_encode(GaussianNoise(8), lat, 4, x).M]
-    for M in points:
-        assert np.array_equal(M.embedding, lat.embed_rows(M.coords[None])[0])
-
-
 def test_decode_rejects_bad_k():
     cfg = RsuqConfig(Z2, r=0.5, seed=3)
     with pytest.raises(ValueError):
-        rsuq_decode(cfg, Description(K=0, M=rsuq_encode(cfg, np.zeros(2)).M))
+        decode_batch(cfg, [0], encode_batch(cfg, np.zeros(2))[1])
     with pytest.raises(ValueError):
         decode_batch(cfg, [1, 0], np.zeros((2, 2)))
 
@@ -278,7 +275,7 @@ def test_decoders_refuse_malformed_descriptions():
     # K must hold integers of shape (count,), J integers of shape (count, n)
     cfg = RsuqConfig(Z2, r=0.5, seed=3)
     g = GaussianNoise(2)
-    M = rsuq_encode(cfg, np.zeros(2)).M
+    J0 = encode_batch(cfg, np.zeros(2))[1]
     cases = [([1, 1, 1], [[0, 0]], r"shape \(3, 2\)"), ([1.7], [[1, 0]], "K must hold integers"),
              ([1], [[1.5, 0]], "J must hold integers"), ([[1]], [[1, 0]], r"shape \(1,\)"),
              ([1], [1, 0], r"shape \(1, 2\)"), ([1], [[1, 0, 0]], r"shape \(1, 2\)"),
@@ -288,12 +285,11 @@ def test_decoders_refuse_malformed_descriptions():
             decode_batch(cfg, K, J)
         with pytest.raises(ValueError, match=match):
             lrsuq_decode_batch(g, Z2, 3, K, J)
-    for d in (Description(K=1.7, M=M),
-              Description(K=1, M=LatticePoint(np.array([1.5, 0.0]), M.embedding))):
+    for K, J in (([1.7], J0), ([1], [[1.5, 0.0]])):
         with pytest.raises(ValueError, match="must hold integers"):
-            rsuq_decode(cfg, d)
+            decode_batch(cfg, K, J)
         with pytest.raises(ValueError, match="must hold integers"):
-            lrsuq_decode(g, Z2, 3, d)
+            lrsuq_decode_batch(g, Z2, 3, K, J)
     # integral floats are integers
     assert np.array_equal(decode_batch(cfg, [2.0], [[1.0, 0.0]]), decode_batch(cfg, [2], [[1, 0]]))
 

@@ -37,7 +37,7 @@ def _encode(lat, mode, seed, X, r=None):
     if mode == "ball":
         cfg = RsuqConfig(lat, r=lat.packing_radius if r is None else r, seed=seed)
         return encode_batch(cfg, X)
-    return lrsuq_encode_batch(GaussianNoise(lat.n), lat, seed, X)[:3]
+    return lrsuq_encode_batch(GaussianNoise(lat.n), lat, seed, X)
 
 
 def _cell_rows(lat, mode, seed, Xg):
@@ -136,7 +136,7 @@ def test_gaussian_e8_encode_folds_each_row_once(monkeypatch):
     lat = builtin_lattice("E8", 8)
     rows = count_fold_rows(monkeypatch)
     X = np.random.default_rng(0).standard_normal((4096, 8))
-    K, _, _, _ = lrsuq_encode_batch(GaussianNoise(8), lat, 1, X)
+    K, _, _ = lrsuq_encode_batch(GaussianNoise(8), lat, 1, X)
     assert K.mean() > 3.5
     assert rows[0] == 4096
 
@@ -166,7 +166,7 @@ def test_gaussian_e8_screen_builds_no_point(monkeypatch):
     points = _counted(monkeypatch, "nearest_points")
     embedded = _counted(monkeypatch, "embed_rows")
     X = np.random.default_rng(0).standard_normal((4096, 8))
-    K, _, _, _ = lrsuq_encode_batch(GaussianNoise(8), lat, 1, X)
+    K, _, _ = lrsuq_encode_batch(GaussianNoise(8), lat, 1, X)
     assert K.mean() > 3.5
     assert points[1] == 2 * 4096
     assert embedded[1] == 4096
