@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -54,6 +55,9 @@ _MAX_ENUM_CANDIDATES = 4_000_000
 # The scan ranks offsets for max(1, _SCAN_BLOCK // offsets) rows at a time,
 # which bounds its (rows x offsets) rank matrix near this many entries.
 _SCAN_BLOCK = 2 ** 14
+
+# Held while a scan table is looked up or built.
+_TABLE_LOCK = threading.Lock()
 
 # Built-in lattices and parsed configs are kept, least recently used first
 # out, up to this many of each: a lattice holds its scan tables, and a
@@ -195,8 +199,8 @@ class Lattice:
         if self.native:
             return _SQDIST[self.family](X)
         d = np.empty(len(X))
-        for _, lo, q, e2, _ in _ranks(self, X, _round_half_down(X @ self._invG.T)):
-            d[lo : lo + len(q)] = e2 + q.min(axis=1)
+        for _, rows, q, e2, _ in _ranks(self, X, _round_half_down(X @ self._invG.T)):
+            d[rows] = e2 + q.min(axis=1)
         return d
 
     def nearest_rows(self, X):
@@ -209,10 +213,12 @@ class Lattice:
         return _scan(self, X, _round_half_down(self.coords_rows(X)))
 
     def _offset_table(self, full=False):
-        # The scan's certified offsets (or the whole box), built once per lattice.
-        if full not in self._scan_tables:
-            self._scan_tables[full] = _ScanTable.build(self, full)
-        return self._scan_tables[full]
+        # The scan's certified offsets (or the whole box), built once per
+        # lattice, also when split_rows' threads ask for it at once.
+        with _TABLE_LOCK:
+            if full not in self._scan_tables:
+                self._scan_tables[full] = _ScanTable.build(self, full)
+            return self._scan_tables[full]
 
     @functools.cached_property
     def _screen_constants(self):
@@ -351,40 +357,45 @@ def _scan(lat, X, base):
     if not len(X):
         return base
     J = np.empty_like(base)
-    for t, lo, q, _, S in _ranks(lat, X, base):
-        hi = lo + len(q)
+    for t, rows, q, _, S in _ranks(lat, X, base):
         # NaN compares false, so a row without a finite rank keeps every offset
         keep = np.flatnonzero(~(q > (q.min(axis=1) + _margin(lat.n, S))[:, None]))
-        r, o = np.divmod(keep, len(t.O))
-        r += lo
-        C = base[r] + t.O[o]
+        r, o = np.divmod(keep, len(t.O))  # r indexes the block's rows
+        C = base[rows][r] + t.O[o]
         if len(r) == len(q):  # one candidate per row: the winner
-            J[lo:hi] = C
+            J[rows] = C
             continue
-        d = _sqnorm_rows(X[r] - lat.embed_rows(C))
+        d = _sqnorm_rows(X[rows][r] - lat.embed_rows(C))
         # r is sorted and every row keeps its best-ranked offset, so the runs of
         # equal r start at the same places after a stable sort by (r, d).
-        J[lo:hi] = C[np.lexsort((d, r))[np.searchsorted(r, np.arange(lo, hi))]]
+        J[rows] = C[np.lexsort((d, r))[np.searchsorted(r, np.arange(len(q)))]]
     return J
 
 
 def _ranks(lat, X, base):
-    # _scan's prologue, shared with sqdist_rows: yields (t, lo, q, |e|^2, S)
-    # for rows lo .. lo + len(q), max(1, _SCAN_BLOCK // offsets) at a time,
-    # with e = x - G base, t the certified table, or the whole box if a row
-    # fails the certificate, q the rank matrix and S the bound of those rows.
+    # _scan's prologue, shared with sqdist_rows: yields (t, rows, q, |e|^2, S)
+    # for blocks of max(1, _SCAN_BLOCK // offsets) rows, `rows` a slice or
+    # index array of X, with e = x - G base, t the table of those rows, q
+    # their rank matrix and S their bound.  A row ranks against the certified
+    # table, or against the whole box if it fails the certificate.
     t, n = lat._offset_table(), lat.n
     B = base.astype(np.float64)  # the cast each int64-by-float product would make
     e = X - B @ lat.G.T
     S = _row_max(np.abs(X)) + _row_max(np.abs(B) @ t.absGT) + t.reach
     e2 = _sqnorm_rows(e)
-    if not (np.sqrt(e2) + 8.0 * n * (n + 2) * 2.0 ** -53 * S <= t.rho).all():
-        t = lat._offset_table(full=True)
-    step = max(1, _SCAN_BLOCK // len(t.O))
-    for lo in range(0, len(X), step):
-        q = e[lo : lo + step] @ t.GOm2
-        q += t.GO2
-        yield t, lo, q, e2[lo : lo + step], S[lo : lo + step]
+    certified = np.sqrt(e2) + 8.0 * n * (n + 2) * 2.0 ** -53 * S <= t.rho
+    if certified.all():  # the common case: slices, no gathers
+        groups = [(t, None)]
+    else:
+        groups = [(t, np.flatnonzero(certified)),
+                  (lat._offset_table(full=True), np.flatnonzero(~certified))]
+    for t, index in groups:
+        step = max(1, _SCAN_BLOCK // len(t.O))
+        for lo in range(0, len(X) if index is None else len(index), step):
+            rows = slice(lo, lo + step) if index is None else index[lo : lo + step]
+            q = e[rows] @ t.GOm2
+            q += t.GO2
+            yield t, rows, q, e2[rows], S[rows]
 
 
 def _row_max(A):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .dither import stream_uniforms
 from .lattices import Lattice, as_rows
-from .quantizer import _decode_rows, _reject_rows, batch_seeds
+from .quantizer import _decode_rows, _reject_rows, batch_seeds, split_rows
 
 
 class NoiseModel:
@@ -43,7 +43,9 @@ class NoiseModel:
     provides the membership predicate in_level_set(Z, t), one boolean per
     row of error vectors Z (row i against level t[i]), and the cell scale
     beta(t) with superlevel(t) contained in beta(t) * Voronoi.  All of them
-    work over rows.
+    work over rows.  sample_level is called on slices of a batch's rows,
+    possibly on several threads at once (quantizer.split_rows), so each of
+    its levels must be a pure function of its own row of uniforms.
     """
 
     n: int
@@ -101,8 +103,12 @@ def _levels_and_betas(noise, lat, seeds):
     coordinates (else None).  Refuses a noise model of another dimension."""
     if noise.n != lat.n:
         raise ValueError(f"noise dimension {noise.n} != lattice dimension {lat.n}")
-    t = np.atleast_1d(np.asarray(noise.sample_level(stream_uniforms(seeds, 0, noise.level_words)),
-                                 dtype=np.float64))
+
+    def levels(rows):
+        u = stream_uniforms(seeds[rows], 0, noise.level_words)
+        return np.atleast_1d(np.asarray(noise.sample_level(u), dtype=np.float64))
+
+    t = split_rows(levels, len(seeds), lat.n)
     r2 = None
     if noise.level_ball:
         radius = np.asarray(noise.level_radius(t), dtype=np.float64)

@@ -22,17 +22,92 @@ The entry points take rows and derive one stream seed per row
 (derive_seed mixed with the row index), so results are reproducible and
 row i's bits do not depend on the other rows.  A vector of shape (n,) is
 one row, seeded with derive_seed(seed, 0).
+
+The rejection loop runs on the calling thread.  The stages around it
+compute each row from that row alone, so `split_rows` runs them on row
+slices across the CPUs of the process: the pass at K, the decoder's
+rebuild of M + V_K and the layered quantizer's level draw.  It engages
+only on batches of at least 2 * _SPLIT_MIN coordinates, and no output
+bit depends on the number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dither import derive_seeds, fold_rows, gathered_uniforms, stream_uniforms
 from .lattices import Lattice, _row_max, as_rows, check_rows, packing_density
+
+
+# A batch of at least 2 * _SPLIT_MIN coordinates (rows x n) runs its
+# row-independent stages in slices of at least _SPLIT_MIN coordinates, one
+# per CPU; on smaller batches a second thread costs more than it saves.
+_SPLIT_MIN = 2 ** 14
+
+# The CPUs this process may run on, read once.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _workers():
+    # split_rows' CPUs - 1 worker threads, started on first use.
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor  # small batches never import it
+
+            _pool = ThreadPoolExecutor(_CPUS - 1, thread_name_prefix="rsuq-split")
+        return _pool
+
+
+def _forget_workers():
+    # A forked child inherits the pool but none of its threads: a submit
+    # there would wait forever, so the child starts a pool of its own.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def split_rows(fn, N, n):
+    """fn(rows) over consecutive row slices `rows` covering 0..N, joined.
+
+    A batch of N rows of n coordinates below 2 * _SPLIT_MIN coordinates, or
+    a process on one CPU, makes the one call fn(slice(0, N)) and returns its
+    result as it is.  Otherwise the rows are cut into up to one slice per
+    CPU, each of at least _SPLIT_MIN coordinates; the first runs on the
+    calling thread and the rest on the worker threads, and the results
+    (arrays, or tuples of arrays) are concatenated in row order.  fn must
+    compute each row from that row alone, so the result does not depend on
+    the cut.  An exception of the lowest slice that raised reaches the
+    caller once every slice has finished.
+    """
+    parts = min(_CPUS, N * n // _SPLIT_MIN)
+    if parts < 2:
+        return fn(slice(0, N))
+    cuts = [N * i // parts for i in range(parts + 1)]
+    slices = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    from concurrent.futures import wait
+
+    pool = _workers()
+    futures = [pool.submit(fn, rows) for rows in slices[1:]]
+    try:
+        outs = [fn(slices[0])]
+    finally:
+        wait(futures)
+    outs += [f.result() for f in futures]
+    if isinstance(outs[0], tuple):
+        return tuple(np.concatenate(col) for col in zip(*outs))
+    return np.concatenate(outs)
 
 
 class RejectionCapError(RuntimeError):
@@ -129,14 +204,18 @@ def _reject_rows(lat, gamma, X, seeds, reserved, r2=None, accept=None):
     if active.size:
         raise RejectionCapError(
             f"no acceptance within {max_iters} rounds for {active.size} input(s)")
-    V = _dithers_at(lat, seeds, K - 1, reserved)
-    if lat.native:
-        Z = lat.nearest_points(Xg - V)
-        J = lat.point_coords(Z)
-    else:
-        J = lat.nearest_rows(Xg - V)
-        Z = lat.embed_rows(J)
-    return K, J, gamma * (Z + V)
+
+    def at_k(rows):
+        V = _dithers_at(lat, seeds[rows], K[rows] - 1, reserved)
+        if lat.native:
+            Z = lat.nearest_points(Xg[rows] - V)
+            J = lat.point_coords(Z)
+        else:
+            J = lat.nearest_rows(Xg[rows] - V)
+            Z = lat.embed_rows(J)
+        return J, gamma * (Z + V)
+
+    return (K, *split_rows(at_k, N, n))
 
 
 # The screen's band is this many units of 2**-53 times the scale of
@@ -220,7 +299,12 @@ def description_arrays(K, J, count: int, n: int):
 def _decode_rows(lat, scale, seeds, K, J, reserved=0):
     """Reconstructions scale * (M + V_K) per row, shared by every decoder."""
     K, J = description_arrays(K, J, len(seeds), lat.n)
-    return scale * (lat.embed_rows(J) + _dithers_at(lat, seeds, K - 1, reserved))
+
+    def rebuild(rows):
+        s = scale[rows] if np.ndim(scale) else scale
+        return s * (lat.embed_rows(J[rows]) + _dithers_at(lat, seeds[rows], K[rows] - 1, reserved))
+
+    return split_rows(rebuild, len(seeds), lat.n)
 
 
 # -- entry points ------------------------------------------------------------

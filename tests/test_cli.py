@@ -543,7 +543,8 @@ def _has_mallopt():
 @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt (not glibc)")
 def test_warm_gaussian_e8_simulate_faults_in_few_pages(tmp_path):
     # glibc trims the freed top of the heap after every call unless the CLI
-    # raises its thresholds; then each warm call faulted in about 950 pages
+    # raises its thresholds; then each warm call faulted in about 950 pages.
+    # 4096 rows split across threads, whose slices must not fault either.
     src = os.path.dirname(os.path.dirname(rsuq.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     X = np.random.default_rng(5).standard_normal((4096, 8))
@@ -551,6 +552,7 @@ def test_warm_gaussian_e8_simulate_faults_in_few_pages(tmp_path):
     script = (
         "import contextlib, io, resource, sys\n"
         "import rsuq.cli\n"
+        "rsuq.quantizer._CPUS = max(2, rsuq.quantizer._CPUS)  # with the split engaged\n"
         "d = sys.argv[1]\n"
         "argv = ['simulate', '--noise', 'gaussian', '--lattice', 'E8', '--dim', '8',\n"
         "        '--seed', '3', '--input', d + '/in.vqf', '--output', d + '/o.vqf']\n"

@@ -668,6 +668,31 @@ def test_scan_memory_is_bounded_per_block():
     assert peak < 2 ** 21
 
 
+def test_whole_box_ranks_only_the_rows_that_fail_the_certificate(monkeypatch):
+    # One row at 2**45 fails the certificate: it alone is ranked against the
+    # whole box, the other rows against the certified table, with the J of
+    # per-row calls.
+    fcc = lattice_from_config(FCC_CONFIG)
+    X = np.random.default_rng(6).standard_normal((1024, 3))
+    X[17] = [2.0 ** 45, 0.3, -0.7]
+    want_j = np.vstack([fcc.nearest_rows(x) for x in X])
+    want_d = np.concatenate([fcc.sqdist_rows(X[i : i + 1]) for i in range(len(X))])
+    ranked = []
+    ranks = lattices._ranks
+
+    def counted(lat, X, base):
+        for t, rows, q, e2, S in ranks(lat, X, base):
+            ranked.append((t is lat._offset_table(full=True), len(q)))
+            yield t, rows, q, e2, S
+
+    monkeypatch.setattr(lattices, "_ranks", counted)
+    for got, want in ((fcc.nearest_rows, want_j), (fcc.sqdist_rows, want_d)):
+        ranked.clear()
+        assert np.array_equal(got(X), want)
+        whole = sum(rows for full, rows in ranked if full)
+        assert (whole, sum(rows for _, rows in ranked) - whole) == (1, 1023)
+
+
 def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
