@@ -683,6 +683,32 @@ def test_bounds_with_user_registry(tmp_path):
     assert (3, "rsuq_best_packing") in rows
 
 
+_BOUNDS_SHA256 = {
+    "table1": "fddc74635ccb600ed12f246431eb5bebb8df759e9175c51170ec7eeb6b115d81",
+    "figure2-left": "8a768a5355743ae150c0bbab37e976f70afe904248d7ca0fe3552df336f32669",
+    "figure2-right": "15f3fe079d4d7b62a5be1595c2e30c2105103331674bf3f67550c42a4377d78c",
+    "figure2-left+fcc": "9aaa1fd7e64ff03067aa8b77853b824bdc0c1638aa42a8bbb704a5ead86b9c08",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BOUNDS_SHA256))
+def test_bounds_csv_digests(tmp_path, name):
+    # the tables at --dims 1..48 are pinned byte for byte, also with a user row
+    import hashlib
+
+    table, _, user = name.partition("+")
+    extra = []
+    if user:
+        reg = tmp_path / "reg.csv"
+        reg.write_text("n,delta,theta,nsm,source\n3,0.74048,1.4635,0.078543,fcc\n")
+        extra = ["--registry", str(reg)]
+    out = tmp_path / "t.csv"
+    code, _, err = run_cli("bounds", "--table", table, "--dims", "1..48", *extra,
+                           "--out", str(out))
+    assert code == 0, err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _BOUNDS_SHA256[name]
+
+
 def test_selftest_exit_codes():
     code, out, _ = run_cli("selftest", "--quick", "--seed", "5")
     assert code == 0
