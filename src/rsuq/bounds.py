@@ -17,9 +17,12 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from importlib import resources
+from pathlib import Path
 
-from .lattices import LN2, Lattice, log2_ball_volume
+import numpy as np
+
+from .lattices import (LN2, Lattice, builtin_lattice, covering_density, log2_ball_volume,
+                       packing_density)
 
 LOG2E = 1.0 / LN2
 
@@ -79,18 +82,11 @@ def zador_ub(n: int) -> float:
     return 0.5 * (math.log2(n + 2) + math.lgamma(2.0 / n + 1.0) / LN2 - math.log2(n))
 
 
-def sinc(t: float) -> float:
-    """sin(pi t) / (pi t), with sinc(0) = 1."""
-    if t == 0.0:
-        return 1.0
-    return math.sin(math.pi * t) / (math.pi * t)
-
-
 def ordentlich_ub(n: int) -> float:
     """Existence bound on the Zador-MSE redundancy of some lattice (n >= 8)."""
     if n < 3:
         raise ValueError("needs n >= 3 (quoted for n >= 8)")
-    return 0.5 * math.log2((n + 2) / (n * sinc(2.0 / n)))
+    return 0.5 * math.log2((n + 2) / (n * float(np.sinc(2.0 / n))))
 
 
 # -- rejection-sampled quantizer bounds ----------------------------------------
@@ -254,13 +250,18 @@ def parse_registry(text: str) -> ConstantsRegistry:
     return ConstantsRegistry(entries)
 
 
+# The shipped rows: (family, dimension, source tag) of built-in lattices.
+_SHIPPED = (("Zn", 1, "Z"), ("A2", 2, "A2"), ("Dn", 4, "D4"), ("E8", 8, "E8"))
+
+
 def load_registry(path=None) -> ConstantsRegistry:
-    """Shipped analytic registry, optionally merged with a user CSV."""
-    text = resources.files("rsuq.data").joinpath("registry.csv").read_text("ascii")
-    reg = parse_registry(text)
+    """The shipped rows, from the built-in lattices' closed-form constants,
+    overridden by the rows of the user CSV at `path`, if given."""
+    lats = [(builtin_lattice(family, n), tag) for family, n, tag in _SHIPPED]
+    reg = ConstantsRegistry(RegistryEntry(lat.n, packing_density(lat), covering_density(lat),
+                                          lat.nsm, tag) for lat, tag in lats)
     if path is not None:
-        with open(path, "r", encoding="ascii") as fh:
-            reg = reg.merge(parse_registry(fh.read()))
+        reg = reg.merge(parse_registry(Path(path).read_text("ascii")))
     return reg
 
 

@@ -11,14 +11,16 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from . import bounds as bd
 from . import mc
-from .coding import (MODE_BALL, FormatError, GolombCode, StreamHeader, coord_width_for_bound,
-                     decode_stream, encode_stream, golomb_for_lattice, lattice_for_header,
-                     mean_code_length, read_vectors, write_header, write_vectors)
+from .coding import (MODE_BALL, FormatError, GolombCode, StreamHeader, codable_builtin,
+                     coord_width_for_bound, decode_stream, encode_stream, golomb_for_lattice,
+                     lattice_for_header, mean_code_length, read_vectors, write_header,
+                     write_vectors)
 from .dither import derive_seed, stream_uniforms
 from .lattices import _BUILTIN_FAMILIES, builtin_lattice, load_lattice, packing_density
 from .layered import GaussianNoise, lrsuq_decode_batch, lrsuq_encode_batch
@@ -30,33 +32,22 @@ def _seed64(text: str) -> int:
     return int(text) & 0xFFFFFFFFFFFFFFFF
 
 
-def _read_file(path) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _write_file(path, data: bytes):
-    with open(path, "wb") as fh:
-        fh.write(data)
-
-
 # -- encode / decode -----------------------------------------------------------
 
 
 def _read_input(args):
     """The rows of the VQF1 file args.input and the lattice args.lattice of
     dimension args.dim, checked before any quantizer work starts."""
-    X = read_vectors(_read_file(args.input))
+    X = read_vectors(Path(args.input).read_bytes())
     if X.shape[1] != args.dim:
         raise ValueError(f"input file has dimension {X.shape[1]}, expected {args.dim}")
-    if args.lattice in _BUILTIN_FAMILIES:
-        lat = builtin_lattice(args.lattice, args.dim)
-    else:
-        lat = load_lattice(args.lattice)
-        if lat.n != args.dim:
-            raise ValueError(f"lattice config has dimension {lat.n}, expected {args.dim}")
     # A density too small for a Golomb code would only fail after the
     # rejection loop, which at such densities runs for ever.
+    if args.lattice in _BUILTIN_FAMILIES:
+        return X, codable_builtin(args.lattice, args.dim)
+    lat = load_lattice(args.lattice)
+    if lat.n != args.dim:
+        raise ValueError(f"lattice config has dimension {lat.n}, expected {args.dim}")
     golomb_for_lattice(lat)
     return X, lat
 
@@ -74,7 +65,7 @@ def cmd_encode(args) -> int:
     K, J, _ = encode_batch(cfg, X)
     header.coord_bound = bound = int(np.abs(J).max()) if J.size else 0
     blob = encode_stream(header, K, J, lat=lat)
-    _write_file(args.output, blob)
+    Path(args.output).write_bytes(blob)
     payload_bits = 8 * (len(blob) - header_bytes)
     print(f"vectors={len(X)} dim={args.dim} lattice={lat.name} "
           f"radius={args.radius:.6g} seed={args.seed}")
@@ -91,7 +82,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    data = _read_file(args.input)
+    data = Path(args.input).read_bytes()
     user = load_lattice(args.lattice) if args.lattice else None
     header, K, J = decode_stream(data, lat=user)
     lat = lattice_for_header(header, user)
@@ -103,7 +94,7 @@ def cmd_decode(args) -> int:
     else:
         noise = GaussianNoise(header.n)
         Y = lrsuq_decode_batch(noise, lat, header.seed, K, J)
-    _write_file(args.output, write_vectors(Y))
+    Path(args.output).write_bytes(write_vectors(Y))
     print(f"vectors={len(K)} dim={header.n} lattice={header.lattice_id} "
           f"mode={header.mode} seed={header.seed}")
     return 0
@@ -118,7 +109,7 @@ def cmd_simulate(args) -> int:
     else:
         Y = np.zeros((0, args.dim))
         rate = 0.0
-    _write_file(args.output, write_vectors(Y))
+    Path(args.output).write_bytes(write_vectors(Y))
     print(f"vectors={len(X)} dim={args.dim} lattice={lat.name} "
           f"noise={args.noise} seed={args.seed}")
     print(f"rate_bits_per_dim={rate:.6f}")
@@ -183,16 +174,14 @@ def cmd_bounds(args) -> int:
         report, missing = bd.table_mse_redundancy(dims, registry)
     else:
         raise ValueError(f"unknown table {args.table!r}")
-    with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(report.to_csv())
+    Path(args.out).write_text(report.to_csv(), "ascii", newline="\n")
     if missing:
         print("warning: registry has no entries for dimensions "
               + ",".join(str(n) for n in missing), file=sys.stderr)
     print(f"table={args.table} rows={len(report.rows)} out={args.out}")
     if args.table.startswith("figure2"):
-        script = _PLOT_SCRIPT.format(csv=str(args.out), png=str(args.out) + ".png")
-        with open(str(args.out) + ".plot.py", "w", encoding="ascii", newline="\n") as fh:
-            fh.write(script)
+        script = _PLOT_SCRIPT.format(csv=args.out, png=args.out + ".png")
+        Path(args.out + ".plot.py").write_text(script, "ascii", newline="\n")
         print(f"plot_script={args.out}.plot.py")
     return 0
 
@@ -209,19 +198,19 @@ def _selftest_checks(seed: int, full: bool):
     a2 = builtin_lattice("A2", 2)
     d4 = builtin_lattice("Dn", 4)
 
-    def check(name, statistic, threshold, verdict, n_samples=0):
-        # a closed-form comparison, reported like the statistical tests
-        return name, mc.TestResult(test=name, statistic=statistic, threshold=threshold,
-                                   verdict=verdict, n_samples=n_samples, seed=seed)
+    def check(name, deviation, tolerance, n_samples=0):
+        # a closed-form comparison: passes while the deviation stays within the tolerance
+        return name, mc.TestResult(test=name, statistic=deviation, threshold=tolerance,
+                                   verdict=deviation <= tolerance, n_samples=n_samples,
+                                   seed=seed)
 
     # closed-form table reproduction
     expected = {1: 1.52632, 8: 14.71250, 24: 46.71338}
     for n, want in expected.items():
-        got = bd.gaussian_layered_entropy(n)
-        yield check(f"layered-entropy[n={n}]", got, 1e-4, abs(got - want) < 1e-4)
+        yield check(f"layered-entropy[n={n}]", abs(bd.gaussian_layered_entropy(n) - want), 1e-4)
 
     red, ub = bd.rsuq_red_per_dim(48), bd.ordentlich_ub(48)
-    yield check("redundancy-ordering[n=48]", red, ub, red < ub)
+    yield check("redundancy-ordering[n=48]", red, ub)
 
     # ball-error law, MSE, stopping index
     cfg = RsuqConfig(z2, r=0.5, seed=derive_seed(seed, 1))
@@ -231,11 +220,11 @@ def _selftest_checks(seed: int, full: bool):
     yield ("uniform-ball", mc.test_uniform_ball(Z, 0.5, 2, seed=seed))
     yield ("independence", mc.test_independence(X, Z, seed=seed))
     mse = float(np.einsum("ij,ij->i", Z, Z).mean())
-    yield check("mse[Z2]", mse, 0.125, abs(mse - 0.125) < 0.00125, n_small)
+    yield check("mse[Z2]", abs(mse - 0.125), 0.00125, n_small)
     mean_k, kres = mc.k_statistics(K, packing_density(z2), plan.seed_base)
     yield ("stopping-index[Z2]", kres)
     want = 4.0 / math.pi
-    yield check("mean-k[Z2]", mean_k, want, abs(mean_k - want) / want < 0.02, n_small)
+    yield check("mean-k[Z2]", abs(mean_k - want) / want, 0.02, n_small)
 
     # rate bound across lattices
     lats = [z2, a2, d4] if full else [z2]
@@ -253,8 +242,7 @@ def _selftest_checks(seed: int, full: bool):
                                          packing_density(e8), plan8.seed_base)
         yield ("stopping-index[E8]", kres8)
         want8 = 384.0 / math.pi ** 4
-        yield check("mean-k[E8]", mean_k8, want8, abs(mean_k8 - want8) / want8 < 0.02,
-                    n_small)
+        yield check("mean-k[E8]", abs(mean_k8 - want8) / want8, 0.02, n_small)
 
     # Gaussian channel simulation
     g = GaussianNoise(2)
@@ -269,7 +257,14 @@ def _selftest_checks(seed: int, full: bool):
     k = np.floor(np.log1p(-u) / math.log(0.5)).astype(np.int64) + 1
     mean_len = float(code.length(k).mean())
     hk = bd.geometric_entropy(0.5)
-    yield check("golomb-rate[p=0.5]", mean_len, hk + 1.0, mean_len <= hk + 1.0, n_small)
+    yield check("golomb-rate[p=0.5]", mean_len, hk + 1.0, n_small)
+
+
+def _decided_by(res) -> str:
+    # The numbers a verdict follows from: the p-value against the threshold
+    # where there is one, else the statistic.
+    p = "" if res.p_value is None else f" p={res.p_value:.6g}"
+    return f"statistic={res.statistic:.6g}{p} threshold={res.threshold:.6g}"
 
 
 def cmd_selftest(args) -> int:
@@ -277,17 +272,12 @@ def cmd_selftest(args) -> int:
     for name, res in _selftest_checks(args.seed, full=args.full):
         results.append(res)
         status = "PASS" if res.verdict else "FAIL"
-        print(f"{status} {name} statistic={res.statistic:.6g} "
-              f"threshold={res.threshold:.6g} samples={res.n_samples}")
+        print(f"{status} {name} {_decided_by(res)} samples={res.n_samples}")
         for sub in res.subresults:
-            substat = "pass" if sub.verdict else "fail"
-            print(f"  - {substat} {sub.test} statistic={sub.statistic:.6g} "
-                  f"threshold={sub.threshold:.6g}")
+            print(f"  - {'pass' if sub.verdict else 'fail'} {sub.test} {_decided_by(sub)}")
     if args.out:
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(mc.TestResult.CSV_HEADER + "\n")
-            for res in results:
-                fh.write(res.csv_row() + "\n")
+        rows = [mc.TestResult.CSV_HEADER] + [res.csv_row() for res in results]
+        Path(args.out).write_text("\n".join(rows) + "\n", "ascii", newline="\n")
     failures = sum(not r.verdict for r in results)
     print(f"checks={len(results)} failures={failures}")
     return 1 if failures else 0

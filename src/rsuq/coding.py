@@ -89,6 +89,18 @@ class GolombCode:
         return q + 1 + width
 
 
+def codable_builtin(name: str, n: int) -> Lattice:
+    """The built-in lattice `name` at dimension n, once its closed-form packing
+    density is known to admit a Golomb code: checked before G is built, which
+    at a huge n asks for n^2 floats.  ValueError names the density."""
+    density = builtin_packing_density(name, n)
+    try:
+        optimal_golomb_parameter(density)
+    except ValueError as exc:
+        raise ValueError(f"{name} at n = {n} has packing density {density:.3g}: {exc}") from exc
+    return builtin_lattice(name, n)
+
+
 def golomb_for_lattice(lat: Lattice) -> GolombCode:
     """Code for the stopping index of the inscribed-ball quantizer on lat."""
     return GolombCode.for_geometric(packing_density(lat))
@@ -184,16 +196,9 @@ def lattice_for_header(header: StreamHeader, lat: Lattice | None = None) -> Latt
         raise FormatError("supplied lattice dimension does not match stream")
     if header.lattice_id in _BUILTIN_FAMILIES:
         try:
-            density = builtin_packing_density(header.lattice_id, header.n)
+            builtin = codable_builtin(header.lattice_id, header.n)
         except ValueError as exc:
             raise FormatError(f"header dimension {header.n} does not fit: {exc}") from exc
-        # Checked before G is built: a corrupt n would ask for n^2 floats.
-        try:
-            optimal_golomb_parameter(density)
-        except ValueError as exc:
-            raise FormatError(f"{header.lattice_id} at n = {header.n} has packing density "
-                              f"{density:.3g}: {exc}") from exc
-        builtin = builtin_lattice(header.lattice_id, header.n)
         if lat is not None and (lat.family, lat.packing_radius, lat.det) != (
                 builtin.family, builtin.packing_radius, builtin.det):
             raise FormatError(f"lattice id {header.lattice_id!r} is reserved for the built-in "

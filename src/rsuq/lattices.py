@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import threading
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -126,7 +126,7 @@ class Lattice:
                 raise ValueError(f"{key} must be finite and positive, got {value!r}")
         if covering_radius is not None and covering_radius < packing_radius:
             raise ValueError("covering radius cannot be below packing radius")
-        density = _packing_density(n, packing_radius, det)
+        density = _density(n, packing_radius, det)
         if not 0.0 < density <= 1.0:
             raise ValueError(f"packing density {density} outside (0, 1]")
         # Every generator column is a nonzero lattice vector, so no packing radius
@@ -565,27 +565,27 @@ _SQDIST = {"Zn": _zn_sqdist, "Dn": _dn_sqdist, "E8": _e8_sqdist}
 
 def packing_density(lat: Lattice) -> float:
     """Fraction of space filled by disjoint packing balls of radius lambda_min."""
-    return _packing_density(lat.n, lat.packing_radius, lat.det)
+    return _density(lat.n, lat.packing_radius, lat.det)
 
 
 def builtin_packing_density(name: str, n: int) -> float:
     """Closed-form packing density of a built-in family, without building its G."""
     c = _builtin_constants(name, n)
-    return _packing_density(n, c["packing_radius"], c["det"])
-
-
-def _packing_density(n, packing_radius, det):
-    d = 2.0 ** (n * math.log2(packing_radius) + log2_ball_volume(n) - math.log2(det))
-    # Absorb log-space rounding only (Z1 reads 1 + 2**-52): Lattice refuses the rest.
-    return 1.0 if 1.0 < d <= 1.0 + 1e-12 else d
+    return _density(n, c["packing_radius"], c["det"])
 
 
 def covering_density(lat: Lattice) -> float:
     """Average covering multiplicity of balls with the covering radius."""
     if lat.covering_radius is None:
         raise ValueError(f"lattice {lat.name} has no covering radius recorded")
-    return 2.0 ** (lat.n * math.log2(lat.covering_radius)
-                   + log2_ball_volume(lat.n) - math.log2(lat.det))
+    return _density(lat.n, lat.covering_radius, lat.det)
+
+
+def _density(n, radius, det):
+    # Volume of the n-ball of this radius per lattice point, in log space.
+    d = 2.0 ** (n * math.log2(radius) + log2_ball_volume(n) - math.log2(det))
+    # Absorb log-space rounding only (Z1 reads 1 + 2**-52): Lattice refuses the rest.
+    return 1.0 if 1.0 < d <= 1.0 + 1e-12 else d
 
 
 @functools.lru_cache(maxsize=_LATTICE_CACHE)
@@ -694,9 +694,8 @@ def lattice_from_config(text: str, name: str = "user") -> Lattice:
 
 def load_lattice(path) -> Lattice:
     """Load a user lattice config file."""
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    return lattice_from_config(text, name=os.path.basename(str(path)))
+    path = Path(path)
+    return lattice_from_config(path.read_text("ascii"), name=path.name)
 
 
 def _min_nonzero_norm(G):

@@ -20,12 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import rd_lower_max_error, rsuq_norment_ub
-from .coding import mean_code_length
 from .dither import derive_seed, stream_uniforms
 from .quantizer import RsuqConfig, encode_batch
 
 _AUX_BASE = 1 << 62
-_INPUT_LAWS = ("uniform-ball", "gaussian")
 _MIN_SAMPLES = 1000
 _MASS_POINTS = 10
 # Significance level of every KS and chi-square check.
@@ -40,18 +38,15 @@ class InsufficientSamplesError(ValueError):
 
 @dataclass
 class TrialPlan:
-    """Trial sizing and input law for one Monte-Carlo run."""
+    """Trial sizing for one Monte-Carlo run: samples inputs uniform in the tau-ball."""
 
     samples: int
     tau: float = 50.0
     seed_base: int = 0
-    input_law: str = "uniform-ball"
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("need at least one sample")
-        if self.input_law not in _INPUT_LAWS:
-            raise ValueError(f"unknown input law {self.input_law!r}")
 
 
 @dataclass
@@ -72,6 +67,12 @@ class TestResult:
                 f"{'pass' if self.verdict else 'fail'},{self.n_samples},{self.seed}")
 
     CSV_HEADER = "test,statistic,threshold,verdict,samples,seed"
+
+
+def _significance(name, statistic, p, n_samples, seed) -> TestResult:
+    # A check decided by its p-value p at level ALPHA.
+    return TestResult(test=name, statistic=statistic, threshold=ALPHA, p_value=p,
+                      verdict=p >= ALPHA, n_samples=n_samples, seed=seed)
 
 
 def _require_samples(n):
@@ -98,9 +99,7 @@ def ks_test(cdf_values, name: str, seed: int = 0) -> TestResult:
     u = np.asarray(cdf_values, dtype=np.float64)
     _require_samples(u.size)
     d = ks_statistic(u)
-    p = float(kolmogorov(math.sqrt(u.size) * d))
-    return TestResult(test=name, statistic=d, threshold=ALPHA, p_value=p,
-                      verdict=p >= ALPHA, n_samples=u.size, seed=seed)
+    return _significance(name, d, float(kolmogorov(math.sqrt(u.size) * d)), u.size, seed)
 
 
 def ks_two_sample(a, b, name: str, seed: int = 0) -> TestResult:
@@ -116,8 +115,7 @@ def ks_two_sample(a, b, name: str, seed: int = 0) -> TestResult:
     d = float(np.abs(cdf_a - cdf_b).max())
     n_eff = a.size * b.size / (a.size + b.size)
     p = float(kolmogorov(math.sqrt(n_eff) * d))
-    return TestResult(test=name, statistic=d, threshold=ALPHA, p_value=p,
-                      verdict=p >= ALPHA, n_samples=a.size + b.size, seed=seed)
+    return _significance(name, d, p, a.size + b.size, seed)
 
 
 def chi_square_gof(observed, expected, name: str, seed: int = 0) -> TestResult:
@@ -129,10 +127,8 @@ def chi_square_gof(observed, expected, name: str, seed: int = 0) -> TestResult:
     if np.any(exp <= 0):
         raise ValueError("expected counts must be positive")
     stat = float(((obs - exp) ** 2 / exp).sum())
-    df = obs.size - 1
-    p = float(gammaincc(df / 2.0, stat / 2.0))
-    return TestResult(test=name, statistic=stat, threshold=ALPHA, p_value=p,
-                      verdict=p >= ALPHA, n_samples=int(obs.sum()), seed=seed)
+    p = float(gammaincc((obs.size - 1) / 2.0, stat / 2.0))
+    return _significance(name, stat, p, int(obs.sum()), seed)
 
 
 def plugin_entropy(values) -> float:
@@ -171,11 +167,9 @@ def _standard_normals(plan: TrialPlan, stream: int, count: int, n: int):
 
 
 def sample_inputs(plan: TrialPlan, n: int) -> np.ndarray:
-    """Deterministic input batch for the plan's law, shape (samples, n)."""
+    """Deterministic inputs uniform in the ball of radius plan.tau, shape (samples, n)."""
     N = plan.samples
     g = _standard_normals(plan, 0, N, n)
-    if plan.input_law == "gaussian":
-        return plan.tau * g
     norm = np.sqrt(np.einsum("ij,ij->i", g, g))
     norm[norm == 0.0] = 1.0
     u = _aux_uniforms(plan, 1, N, 1)[:, 0]
@@ -188,11 +182,10 @@ def sample_inputs(plan: TrialPlan, n: int) -> np.ndarray:
 
 @dataclass
 class RateEstimate:
-    """Plug-in entropies of the description and the realized code length."""
+    """Plug-in entropies of the description."""
 
     h_k: float
     h_m: float
-    mean_code_len: float
     n_samples: int
 
 
@@ -204,33 +197,29 @@ def run_quantizer(cfg: RsuqConfig, plan: TrialPlan):
 
 
 def estimate_rate(cfg: RsuqConfig, plan: TrialPlan) -> RateEstimate:
-    """Plug-in entropies of K and M plus the mean Golomb+fixed-width length."""
-    if plan.input_law == "uniform-ball" and plan.tau < 10.0 * cfg.r:
+    """Plug-in entropies of K and M."""
+    if plan.tau < 10.0 * cfg.r:
         raise ValueError("high-resolution regime needs tau >= 10 r")
     _require_samples(plan.samples)
     _, K, J, _ = run_quantizer(cfg, plan)
-    return rate_from_descriptions(cfg.lat, K, J)
+    return rate_from_descriptions(K, J)
 
 
-def rate_from_descriptions(lat, K, J) -> RateEstimate:
-    bound = int(np.abs(J).max()) if J.size else 0
-    return RateEstimate(h_k=plugin_entropy(K), h_m=plugin_entropy(J),
-                        mean_code_len=mean_code_length(lat, K, bound),
-                        n_samples=int(K.size))
+def rate_from_descriptions(K, J) -> RateEstimate:
+    return RateEstimate(h_k=plugin_entropy(K), h_m=plugin_entropy(J), n_samples=int(K.size))
 
 
 # -- distributional tests ---------------------------------------------------------
 
 
-def _all_of(name, subs, p_value=None) -> TestResult:
-    """Passes when every sub-check does; reports the first failing one (else the
-    first), with p_value in place of its p-value when given."""
+def _all_of(name, subs) -> TestResult:
+    """Passes when every sub-check does; reports the numbers of the first
+    failing one (else the first)."""
     bad = [s for s in subs if not s.verdict]
     worst = bad[0] if bad else subs[0]
     return TestResult(test=name, statistic=worst.statistic, threshold=worst.threshold,
-                      p_value=worst.p_value if p_value is None else p_value,
-                      verdict=not bad, n_samples=subs[0].n_samples, seed=subs[0].seed,
-                      subresults=subs)
+                      p_value=worst.p_value, verdict=not bad, n_samples=subs[0].n_samples,
+                      seed=subs[0].seed, subresults=subs)
 
 
 def test_uniform_ball(errors, r: float, n: int, seed: int = 0) -> TestResult:
@@ -244,7 +233,7 @@ def test_uniform_ball(errors, r: float, n: int, seed: int = 0) -> TestResult:
     dev = float(np.abs(Z.mean(axis=0)).max())
     mean_ok = TestResult(test="uniform-ball[mean]", statistic=dev, threshold=band,
                          verdict=dev <= band, n_samples=Z.shape[0], seed=seed)
-    return _all_of("uniform-ball", [ks, mean_ok], p_value=ks.p_value)
+    return _all_of("uniform-ball", [ks, mean_ok])
 
 
 def test_gaussian(errors, n: int, seed: int = 0) -> TestResult:

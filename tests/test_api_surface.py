@@ -9,12 +9,16 @@ used only through an attribute reference, so a local variable of the same
 name does not keep it, and fields read off the argparse namespace (`args.x`)
 count for nothing.  Every name a module other than __init__.py imports
 is referenced in that module.  Every identifier README.md names in
-backticks is defined or referenced in src/rsuq.
+backticks is defined or referenced in src/rsuq.  The package holds only
+.py files, and no float literal of more than 9 significant digits: a
+constant the code derives must not come back as a decimal copy.
 """
 
 import ast
+import io
 import pathlib
 import re
+import tokenize
 
 import rsuq
 
@@ -109,3 +113,21 @@ def test_readme_names_only_what_src_defines():
             missing.add(name)
     assert not missing, "README.md names what src/rsuq does not define: " + ", ".join(
         sorted(missing))
+
+
+def test_package_states_no_decimal_copies():
+    stray = sorted(str(p.relative_to(SRC)) for p in SRC.rglob("*")
+                   if "__pycache__" not in p.parts and p.suffix != ".py")
+    assert not stray, "src/rsuq holds more than .py files: " + ", ".join(stray)
+    long = []
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            text = tok.string.lower().replace("_", "")
+            if tok.type != tokenize.NUMBER or text.startswith("0x") or text.endswith("j"):
+                continue
+            if "." in text or "e" in text:
+                digits = text.split("e")[0].replace(".", "").lstrip("0")
+                if len(digits) > 9:
+                    long.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert not long, "float literals with more than 9 significant digits: " + ", ".join(long)

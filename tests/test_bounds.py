@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import digamma
 
 from rsuq import bounds as bd
-from rsuq.lattices import builtin_lattice, log2_ball_volume, packing_density
+from rsuq.lattices import builtin_lattice, covering_density, log2_ball_volume, packing_density
 
 LN2 = math.log(2.0)
 
@@ -150,10 +150,11 @@ def test_nonlattice_existence_tighter_than_lattice_existence():
         assert bd.zador_ub(n) < bd.ordentlich_ub(n)
 
 
-def test_sinc_definition():
-    assert bd.sinc(0.0) == 1.0
-    assert bd.sinc(1.0) == pytest.approx(0.0, abs=1e-15)
-    assert bd.sinc(0.25) == pytest.approx(math.sin(math.pi / 4) / (math.pi / 4), rel=1e-12)
+def test_z1_covers_exactly_once():
+    # both densities absorb the log-space rounding at 1, so Z1's line reads 0
+    theta = covering_density(builtin_lattice("Zn", 1))
+    assert theta == 1.0
+    assert bd.lattice_red_max_error(1, theta) == 0.0
 
 
 def test_ball_nsm():
@@ -208,6 +209,12 @@ def test_shipped_registry_entries():
         assert e.nsm >= bd.ball_nsm(n) - 1e-12
     assert reg.get(2).delta == pytest.approx(math.pi / (2 * math.sqrt(3)), rel=1e-12)
     assert reg.get(8).nsm == pytest.approx(929.0 / 12960.0, rel=1e-12)
+    # every shipped row is a built-in lattice's closed-form constants
+    for (family, n), tag in {("Zn", 1): "Z", ("A2", 2): "A2", ("Dn", 4): "D4",
+                             ("E8", 8): "E8"}.items():
+        lat, e = builtin_lattice(family, n), reg.get(n)
+        assert (e.delta, e.theta, e.nsm, e.source) == (
+            packing_density(lat), covering_density(lat), lat.nsm, tag)
 
 
 def test_registry_parse_and_merge(tmp_path):
@@ -215,6 +222,9 @@ def test_registry_parse_and_merge(tmp_path):
     extra.write_text("n,delta,theta,nsm,source\n3,0.74048,1.4635,0.078543,fcc\n")
     reg = bd.load_registry(extra)
     assert 3 in reg.entries
+    # a user row overrides the shipped row of its dimension
+    extra.write_text("n,delta,theta,nsm,source\n2,0.5,1.5,0.09,mine\n")
+    assert bd.load_registry(extra).get(2).source == "mine"
     bad = tmp_path / "bad.csv"
     bad.write_text("n,delta,theta,nsm,source\n3,1.5,1.4,0.08,oops\n")
     with pytest.raises(ValueError):

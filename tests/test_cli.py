@@ -4,6 +4,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -512,6 +513,28 @@ def test_uncodable_packing_density_is_refused_before_the_loop(tmp_path):
         assert "1 - p rounds to 1" in out.stderr
 
 
+def test_huge_builtin_dimension_is_refused_before_its_generator(tmp_path):
+    # A 16-byte VQF1 file (no rows, dimension 2^20) must not make encode or
+    # simulate build the 2^20 x 2^20 generator (8 TiB) before the density
+    # check.  The child's address space is capped, so a regression fails fast.
+    src = os.path.dirname(os.path.dirname(rsuq.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    path = tmp_path / "empty.vqf"
+    path.write_bytes(write_vectors(np.zeros((0, 2 ** 20))))
+    assert path.stat().st_size == 16
+    script = ("import resource, sys, rsuq.cli\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+              "sys.exit(rsuq.cli.main(sys.argv[1:]))\n")
+    for family in ("Zn", "Dn"):
+        common = ["--input", str(path), "--lattice", family, "--dim", str(2 ** 20),
+                  "--output", str(tmp_path / "out")]
+        for argv in (["encode", "--radius", "0.5"] + common, ["simulate"] + common):
+            out = subprocess.run([sys.executable, "-c", script] + argv, env=env,
+                                 capture_output=True, text=True, timeout=60)
+            assert out.returncode == 2, out.stderr
+            assert f"{family} at n = 1048576 has packing density 0" in out.stderr
+
+
 def test_ball_encode_decode_loads_no_scipy(tmp_path):
     # scipy is a slow import that only the Gaussian level draw, the layered
     # entropy and the mc tests need
@@ -715,6 +738,45 @@ def test_selftest_exit_codes():
     assert "failures=0" in out
     lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
     assert len(lines) >= 10
+
+
+def _check_printed_verdicts(out):
+    # Every check line's verdict must follow from the numbers it prints: the
+    # p-value against the threshold where it shows one, else the statistic.
+    lines = [ln for ln in out.splitlines() if not ln.startswith("checks=")]
+    assert lines
+    for line in lines:
+        m = re.match(r"(PASS|FAIL|  - pass|  - fail) \S+ statistic=(\S+)(?: p=(\S+))? "
+                     r"threshold=(\S+)", line)
+        assert m, line
+        passed = m[1] in ("PASS", "  - pass")
+        threshold = float(m[4])
+        if m[3] is None:
+            value, holds = float(m[2]), float(m[2]) <= threshold
+        else:
+            value, holds = float(m[3]), float(m[3]) >= threshold
+        assert passed == holds or value == threshold, line
+
+
+def test_selftest_lines_show_what_decided_them(monkeypatch):
+    import rsuq.cli as cli
+    from rsuq import mc
+
+    _check_printed_verdicts(run_cli("selftest", "--quick", "--seed", "5")[1])
+
+    def failing(seed, full):
+        Z = mc.sample_inputs(mc.TrialPlan(samples=5000, tau=1.0, seed_base=seed), 2)
+        Z[:500, 0] = np.abs(Z[:500, 0])  # norms kept: the radial KS passes, the mean fails
+        yield ("ball-mean", mc.test_uniform_ball(Z, 1.0, 2, seed=seed))
+        yield ("gaussian-wide", mc.test_gaussian(2.0 * Z, 2, seed=seed))
+        yield ("closed-form", mc.TestResult(test="closed-form", statistic=2.0, threshold=1.0,
+                                            verdict=False, n_samples=0, seed=seed))
+
+    monkeypatch.setattr(cli, "_selftest_checks", failing)
+    code, out, _ = run_cli("selftest", "--quick", "--seed", "1")
+    assert code == 1 and "failures=3" in out
+    assert "  - pass uniform-ball[radial-ks]" in out and "  - fail uniform-ball[mean]" in out
+    _check_printed_verdicts(out)
 
 
 def test_selftest_failure_exit_code(monkeypatch):
