@@ -38,7 +38,8 @@ def _seed64(text: str) -> int:
 def _read_input(args):
     """The rows of the VQF1 file args.input and the lattice args.lattice of
     dimension args.dim, checked before any quantizer work starts."""
-    X = read_vectors(Path(args.input).read_bytes())
+    with open(args.input, "rb") as fh:
+        X = read_vectors(fh.read())
     if X.shape[1] != args.dim:
         raise ValueError(f"input file has dimension {X.shape[1]}, expected {args.dim}")
     # A density too small for a Golomb code would only fail after the
@@ -65,7 +66,8 @@ def cmd_encode(args) -> int:
     K, J, _ = encode_batch(cfg, X)
     header.coord_bound = bound = int(np.abs(J).max()) if J.size else 0
     blob = encode_stream(header, K, J, lat=lat)
-    Path(args.output).write_bytes(blob)
+    with open(args.output, "wb") as fh:
+        fh.write(blob)
     payload_bits = 8 * (len(blob) - header_bytes)
     print(f"vectors={len(X)} dim={args.dim} lattice={lat.name} "
           f"radius={args.radius:.6g} seed={args.seed}")
@@ -82,7 +84,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    data = Path(args.input).read_bytes()
+    with open(args.input, "rb") as fh:
+        data = fh.read()
     user = load_lattice(args.lattice) if args.lattice else None
     header, K, J = decode_stream(data, lat=user)
     lat = lattice_for_header(header, user)
@@ -94,7 +97,8 @@ def cmd_decode(args) -> int:
     else:
         noise = GaussianNoise(header.n)
         Y = lrsuq_decode_batch(noise, lat, header.seed, K, J)
-    Path(args.output).write_bytes(write_vectors(Y))
+    with open(args.output, "wb") as fh:
+        fh.write(write_vectors(Y))
     print(f"vectors={len(K)} dim={header.n} lattice={header.lattice_id} "
           f"mode={header.mode} seed={header.seed}")
     return 0
@@ -109,7 +113,8 @@ def cmd_simulate(args) -> int:
     else:
         Y = np.zeros((0, args.dim))
         rate = 0.0
-    Path(args.output).write_bytes(write_vectors(Y))
+    with open(args.output, "wb") as fh:
+        fh.write(write_vectors(Y))
     print(f"vectors={len(X)} dim={args.dim} lattice={lat.name} "
           f"noise={args.noise} seed={args.seed}")
     print(f"rate_bits_per_dim={rate:.6f}")

@@ -25,21 +25,30 @@ _U53 = 2.0 ** -53
 
 def mix64(x):
     """Scramble uint64 values (array in, array out)."""
-    x = np.asarray(x, dtype=np.uint64)
-    x = (x ^ (x >> np.uint64(30))) * _MIX1
-    x = (x ^ (x >> np.uint64(27))) * _MIX2
-    return x ^ (x >> np.uint64(31))
+    return _mix_in_place(np.array(x, dtype=np.uint64))
+
+
+def _mix_in_place(x):
+    # mix64 of the uint64 array x, written over x
+    x ^= x >> np.uint64(30)
+    x *= _MIX1
+    x ^= x >> np.uint64(27)
+    x *= _MIX2
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def rand_words(seed, index):
     """Word i of the stream seeded `seed`: mix64(seed + (i+1)*golden); both broadcast."""
     idx = np.asarray(index, dtype=np.uint64)
-    return mix64(np.asarray(seed, dtype=np.uint64) + (idx + np.uint64(1)) * _GOLDEN)
+    return _mix_in_place(np.asarray(seed, dtype=np.uint64) + (idx + np.uint64(1)) * _GOLDEN)
 
 
 def uniform53(words):
     """Map 64-bit words to [0, 1) doubles from their top 53 bits."""
-    return (np.asarray(words, dtype=np.uint64) >> np.uint64(11)).astype(np.float64) * _U53
+    u = (np.asarray(words, dtype=np.uint64) >> np.uint64(11)).astype(np.float64)
+    u *= _U53
+    return u
 
 
 def derive_seed(seed, index) -> int:
@@ -59,9 +68,18 @@ def derive_seeds(seed, indices):
 
 
 def stream_uniforms(seeds, first_word, count):
-    """(len(seeds), count) uniforms at words [first_word, first_word+count)."""
-    return gathered_uniforms(seeds, np.arange(first_word, first_word + count,
-                                              dtype=np.uint64)[None, :])
+    """(len(seeds), count) uniforms at words [first_word, first_word+count).
+
+    Row i holds the words of the stream seeded seeds[i], as
+    `gathered_uniforms` gives them, but the result is the transpose of a
+    C-contiguous (count, len(seeds)) array, one row per word.  Laid out that
+    way, the sum with the seeds and each in-place step of the mixer run
+    along rows of every seed, not over rows of `count` words, and the
+    rejection loop, which keeps one row per coordinate, takes `.T` without a
+    copy.
+    """
+    idx = np.arange(first_word, first_word + count, dtype=np.uint64)[:, None]
+    return uniform53(rand_words(np.asarray(seeds, dtype=np.uint64)[None, :], idx)).T
 
 
 def gathered_uniforms(seeds, word_index):

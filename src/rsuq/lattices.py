@@ -10,7 +10,13 @@ embeddings G j = (2 G) j / 2 are exact int64 products.  Their squared
 distances to the lattice (`sqdist_rows`, one per draw in the quantizer's
 screen) are closed forms in the round-half-down residuals r, with no point
 built: sum r^2 on Zn, plus 1 - 2 max |r| for an odd rounded sum on Dn,
-and on E8 the smaller of the D8 and D8 + (1/2)^8 forms.  A2 and user
+and on E8 the smaller of the D8 and D8 + (1/2)^8 forms.  They work on
+X.T, one row per coordinate, as the quantizer lays out its draws: each
+sum, maximum, minimum and parity over a row's coordinates combines whole
+rows of X.T elementwise, a fixed handful of numpy calls however few rows
+are left, where the row-major layout took several calls per reduction
+over a short last axis.  The decoders stay row-major: a coordinate-major
+E8 `nearest_points` measured slower.  A2 and user
 bases search through `_scan`: offsets o around the rounded basis
 coordinates with |G o| <= R + rho, R a covering-radius bound (Babai's if
 none is configured), rho the largest residual; fcc keeps 55, A2 7,
@@ -39,8 +45,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import threading
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -195,7 +201,9 @@ class Lattice:
         """Squared distance of each finite row of X to the lattice, to within
         rounding, with no point built: for Zn, Dn and E8 a closed form in the
         residuals of round half down, else |e|^2 + min_o q_o, the smallest of
-        `_scan`'s ranks around the base X G^-T (one product) rounded half down."""
+        `_scan`'s ranks around the base X G^-T (one product) rounded half down.
+        The closed forms run fastest on X = Y.T for a C-contiguous (n, rows)
+        array Y, and their bits depend neither on the batch nor on the layout."""
         if self.native:
             return _SQDIST[self.family](X)
         d = np.empty(len(X))
@@ -399,22 +407,11 @@ def _ranks(lat, X, base):
 
 
 def _row_max(A):
-    # max over each row of A (see _by_columns)
-    return _by_columns(np.maximum, A)
-
-
-def _row_min(A):
-    # min over each row of A (see _by_columns)
-    return _by_columns(np.minimum, A)
-
-
-def _by_columns(op, A):
-    # op (np.maximum or np.minimum) over each row of A, one call per column:
-    # on rows of a few entries that is several times faster than
-    # op.reduce(A, axis=1), and as exact.
+    # max over each row of A, one np.maximum per column: on rows of a few
+    # entries that is several times faster than A.max(axis=1), and as exact.
     out = A[:, 0].copy()
     for k in range(1, A.shape[1]):
-        op(out, A[:, k], out=out)
+        np.maximum(out, A[:, k], out=out)
     return out
 
 
@@ -466,7 +463,7 @@ def _nearest_dn_points(X):
     downward when that residual is 0.
     """
     f = _nearest_zn_points(X)
-    odd = np.flatnonzero(_odd_sum(f))
+    odd = np.flatnonzero(_odd_sum(f.T))
     e = np.take(X, odd, axis=0)
     e -= np.take(f, odd, axis=0)
     k = np.argmax(np.abs(e), axis=1)
@@ -503,36 +500,50 @@ def _nearest_e8_points(X):
     return Y[0]
 
 
-def _odd_sum(f):
-    # 1 for each integer row of f with an odd sum, else 0.  An int64 sum: a
-    # float sum of n coordinates near the input limit can pass 2**53 and
-    # round away the parity.
-    return (f.astype(np.int64) @ np.ones(f.shape[1], dtype=np.int64)) & 1
+def _odd_sum(F):
+    # 1 for each column of the integers F, one row per coordinate, whose sum
+    # is odd, else 0.  An int64 sum: a float sum of n coordinates near the
+    # input limit can pass 2**53 and round away the parity.  The cast lays F
+    # out in C order, which makes the sum add whole rows also for the
+    # transposed rows of a decoder.
+    return np.add.reduce(F.astype(np.int64, order="C"), 0) & 1
 
 
-def _half_down_residuals(X):
-    # r = X - f and _odd_sum(f) for f = _nearest_zn_points(X); r is exact,
-    # since f is an integer within 1/2 of X
-    r = _nearest_zn_points(X)
-    odd = _odd_sum(r)
-    np.subtract(X, r, out=r)
-    return r, odd
+# The squared distances below work on X.T, one row per coordinate; their
+# residuals r = x - f to the nearest integers f are exact, since each f is an
+# integer within 1/2 of x.
+
+
+def _sum_of_squares(R):
+    # sum over axis 0 of R * R in an order fixed by n alone: the last h rows
+    # are added onto the first h, h = floor(rows / 2), until one row is left.
+    # einsum adds the rows of a batch in sequence but a single column in SIMD
+    # lanes, so its bits would depend on the batch.
+    S = R * R
+    m = len(S)
+    while m > 1:
+        h = m // 2
+        S[:h] += S[m - h : m]
+        m -= h
+    return S[0]
 
 
 def _zn_sqdist(X):
-    r = _nearest_zn_points(X)
-    np.subtract(X, r, out=r)
-    return np.einsum("ij,ij->i", r, r)
+    r = _nearest_zn_points(X.T)
+    np.subtract(X.T, r, out=r)
+    return _sum_of_squares(r)
 
 
 def _dn_sqdist(X):
     """Squared distance to Dn: sum r^2 over the rounded residuals, plus, for
     an odd rounded sum, the step of the largest |r|, which turns r^2 into
     (1 - |r|)^2 and so costs 1 - 2 max |r|."""
-    r, odd = _half_down_residuals(X)
+    r = _nearest_zn_points(X.T)
+    odd = _odd_sum(r)
+    np.subtract(X.T, r, out=r)
     np.abs(r, out=r)
-    d = np.einsum("ij,ij->i", r, r)
-    d += odd * (1.0 - 2.0 * _row_max(r))
+    d = _sum_of_squares(r)
+    d += odd * (1.0 - 2.0 * np.maximum.reduce(r, 0))
     return d
 
 
@@ -542,14 +553,16 @@ def _e8_sqdist(X):
     where r < 0, else f + 1/2, with residuals 1/2 - |r|; their integer parts
     sum to sum f - #{r < 0}, and an odd sum steps the largest residual,
     1/2 - min |r|, which costs 2 min |r|."""
-    r, odd = _half_down_residuals(X)
-    half_odd = odd ^ (((r < 0) @ np.ones(8)).astype(np.int64) & 1)
+    r = _nearest_zn_points(X.T)
+    odd = _odd_sum(r)
+    np.subtract(X.T, r, out=r)
+    half_odd = odd ^ np.logical_xor.reduce(r < 0, 0)
     np.abs(r, out=r)
-    d = np.einsum("ij,ij->i", r, r)
-    d += odd * (1.0 - 2.0 * _row_max(r))
-    step = 2.0 * _row_min(r)
+    d = _sum_of_squares(r)
+    d += odd * (1.0 - 2.0 * np.maximum.reduce(r, 0))
+    step = 2.0 * np.minimum.reduce(r, 0)
     np.subtract(0.5, r, out=r)
-    d_half = np.einsum("ij,ij->i", r, r)
+    d_half = _sum_of_squares(r)
     d_half += half_odd * step
     return np.minimum(d, d_half, out=d)
 
@@ -694,8 +707,9 @@ def lattice_from_config(text: str, name: str = "user") -> Lattice:
 
 def load_lattice(path) -> Lattice:
     """Load a user lattice config file."""
-    path = Path(path)
-    return lattice_from_config(path.read_text("ascii"), name=path.name)
+    with open(path, encoding="ascii") as fh:
+        text = fh.read()
+    return lattice_from_config(text, name=os.path.basename(path))
 
 
 def _min_nonzero_norm(G):

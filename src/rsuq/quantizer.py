@@ -18,6 +18,18 @@ the exact fold-and-search, and one pass at every row's stopping index K
 rebuilds the accepted V, M and reconstruction as the decoder does: K, M
 and every output bit are those of testing V itself.
 
+The loop is coordinate-major.  Round t draws for the A rows still
+active, and every per-draw array has one row per coordinate: the dithers
+come word-major from `stream_uniforms`, the active rows' x / gamma is
+kept compacted as an (n, A) array (with their indices, seeds and screen
+limits) and shrunk each round, W is one (n, A) product G u^T, and on
+Zn, Dn and E8 the screen's sums, maxima, minima and parities over a
+row's coordinates are reductions over axis 0, which combine whole rows
+elementwise.  Rows stop at a geometric rate, so most rounds serve a
+few rows and each round's fixed cost, a count of numpy calls, matters as
+much as its work.  The decoders, the band's exact test and the pass at
+K stay row-major.
+
 The entry points take rows and derive one stream seed per row
 (derive_seed mixed with the row index), so results are reproducible and
 row i's bits do not depend on the other rows.  A vector of shape (n,) is
@@ -158,7 +170,8 @@ def _reject_rows(lat, gamma, X, seeds, reserved, r2=None, accept=None):
     lattice, so quantizing x / gamma - W leaves an error of the same norm
     as x / gamma - V up to rounding (Zamir & Feder 1992): the screen
     decides on that norm, `lat.sqdist_rows` of x / gamma - W in cell units,
-    W = u G^T by one product whose bits may depend on the batch.
+    with W^T = G u^T one product over the active rows whose bits may depend
+    on the batch.
     A draw whose screened |err|^2 lies within the band of `_screen_limits`
     around r2, and every draw of a model without a radius, gets the exact
     test: the fold, then the search on x / gamma - V, as the decoder
@@ -176,21 +189,23 @@ def _reject_rows(lat, gamma, X, seeds, reserved, r2=None, accept=None):
     K = np.zeros(N, dtype=np.int64)
     if N == 0:
         return K, np.zeros((0, n), dtype=np.int64), np.zeros((0, n))
+    # The still-active rows, compacted: their indices, seeds, limits and
+    # x / gamma, the last one row per coordinate like the dithers.
+    active, live_seeds, XgT = np.arange(N), seeds, Xg.T.copy()
     if r2 is not None:
         lo, hi = _screen_limits(lat, Xg, gamma, r2)
-    active = np.arange(N)
     max_iters = default_max_iters(lat)
     for t in range(max_iters):
-        u = stream_uniforms(seeds[active], reserved + t * n, n)
+        u = stream_uniforms(live_seeds, reserved + t * n, n)
         if r2 is None:
             ok = np.zeros(active.size, dtype=bool)
             near = np.arange(active.size)
         else:
-            y = Xg[active]
-            y -= u @ lat.G.T
-            d = lat.sqdist_rows(y)
-            ok = d < lo[active]
-            near = np.flatnonzero(~ok & (d <= hi[active]))
+            y = lat.G @ u.T
+            np.subtract(XgT, y, out=y)
+            d = lat.sqdist_rows(y.T)
+            ok = d < lo
+            near = (~ok & (d <= hi)).nonzero()[0]
         if near.size:
             rows = active[near]
             v = fold_rows(lat, u[near])
@@ -198,9 +213,14 @@ def _reject_rows(lat, gamma, X, seeds, reserved, r2=None, accept=None):
             ok[near] = (np.einsum("ij,ij->i", err, err) <= r2[rows] if accept is None
                         else accept(err, rows))
         K[active[ok]] = t + 1
-        active = active[~ok]
+        keep = ~ok
+        active = active.compress(keep)
         if active.size == 0:
             break
+        live_seeds = live_seeds.compress(keep)
+        XgT = XgT.compress(keep, axis=1)
+        if r2 is not None:
+            lo, hi = lo.compress(keep), hi.compress(keep)
     if active.size:
         raise RejectionCapError(
             f"no acceptance within {max_iters} rounds for {active.size} input(s)")
@@ -239,7 +259,11 @@ def _screen_limits(lat, Xg, gamma, r2):
     # product, also within n u a of G u, and y = fl(p - W) adds u S per
     # coordinate, so the distance of y is within 3 n^1.5 u S of F.  On Zn, Dn
     # and E8 sqdist_rows(y) is that distance squared in closed form, from
-    # exact residuals of size <= 1/2, to within (n + 4) u relative.  On other
+    # exact residuals of size <= 1/2, to within (n + 4) u relative: its sums
+    # of n nonnegative squares, formed over axis 0 of the coordinate-major
+    # residuals in a fixed pairwise order, round by at most (n - 1) u
+    # relative in any order, so the bound does not depend on the order or
+    # the layout, and each square and the parity step add a few u.  On other
     # bases it is |e|^2 + min_o q_o over the scan's table, certified to hold
     # the nearest point of e = fl(y - G base): e is within 2 n^1.5 kappa u S
     # of a translate of y, the table's G o within 2 n^2 kappa u S of lattice

@@ -34,7 +34,7 @@ def test_stream_and_gathered_uniforms_agree(seeds, first, count):
     idx = np.tile(np.arange(first, first + count, dtype=np.uint64), (len(seeds), 1))
     b = gathered_uniforms(seeds, idx)
     c = np.array([uniform53(rand_words(s, idx[0])) for s in seeds]).reshape(len(seeds), count)
-    assert a.shape == (len(seeds), count)
+    assert a.shape == (len(seeds), count) and a.T.flags.c_contiguous
     assert np.array_equal(a, b) and np.array_equal(a, c)
 
 

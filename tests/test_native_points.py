@@ -150,8 +150,13 @@ def _assert_closed_form_distance(lat, X):
     want = _searched_sqdist(lat, X)
     assert d.shape == (len(X),)
     assert np.all(np.abs(d - want) <= 4.0 * (n + 4) * 2.0 ** -53 * want + n * 2.0 ** -1074)
+    # the same bits for the rows as the transposed view of a C-contiguous
+    # (n, rows) array, which is how the rejection loop passes its draws
+    view = np.ascontiguousarray(X.T).T
+    assert np.array_equal(_bits(lat.sqdist_rows(view)), _bits(d))
     for i in range(min(len(X), 3)):  # a row's value does not depend on its batch
         assert _bits(lat.sqdist_rows(X[i : i + 1]))[0] == _bits(d)[i]
+        assert _bits(lat.sqdist_rows(view[i : i + 1]))[0] == _bits(d)[i]
 
 
 def _equidistant_e8_rows(rng, rows):

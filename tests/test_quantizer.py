@@ -123,6 +123,41 @@ def test_batch_prefix_encodes_to_the_same_bits(lat, model):
         assert np.array_equal(_bits(decode(Km, Jm)), _bits(Yd[:m]))
 
 
+@pytest.mark.parametrize("lat,model", [
+    (builtin_lattice("Zn", 2), "ball"), (builtin_lattice("Dn", 4), "ball"),
+    (builtin_lattice("E8", 8), "ball"), (builtin_lattice("A2", 2), "ball"),
+    (lattice_from_config(FCC_CONFIG, name="fcc"), "ball"),
+    (builtin_lattice("E8", 8), "gaussian"), (builtin_lattice("E8", 8), "accept"),
+], ids=lambda p: p if isinstance(p, str) else p.name + str(p.n))
+def test_one_dither_call_per_round_on_the_active_rows(lat, model, monkeypatch):
+    # Round t draws once, for exactly the rows still active (those with
+    # K > t, in batch order), the n words of draw t after the reserved prefix;
+    # so the rows summed over the calls are sum K.  rsuqbench/spans.py counts
+    # rounds and row draws this way.
+    calls = []
+    draw = rsuq.quantizer.stream_uniforms
+
+    def recorded(seeds, first_word, count):
+        calls.append((np.array(seeds), first_word, count))
+        return draw(seeds, first_word, count)
+
+    monkeypatch.setattr(rsuq.quantizer, "stream_uniforms", recorded)
+    X = np.random.default_rng(17).standard_normal((400, lat.n)) * 5
+    if model == "ball":
+        K, _, _ = encode_batch(RsuqConfig(lat, r=0.3, seed=808), X)
+        reserved = 0
+    else:
+        noise = GaussianNoise(lat.n) if model == "gaussian" else BallSetGaussian(lat.n, lat)
+        K, _, _ = lrsuq_encode_batch(noise, lat, 808, X)
+        reserved = noise.level_words
+    seeds = rsuq.quantizer.batch_seeds(808, len(X))
+    assert len(calls) == K.max()
+    for t, (drawn, first_word, count) in enumerate(calls):
+        assert np.array_equal(drawn, seeds[K > t])
+        assert (first_word, count) == (reserved + t * lat.n, lat.n)
+    assert sum(len(drawn) for drawn, _, _ in calls) == K.sum()
+
+
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(st.data())
 def test_round_trip_property(data):
