@@ -9,6 +9,9 @@ coded per coordinate in offset binary with a shared bound B.
 Container "RSQ1": header (magic, version, n, lattice id, scale, parameter,
 mode, seed, count, coordinate bound), then per vector Golomb(K) and n
 fixed-width coordinates, padded to a byte boundary at stream end only.
+The reader finds the records of a window with whole-array operations and
+reads their coordinate fields word-major, through an (n, records) index,
+into the (count, n) rows it returns.
 Vector files use "VQF1": magic, uint32 dim, uint64 count, float64 data,
 all little-endian.
 """
@@ -360,8 +363,8 @@ def decode_stream(data: bytes, lat: Lattice | None = None):
         np.subtract(z, np.concatenate([[start - base], ends[:-1]]), out=K[got])
         K[got] *= m
         K[got] += np.where(short, rem >> 1, rem - thr) + 1
-        np.subtract(_fields_at(words, (ends - n * width)[:, None] + width * np.arange(n),
-                               width), B, out=J[got])
+        np.subtract(_fields_at(words, width * np.arange(n)[:, None] + (ends - n * width),
+                               width).T, B, out=J[got])
         bad_coord = bad_coord or bool(np.any(J[got] > B))
         done += len(z)
         start = lo = base + int(ends[-1])

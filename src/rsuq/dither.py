@@ -1,13 +1,18 @@
 """Deterministic, seed-reproducible dithers uniform over the scaled Voronoi cell.
 
-A counter-based 64-bit generator drives everything: word i of a stream is
-a pure function of (seed, i), so decoders can jump straight to the draw
-they need without replaying the sequence.  Uniform deviates take the top
-53 bits of a word.  Dither draw k of an n-dimensional stream consumes the
+A counter-based 64-bit generator drives everything: word i of the stream
+seeded s is mix64(s + (i+1) * golden), mix64 the splitmix64 finalizer, a
+pure function of (s, i), so decoders can jump straight to the draw they
+need without replaying the sequence.  Uniform deviates take the top 53
+bits of a word.  Dither draw k of an n-dimensional stream consumes the
 fixed word stride [reserved + k*n, reserved + (k+1)*n).
 
-All state updates are plain uint64 arithmetic (wrapping mod 2**64), so
-streams are bit-identical across platforms and between encoder and decoder.
+All state updates are plain uint64 arithmetic (wrapping mod 2**64, word
+positions too), so streams are bit-identical across platforms and between
+encoder and decoder.  Both generators, `stream_uniforms` (a run of words
+per seed) and `gathered_uniforms` (given word positions per seed), compute
+word-major through one kernel: the words are a C-contiguous (words, seeds)
+array, mixed in place, and the (seeds, words) result is its transpose.
 """
 
 from __future__ import annotations
@@ -23,13 +28,8 @@ _DERIVE = np.uint64(0xD1342543DE82EF95)
 _U53 = 2.0 ** -53
 
 
-def mix64(x):
-    """Scramble uint64 values (array in, array out)."""
-    return _mix_in_place(np.array(x, dtype=np.uint64))
-
-
 def _mix_in_place(x):
-    # mix64 of the uint64 array x, written over x
+    # the splitmix64 finalizer of the uint64 array x, written over x
     x ^= x >> np.uint64(30)
     x *= _MIX1
     x ^= x >> np.uint64(27)
@@ -38,17 +38,19 @@ def _mix_in_place(x):
     return x
 
 
-def rand_words(seed, index):
-    """Word i of the stream seeded `seed`: mix64(seed + (i+1)*golden); both broadcast."""
-    idx = np.asarray(index, dtype=np.uint64)
-    return _mix_in_place(np.asarray(seed, dtype=np.uint64) + (idx + np.uint64(1)) * _GOLDEN)
-
-
-def uniform53(words):
-    """Map 64-bit words to [0, 1) doubles from their top 53 bits."""
-    u = (np.asarray(words, dtype=np.uint64) >> np.uint64(11)).astype(np.float64)
+def _uniforms(seeds, steps):
+    # Uniforms of the words seed + steps, mixed: steps holds (i + 1) * golden
+    # for word i, as a (words, rows) array (overwritten) or a (words, 1)
+    # column shared by every seed.  For a column or a C-contiguous steps the
+    # words are one C-contiguous (words, rows) array, so each step runs along
+    # rows of every seed; the result is its transpose, one row per seed.
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    x = np.add(steps, seeds, out=steps if steps.shape[1] == len(seeds) else None)
+    _mix_in_place(x)
+    x >>= np.uint64(11)
+    u = x.astype(np.float64)
     u *= _U53
-    return u
+    return u.T
 
 
 def derive_seed(seed, index) -> int:
@@ -62,29 +64,35 @@ def derive_seed(seed, index) -> int:
 
 def derive_seeds(seed, indices):
     """Vectorized derive_seed over an array of element indices."""
-    a = mix64(np.asarray([seed], dtype=np.uint64))
-    b = mix64(np.asarray(indices, dtype=np.uint64) * _DERIVE + np.uint64(1))
-    return mix64(a + b)
+    x = np.asarray(indices, dtype=np.uint64) * _DERIVE
+    x += np.uint64(1)
+    _mix_in_place(x)
+    x += _mix_in_place(np.array([seed], dtype=np.uint64))
+    return _mix_in_place(x)
 
 
 def stream_uniforms(seeds, first_word, count):
     """(len(seeds), count) uniforms at words [first_word, first_word+count).
 
     Row i holds the words of the stream seeded seeds[i], as
-    `gathered_uniforms` gives them, but the result is the transpose of a
-    C-contiguous (count, len(seeds)) array, one row per word.  Laid out that
-    way, the sum with the seeds and each in-place step of the mixer run
-    along rows of every seed, not over rows of `count` words, and the
+    `gathered_uniforms` gives them, and the result is the transpose of a
+    C-contiguous (count, len(seeds)) array, one row per word, so the
     rejection loop, which keeps one row per coordinate, takes `.T` without a
-    copy.
+    copy.  Word positions wrap mod 2**64.
     """
-    idx = np.arange(first_word, first_word + count, dtype=np.uint64)[:, None]
-    return uniform53(rand_words(np.asarray(seeds, dtype=np.uint64)[None, :], idx)).T
+    steps = np.arange(count, dtype=np.uint64) + np.uint64((int(first_word) + 1) % 2 ** 64)
+    steps *= _GOLDEN
+    return _uniforms(seeds, steps[:, None])
 
 
 def gathered_uniforms(seeds, word_index):
-    """Uniforms at per-row word positions; word_index has shape (N, count)."""
-    return uniform53(rand_words(np.asarray(seeds, dtype=np.uint64)[:, None], word_index))
+    """Uniforms at per-row word positions; word_index has shape (N, count).
+
+    Computed on word_index.T, so the transpose of a C-contiguous (count, N)
+    index gives the transpose of a C-contiguous (count, N) result."""
+    steps = np.asarray(word_index, dtype=np.uint64).T + np.uint64(1)
+    steps *= _GOLDEN
+    return _uniforms(seeds, steps)
 
 
 def fold_rows(lat: Lattice, U):

@@ -104,11 +104,12 @@ def _levels_and_betas(noise, lat, seeds):
     if noise.n != lat.n:
         raise ValueError(f"noise dimension {noise.n} != lattice dimension {lat.n}")
 
-    def levels(rows):
-        u = stream_uniforms(seeds[rows], 0, noise.level_words)
-        return np.atleast_1d(np.asarray(noise.sample_level(u), dtype=np.float64))
+    t = np.empty(len(seeds))
 
-    t = split_rows(levels, len(seeds), lat.n)
+    def levels(rows):
+        t[rows] = noise.sample_level(stream_uniforms(seeds[rows], 0, noise.level_words))
+
+    split_rows(levels, len(seeds), lat.n)
     r2 = None
     if noise.level_ball:
         radius = np.asarray(noise.level_radius(t), dtype=np.float64)

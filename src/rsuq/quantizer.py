@@ -27,8 +27,11 @@ Zn, Dn and E8 the screen's sums, maxima, minima and parities over a
 row's coordinates are reductions over axis 0, which combine whole rows
 elementwise.  Rows stop at a geometric rate, so most rounds serve a
 few rows and each round's fixed cost, a count of numpy calls, matters as
-much as its work.  The decoders, the band's exact test and the pass at
-K stay row-major.
+much as its work.  The pass at K and every decoder's rebuild of V_K
+draw their words word-major as well, from a word index laid out as
+(n, rows), and the fold's embedding reads those rows without a copy; only
+the searches (the point decoders, the band's exact test and the search at
+K) stay row-major.
 
 The entry points take rows and derive one stream seed per row
 (derive_seed mixed with the row index), so results are reproducible and
@@ -37,10 +40,12 @@ one row, seeded with derive_seed(seed, 0).
 
 The rejection loop runs on the calling thread.  The stages around it
 compute each row from that row alone, so `split_rows` runs them on row
-slices across the CPUs of the process: the pass at K, the decoder's
-rebuild of M + V_K and the layered quantizer's level draw.  It engages
-only on batches of at least 2 * _SPLIT_MIN coordinates, and no output
-bit depends on the number of CPUs.
+slices, each writing its rows into output arrays allocated once for the
+batch: the pass at K, the decoder's rebuild of M + V_K and the layered
+quantizer's level draw.  A slice holds at most _SLICE_MAX coordinates,
+which bounds each thread's temporaries, and batches of at least
+2 * _SPLIT_MIN coordinates spread their slices across the CPUs of the
+process.  No output bit depends on the cut or the number of CPUs.
 """
 
 from __future__ import annotations
@@ -57,9 +62,13 @@ from .lattices import Lattice, _row_max, as_rows, check_rows, packing_density
 
 
 # A batch of at least 2 * _SPLIT_MIN coordinates (rows x n) runs its
-# row-independent stages in slices of at least _SPLIT_MIN coordinates, one
+# row-independent stages in shares of at least _SPLIT_MIN coordinates, one
 # per CPU; on smaller batches a second thread costs more than it saves.
 _SPLIT_MIN = 2 ** 14
+
+# Each call of a split stage covers at most _SLICE_MAX coordinates, so its
+# temporaries stay in the CPU caches and below a few MB on every thread.
+_SLICE_MAX = 2 ** 16
 
 # The CPUs this process may run on, read once.
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -91,35 +100,42 @@ if hasattr(os, "register_at_fork"):
 
 
 def split_rows(fn, N, n):
-    """fn(rows) over consecutive row slices `rows` covering 0..N, joined.
+    """Run fn(rows) over consecutive row slices `rows` covering 0..N.
 
-    A batch of N rows of n coordinates below 2 * _SPLIT_MIN coordinates, or
-    a process on one CPU, makes the one call fn(slice(0, N)) and returns its
-    result as it is.  Otherwise the rows are cut into up to one slice per
-    CPU, each of at least _SPLIT_MIN coordinates; the first runs on the
-    calling thread and the rest on the worker threads, and the results
-    (arrays, or tuples of arrays) are concatenated in row order.  fn must
-    compute each row from that row alone, so the result does not depend on
-    the cut.  An exception of the lowest slice that raised reaches the
-    caller once every slice has finished.
+    fn writes the results of its rows in place, into arrays the caller
+    allocated for all N rows, and must compute each row from that row
+    alone, so the results do not depend on the cut.  Every slice holds at
+    most _SLICE_MAX coordinates (one row if a row holds more).  A batch of
+    at least 2 * _SPLIT_MIN coordinates in a process on more than one CPU is
+    first cut into up to one share of consecutive rows per CPU, each of at
+    least _SPLIT_MIN coordinates: the first share runs on the calling thread
+    and the rest on the worker threads.  Smaller batches run on the calling
+    thread alone.  A share stops at its first slice that raises, and the
+    exception of the lowest such slice reaches the caller once every share
+    has stopped.
     """
+    step = max(1, _SLICE_MAX // n)
+
+    def run(share):
+        for lo in range(share.start, share.stop, step):
+            fn(slice(lo, min(lo + step, share.stop)))
+
     parts = min(_CPUS, N * n // _SPLIT_MIN)
     if parts < 2:
-        return fn(slice(0, N))
+        run(slice(0, N))
+        return
     cuts = [N * i // parts for i in range(parts + 1)]
-    slices = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    shares = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     from concurrent.futures import wait
 
     pool = _workers()
-    futures = [pool.submit(fn, rows) for rows in slices[1:]]
+    futures = [pool.submit(run, share) for share in shares[1:]]
     try:
-        outs = [fn(slices[0])]
+        run(shares[0])
     finally:
         wait(futures)
-    outs += [f.result() for f in futures]
-    if isinstance(outs[0], tuple):
-        return tuple(np.concatenate(col) for col in zip(*outs))
-    return np.concatenate(outs)
+    for f in futures:
+        f.result()
 
 
 class RejectionCapError(RuntimeError):
@@ -225,17 +241,21 @@ def _reject_rows(lat, gamma, X, seeds, reserved, r2=None, accept=None):
         raise RejectionCapError(
             f"no acceptance within {max_iters} rounds for {active.size} input(s)")
 
+    J, Y = np.empty((N, n), dtype=np.int64), np.empty((N, n))
+
     def at_k(rows):
         V = _dithers_at(lat, seeds[rows], K[rows] - 1, reserved)
         if lat.native:
             Z = lat.nearest_points(Xg[rows] - V)
-            J = lat.point_coords(Z)
+            J[rows] = lat.point_coords(Z)
         else:
-            J = lat.nearest_rows(Xg[rows] - V)
-            Z = lat.embed_rows(J)
-        return J, gamma * (Z + V)
+            J[rows] = lat.nearest_rows(Xg[rows] - V)
+            Z = lat.embed_rows(J[rows])
+        y = np.add(Z, V, out=Y[rows])
+        y *= gamma
 
-    return (K, *split_rows(at_k, N, n))
+    split_rows(at_k, N, n)
+    return K, J, Y
 
 
 # The screen's band is this many units of 2**-53 times the scale of
@@ -292,11 +312,13 @@ def _screen_limits(lat, Xg, gamma, r2):
 
 
 def _dithers_at(lat, seeds, draws, reserved):
-    """Unscaled cell dithers at per-row draw indices (vectorized jump)."""
-    n = lat.n
-    draws = np.asarray(draws, dtype=np.uint64)
-    idx = np.uint64(reserved) + draws[:, None] * np.uint64(n) + np.arange(n, dtype=np.uint64)[None, :]
-    return fold_rows(lat, gathered_uniforms(seeds, idx))
+    """Unscaled cell dithers at per-row draw indices (vectorized jump), drawn
+    word-major from a word index laid out as (n, rows)."""
+    idx = np.arange(lat.n, dtype=np.uint64)[:, None] + (
+        np.asarray(draws, dtype=np.uint64) * np.uint64(lat.n) + np.uint64(reserved))
+    U = gathered_uniforms(seeds, idx.T)
+    del idx  # not held through the fold
+    return fold_rows(lat, U)
 
 
 def description_arrays(K, J, count: int, n: int):
@@ -324,11 +346,15 @@ def _decode_rows(lat, scale, seeds, K, J, reserved=0):
     """Reconstructions scale * (M + V_K) per row, shared by every decoder."""
     K, J = description_arrays(K, J, len(seeds), lat.n)
 
-    def rebuild(rows):
-        s = scale[rows] if np.ndim(scale) else scale
-        return s * (lat.embed_rows(J[rows]) + _dithers_at(lat, seeds[rows], K[rows] - 1, reserved))
+    Y = np.empty(J.shape)
 
-    return split_rows(rebuild, len(seeds), lat.n)
+    def rebuild(rows):
+        y = np.add(lat.embed_rows(J[rows]), _dithers_at(lat, seeds[rows], K[rows] - 1, reserved),
+                   out=Y[rows])
+        y *= scale[rows] if np.ndim(scale) else scale
+
+    split_rows(rebuild, len(seeds), lat.n)
+    return Y
 
 
 # -- entry points ------------------------------------------------------------

@@ -623,6 +623,7 @@ def test_windowed_decode_equals_scalar_reference(m, bound, count):
             with mock.patch.object(coding, "_WINDOW_BITS", window):
                 h2, K2, J2 = decode_stream(blob, lat=lat)
             assert h2 == h and np.array_equal(K2, K) and np.array_equal(J2, J), window
+            assert J2.dtype == np.int64 and J2.flags.c_contiguous, window
             # a cut stream is refused as the scalar reader refuses it
             for cut in (len(blob) - 1, len(blob) - 9):
                 if cut < len(write_header(h)) or count == 0:

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsuq.dither import (derive_seed, derive_seeds, fold_rows, gathered_uniforms,
-                         mix64, rand_words, stream_uniforms, uniform53)
-from rsuq.lattices import builtin_lattice
-from rsuq.quantizer import _dithers_at
+from _dither_ref import mix64, rand_words, uniform53
+from rsuq.dither import derive_seed, derive_seeds, fold_rows, gathered_uniforms, stream_uniforms
+from rsuq.lattices import builtin_lattice, lattice_from_config
+from rsuq.quantizer import _dithers_at, batch_seeds
+
+FCC_CONFIG = "3\n1 1 0\n1 0 1\n0 1 1\npacking_radius=0.7071067811865476\n"
 
 
 def dithers(seed, lat, count, scale=1.0, reserved=0):
@@ -36,6 +38,27 @@ def test_stream_and_gathered_uniforms_agree(seeds, first, count):
     c = np.array([uniform53(rand_words(s, idx[0])) for s in seeds]).reshape(len(seeds), count)
     assert a.shape == (len(seeds), count) and a.T.flags.c_contiguous
     assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=4),
+       st.integers(2 ** 64 - 2 ** 10, 2 ** 64 - 1), st.integers(0, 9))
+def test_word_positions_wrap_mod_2_64(seeds, first, count):
+    # a run of words that passes 2**64 - 1 goes on at word 0, for both generators
+    idx = np.array([(first + i) % 2 ** 64 for i in range(count)], dtype=np.uint64)
+    want = uniform53(rand_words(np.array(seeds, dtype=np.uint64)[:, None], idx))
+    assert np.array_equal(stream_uniforms(seeds, first, count), want)
+    assert np.array_equal(gathered_uniforms(seeds, np.tile(idx, (len(seeds), 1))), want)
+
+
+def test_gathered_uniforms_on_a_word_major_index_stay_word_major():
+    # the transpose of a C-contiguous (n, N) index gives a view whose
+    # transpose is C-contiguous, with the values of the row-major index
+    idx = np.arange(6, dtype=np.uint64).reshape(3, 2) * np.uint64(7)
+    seeds = np.array([3, 2 ** 64 - 1], dtype=np.uint64)
+    u = gathered_uniforms(seeds, idx.T)
+    assert u.base is not None and u.T.flags.c_contiguous
+    assert np.array_equal(u, gathered_uniforms(seeds, np.ascontiguousarray(idx.T)))
 
 
 def test_uniform53_range_and_resolution():
@@ -78,6 +101,23 @@ def test_jump_to_semantics():
     seq = dithers(5, z2, 10)
     seeds = np.full(10, 5, dtype=np.uint64)
     assert np.array_equal(_dithers_at(z2, seeds, np.arange(10), 0), seq)
+
+
+@pytest.mark.parametrize("lat", [
+    builtin_lattice("Zn", 2), builtin_lattice("Dn", 4), builtin_lattice("E8", 8),
+    builtin_lattice("A2", 2), lattice_from_config(FCC_CONFIG, name="fcc"),
+], ids=lambda lat: lat.name + str(lat.n))
+@pytest.mark.parametrize("N", [0, 1, 4097])
+@pytest.mark.parametrize("reserved", [0, 1, 5])
+def test_dithers_at_equals_the_row_major_fold(lat, N, reserved):
+    # the jump's word-major words and fold give the bits of a row-major index
+    seeds = batch_seeds(11, N)
+    draws = np.random.default_rng(N + reserved).integers(0, 40, N)
+    idx = (reserved + draws[:, None] * lat.n + np.arange(lat.n)).astype(np.uint64)
+    want = fold_rows(lat, gathered_uniforms(seeds, idx))
+    got = _dithers_at(lat, seeds, draws, reserved)
+    assert got.shape == (N, lat.n)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_reserved_words_shift_the_stream():

@@ -45,10 +45,11 @@ def _coders(lat, model):
 
 
 def _sizes(n):
-    # empty, one row, just below and at the split threshold, and an odd size
-    # that splits into three slices
+    # empty, one row, just below and at the split threshold, an odd size that
+    # splits into three shares, and one whose shares each run in two slices
     at = -(-2 * quantizer._SPLIT_MIN // n)
-    return [0, 1, at - 1, at, -(-3 * quantizer._SPLIT_MIN // n) | 1]
+    return [0, 1, at - 1, at, -(-3 * quantizer._SPLIT_MIN // n) | 1,
+            3 * (quantizer._SLICE_MAX // n) + 7]
 
 
 def _slices(N, n, cpus):
@@ -91,21 +92,42 @@ def test_split_changes_no_bit(lat, model, monkeypatch, own_pool):
 
 
 def test_split_cuts_consecutive_slices(monkeypatch, own_pool):
+    # each slice writes its own rows of the caller's array; nothing is joined
     monkeypatch.setattr(quantizer, "_CPUS", 3)
     n = 4
     N = 3 * quantizer._SPLIT_MIN // n + 5
     seen = []
+    out = np.full(N, -1)
 
     def rows(sl):
         seen.append((sl.start, sl.stop))
-        return np.arange(N)[sl], np.arange(N)[sl] * 2.0
+        out[sl] = np.arange(N)[sl]
 
-    idx, twice = quantizer.split_rows(rows, N, n)
-    assert np.array_equal(idx, np.arange(N)) and np.array_equal(twice, 2.0 * idx)
+    assert quantizer.split_rows(rows, N, n) is None
+    assert np.array_equal(out, np.arange(N))
     assert sorted(seen) == [(0, N // 3), (N // 3, 2 * N // 3), (2 * N // 3, N)]
-    # one slice: the call and its result as they are
-    out = np.arange(3.0)
-    assert quantizer.split_rows(lambda sl: out, 1, n) is out
+    # one slice: one call over every row, on the calling thread
+    calls = []
+    quantizer.split_rows(lambda sl: calls.append((sl, threading.current_thread())), 1, n)
+    assert calls == [(slice(0, 1), threading.current_thread())]
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("n", [4, quantizer._SLICE_MAX + 1])
+def test_split_slices_hold_at_most_slice_max_coordinates(cpus, n, monkeypatch, own_pool):
+    # every share runs in slices of _SLICE_MAX // n rows and one shorter
+    # slice at its end, or of one row where a row holds more coordinates
+    monkeypatch.setattr(quantizer, "_CPUS", cpus)
+    step = max(1, quantizer._SLICE_MAX // n)
+    N = 7 * step + 5
+    parts = min(cpus, N * n // quantizer._SPLIT_MIN)
+    cuts = [N * i // parts for i in range(parts + 1)]
+    want = [(lo, min(lo + step, hi)) for a, hi in zip(cuts, cuts[1:]) for lo in range(a, hi, step)]
+    seen = []
+    quantizer.split_rows(lambda sl: seen.append((sl.start, sl.stop)), N, n)
+    assert sorted(seen) == want
+    if cpus == 1:
+        assert seen == want
 
 
 class _RefusingNoise(GaussianNoise):
