@@ -6,10 +6,9 @@ the entropy-coding layer, closed-form redundancy bounds and a Monte-Carlo
 verification suite.
 """
 
-from .bounds import (BoundsReport, ConstantsRegistry, excess_info,
-                     gaussian_layered_entropy, load_registry,
-                     rd_lower_max_error, rsuq_norment_ub, shannon_lb_mse,
-                     zador_lb_mse)
+from .bounds import (BoundsReport, excess_info, gaussian_layered_entropy,
+                     load_registry, rd_lower_max_error, rsuq_norment_ub,
+                     shannon_lb_mse, zador_lb_mse)
 from .coding import (FormatError, GolombCode, StreamHeader, decode_stream,
                      encode_stream, read_vectors, write_vectors)
 from .dither import derive_seed
@@ -17,17 +16,16 @@ from .lattices import (Lattice, builtin_lattice, covering_density,
                        lattice_from_config, load_lattice, packing_density)
 from .layered import (GaussianNoise, NoiseModel, lrsuq_decode_batch,
                       lrsuq_encode_batch)
-from .mc import TestResult, TrialPlan, estimate_rate
+from .mc import TestResult
 from .quantizer import RejectionCapError, RsuqConfig, decode_batch, encode_batch
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundsReport", "ConstantsRegistry", "FormatError", "GaussianNoise",
-    "GolombCode", "Lattice", "NoiseModel", "RejectionCapError", "RsuqConfig",
-    "StreamHeader", "TestResult", "TrialPlan", "builtin_lattice",
-    "covering_density", "decode_batch", "decode_stream", "derive_seed",
-    "encode_batch", "encode_stream", "estimate_rate", "excess_info",
+    "BoundsReport", "FormatError", "GaussianNoise", "GolombCode", "Lattice",
+    "NoiseModel", "RejectionCapError", "RsuqConfig", "StreamHeader",
+    "TestResult", "builtin_lattice", "covering_density", "decode_batch",
+    "decode_stream", "derive_seed", "encode_batch", "encode_stream", "excess_info",
     "gaussian_layered_entropy", "lattice_from_config", "load_lattice",
     "load_registry", "lrsuq_decode_batch", "lrsuq_encode_batch",
     "packing_density", "rd_lower_max_error", "read_vectors",

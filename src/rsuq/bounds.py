@@ -195,40 +195,25 @@ class RegistryEntry:
     source: str = ""
 
 
-class ConstantsRegistry:
-    """Per-dimension packing/covering densities and second moments."""
-
-    def __init__(self, entries):
-        self.entries = {}
-        for e in entries:
-            self._check(e)
-            self.entries[e.n] = e
-
-    @staticmethod
-    def _check(e: RegistryEntry):
-        if e.delta is not None and not 0.0 < e.delta <= 1.0 + 1e-12:
-            raise ValueError(f"n={e.n}: packing density {e.delta} outside (0, 1]")
-        if e.theta is not None and e.theta < 1.0 - 1e-12:
-            raise ValueError(f"n={e.n}: covering density {e.theta} below 1")
-        if e.nsm is not None and e.nsm < ball_nsm(e.n) * (1.0 - 1e-12):
-            raise ValueError(f"n={e.n}: second moment {e.nsm} below the ball value")
-
-    def get(self, n: int) -> RegistryEntry | None:
-        return self.entries.get(n)
-
-    def merge(self, other: "ConstantsRegistry") -> "ConstantsRegistry":
-        merged = dict(self.entries)
-        merged.update(other.entries)
-        return ConstantsRegistry(merged.values())
+def _checked(e: RegistryEntry) -> RegistryEntry:
+    """`e`, refused if a constant lies outside the range its quantity allows."""
+    if e.delta is not None and not 0.0 < e.delta <= 1.0 + 1e-12:
+        raise ValueError(f"n={e.n}: packing density {e.delta} outside (0, 1]")
+    if e.theta is not None and e.theta < 1.0 - 1e-12:
+        raise ValueError(f"n={e.n}: covering density {e.theta} below 1")
+    if e.nsm is not None and e.nsm < ball_nsm(e.n) * (1.0 - 1e-12):
+        raise ValueError(f"n={e.n}: second moment {e.nsm} below the ball value")
+    return e
 
 
-def parse_registry(text: str) -> ConstantsRegistry:
-    """Parse registry CSV: columns n, delta, theta, nsm, source."""
+def parse_registry(text: str) -> dict[int, RegistryEntry]:
+    """Parse registry CSV: columns n, delta, theta, nsm, source; keyed by n,
+    a later row of a dimension replacing an earlier one."""
     try:
         rows = list(csv.reader(io.StringIO(text)))
     except csv.Error as exc:
         raise ValueError(f"malformed registry CSV: {exc}") from exc
-    entries = []
+    entries = {}
     for row in rows:
         if not row or row[0].strip().startswith("#") or row[0].strip() == "n":
             continue
@@ -245,23 +230,23 @@ def parse_registry(text: str) -> ConstantsRegistry:
         n = int(row[0])
         if not 1 <= n < 2 ** 32:
             raise ValueError(f"registry dimension {n} outside 1..2**32-1")
-        entries.append(RegistryEntry(n=n, delta=num(row[1]), theta=num(row[2]),
-                                     nsm=num(row[3]), source=row[4]))
-    return ConstantsRegistry(entries)
+        entries[n] = _checked(RegistryEntry(n=n, delta=num(row[1]), theta=num(row[2]),
+                                            nsm=num(row[3]), source=row[4]))
+    return entries
 
 
 # The shipped rows: (family, dimension, source tag) of built-in lattices.
 _SHIPPED = (("Zn", 1, "Z"), ("A2", 2, "A2"), ("Dn", 4, "D4"), ("E8", 8, "E8"))
 
 
-def load_registry(path=None) -> ConstantsRegistry:
-    """The shipped rows, from the built-in lattices' closed-form constants,
-    overridden by the rows of the user CSV at `path`, if given."""
+def load_registry(path=None) -> dict[int, RegistryEntry]:
+    """The shipped rows by dimension, from the built-in lattices' closed-form
+    constants, overridden by the rows of the user CSV at `path`, if given."""
     lats = [(builtin_lattice(family, n), tag) for family, n, tag in _SHIPPED]
-    reg = ConstantsRegistry(RegistryEntry(lat.n, packing_density(lat), covering_density(lat),
-                                          lat.nsm, tag) for lat, tag in lats)
+    reg = {lat.n: RegistryEntry(lat.n, packing_density(lat), covering_density(lat),
+                                lat.nsm, tag) for lat, tag in lats}
     if path is not None:
-        reg = reg.merge(parse_registry(Path(path).read_text("ascii")))
+        reg.update(parse_registry(Path(path).read_text("ascii")))
     return reg
 
 
@@ -305,7 +290,7 @@ def table_layered_gaussian(dims) -> BoundsReport:
     return rep
 
 
-def table_max_error_redundancy(dims, registry: ConstantsRegistry):
+def table_max_error_redundancy(dims, registry: dict[int, RegistryEntry]):
     """Max-error redundancy curves plus the dimensions missing from the
     registry; those get only the lattice-independent lines."""
     rep = BoundsReport()
@@ -327,7 +312,7 @@ def table_max_error_redundancy(dims, registry: ConstantsRegistry):
     return rep, missing
 
 
-def table_mse_redundancy(dims, registry: ConstantsRegistry):
+def table_mse_redundancy(dims, registry: dict[int, RegistryEntry]):
     """Zador-MSE redundancy curves plus the dimensions missing from the
     registry; those get only the lattice-independent lines."""
     rep = BoundsReport()

@@ -124,16 +124,24 @@ def cmd_simulate(args) -> int:
 # -- bounds tables ---------------------------------------------------------------
 
 
+# Most dimensions one --dims spec may list; each part is counted from its
+# bounds before it is listed.
+_MAX_DIMS = 10000
+
+
 def _parse_dims(text: str):
     dims = []
-    for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            a, b = part.split("..", 1)
-            dims.extend(range(int(a), int(b) + 1))
-        elif part:
-            dims.append(int(part))
-    if not dims or any(d < 1 for d in dims):
+    for part in filter(None, (p.strip() for p in text.split(","))):
+        a, dots, b = part.partition("..")
+        lo = int(a)
+        hi = int(b) if dots else lo
+        if lo < 1 or hi < lo:
+            raise ValueError(f"bad dimension range {part!r}: dimensions start at 1 and "
+                             "a range a..b needs a <= b")
+        if len(dims) + hi - lo + 1 > _MAX_DIMS:
+            raise ValueError(f"--dims lists more than {_MAX_DIMS} dimensions by {part!r}")
+        dims.extend(range(lo, hi + 1))
+    if not dims:
         raise ValueError(f"bad dimension range {text!r}")
     return dims
 
@@ -206,8 +214,7 @@ def _selftest_checks(seed: int, full: bool):
     def check(name, deviation, tolerance, n_samples=0):
         # a closed-form comparison: passes while the deviation stays within the tolerance
         return name, mc.TestResult(test=name, statistic=deviation, threshold=tolerance,
-                                   verdict=deviation <= tolerance, n_samples=n_samples,
-                                   seed=seed)
+                                   verdict=deviation <= tolerance, n_samples=n_samples)
 
     # closed-form table reproduction
     expected = {1: 1.52632, 8: 14.71250, 24: 46.71338}
@@ -219,14 +226,14 @@ def _selftest_checks(seed: int, full: bool):
 
     # ball-error law, MSE, stopping index
     cfg = RsuqConfig(z2, r=0.5, seed=derive_seed(seed, 1))
-    plan = mc.TrialPlan(samples=n_small, tau=50.0, seed_base=derive_seed(seed, 2))
-    X, K, _, Y = mc.run_quantizer(cfg, plan)
+    X = mc.sample_inputs(2, n_small, 50.0, derive_seed(seed, 2))
+    K, _, Y = encode_batch(cfg, X)
     Z = Y - X
-    yield ("uniform-ball", mc.test_uniform_ball(Z, 0.5, 2, seed=seed))
-    yield ("independence", mc.test_independence(X, Z, seed=seed))
+    yield ("uniform-ball", mc.test_uniform_ball(Z, 0.5, 2))
+    yield ("independence", mc.test_independence(X, Z))
     mse = float(np.einsum("ij,ij->i", Z, Z).mean())
     yield check("mse[Z2]", abs(mse - 0.125), 0.00125, n_small)
-    mean_k, kres = mc.k_statistics(K, packing_density(z2), plan.seed_base)
+    mean_k, kres = mc.k_statistics(K, packing_density(z2))
     yield ("stopping-index[Z2]", kres)
     want = 4.0 / math.pi
     yield check("mean-k[Z2]", abs(mean_k - want) / want, 0.02, n_small)
@@ -235,26 +242,23 @@ def _selftest_checks(seed: int, full: bool):
     lats = [z2, a2, d4] if full else [z2]
     for lat in lats:
         cfg_l = RsuqConfig(lat, r=0.5, seed=derive_seed(seed, 3))
-        plan_l = mc.TrialPlan(samples=n_small, tau=50.0,
-                              seed_base=derive_seed(seed, 4))
-        yield (f"rate-bound[{lat.name}]", mc.rsuq_rate_check(cfg_l, plan_l))
+        K_l, J_l, _ = encode_batch(cfg_l, mc.sample_inputs(lat.n, n_small, 50.0,
+                                                           derive_seed(seed, 4)))
+        yield (f"rate-bound[{lat.name}]", mc.rsuq_rate_check(lat, 0.5, 50.0, K_l, J_l))
 
     if full:
         cfg8 = RsuqConfig(e8, r=e8.packing_radius, seed=derive_seed(seed, 5))
-        plan8 = mc.TrialPlan(samples=n_small, tau=50.0,
-                             seed_base=derive_seed(seed, 6))
-        mean_k8, kres8 = mc.k_statistics(mc.run_quantizer(cfg8, plan8)[1],
-                                         packing_density(e8), plan8.seed_base)
+        K8 = encode_batch(cfg8, mc.sample_inputs(8, n_small, 50.0, derive_seed(seed, 6)))[0]
+        mean_k8, kres8 = mc.k_statistics(K8, packing_density(e8))
         yield ("stopping-index[E8]", kres8)
         want8 = 384.0 / math.pi ** 4
         yield check("mean-k[E8]", abs(mean_k8 - want8) / want8, 0.02, n_small)
 
     # Gaussian channel simulation
     g = GaussianNoise(2)
-    plan_g = mc.TrialPlan(samples=n_big, tau=50.0, seed_base=derive_seed(seed, 7))
-    Xg = mc.sample_inputs(plan_g, 2)
+    Xg = mc.sample_inputs(2, n_big, 50.0, derive_seed(seed, 7))
     Yg = lrsuq_encode_batch(g, z2, derive_seed(seed, 8), Xg)[2]
-    yield ("gaussian-sim", mc.test_gaussian(Yg - Xg, 2, seed=seed))
+    yield ("gaussian-sim", mc.test_gaussian(Yg - Xg, 2))
 
     # coding layer
     code = GolombCode.for_geometric(0.5)
@@ -275,15 +279,16 @@ def _decided_by(res) -> str:
 def cmd_selftest(args) -> int:
     results = []
     for name, res in _selftest_checks(args.seed, full=args.full):
-        results.append(res)
+        results.append((name, res))
         status = "PASS" if res.verdict else "FAIL"
         print(f"{status} {name} {_decided_by(res)} samples={res.n_samples}")
         for sub in res.subresults:
             print(f"  - {'pass' if sub.verdict else 'fail'} {sub.test} {_decided_by(sub)}")
     if args.out:
-        rows = [mc.TestResult.CSV_HEADER] + [res.csv_row() for res in results]
+        rows = [mc.TestResult.CSV_HEADER] + [res.csv_row(name, args.seed)
+                                             for name, res in results]
         Path(args.out).write_text("\n".join(rows) + "\n", "ascii", newline="\n")
-    failures = sum(not r.verdict for r in results)
+    failures = sum(not res.verdict for _, res in results)
     print(f"checks={len(results)} failures={failures}")
     return 1 if failures else 0
 

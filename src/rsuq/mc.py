@@ -1,10 +1,10 @@
 """Monte-Carlo estimators and hypothesis tests for the quantizer claims.
 
-Every routine is a pure function of its plan and configuration seeds: the
-input sampler runs on the same counter-based generator as the dither
-streams (auxiliary stream indices live above 2**62 so they never collide
-with per-vector encode streams), reductions are order-independent sums,
-and re-running reproduces identical statistics bit for bit.
+Every routine is a pure function of its seeds and arrays: the input
+sampler runs on the same counter-based generator as the dither streams
+(auxiliary stream indices live above 2**62 so they never collide with
+per-vector encode streams), reductions are order-independent sums, and
+re-running reproduces identical statistics bit for bit.
 
 Significance tests use the asymptotic Kolmogorov distribution for KS
 p-values and the chi-square upper tail for goodness of fit; sample floors
@@ -21,7 +21,6 @@ import numpy as np
 
 from .bounds import rd_lower_max_error, rsuq_norment_ub
 from .dither import derive_seed, stream_uniforms
-from .quantizer import RsuqConfig, encode_batch
 
 _AUX_BASE = 1 << 62
 _MIN_SAMPLES = 1000
@@ -37,19 +36,6 @@ class InsufficientSamplesError(ValueError):
 
 
 @dataclass
-class TrialPlan:
-    """Trial sizing for one Monte-Carlo run: samples inputs uniform in the tau-ball."""
-
-    samples: int
-    tau: float = 50.0
-    seed_base: int = 0
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("need at least one sample")
-
-
-@dataclass
 class TestResult:
     """Outcome of one check; verdict = statistic-vs-threshold decision."""
 
@@ -58,21 +44,22 @@ class TestResult:
     threshold: float
     verdict: bool
     n_samples: int
-    seed: int = 0
     p_value: float | None = None
     subresults: list = field(default_factory=list)
 
-    def csv_row(self) -> str:
-        return (f"{self.test},{self.statistic:.6g},{self.threshold:.6g},"
-                f"{'pass' if self.verdict else 'fail'},{self.n_samples},{self.seed}")
+    def csv_row(self, name: str, seed: int) -> str:
+        """This result's CSV record as `name` at `seed`; no p-value, an empty cell."""
+        p = "" if self.p_value is None else f"{self.p_value:.6g}"
+        return (f"{name},{self.statistic:.6g},{self.threshold:.6g},"
+                f"{'pass' if self.verdict else 'fail'},{self.n_samples},{seed},{p}")
 
-    CSV_HEADER = "test,statistic,threshold,verdict,samples,seed"
+    CSV_HEADER = "test,statistic,threshold,verdict,samples,seed,p_value"
 
 
-def _significance(name, statistic, p, n_samples, seed) -> TestResult:
+def _significance(name, statistic, p, n_samples) -> TestResult:
     # A check decided by its p-value p at level ALPHA.
     return TestResult(test=name, statistic=statistic, threshold=ALPHA, p_value=p,
-                      verdict=p >= ALPHA, n_samples=n_samples, seed=seed)
+                      verdict=p >= ALPHA, n_samples=n_samples)
 
 
 def _require_samples(n):
@@ -92,17 +79,17 @@ def ks_statistic(u) -> float:
     return float(max((grid - u).max(), (u - (grid - 1.0 / n)).max()))
 
 
-def ks_test(cdf_values, name: str, seed: int = 0) -> TestResult:
+def ks_test(cdf_values, name: str) -> TestResult:
     """KS test of probability-integral-transformed samples against U[0,1]."""
     from scipy.special import kolmogorov  # a slow import; encode and decode skip it
 
     u = np.asarray(cdf_values, dtype=np.float64)
     _require_samples(u.size)
     d = ks_statistic(u)
-    return _significance(name, d, float(kolmogorov(math.sqrt(u.size) * d)), u.size, seed)
+    return _significance(name, d, float(kolmogorov(math.sqrt(u.size) * d)), u.size)
 
 
-def ks_two_sample(a, b, name: str, seed: int = 0) -> TestResult:
+def ks_two_sample(a, b, name: str) -> TestResult:
     """Two-sample KS with the asymptotic null distribution."""
     from scipy.special import kolmogorov
 
@@ -115,10 +102,10 @@ def ks_two_sample(a, b, name: str, seed: int = 0) -> TestResult:
     d = float(np.abs(cdf_a - cdf_b).max())
     n_eff = a.size * b.size / (a.size + b.size)
     p = float(kolmogorov(math.sqrt(n_eff) * d))
-    return _significance(name, d, p, a.size + b.size, seed)
+    return _significance(name, d, p, a.size + b.size)
 
 
-def chi_square_gof(observed, expected, name: str, seed: int = 0) -> TestResult:
+def chi_square_gof(observed, expected, name: str) -> TestResult:
     """Chi-square goodness of fit; degrees of freedom = bins - 1."""
     from scipy.special import gammaincc
 
@@ -128,7 +115,7 @@ def chi_square_gof(observed, expected, name: str, seed: int = 0) -> TestResult:
         raise ValueError("expected counts must be positive")
     stat = float(((obs - exp) ** 2 / exp).sum())
     p = float(gammaincc((obs.size - 1) / 2.0, stat / 2.0))
-    return _significance(name, stat, p, int(obs.sum()), seed)
+    return _significance(name, stat, p, int(obs.sum()))
 
 
 def plugin_entropy(values) -> float:
@@ -144,18 +131,30 @@ def plugin_entropy(values) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
+@dataclass
+class RateEstimate:
+    """Plug-in entropies of the description."""
+
+    h_k: float
+    h_m: float
+    n_samples: int
+
+
+def rate_from_descriptions(K, J) -> RateEstimate:
+    return RateEstimate(h_k=plugin_entropy(K), h_m=plugin_entropy(J), n_samples=int(K.size))
+
+
 # -- input sampling -------------------------------------------------------------
 
 
-def _aux_uniforms(plan: TrialPlan, stream: int, count: int, width: int):
-    seed = derive_seed(plan.seed_base, _AUX_BASE + stream)
-    u = stream_uniforms([seed], 0, count * width)
+def _aux_uniforms(seed: int, stream: int, count: int, width: int):
+    u = stream_uniforms([derive_seed(seed, _AUX_BASE + stream)], 0, count * width)
     return u.reshape(count, width)
 
 
-def _standard_normals(plan: TrialPlan, stream: int, count: int, n: int):
+def _standard_normals(seed: int, stream: int, count: int, n: int):
     pairs = (n + 1) // 2
-    u = _aux_uniforms(plan, stream, count, 2 * pairs)
+    u = _aux_uniforms(seed, stream, count, 2 * pairs)
     u1 = u[:, 0::2]
     u2 = u[:, 1::2]
     rad = np.sqrt(-2.0 * np.log1p(-u1))
@@ -166,47 +165,16 @@ def _standard_normals(plan: TrialPlan, stream: int, count: int, n: int):
     return g[:, :n]
 
 
-def sample_inputs(plan: TrialPlan, n: int) -> np.ndarray:
-    """Deterministic inputs uniform in the ball of radius plan.tau, shape (samples, n)."""
-    N = plan.samples
-    g = _standard_normals(plan, 0, N, n)
+def sample_inputs(n: int, samples: int, tau: float, seed: int) -> np.ndarray:
+    """Deterministic inputs uniform in the ball of radius tau, shape (samples, n)."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    g = _standard_normals(seed, 0, samples, n)
     norm = np.sqrt(np.einsum("ij,ij->i", g, g))
     norm[norm == 0.0] = 1.0
-    u = _aux_uniforms(plan, 1, N, 1)[:, 0]
-    radius = plan.tau * u ** (1.0 / n)
+    u = _aux_uniforms(seed, 1, samples, 1)[:, 0]
+    radius = tau * u ** (1.0 / n)
     return (radius / norm)[:, None] * g
-
-
-# -- quantizer-driving estimators ------------------------------------------------
-
-
-@dataclass
-class RateEstimate:
-    """Plug-in entropies of the description."""
-
-    h_k: float
-    h_m: float
-    n_samples: int
-
-
-def run_quantizer(cfg: RsuqConfig, plan: TrialPlan):
-    """Encode a planned batch; returns (X, K, J, Y)."""
-    X = sample_inputs(plan, cfg.lat.n)
-    K, J, Y = encode_batch(cfg, X)
-    return X, K, J, Y
-
-
-def estimate_rate(cfg: RsuqConfig, plan: TrialPlan) -> RateEstimate:
-    """Plug-in entropies of K and M."""
-    if plan.tau < 10.0 * cfg.r:
-        raise ValueError("high-resolution regime needs tau >= 10 r")
-    _require_samples(plan.samples)
-    _, K, J, _ = run_quantizer(cfg, plan)
-    return rate_from_descriptions(K, J)
-
-
-def rate_from_descriptions(K, J) -> RateEstimate:
-    return RateEstimate(h_k=plugin_entropy(K), h_m=plugin_entropy(J), n_samples=int(K.size))
 
 
 # -- distributional tests ---------------------------------------------------------
@@ -219,24 +187,24 @@ def _all_of(name, subs) -> TestResult:
     worst = bad[0] if bad else subs[0]
     return TestResult(test=name, statistic=worst.statistic, threshold=worst.threshold,
                       p_value=worst.p_value, verdict=not bad, n_samples=subs[0].n_samples,
-                      seed=subs[0].seed, subresults=subs)
+                      subresults=subs)
 
 
-def test_uniform_ball(errors, r: float, n: int, seed: int = 0) -> TestResult:
+def test_uniform_ball(errors, r: float, n: int) -> TestResult:
     """Radial KS against the uniform-ball law plus a 3-sigma mean-vector band."""
     Z = np.atleast_2d(np.asarray(errors, dtype=np.float64))
     _require_samples(Z.shape[0])
     radial = (np.sqrt(np.einsum("ij,ij->i", Z, Z)) / r) ** n
-    ks = ks_test(radial, "uniform-ball[radial-ks]", seed)
+    ks = ks_test(radial, "uniform-ball[radial-ks]")
     sigma = r / math.sqrt(n + 2)
     band = 3.0 * sigma / math.sqrt(Z.shape[0])
     dev = float(np.abs(Z.mean(axis=0)).max())
     mean_ok = TestResult(test="uniform-ball[mean]", statistic=dev, threshold=band,
-                         verdict=dev <= band, n_samples=Z.shape[0], seed=seed)
+                         verdict=dev <= band, n_samples=Z.shape[0])
     return _all_of("uniform-ball", [ks, mean_ok])
 
 
-def test_gaussian(errors, n: int, seed: int = 0) -> TestResult:
+def test_gaussian(errors, n: int) -> TestResult:
     """Per-coordinate KS vs the standard normal, covariance band, norm2 KS."""
     from scipy.special import gammainc, ndtr
 
@@ -245,18 +213,18 @@ def test_gaussian(errors, n: int, seed: int = 0) -> TestResult:
     N = Z.shape[0]
     subs = []
     for c in range(n):
-        subs.append(ks_test(ndtr(Z[:, c]), f"gaussian[coord{c}-ks]", seed))
+        subs.append(ks_test(ndtr(Z[:, c]), f"gaussian[coord{c}-ks]"))
     cov = (Z.T @ Z) / N - np.outer(Z.mean(axis=0), Z.mean(axis=0))
     dev = float(np.abs(cov - np.eye(n)).max())
     cov_tol = max(0.02, 6.0 * math.sqrt(2.0 / N))
     subs.append(TestResult(test="gaussian[cov]", statistic=dev, threshold=cov_tol,
-                           verdict=dev <= cov_tol, n_samples=N, seed=seed))
+                           verdict=dev <= cov_tol, n_samples=N))
     norm2 = np.einsum("ij,ij->i", Z, Z)
-    subs.append(ks_test(gammainc(n / 2.0, norm2 / 2.0), "gaussian[norm2-ks]", seed))
+    subs.append(ks_test(gammainc(n / 2.0, norm2 / 2.0), "gaussian[norm2-ks]"))
     return _all_of("gaussian", subs)
 
 
-def test_independence(xs, errors, seed: int = 0) -> TestResult:
+def test_independence(xs, errors) -> TestResult:
     """Cross-correlation band plus a two-sample KS across input halves.
 
     Inputs with (near-)constant coordinates make both checks vacuous
@@ -279,19 +247,19 @@ def test_independence(xs, errors, seed: int = 0) -> TestResult:
     max_corr = float(np.abs(corr).max()) if corr.size else 0.0
     subs = [TestResult(test="independence[corr]", statistic=max_corr,
                        threshold=corr_bound, verdict=max_corr <= corr_bound,
-                       n_samples=N, seed=seed)]
+                       n_samples=N)]
     split = X[:, 0] > np.median(X[:, 0])
     norms = np.sqrt(np.einsum("ij,ij->i", Z, Z))
     if split.sum() >= _MIN_SAMPLES and (~split).sum() >= _MIN_SAMPLES:
         subs.append(ks_two_sample(norms[split], norms[~split],
-                                  "independence[region-ks]", seed))
+                                  "independence[region-ks]"))
     return _all_of("independence", subs)
 
 
 # -- stopping-index statistics -----------------------------------------------------
 
 
-def k_statistics(K, p: float, seed: int = 0):
+def k_statistics(K, p: float):
     """(mean K, chi-square TestResult of the stopping indices K = 1..10 and
     K > 10 against the geometric law of success probability p)."""
     _require_samples(K.size)
@@ -299,22 +267,25 @@ def k_statistics(K, p: float, seed: int = 0):
                      + [(K > _MASS_POINTS).sum()], dtype=np.float64)
     pmf = p * (1.0 - p) ** (np.arange(1, _MASS_POINTS + 1) - 1)
     exp = K.size * np.concatenate([pmf, [(1.0 - p) ** _MASS_POINTS]])
-    return float(K.mean()), chi_square_gof(obs, exp, "stopping-index[geometric-chi2]", seed)
+    return float(K.mean()), chi_square_gof(obs, exp, "stopping-index[geometric-chi2]")
 
 
 # -- rate-bound checks ---------------------------------------------------------------
 
 
-def rsuq_rate_check(cfg: RsuqConfig, plan: TrialPlan) -> TestResult:
-    """Normalized plug-in rate against the ball quantizer's entropy bound.
+def rsuq_rate_check(lat, r: float, tau: float, K, J) -> TestResult:
+    """Normalized plug-in rate of the descriptions (K, J) of inputs uniform in
+    the tau-ball on `lat` at radius r, against the ball quantizer's entropy bound.
 
     Passes when Hhat(K) + Hhat(M) - log2 vol(tau ball) stays below
     -log2 vol(r ball) + log2 e + RATE_SLACK.
     """
-    est = estimate_rate(cfg, plan)
-    lhs = est.h_k + est.h_m + rd_lower_max_error(cfg.lat.n, plan.tau)
-    rhs = rsuq_norment_ub(cfg.lat, cfg.r) + RATE_SLACK
-    return TestResult(test=f"rate-bound[{cfg.lat.name}]", statistic=lhs,
-                      threshold=rhs, verdict=lhs <= rhs,
-                      n_samples=est.n_samples, seed=plan.seed_base)
+    if tau < 10.0 * r:
+        raise ValueError("high-resolution regime needs tau >= 10 r")
+    _require_samples(K.size)
+    est = rate_from_descriptions(K, J)
+    lhs = est.h_k + est.h_m + rd_lower_max_error(lat.n, tau)
+    rhs = rsuq_norment_ub(lat, r) + RATE_SLACK
+    return TestResult(test=f"rate-bound[{lat.name}]", statistic=lhs, threshold=rhs,
+                      verdict=lhs <= rhs, n_samples=est.n_samples)
 

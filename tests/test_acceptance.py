@@ -21,7 +21,7 @@ from rsuq.coding import GolombCode, StreamHeader, MODE_BALL, decode_stream, \
 from rsuq.dither import stream_uniforms
 from rsuq.lattices import builtin_lattice, packing_density
 from rsuq.layered import GaussianNoise, lrsuq_encode_batch
-from rsuq.quantizer import RsuqConfig
+from rsuq.quantizer import RsuqConfig, encode_batch
 
 
 @contextlib.contextmanager
@@ -62,8 +62,8 @@ def test_criterion_2_distributional_exactness():
     """Uniform-ball error law on Z2 at r=0.5: KS, MSE within 1%, mean band."""
     with budget("2 distributional-exactness", 30.0) as out:
         cfg = RsuqConfig(builtin_lattice("Zn", 2), r=0.5, seed=20001)
-        plan = mc.TrialPlan(samples=100000, tau=50.0, seed_base=20002)
-        X, _, _, Y = mc.run_quantizer(cfg, plan)
+        X = mc.sample_inputs(2, 100000, 50.0, 20002)
+        _, _, Y = encode_batch(cfg, X)
         Z = Y - X
         res = mc.test_uniform_ball(Z, 0.5, 2)
         ks, mean_band = res.subresults
@@ -83,9 +83,8 @@ def test_criterion_3_geometric_stopping():
         for family, n, seed in (("Zn", 2, 30001), ("E8", 8, 30002)):
             lat = builtin_lattice(family, n)
             cfg = RsuqConfig(lat, r=lat.packing_radius, seed=seed)
-            plan = mc.TrialPlan(samples=100000, tau=50.0, seed_base=seed + 7)
-            mean_k, fit = mc.k_statistics(mc.run_quantizer(cfg, plan)[1],
-                                          packing_density(lat), plan.seed_base)
+            K = encode_batch(cfg, mc.sample_inputs(n, 100000, 50.0, seed + 7))[0]
+            mean_k, fit = mc.k_statistics(K, packing_density(lat))
             want = 1.0 / packing_density(lat)
             assert fit.threshold == 0.01
             assert abs(mean_k - want) / want <= 0.02, (family, mean_k, want)
@@ -102,8 +101,8 @@ def test_criterion_4_rate_bound_lattice_insensitive():
         for family, n in (("Zn", 2), ("A2", 2), ("Dn", 4)):
             lat = builtin_lattice(family, n)
             cfg = RsuqConfig(lat, r=0.5, seed=40001)
-            plan = mc.TrialPlan(samples=100000, tau=50.0, seed_base=40002)
-            res = mc.rsuq_rate_check(cfg, plan)
+            K, J, _ = encode_batch(cfg, mc.sample_inputs(n, 100000, 50.0, 40002))
+            res = mc.rsuq_rate_check(lat, 0.5, 50.0, K, J)
             assert mc.RATE_SLACK == 0.1
             assert res.threshold == bd.rsuq_norment_ub(lat, 0.5) + 0.1
             assert res.verdict, (family, res.statistic, res.threshold)

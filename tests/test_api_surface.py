@@ -91,6 +91,20 @@ def test_every_import_is_used():
     assert not unused, "imported in src/rsuq but never referenced: " + ", ".join(unused)
 
 
+def test_mc_tests_arrays_and_runs_no_encoder():
+    # rsuq.mc computes statistics of the arrays it is given: inside the
+    # package it reads only the closed-form bounds and the dither generator
+    imported = set()
+    for node in ast.walk(_trees()["mc.py"]):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.add(node.module)
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "rsuq":
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names if a.name.split(".")[0] == "rsuq")
+    assert imported <= {"bounds", "dither"}, sorted(imported)
+
+
 # A backticked span that is a dotted name, maybe called: `f(x)`, `Lattice.nearest_rows`.
 _README_NAME = re.compile(r"([A-Za-z_][\w.]*?)(?:\(.*\))?", re.S)
 

@@ -201,8 +201,8 @@ def test_excess_info_structure():
 
 def test_shipped_registry_entries():
     reg = bd.load_registry()
-    assert sorted(reg.entries) == [1, 2, 4, 8]
-    for n in sorted(reg.entries):
+    assert sorted(reg) == [1, 2, 4, 8]
+    for n in sorted(reg):
         e = reg.get(n)
         assert 0 < e.delta <= 1.0
         assert e.theta >= 1.0
@@ -221,7 +221,7 @@ def test_registry_parse_and_merge(tmp_path):
     extra = tmp_path / "extra.csv"
     extra.write_text("n,delta,theta,nsm,source\n3,0.74048,1.4635,0.078543,fcc\n")
     reg = bd.load_registry(extra)
-    assert 3 in reg.entries
+    assert 3 in reg
     # a user row overrides the shipped row of its dimension
     extra.write_text("n,delta,theta,nsm,source\n2,0.5,1.5,0.09,mine\n")
     assert bd.load_registry(extra).get(2).source == "mine"
@@ -246,7 +246,7 @@ def test_fuzz_parse_registry(rows, tail):
         reg = bd.parse_registry(text)
     except ValueError:
         return
-    for n in sorted(reg.entries):
+    for n in sorted(reg):
         e = reg.get(n)
         assert n >= 1
         assert all(v is None or math.isfinite(v) for v in (e.delta, e.theta, e.nsm))

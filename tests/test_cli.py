@@ -706,6 +706,25 @@ def test_bounds_with_user_registry(tmp_path):
     assert (3, "rsuq_best_packing") in rows
 
 
+def test_bounds_dims_refused_before_listing(tmp_path):
+    # a reversed range, also beside a valid part, and a spec past the cap on
+    # listed dimensions exit 2 naming the part, before any table is written
+    import rsuq.cli as cli
+
+    out = tmp_path / "t.csv"
+    for spec, part in (("5..3,8", "'5..3'"), ("5..3", "'5..3'"),
+                       ("1..10000000000", "'1..10000000000'")):
+        code, _, err = run_cli("bounds", "--table", "figure2-left", "--dims", spec,
+                               "--out", str(out))
+        assert code == 2 and part in err, (spec, err)
+    assert not out.exists()
+    cap = cli._MAX_DIMS
+    with pytest.raises(ValueError, match=f"'{cap + 1}'"):
+        cli._parse_dims(f"1..{cap},{cap + 1}")
+    assert cli._parse_dims(f"1..{cap}") == list(range(1, cap + 1))
+    assert cli._parse_dims("1..8,24") == [*range(1, 9), 24]
+
+
 _BOUNDS_SHA256 = {
     "table1": "fddc74635ccb600ed12f246431eb5bebb8df759e9175c51170ec7eeb6b115d81",
     "figure2-left": "8a768a5355743ae150c0bbab37e976f70afe904248d7ca0fe3552df336f32669",
@@ -765,12 +784,12 @@ def test_selftest_lines_show_what_decided_them(monkeypatch):
     _check_printed_verdicts(run_cli("selftest", "--quick", "--seed", "5")[1])
 
     def failing(seed, full):
-        Z = mc.sample_inputs(mc.TrialPlan(samples=5000, tau=1.0, seed_base=seed), 2)
+        Z = mc.sample_inputs(2, 5000, 1.0, seed)
         Z[:500, 0] = np.abs(Z[:500, 0])  # norms kept: the radial KS passes, the mean fails
-        yield ("ball-mean", mc.test_uniform_ball(Z, 1.0, 2, seed=seed))
-        yield ("gaussian-wide", mc.test_gaussian(2.0 * Z, 2, seed=seed))
+        yield ("ball-mean", mc.test_uniform_ball(Z, 1.0, 2))
+        yield ("gaussian-wide", mc.test_gaussian(2.0 * Z, 2))
         yield ("closed-form", mc.TestResult(test="closed-form", statistic=2.0, threshold=1.0,
-                                            verdict=False, n_samples=0, seed=seed))
+                                            verdict=False, n_samples=0))
 
     monkeypatch.setattr(cli, "_selftest_checks", failing)
     code, out, _ = run_cli("selftest", "--quick", "--seed", "1")
@@ -785,7 +804,7 @@ def test_selftest_failure_exit_code(monkeypatch):
 
     def failing(seed, full):
         yield ("forced", TestResult(test="forced", statistic=1.0, threshold=0.0,
-                                    verdict=False, n_samples=1, seed=seed))
+                                    verdict=False, n_samples=1))
 
     monkeypatch.setattr(cli, "_selftest_checks", failing)
     code, out, _ = run_cli("selftest", "--quick", "--seed", "1")
@@ -798,5 +817,20 @@ def test_selftest_csv_output(tmp_path):
     code, _, _ = run_cli("selftest", "--quick", "--seed", "5", "--out", str(out_csv))
     assert code == 0
     text = out_csv.read_text()
-    assert text.splitlines()[0] == "test,statistic,threshold,verdict,samples,seed"
+    assert text.splitlines()[0] == "test,statistic,threshold,verdict,samples,seed,p_value"
     assert all(",pass," in ln or ",fail," in ln for ln in text.splitlines()[1:])
+
+
+def test_selftest_csv_rows_are_the_printed_checks(tmp_path):
+    # one record per printed check, under its printed name, at the run's
+    # --seed, with the p-value its line prints
+    out_csv = tmp_path / "checks.csv"
+    code, out, _ = run_cli("selftest", "--full", "--seed", "5", "--out", str(out_csv))
+    assert code == 0
+    printed = [re.match(r"(?:PASS|FAIL) (\S+) statistic=\S+(?: p=(\S+))? threshold=",
+                        ln).groups("") for ln in out.splitlines()
+               if ln.startswith(("PASS", "FAIL"))]
+    rows = [ln.split(",") for ln in out_csv.read_text().splitlines()[1:]]
+    assert len(rows) == 16 and len({r[0] for r in rows}) == 16
+    assert [(r[0], r[6]) for r in rows] == printed
+    assert all(r[5] == "5" for r in rows)

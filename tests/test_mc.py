@@ -18,32 +18,43 @@ from rsuq.quantizer import RsuqConfig, batch_seeds, encode_batch
 Z2 = builtin_lattice("Zn", 2)
 
 
-def layered_rate_check(noise, lat, seed, plan, layered_entropy_bits):
+def layered_rate_check(noise, lat, seed, X, tau, layered_entropy_bits):
     """Layered rate check: plug-in rate vs -h_layered + log2 e + support term,
     with 0.1 bit of slack.
 
     The support term n E[log2(1 + 3 eta beta / tau)] uses the sampled cell
     scales; eta bounds the circumradius of the unscaled Voronoi cell.
     """
-    X = mc.sample_inputs(plan, lat.n)
     K, J, _ = lrsuq_encode_batch(noise, lat, seed, X)
     beta = _levels_and_betas(noise, lat, batch_seeds(seed, len(X)))[1]
     est = mc.rate_from_descriptions(K, J)
     n = lat.n
-    lhs = est.h_k + est.h_m - (n * math.log2(plan.tau) + log2_ball_volume(n))
+    lhs = est.h_k + est.h_m - (n * math.log2(tau) + log2_ball_volume(n))
     eta = _covering_radius_bound(lat)
-    support = n * float(np.log2(1.0 + 3.0 * eta * beta / plan.tau).mean())
+    support = n * float(np.log2(1.0 + 3.0 * eta * beta / tau).mean())
     return lhs, -layered_entropy_bits + LOG2E + support + 0.1
 
 
-def gaussian_inputs(plan, n):
-    """N(0, tau^2 I) inputs, shape (samples, n), from the plan's deterministic normals."""
-    return plan.tau * mc._standard_normals(plan, 0, plan.samples, n)
+def gaussian_inputs(n, samples, tau, seed):
+    """N(0, tau^2 I) inputs, shape (samples, n), from the seed's deterministic normals."""
+    return tau * mc._standard_normals(seed, 0, samples, n)
 
 
-def mean_squared_error(cfg, plan):
-    X, _, _, Y = mc.run_quantizer(cfg, plan)
+def run_quantizer(cfg, samples, tau, seed):
+    """(X, K, J, Y): inputs uniform in the tau-ball and their encoding."""
+    X = mc.sample_inputs(cfg.lat.n, samples, tau, seed)
+    return (X, *encode_batch(cfg, X))
+
+
+def mean_squared_error(cfg, samples, tau, seed):
+    X, _, _, Y = run_quantizer(cfg, samples, tau, seed)
     return float(np.einsum("ij,ij->i", Y - X, Y - X).mean())
+
+
+def estimate_rate(cfg, samples, tau, seed):
+    """Plug-in entropies of K and M of a run."""
+    _, K, J, _ = run_quantizer(cfg, samples, tau, seed)
+    return mc.rate_from_descriptions(K, J)
 
 
 def gaussian_smoothness_penalty(eps, sigma_min_eig, mean_norm):
@@ -53,7 +64,7 @@ def gaussian_smoothness_penalty(eps, sigma_min_eig, mean_norm):
 
 def test_plan_validation():
     with pytest.raises(ValueError):
-        mc.TrialPlan(samples=0)
+        mc.sample_inputs(2, samples=0, tau=50.0, seed=0)
 
 
 def test_kolmogorov_sf_reference_points():
@@ -114,53 +125,50 @@ def test_plugin_entropy_rows():
 
 
 def test_sample_inputs_laws():
-    plan = mc.TrialPlan(samples=50000, tau=3.0, seed_base=9)
-    X = mc.sample_inputs(plan, 2)
+    X = mc.sample_inputs(2, 50000, 3.0, 9)
     r = np.linalg.norm(X, axis=1)
     assert r.max() <= 3.0
     # radial CDF of the uniform ball: (r/tau)^n uniform
     assert mc.ks_test((r / 3.0) ** 2, "ball-radial").verdict
     # determinism
-    assert np.array_equal(X, mc.sample_inputs(plan, 2))
+    assert np.array_equal(X, mc.sample_inputs(2, 50000, 3.0, 9))
 
-    G = gaussian_inputs(mc.TrialPlan(samples=50000, tau=2.0, seed_base=9), 2)
+    G = gaussian_inputs(2, 50000, 2.0, 9)
     assert G[:, 0].std() == pytest.approx(2.0, rel=0.02)
 
 
 def test_estimate_rate_and_mse():
     cfg = RsuqConfig(Z2, r=0.5, seed=808)
-    plan = mc.TrialPlan(samples=50000, tau=50.0, seed_base=11)
-    est = mc.estimate_rate(cfg, plan)
+    X, K, J, Y = run_quantizer(cfg, 50000, 50.0, 11)
+    est = mc.rate_from_descriptions(K, J)
     # stopping index entropy near the geometric value
     from rsuq.bounds import geometric_entropy
 
     assert est.h_k == pytest.approx(geometric_entropy(math.pi / 4), abs=0.02)
-    _, K, J, _ = mc.run_quantizer(cfg, plan)
     # realized code cannot beat entropy
     assert mean_code_length(Z2, K, int(np.abs(J).max())) >= est.h_k
-    assert mean_squared_error(cfg, plan) == pytest.approx(0.125, rel=0.01)
+    assert float(np.einsum("ij,ij->i", Y - X, Y - X).mean()) == pytest.approx(0.125, rel=0.01)
+    _, K, J, _ = run_quantizer(cfg, 5000, 1.0, 1)
     with pytest.raises(ValueError):
-        mc.estimate_rate(cfg, mc.TrialPlan(samples=5000, tau=1.0, seed_base=1))
+        mc.rsuq_rate_check(Z2, 0.5, 1.0, K, J)
 
 
 def test_degenerate_full_cell_acceptance():
     # 1-D with r = packing radius: the ball is the whole cell, K is constant 1
     z1 = builtin_lattice("Zn", 1)
     cfg = RsuqConfig(z1, r=0.5, seed=3)
-    plan = mc.TrialPlan(samples=20000, tau=25.0, seed_base=5)
-    _, K, _, _ = mc.run_quantizer(cfg, plan)
+    _, K, _, _ = run_quantizer(cfg, 20000, 25.0, 5)
     assert np.all(K == 1)
     assert mc.plugin_entropy(K) == 0.0
 
 
 def test_uniform_ball_test_pass_and_fail():
     cfg = RsuqConfig(Z2, r=0.5, seed=21)
-    plan = mc.TrialPlan(samples=100000, tau=50.0, seed_base=22)
-    X, _, _, Y = mc.run_quantizer(cfg, plan)
+    X, _, _, Y = run_quantizer(cfg, 100000, 50.0, 22)
     Z = Y - X
     assert mc.test_uniform_ball(Z, 0.5, 2).verdict
     # adversarial: inputs uniform over a 0.9 r ball must fail the radial test
-    shrunk = mc.sample_inputs(mc.TrialPlan(samples=20000, tau=0.45, seed_base=8), 2)
+    shrunk = mc.sample_inputs(2, 20000, 0.45, 8)
     assert not mc.test_uniform_ball(shrunk, 0.5, 2).verdict
     with pytest.raises(mc.InsufficientSamplesError):
         mc.test_uniform_ball(Z[:1], 0.5, 2)
@@ -168,39 +176,35 @@ def test_uniform_ball_test_pass_and_fail():
 
 def test_independence_pass_fail_and_vacuous():
     cfg = RsuqConfig(Z2, r=0.5, seed=31)
-    plan = mc.TrialPlan(samples=100000, tau=50.0, seed_base=32)
-    X, _, _, Y = mc.run_quantizer(cfg, plan)
+    X, _, _, Y = run_quantizer(cfg, 100000, 50.0, 32)
     Z = Y - X
     assert mc.test_independence(X, Z).verdict
     # deterministic (non-dithered) lattice quantizer: error is a function of x
-    Xs = mc.sample_inputs(mc.TrialPlan(samples=20000, tau=2.0, seed_base=33), 2)
+    Xs = mc.sample_inputs(2, 20000, 2.0, 33)
     Zdet = Z2.embed_rows(Z2.nearest_rows(Xs)) - Xs
     assert not mc.test_independence(Xs, Zdet).verdict
     # constant input: vacuous pass by contract
     Xc = np.zeros((20000, 2))
-    _, _, Yc = mc.encode_batch(cfg, Xc)
+    _, _, Yc = encode_batch(cfg, Xc)
     assert mc.test_independence(Xc, Yc - Xc).verdict
 
 
 def test_gaussian_test_pass_and_fail():
     g = GaussianNoise(2)
-    plan = mc.TrialPlan(samples=100000, tau=50.0, seed_base=44)
-    X = mc.sample_inputs(plan, 2)
+    X = mc.sample_inputs(2, 100000, 50.0, 44)
     _, _, Y = lrsuq_encode_batch(g, Z2, 444, X)
     assert mc.test_gaussian(Y - X, 2).verdict
     # ball-uniform errors must fail the norm test
-    ball = mc.sample_inputs(mc.TrialPlan(samples=20000, tau=1.0, seed_base=45), 2)
+    ball = mc.sample_inputs(2, 20000, 1.0, 45)
     assert not mc.test_gaussian(ball, 2).verdict
 
 
 def test_estimate_mse_dimensions_and_scaling():
     e8 = builtin_lattice("E8", 8)
-    plan = mc.TrialPlan(samples=50000, tau=20.0, seed_base=57)
     # n r^2 / (n+2) at n=8, r=1 is 0.8
-    assert mean_squared_error(RsuqConfig(e8, r=1.0, seed=56), plan) == \
+    assert mean_squared_error(RsuqConfig(e8, r=1.0, seed=56), 50000, 20.0, 57) == \
         pytest.approx(0.8, rel=0.01)
-    tiny = mean_squared_error(RsuqConfig(Z2, r=0.01, seed=56),
-                              mc.TrialPlan(samples=5000, tau=5.0, seed_base=57))
+    tiny = mean_squared_error(RsuqConfig(Z2, r=0.01, seed=56), 5000, 5.0, 57)
     assert tiny == pytest.approx(0.01 ** 2 * 0.5, rel=0.05)  # -> 0 as r -> 0
 
 
@@ -228,21 +232,20 @@ def test_rsuq_redundancies_nonnegative():
 
 def test_k_distribution_and_estimator():
     cfg = RsuqConfig(Z2, r=0.5, seed=52)
-    plan = mc.TrialPlan(samples=100000, tau=50.0, seed_base=53)
-    mean_k, res = mc.k_statistics(mc.run_quantizer(cfg, plan)[1], packing_density(Z2),
-                                  plan.seed_base)
+    mean_k, res = mc.k_statistics(run_quantizer(cfg, 100000, 50.0, 53)[1],
+                                  packing_density(Z2))
     assert res.verdict
     assert mean_k == pytest.approx(4.0 / math.pi, rel=0.02)
 
 
 def test_rate_checks():
-    plan = mc.TrialPlan(samples=100000, tau=50.0, seed_base=61)
     for family, n in (("Zn", 2), ("A2", 2), ("Dn", 4)):
         lat = builtin_lattice(family, n)
-        cfg = RsuqConfig(lat, r=0.5, seed=606)
-        res = mc.rsuq_rate_check(cfg, plan)
+        _, K, J, _ = run_quantizer(RsuqConfig(lat, r=0.5, seed=606), 100000, 50.0, 61)
+        res = mc.rsuq_rate_check(lat, 0.5, 50.0, K, J)
         assert res.verdict, (family, res.statistic, res.threshold)
-    lhs, rhs = layered_rate_check(GaussianNoise(2), Z2, 607, plan,
+    lhs, rhs = layered_rate_check(GaussianNoise(2), Z2, 607,
+                                  mc.sample_inputs(2, 100000, 50.0, 61), 50.0,
                                   gaussian_layered_entropy(2))
     assert lhs <= rhs, (lhs, rhs)
 
@@ -255,17 +258,16 @@ def test_rate_tau_convergence():
     rhs = -(2 * math.log2(0.5) + log2_ball_volume(2)) + LOG2E
     lhs = []
     for tau in (10.0, 50.0, 200.0):
-        plan = mc.TrialPlan(samples=100000, tau=tau, seed_base=82)
-        est = mc.estimate_rate(cfg, plan)
+        est = estimate_rate(cfg, 100000, tau, 82)
         lhs.append(est.h_k + est.h_m - (2 * math.log2(tau) + log2_ball_volume(2)))
     assert all(v <= rhs for v in lhs), (lhs, rhs)
     assert lhs[0] >= lhs[1] >= lhs[2]
 
 
 def test_estimate_rate_sample_floor():
-    cfg = RsuqConfig(Z2, r=0.5, seed=1)
+    _, K, J, _ = run_quantizer(RsuqConfig(Z2, r=0.5, seed=1), 100, 50.0, 1)
     with pytest.raises(mc.InsufficientSamplesError):
-        mc.estimate_rate(cfg, mc.TrialPlan(samples=100, tau=50.0, seed_base=1))
+        mc.rsuq_rate_check(Z2, 0.5, 50.0, K, J)
 
 
 def test_high_resolution_gaussian_input_check():
@@ -276,7 +278,7 @@ def test_high_resolution_gaussian_input_check():
     n = 2
     h_x = (n / 2.0) * math.log2(2 * math.pi * math.e * sigma ** 2)
     mean_norm = sigma * math.sqrt(2.0) * math.gamma(1.5) / math.gamma(1.0)
-    X = gaussian_inputs(mc.TrialPlan(samples=100000, tau=sigma, seed_base=71), n)
+    X = gaussian_inputs(n, 100000, sigma, 71)
     vals = []
     for alpha in (1.0, 0.5, 0.25):
         r = 0.5 * alpha
@@ -292,7 +294,10 @@ def test_high_resolution_gaussian_input_check():
 
 def test_result_csv_shape():
     res = mc.TestResult(test="demo", statistic=1.0, threshold=2.0, p_value=0.5,
-                        verdict=True, n_samples=10, seed=3)
-    assert res.csv_row() == "demo,1,2,pass,10,3"
+                        verdict=True, n_samples=10)
+    assert res.csv_row("demo[Z2]", 3) == "demo[Z2],1,2,pass,10,3,0.5"
+    closed = mc.TestResult(test="demo", statistic=1.0, threshold=2.0, verdict=True,
+                           n_samples=0)
+    assert closed.csv_row("demo", 3) == "demo,1,2,pass,0,3,"
     assert mc.TestResult.CSV_HEADER.split(",") == [
-        "test", "statistic", "threshold", "verdict", "samples", "seed"]
+        "test", "statistic", "threshold", "verdict", "samples", "seed", "p_value"]
