@@ -6,9 +6,9 @@ the entropy-coding layer, closed-form redundancy bounds and a Monte-Carlo
 verification suite.
 """
 
-from .bounds import (BoundsReport, excess_info, gaussian_layered_entropy,
-                     load_registry, rd_lower_max_error, rsuq_norment_ub,
-                     shannon_lb_mse, zador_lb_mse)
+from .bounds import (excess_info, gaussian_layered_entropy, load_registry,
+                     rd_lower_max_error, rsuq_norment_ub, shannon_lb_mse,
+                     zador_lb_mse)
 from .coding import (FormatError, GolombCode, StreamHeader, decode_stream,
                      encode_stream, read_vectors, write_vectors)
 from .dither import derive_seed
@@ -22,7 +22,7 @@ from .quantizer import RejectionCapError, RsuqConfig, decode_batch, encode_batch
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundsReport", "FormatError", "GaussianNoise", "GolombCode", "Lattice",
+    "FormatError", "GaussianNoise", "GolombCode", "Lattice",
     "NoiseModel", "RejectionCapError", "RsuqConfig", "StreamHeader",
     "TestResult", "builtin_lattice", "covering_density", "decode_batch",
     "decode_stream", "derive_seed", "encode_batch", "encode_stream", "excess_info",

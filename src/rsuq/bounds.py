@@ -196,11 +196,16 @@ class RegistryEntry:
 
 
 def _checked(e: RegistryEntry) -> RegistryEntry:
-    """`e`, refused if a constant lies outside the range its quantity allows."""
-    if e.delta is not None and not 0.0 < e.delta <= 1.0 + 1e-12:
-        raise ValueError(f"n={e.n}: packing density {e.delta} outside (0, 1]")
-    if e.theta is not None and e.theta < 1.0 - 1e-12:
-        raise ValueError(f"n={e.n}: covering density {e.theta} below 1")
+    """`e`, refused if a constant lies outside the range its quantity allows; a
+    density within the slack past 1 is rounding and reads as 1, as the tables need."""
+    if e.delta is not None:
+        if not 0.0 < e.delta <= 1.0 + 1e-12:
+            raise ValueError(f"n={e.n}: packing density {e.delta} outside (0, 1]")
+        e.delta = min(e.delta, 1.0)
+    if e.theta is not None:
+        if e.theta < 1.0 - 1e-12:
+            raise ValueError(f"n={e.n}: covering density {e.theta} below 1")
+        e.theta = max(e.theta, 1.0)
     if e.nsm is not None and e.nsm < ball_nsm(e.n) * (1.0 - 1e-12):
         raise ValueError(f"n={e.n}: second moment {e.nsm} below the ball value")
     return e
@@ -251,84 +256,64 @@ def load_registry(path=None) -> dict[int, RegistryEntry]:
 
 
 # -- report ---------------------------------------------------------------------
+#
+# A table is a list of (n, quantity, value_bits, equation_tag) rows.
 
 
-@dataclass
-class ReportEntry:
-    n: int
-    quantity: str
-    value_bits: float
-    equation_tag: str
+def table_csv(rows) -> str:
+    """The rows of a table as long-format CSV, header first."""
+    return "".join(["n,quantity,value_bits,equation_tag\n"]
+                   + [f"{n},{q},{v:.12g},{tag}\n" for n, q, v, tag in rows])
 
 
-class BoundsReport:
-    """Long-format table of evaluated quantities, keyed by dimension."""
-
-    CSV_HEADER = "n,quantity,value_bits,equation_tag"
-
-    def __init__(self):
-        self.rows: list[ReportEntry] = []
-
-    def add(self, n: int, quantity: str, value_bits: float, tag: str):
-        self.rows.append(ReportEntry(n, quantity, float(value_bits), tag))
-
-    def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(f"{r.n},{r.quantity},{r.value_bits:.12g},{r.equation_tag}")
-        return "\n".join(lines) + "\n"
-
-
-def table_layered_gaussian(dims) -> BoundsReport:
+def table_layered_gaussian(dims) -> list:
     """Layered entropy and the three excess-information columns."""
-    rep = BoundsReport()
+    rows = []
     for n in dims:
-        rep.add(n, "layered_entropy", gaussian_layered_entropy(n), "gaussian-chi2-mixture")
-        rep.add(n, "excess_lower", excess_info(n, "lower"), "excess-floor")
-        rep.add(n, "excess_lrsuq", excess_info(n, "lrsuq"), "excess-rejection-layered")
-        rep.add(n, "excess_lspq", excess_info(n, "lspq"), "excess-shift-periodic")
-    return rep
+        rows += [(n, "layered_entropy", gaussian_layered_entropy(n), "gaussian-chi2-mixture"),
+                 (n, "excess_lower", excess_info(n, "lower"), "excess-floor"),
+                 (n, "excess_lrsuq", excess_info(n, "lrsuq"), "excess-rejection-layered"),
+                 (n, "excess_lspq", excess_info(n, "lspq"), "excess-shift-periodic")]
+    return rows
 
 
 def table_max_error_redundancy(dims, registry: dict[int, RegistryEntry]):
-    """Max-error redundancy curves plus the dimensions missing from the
+    """Max-error redundancy rows plus the dimensions missing from the
     registry; those get only the lattice-independent lines."""
-    rep = BoundsReport()
-    missing = []
+    rows, missing = [], []
     for n in dims:
-        rep.add(n, "rsuq_any_lattice", rsuq_red_per_dim(n), "geometric-excess-cap")
+        rows.append((n, "rsuq_any_lattice", rsuq_red_per_dim(n), "geometric-excess-cap"))
         if n >= 2:
-            rep.add(n, "rogers", rogers_bound(n), "covering-existence")
+            rows.append((n, "rogers", rogers_bound(n), "covering-existence"))
         e = registry.get(n)
         if e is None or (e.theta is None and e.delta is None):
             missing.append(n)
             continue
         if e.theta is not None:
-            rep.add(n, "lattice_covering", lattice_red_max_error(n, e.theta),
-                    "log-covering-density")
+            rows.append((n, "lattice_covering", lattice_red_max_error(n, e.theta),
+                         "log-covering-density"))
         if e.delta is not None:
-            rep.add(n, "rsuq_best_packing", rsuq_red_per_dim(n, e.delta),
-                    "geometric-excess")
-    return rep, missing
+            rows.append((n, "rsuq_best_packing", rsuq_red_per_dim(n, e.delta),
+                         "geometric-excess"))
+    return rows, missing
 
 
 def table_mse_redundancy(dims, registry: dict[int, RegistryEntry]):
-    """Zador-MSE redundancy curves plus the dimensions missing from the
+    """Zador-MSE redundancy rows plus the dimensions missing from the
     registry; those get only the lattice-independent lines."""
-    rep = BoundsReport()
-    missing = []
+    rows, missing = [], []
     for n in dims:
-        rep.add(n, "rsuq_any_lattice", rsuq_red_per_dim(n), "geometric-excess-cap")
-        rep.add(n, "zador_ub", zador_ub(n), "quantizer-existence")
+        rows.append((n, "rsuq_any_lattice", rsuq_red_per_dim(n), "geometric-excess-cap"))
+        rows.append((n, "zador_ub", zador_ub(n), "quantizer-existence"))
         if n >= 8:
-            rep.add(n, "ordentlich_ub", ordentlich_ub(n), "lattice-existence")
+            rows.append((n, "ordentlich_ub", ordentlich_ub(n), "lattice-existence"))
         e = registry.get(n)
         if e is None or (e.nsm is None and e.delta is None):
             missing.append(n)
             continue
         if e.nsm is not None:
-            rep.add(n, "lattice_zador", lattice_zador_red_mse(n, e.nsm), "nsm-zador")
+            rows.append((n, "lattice_zador", lattice_zador_red_mse(n, e.nsm), "nsm-zador"))
         if e.delta is not None:
-            rep.add(n, "rsuq_best_packing", rsuq_red_per_dim(n, e.delta),
-                    "geometric-excess")
-    return rep, missing
+            rows.append((n, "rsuq_best_packing", rsuq_red_per_dim(n, e.delta),
+                         "geometric-excess"))
+    return rows, missing

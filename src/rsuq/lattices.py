@@ -207,7 +207,8 @@ class Lattice:
         if self.native:
             return _SQDIST[self.family](X)
         d = np.empty(len(X))
-        for _, rows, q, e2, _ in _ranks(self, X, _round_half_down(X @ self._invG.T)):
+        base = _nearest_zn_points(X @ self._invG.T).astype(np.int64)
+        for _, rows, q, e2, _ in _ranks(self, X, base):
             d[rows] = e2 + q.min(axis=1)
         return d
 
@@ -218,7 +219,7 @@ class Lattice:
         check_rows(X)
         if self.native:
             return self.point_coords(self.nearest_points(X))
-        return _scan(self, X, _round_half_down(self.coords_rows(X)))
+        return _scan(self, X, _nearest_zn_points(self.coords_rows(X)).astype(np.int64))
 
     def _offset_table(self, full=False):
         # The scan's certified offsets (or the whole box), built once per
@@ -442,14 +443,10 @@ def _sqnorm_rows(X):
     return (X * X).sum(axis=1)
 
 
-def _round_half_down(X):
-    # Half-integer ties round toward the smaller integer, which realizes the
-    # lexicographically-smallest minimizer rule coordinate by coordinate.
-    return np.ceil(np.asarray(X) - 0.5).astype(np.int64)
-
-
 def _nearest_zn_points(X):
     """Nearest integer point of each row; ties go to the smaller integer."""
+    # Rounding half-integer ties down, ceil(x - 1/2), realizes the
+    # lexicographically-smallest minimizer rule coordinate by coordinate.
     f = X - 0.5
     np.ceil(f, out=f)
     return f

@@ -9,7 +9,8 @@ re-running reproduces identical statistics bit for bit.
 Significance tests use the asymptotic Kolmogorov distribution for KS
 p-values and the chi-square upper tail for goodness of fit; sample floors
 are enforced wherever a significance level is quoted.  Checks take the
-arrays they test; their tolerances are the constants ALPHA and RATE_SLACK.
+arrays they test, and read the dimension from them; their tolerances are
+the constants ALPHA and RATE_SLACK.
 """
 
 from __future__ import annotations
@@ -54,6 +55,12 @@ class TestResult:
                 f"{'pass' if self.verdict else 'fail'},{self.n_samples},{seed},{p}")
 
     CSV_HEADER = "test,statistic,threshold,verdict,samples,seed,p_value"
+
+
+def _at_most(name, statistic, threshold, n_samples) -> TestResult:
+    # A check that passes while the statistic stays within the threshold.
+    return TestResult(test=name, statistic=statistic, threshold=threshold,
+                      verdict=statistic <= threshold, n_samples=n_samples)
 
 
 def _significance(name, statistic, p, n_samples) -> TestResult:
@@ -131,17 +138,9 @@ def plugin_entropy(values) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-@dataclass
-class RateEstimate:
-    """Plug-in entropies of the description."""
-
-    h_k: float
-    h_m: float
-    n_samples: int
-
-
-def rate_from_descriptions(K, J) -> RateEstimate:
-    return RateEstimate(h_k=plugin_entropy(K), h_m=plugin_entropy(J), n_samples=int(K.size))
+def rate_from_descriptions(K, J) -> tuple[float, float]:
+    """(H(K), H(M)) in bits: plug-in entropies of the stopping indices and points."""
+    return plugin_entropy(K), plugin_entropy(J)
 
 
 # -- input sampling -------------------------------------------------------------
@@ -190,35 +189,31 @@ def _all_of(name, subs) -> TestResult:
                       subresults=subs)
 
 
-def test_uniform_ball(errors, r: float, n: int) -> TestResult:
+def test_uniform_ball(errors, r: float) -> TestResult:
     """Radial KS against the uniform-ball law plus a 3-sigma mean-vector band."""
     Z = np.atleast_2d(np.asarray(errors, dtype=np.float64))
-    _require_samples(Z.shape[0])
+    N, n = Z.shape
+    _require_samples(N)
     radial = (np.sqrt(np.einsum("ij,ij->i", Z, Z)) / r) ** n
     ks = ks_test(radial, "uniform-ball[radial-ks]")
-    sigma = r / math.sqrt(n + 2)
-    band = 3.0 * sigma / math.sqrt(Z.shape[0])
-    dev = float(np.abs(Z.mean(axis=0)).max())
-    mean_ok = TestResult(test="uniform-ball[mean]", statistic=dev, threshold=band,
-                         verdict=dev <= band, n_samples=Z.shape[0])
+    band = 3.0 * (r / math.sqrt(n + 2)) / math.sqrt(N)
+    mean_ok = _at_most("uniform-ball[mean]", float(np.abs(Z.mean(axis=0)).max()), band, N)
     return _all_of("uniform-ball", [ks, mean_ok])
 
 
-def test_gaussian(errors, n: int) -> TestResult:
+def test_gaussian(errors) -> TestResult:
     """Per-coordinate KS vs the standard normal, covariance band, norm2 KS."""
     from scipy.special import gammainc, ndtr
 
     Z = np.atleast_2d(np.asarray(errors, dtype=np.float64))
-    _require_samples(Z.shape[0])
-    N = Z.shape[0]
+    N, n = Z.shape
+    _require_samples(N)
     subs = []
     for c in range(n):
         subs.append(ks_test(ndtr(Z[:, c]), f"gaussian[coord{c}-ks]"))
     cov = (Z.T @ Z) / N - np.outer(Z.mean(axis=0), Z.mean(axis=0))
     dev = float(np.abs(cov - np.eye(n)).max())
-    cov_tol = max(0.02, 6.0 * math.sqrt(2.0 / N))
-    subs.append(TestResult(test="gaussian[cov]", statistic=dev, threshold=cov_tol,
-                           verdict=dev <= cov_tol, n_samples=N))
+    subs.append(_at_most("gaussian[cov]", dev, max(0.02, 6.0 * math.sqrt(2.0 / N)), N))
     norm2 = np.einsum("ij,ij->i", Z, Z)
     subs.append(ks_test(gammainc(n / 2.0, norm2 / 2.0), "gaussian[norm2-ks]"))
     return _all_of("gaussian", subs)
@@ -245,9 +240,7 @@ def test_independence(xs, errors) -> TestResult:
     with np.errstate(divide="ignore", invalid="ignore"):
         corr = np.where(live, (xc.T @ zc) / np.outer(sx, sz), 0.0)
     max_corr = float(np.abs(corr).max()) if corr.size else 0.0
-    subs = [TestResult(test="independence[corr]", statistic=max_corr,
-                       threshold=corr_bound, verdict=max_corr <= corr_bound,
-                       n_samples=N)]
+    subs = [_at_most("independence[corr]", max_corr, corr_bound, N)]
     split = X[:, 0] > np.median(X[:, 0])
     norms = np.sqrt(np.einsum("ij,ij->i", Z, Z))
     if split.sum() >= _MIN_SAMPLES and (~split).sum() >= _MIN_SAMPLES:
@@ -283,9 +276,8 @@ def rsuq_rate_check(lat, r: float, tau: float, K, J) -> TestResult:
     if tau < 10.0 * r:
         raise ValueError("high-resolution regime needs tau >= 10 r")
     _require_samples(K.size)
-    est = rate_from_descriptions(K, J)
-    lhs = est.h_k + est.h_m + rd_lower_max_error(lat.n, tau)
-    rhs = rsuq_norment_ub(lat, r) + RATE_SLACK
-    return TestResult(test=f"rate-bound[{lat.name}]", statistic=lhs, threshold=rhs,
-                      verdict=lhs <= rhs, n_samples=est.n_samples)
+    h_k, h_m = rate_from_descriptions(K, J)
+    lhs = h_k + h_m + rd_lower_max_error(lat.n, tau)
+    return _at_most(f"rate-bound[{lat.name}]", lhs, rsuq_norment_ub(lat, r) + RATE_SLACK,
+                    int(K.size))
 

@@ -20,9 +20,9 @@ and every output bit are those of testing V itself.
 
 The loop is coordinate-major.  Round t draws for the A rows still
 active, and every per-draw array has one row per coordinate: the dithers
-come word-major from `stream_uniforms`, the active rows' x / gamma is
-kept compacted as an (n, A) array (with their indices, seeds and screen
-limits) and shrunk each round, W is one (n, A) product G u^T, and on
+come word-major from `stream_uniforms`, x / gamma is formed once as an
+(n, N) array and kept compacted to the active rows' columns (with their
+indices, seeds and screen limits), W is one (n, A) product G u^T, and on
 Zn, Dn and E8 the screen's sums, maxima, minima and parities over a
 row's coordinates are reductions over axis 0, which combine whole rows
 elementwise.  Rows stop at a geometric rate, so most rounds serve a
@@ -31,7 +31,8 @@ much as its work.  The pass at K and every decoder's rebuild of V_K
 draw their words word-major as well, from a word index laid out as
 (n, rows), and the fold's embedding reads those rows without a copy; only
 the searches (the point decoders, the band's exact test and the search at
-K) stay row-major.
+K) stay row-major: the band gathers its rows of x / gamma into a C-ordered
+copy, and the pass at K divides its own rows of x by gamma.
 
 The entry points take rows and derive one stream seed per row
 (derive_seed mixed with the row index), so results are reproducible and
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dither import derive_seeds, fold_rows, gathered_uniforms, stream_uniforms
-from .lattices import Lattice, _row_max, as_rows, check_rows, packing_density
+from .lattices import Lattice, as_rows, check_rows, packing_density
 
 
 # A batch of at least 2 * _SPLIT_MIN coordinates (rows x n) runs its
@@ -194,24 +195,23 @@ def _reject_rows(lat, gamma, X, seeds, reserved, r2=None, accept=None):
     computes them.  After the loop one pass at every row's K rebuilds V, M
     and y exactly.
     """
-    # A tiny gamma overflows the quotient (or, at 0, divides by zero):
-    # check_rows refuses the inf and NaN by name.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        Xg = X / gamma
-    # NaN and inf fail the comparison as well.
-    check_rows(Xg, lat.input_limit, "is not finite or too large to quantize "
-               f"(|x / scale| must stay below 2**{math.log2(lat.input_limit):.4g})")
     N, n = X.shape
+    # x / gamma, one row per coordinate.  A tiny gamma overflows the quotient
+    # (or, at 0, divides by zero): check_rows refuses the inf and NaN by name.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        XgT = np.divide(X.T, gamma, out=np.empty((n, N)))
+    # NaN and inf fail the comparison as well.
+    check_rows(XgT.T, lat.input_limit, "is not finite or too large to quantize "
+               f"(|x / scale| must stay below 2**{math.log2(lat.input_limit):.4g})")
     K = np.zeros(N, dtype=np.int64)
-    if N == 0:
-        return K, np.zeros((0, n), dtype=np.int64), np.zeros((0, n))
-    # The still-active rows, compacted: their indices, seeds, limits and
-    # x / gamma, the last one row per coordinate like the dithers.
-    active, live_seeds, XgT = np.arange(N), seeds, Xg.T.copy()
+    # The still-active rows, compacted: their indices, seeds, limits and XgT columns.
+    active, live_seeds = np.arange(N), seeds
     if r2 is not None:
-        lo, hi = _screen_limits(lat, Xg, gamma, r2)
+        lo, hi = _screen_limits(lat, XgT, gamma, r2)
     max_iters = default_max_iters(lat)
     for t in range(max_iters):
+        if active.size == 0:
+            break
         u = stream_uniforms(live_seeds, reserved + t * n, n)
         if r2 is None:
             ok = np.zeros(active.size, dtype=bool)
@@ -225,14 +225,12 @@ def _reject_rows(lat, gamma, X, seeds, reserved, r2=None, accept=None):
         if near.size:
             rows = active[near]
             v = fold_rows(lat, u[near])
-            err = gamma * (lat.nearest_points(Xg[rows] - v) + v) - X[rows]
+            err = gamma * (lat.nearest_points(XgT.T[near] - v) + v) - X[rows]
             ok[near] = (np.einsum("ij,ij->i", err, err) <= r2[rows] if accept is None
                         else accept(err, rows))
         K[active[ok]] = t + 1
         keep = ~ok
         active = active.compress(keep)
-        if active.size == 0:
-            break
         live_seeds = live_seeds.compress(keep)
         XgT = XgT.compress(keep, axis=1)
         if r2 is not None:
@@ -245,11 +243,13 @@ def _reject_rows(lat, gamma, X, seeds, reserved, r2=None, accept=None):
 
     def at_k(rows):
         V = _dithers_at(lat, seeds[rows], K[rows] - 1, reserved)
+        P = X[rows] / gamma
+        P -= V
         if lat.native:
-            Z = lat.nearest_points(Xg[rows] - V)
+            Z = lat.nearest_points(P)
             J[rows] = lat.point_coords(Z)
         else:
-            J[rows] = lat.nearest_rows(Xg[rows] - V)
+            J[rows] = lat.nearest_rows(P)
             Z = lat.embed_rows(J[rows])
         y = np.add(Z, V, out=Y[rows])
         y *= gamma
@@ -263,10 +263,10 @@ def _reject_rows(lat, gamma, X, seeds, reserved, r2=None, accept=None):
 _BAND_ULPS = 64.0
 
 
-def _screen_limits(lat, Xg, gamma, r2):
+def _screen_limits(lat, XgT, gamma, r2):
     """Per-row (lo, hi) in cell units: the screen accepts a draw whose
-    lat.sqdist_rows(p - W), p = x / gamma, is below lo, rejects it above hi
-    and leaves the rest to the exact test."""
+    lat.sqdist_rows(p - W), p = x / gamma a column of the (n, N) array XgT,
+    is below lo, rejects it above hi and leaves the rest to the exact test."""
     # With u = 2**-53, |p|_inf <= P, |G u|_inf <= a = max_i sum_k |G_ik|,
     # kappa = a max_i sum_k |G^-1_ik|, R1 one more than the covering-radius
     # bound R and S = P + a + 2 R1, every vector either test is formed from
@@ -303,7 +303,8 @@ def _screen_limits(lat, Xg, gamma, r2):
     # A gamma whose square underflows gives an infinite band, or with r2 = 0
     # a NaN limit: the comparison below leaves such rows to the exact test.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        h = _BAND_ULPS * 2.0 ** -53 * n * (n + 2) * kappa * (_row_max(np.abs(Xg)) + a + 2.0 * R1)
+        P = np.maximum.reduce(np.abs(XgT), 0)
+        h = _BAND_ULPS * 2.0 ** -53 * n * (n + 2) * kappa * (P + a + 2.0 * R1)
         g2 = np.float64(gamma) ** 2
         band = h * (R1 + h) + n * 2.0 ** -1060 / g2
         r2 = r2 / g2

@@ -65,7 +65,7 @@ def test_criterion_2_distributional_exactness():
         X = mc.sample_inputs(2, 100000, 50.0, 20002)
         _, _, Y = encode_batch(cfg, X)
         Z = Y - X
-        res = mc.test_uniform_ball(Z, 0.5, 2)
+        res = mc.test_uniform_ball(Z, 0.5)
         ks, mean_band = res.subresults
         assert mc.ALPHA == 0.01 and ks.threshold == 0.01
         assert ks.verdict, f"radial KS p={ks.p_value}"
@@ -118,7 +118,7 @@ def test_criterion_5_gaussian_channel_simulation():
         N = 200000
         _, _, Y0 = lrsuq_encode_batch(noise, z2, 50001, np.zeros((N, 2)))
         Z0 = Y0
-        res = mc.test_gaussian(Z0, 2)
+        res = mc.test_gaussian(Z0)
         coord_ks = [s for s in res.subresults if "coord" in s.test]
         cov = [s for s in res.subresults if s.test == "gaussian[cov]"][0]
         norm2 = [s for s in res.subresults if "norm2" in s.test][0]

@@ -105,6 +105,15 @@ def test_mc_tests_arrays_and_runs_no_encoder():
     assert imported <= {"bounds", "dither"}, sorted(imported)
 
 
+def test_quantizer_imports_no_private_lattice_name():
+    # the rejection loop needs nothing of lattices beyond its public names
+    private = [alias.name for node in ast.walk(_trees()["quantizer.py"])
+               if isinstance(node, ast.ImportFrom) and node.module
+               and node.module.rsplit(".", 1)[-1] == "lattices"
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, private
+
+
 # A backticked span that is a dotted name, maybe called: `f(x)`, `Lattice.nearest_rows`.
 _README_NAME = re.compile(r"([A-Za-z_][\w.]*?)(?:\(.*\))?", re.S)
 

@@ -262,17 +262,17 @@ def test_registry_ordering_claims():
 
 
 def test_bounds_report_csv():
-    rep, missing = bd.table_max_error_redundancy([1, 2, 3, 8], bd.load_registry())
+    rows, missing = bd.table_max_error_redundancy([1, 2, 3, 8], bd.load_registry())
     assert missing == [3]
-    csv_text = rep.to_csv()
+    csv_text = bd.table_csv(rows)
     assert csv_text.startswith("n,quantity,value_bits,equation_tag\n")
-    values = {(r.n, r.quantity): r.value_bits for r in rep.rows}
+    values = {(n, q): v for n, q, v, _ in rows}
     assert values[8, "rsuq_any_lattice"] == pytest.approx(bd.LOG2E / 8, rel=1e-12)
-    rep2, missing2 = bd.table_mse_redundancy([2, 8, 48], bd.load_registry())
+    rows2, missing2 = bd.table_mse_redundancy([2, 8, 48], bd.load_registry())
     assert missing2 == [48]
-    values = {(r.n, r.quantity): r.value_bits for r in rep2.rows}
+    values = {(n, q): v for n, q, v, _ in rows2}
     assert values[8, "ordentlich_ub"] == pytest.approx(bd.ordentlich_ub(8), rel=1e-12)
-    values = {(r.n, r.quantity): r.value_bits for r in bd.table_layered_gaussian([1, 24]).rows}
+    values = {(n, q): v for n, q, v, _ in bd.table_layered_gaussian([1, 24])}
     assert values[24, "layered_entropy"] == pytest.approx(46.71338, abs=1e-4)
 
 

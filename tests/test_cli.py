@@ -114,7 +114,7 @@ def test_simulate_output_is_input_plus_gaussian(tmp_path):
     Y = read_vectors(sim.read_bytes())
     from rsuq.mc import test_gaussian
 
-    assert test_gaussian(Y - X, 2).verdict
+    assert test_gaussian(Y - X).verdict
 
 
 def test_decode_gaussian_stream_round_trip(tmp_path, vec_file):
@@ -706,6 +706,24 @@ def test_bounds_with_user_registry(tmp_path):
     assert (3, "rsuq_best_packing") in rows
 
 
+def test_registry_slack_reads_as_the_bound(tmp_path):
+    # a density within the registry's 1e-12 slack on the far side of 1 is
+    # rounding and reads as 1; one beyond the slack exits 2 naming its n
+    reg, out = tmp_path / "r.csv", tmp_path / "t.csv"
+    args = ("bounds", "--table", "figure2-left", "--dims", "1..4", "--registry", str(reg),
+            "--out", str(out))
+    for row, want in (("3,1.0000000000005,,,x", "3,rsuq_best_packing,0,geometric-excess"),
+                      ("3,0.5,0.9999999999995,,x", "3,lattice_covering,0,log-covering-density")):
+        reg.write_text(row + "\n")
+        code, _, err = run_cli(*args)
+        assert code == 0, err
+        assert want in out.read_text().splitlines()
+    for row in ("3,1.000000000002,,,x", "3,0.5,0.999999999998,,x"):
+        reg.write_text(row + "\n")
+        code, _, err = run_cli(*args)
+        assert code == 2 and "n=3" in err, err
+
+
 def test_bounds_dims_refused_before_listing(tmp_path):
     # a reversed range, also beside a valid part, and a spec past the cap on
     # listed dimensions exit 2 naming the part, before any table is written
@@ -786,8 +804,8 @@ def test_selftest_lines_show_what_decided_them(monkeypatch):
     def failing(seed, full):
         Z = mc.sample_inputs(2, 5000, 1.0, seed)
         Z[:500, 0] = np.abs(Z[:500, 0])  # norms kept: the radial KS passes, the mean fails
-        yield ("ball-mean", mc.test_uniform_ball(Z, 1.0, 2))
-        yield ("gaussian-wide", mc.test_gaussian(2.0 * Z, 2))
+        yield ("ball-mean", mc.test_uniform_ball(Z, 1.0))
+        yield ("gaussian-wide", mc.test_gaussian(2.0 * Z))
         yield ("closed-form", mc.TestResult(test="closed-form", statistic=2.0, threshold=1.0,
                                             verdict=False, n_samples=0))
 

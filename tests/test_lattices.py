@@ -536,7 +536,7 @@ def test_scan_matches_per_offset_reference(case):
         got = lat.nearest_rows(X)
         single = [lat.nearest_rows(x[None])[0] for x in X[:4]]
         point = lat.nearest_rows(X[0])[0]
-    base = lattices._round_half_down(lat.coords_rows(X))
+    base = lattices._nearest_zn_points(lat.coords_rows(X)).astype(np.int64)
     assert np.array_equal(got, scan_ref(lat, X, base, lat._offset_table().O))
     assert np.array_equal(single, got[:4])
     assert np.array_equal(point, got[0])
@@ -588,7 +588,8 @@ def test_pruned_scan_matches_pre_change_box(case):
     huge = np.nextafter(lat.input_limit, 0) * RNG.uniform(-1, 1, size=(3, lat.n))
     huge[:, 0] = np.copysign(np.nextafter(lat.input_limit, 0), huge[:, 0])
     rows = np.vstack([X, huge])
-    want = scan_ref(lat, rows, lattices._round_half_down(lat.coords_rows(rows)), box)
+    base = lattices._nearest_zn_points(lat.coords_rows(rows)).astype(np.int64)
+    want = scan_ref(lat, rows, base, box)
     assert np.array_equal(lat.nearest_rows(X), want[: len(X)])
     if np.abs(X).max() <= 4:
         assert True not in lat._scan_tables  # the guard kept the pruned table

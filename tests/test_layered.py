@@ -109,7 +109,7 @@ def test_error_is_standard_gaussian():
     g = GaussianNoise(2)
     X = np.zeros((200000, 2))
     _, _, Y = lrsuq_encode_batch(g, Z2, 2718, X)
-    res = test_gaussian(Y - X, 2)
+    res = test_gaussian(Y - X)
     assert res.verdict, [(s.test, s.statistic, s.threshold) for s in res.subresults]
 
 

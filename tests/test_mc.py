@@ -27,9 +27,9 @@ def layered_rate_check(noise, lat, seed, X, tau, layered_entropy_bits):
     """
     K, J, _ = lrsuq_encode_batch(noise, lat, seed, X)
     beta = _levels_and_betas(noise, lat, batch_seeds(seed, len(X)))[1]
-    est = mc.rate_from_descriptions(K, J)
+    h_k, h_m = mc.rate_from_descriptions(K, J)
     n = lat.n
-    lhs = est.h_k + est.h_m - (n * math.log2(tau) + log2_ball_volume(n))
+    lhs = h_k + h_m - (n * math.log2(tau) + log2_ball_volume(n))
     eta = _covering_radius_bound(lat)
     support = n * float(np.log2(1.0 + 3.0 * eta * beta / tau).mean())
     return lhs, -layered_entropy_bits + LOG2E + support + 0.1
@@ -140,13 +140,13 @@ def test_sample_inputs_laws():
 def test_estimate_rate_and_mse():
     cfg = RsuqConfig(Z2, r=0.5, seed=808)
     X, K, J, Y = run_quantizer(cfg, 50000, 50.0, 11)
-    est = mc.rate_from_descriptions(K, J)
+    h_k, _ = mc.rate_from_descriptions(K, J)
     # stopping index entropy near the geometric value
     from rsuq.bounds import geometric_entropy
 
-    assert est.h_k == pytest.approx(geometric_entropy(math.pi / 4), abs=0.02)
+    assert h_k == pytest.approx(geometric_entropy(math.pi / 4), abs=0.02)
     # realized code cannot beat entropy
-    assert mean_code_length(Z2, K, int(np.abs(J).max())) >= est.h_k
+    assert mean_code_length(Z2, K, int(np.abs(J).max())) >= h_k
     assert float(np.einsum("ij,ij->i", Y - X, Y - X).mean()) == pytest.approx(0.125, rel=0.01)
     _, K, J, _ = run_quantizer(cfg, 5000, 1.0, 1)
     with pytest.raises(ValueError):
@@ -166,12 +166,12 @@ def test_uniform_ball_test_pass_and_fail():
     cfg = RsuqConfig(Z2, r=0.5, seed=21)
     X, _, _, Y = run_quantizer(cfg, 100000, 50.0, 22)
     Z = Y - X
-    assert mc.test_uniform_ball(Z, 0.5, 2).verdict
+    assert mc.test_uniform_ball(Z, 0.5).verdict
     # adversarial: inputs uniform over a 0.9 r ball must fail the radial test
     shrunk = mc.sample_inputs(2, 20000, 0.45, 8)
-    assert not mc.test_uniform_ball(shrunk, 0.5, 2).verdict
+    assert not mc.test_uniform_ball(shrunk, 0.5).verdict
     with pytest.raises(mc.InsufficientSamplesError):
-        mc.test_uniform_ball(Z[:1], 0.5, 2)
+        mc.test_uniform_ball(Z[:1], 0.5)
 
 
 def test_independence_pass_fail_and_vacuous():
@@ -193,10 +193,19 @@ def test_gaussian_test_pass_and_fail():
     g = GaussianNoise(2)
     X = mc.sample_inputs(2, 100000, 50.0, 44)
     _, _, Y = lrsuq_encode_batch(g, Z2, 444, X)
-    assert mc.test_gaussian(Y - X, 2).verdict
+    assert mc.test_gaussian(Y - X).verdict
     # ball-uniform errors must fail the norm test
     ball = mc.sample_inputs(2, 20000, 1.0, 45)
-    assert not mc.test_gaussian(ball, 2).verdict
+    assert not mc.test_gaussian(ball).verdict
+
+
+def test_distribution_tests_read_the_dimension_from_the_errors():
+    # errors uniform in the 3-ball and standard normals in 3 dimensions pass:
+    # the radial law, the mean band, the covariance and the norm test all
+    # take n from the arrays' columns
+    assert mc.test_uniform_ball(mc.sample_inputs(3, 20000, 0.5, 91), 0.5).verdict
+    res = mc.test_gaussian(gaussian_inputs(3, 20000, 1.0, 92))
+    assert res.verdict and len(res.subresults) == 3 + 2
 
 
 def test_estimate_mse_dimensions_and_scaling():
@@ -215,7 +224,7 @@ def test_gaussian_test_one_dimensional_degenerate_cov():
     from rsuq.layered import lrsuq_encode_batch
 
     _, _, Y = lrsuq_encode_batch(g, z1, 58, np.zeros((50000, 1)))
-    res = mc.test_gaussian(Y, 1)
+    res = mc.test_gaussian(Y)
     cov = [s for s in res.subresults if s.test == "gaussian[cov]"][0]
     assert res.verdict
     assert abs(cov.statistic - abs(float(Y.var() - 1.0))) < 1e-9
@@ -258,8 +267,8 @@ def test_rate_tau_convergence():
     rhs = -(2 * math.log2(0.5) + log2_ball_volume(2)) + LOG2E
     lhs = []
     for tau in (10.0, 50.0, 200.0):
-        est = estimate_rate(cfg, 100000, tau, 82)
-        lhs.append(est.h_k + est.h_m - (2 * math.log2(tau) + log2_ball_volume(2)))
+        h_k, h_m = estimate_rate(cfg, 100000, tau, 82)
+        lhs.append(h_k + h_m - (2 * math.log2(tau) + log2_ball_volume(2)))
     assert all(v <= rhs for v in lhs), (lhs, rhs)
     assert lhs[0] >= lhs[1] >= lhs[2]
 
@@ -284,8 +293,8 @@ def test_high_resolution_gaussian_input_check():
         r = 0.5 * alpha
         cfg = RsuqConfig(Z2, r=r, seed=700 + int(4 * alpha))
         K, J, _ = encode_batch(cfg, X)
-        est = mc.rate_from_descriptions(K, J)
-        v = est.h_k + est.h_m + (n * math.log2(r) + log2_ball_volume(n)) - h_x
+        h_k, h_m = mc.rate_from_descriptions(K, J)
+        v = h_k + h_m + (n * math.log2(r) + log2_ball_volume(n)) - h_x
         bound = LOG2E + gaussian_smoothness_penalty(2 * r, sigma ** 2, mean_norm)
         assert v <= bound + 0.05, (alpha, v, bound)
         vals.append(v)

@@ -298,6 +298,25 @@ def test_subnormal_radius_is_refused_without_warnings():
             encode_batch(RsuqConfig(lat, r=1e-320), np.ones((3, 8)))
 
 
+def test_rejection_loop_holds_x_over_gamma_once(monkeypatch):
+    # x / gamma is one coordinate-major (n, N) array and the pass at K divides
+    # its own rows: on one thread the numpy peak of a large encode stays
+    # below 8.5 inputs (a second, row-major copy of x / gamma read 9)
+    import tracemalloc
+
+    monkeypatch.setattr(rsuq.quantizer, "_CPUS", 1)
+    cfg = RsuqConfig(Z2, r=0.05, seed=5)
+    X = np.random.default_rng(7).standard_normal((2 ** 17, 2)) * 3
+    encode_batch(cfg, X[:100])
+    tracemalloc.start()
+    try:
+        encode_batch(cfg, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.5 * X.nbytes, peak / X.nbytes
+
+
 def test_decode_rejects_bad_k():
     cfg = RsuqConfig(Z2, r=0.5, seed=3)
     with pytest.raises(ValueError):

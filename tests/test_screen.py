@@ -88,7 +88,7 @@ def test_band_bounds_the_rounding_gap(name, exponents):
     rng = np.random.default_rng(8)
     N, n = 5000, lat.n
     Xg = rng.standard_normal((N, n)) * 2.0 ** rng.uniform(*exponents, size=(N, 1))
-    lo, hi = rsuq.quantizer._screen_limits(lat, Xg, 1.0, np.full(N, lat.packing_radius ** 2))
+    lo, hi = rsuq.quantizer._screen_limits(lat, Xg.T, 1.0, np.full(N, lat.packing_radius ** 2))
     U = rng.random((N, n))
     W = lat.embed_rows(U)
     e = lat.nearest_points(Xg - W) + W - Xg
