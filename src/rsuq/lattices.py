@@ -11,17 +11,16 @@ distances to the lattice (`sqdist_rows`, one per draw in the quantizer's
 screen) are closed forms in the round-half-down residuals r, with no point
 built: sum r^2 on Zn, plus 1 - 2 max |r| for an odd rounded sum on Dn,
 and on E8 the smaller of the D8 and D8 + (1/2)^8 forms.  They work on
-X.T, one row per coordinate, as the quantizer lays out its draws: each
-sum, maximum, minimum and parity over a row's coordinates combines whole
-rows of X.T elementwise, a fixed handful of numpy calls however few rows
-are left, where the row-major layout took several calls per reduction
-over a short last axis.  The decoders stay row-major: a coordinate-major
-E8 `nearest_points` measured slower.  A2 and user
-bases search through `_scan`: offsets o around the rounded basis
+X.T, one row per coordinate, as the quantizer lays out its draws, so each
+reduction over a row's coordinates combines whole rows elementwise; the
+decoders stay row-major (a coordinate-major E8 one measured slower).  A2
+and user bases search through `_scan`: offsets o around the rounded basis
 coordinates with |G o| <= R + rho, R a covering-radius bound (Babai's if
-none is configured), rho the largest residual; fcc keeps 55, A2 7,
-growing exponentially with n.  Their distances are the minimum of the
-scan's ranks, with no rescore and no point built.
+none is configured), rho the largest residual; fcc keeps 55, A2 7, growing
+exponentially with n.  A row takes its argmin rank's offset unless another
+ranks within a float-error margin, when exact distances decide; its squared
+distance is |e|^2 plus the least rank.  `nearest_points` trusts its rows to
+be finite on every family, as the fold's are; `nearest_rows` checks them.
 
 Quantizer inputs, in cell units, stay below `Lattice.input_limit` =
 min(2**52, 2**53 / max_i sum_k |G^-1_ik|): from 2**52 a float64 no longer
@@ -190,9 +189,10 @@ class Lattice:
     # -- nearest point ------------------------------------------------------
 
     def nearest_points(self, X):
-        """Nearest lattice points of the finite rows of X: embed_rows(nearest_rows(X)) bit for bit."""
+        """Nearest lattice points of the rows of X, trusted finite and (N, n) on every
+        family: embed_rows(nearest_rows(X)) bit for bit; nearest_rows is the checked entry."""
         if not self.native:
-            return self.embed_rows(self.nearest_rows(X))
+            return self.embed_rows(_scan(self, X))
         z = _POINT_DECODERS[self.family](X)
         z += 0.0  # ceil gives -0.0 where embed_rows gives +0.0
         return z
@@ -214,12 +214,10 @@ class Lattice:
 
     def nearest_rows(self, X):
         """Nearest-point integer coordinates for each row of X, ties to the
-        lexicographically least j."""
+        lexicographically least j; the checked entry."""
         X = as_rows(X, self.n)
         check_rows(X)
-        if self.native:
-            return self.point_coords(self.nearest_points(X))
-        return _scan(self, X, _nearest_zn_points(self.coords_rows(X)).astype(np.int64))
+        return self.point_coords(self.nearest_points(X)) if self.native else _scan(self, X)
 
     def _offset_table(self, full=False):
         # The scan's certified offsets (or the whole box), built once per
@@ -344,36 +342,37 @@ class _ScanTable(NamedTuple):
         return table
 
 
-def _scan(lat, X, base):
-    # Nearest of the candidates base + o per row, o running over the offset
-    # table in lexicographic order; exact ties go to the first offset, which
-    # is the lexicographically smallest j.
+def _scan(lat, X):
+    # Nearest of the candidates base + o per row, base = G^-1 x rounded half
+    # down, o over the offset table in lexicographic order; exact ties go to
+    # the first offset, which is the lexicographically smallest j.
     #
-    # Prune: with e = x - G base, |x - G(base + o)|^2 = |e|^2 + q_o, q_o =
+    # Settle: with e = x - G base, |x - G(base + o)|^2 = |e|^2 + q_o, q_o =
     # |G o|^2 - 2 e.G o, so one matmul ranks every offset of a block of rows.
-    # Rescore: offsets with q_o <= min q + margin get the exact score
-    # _sqnorm_rows(x - embed_rows(base + o)); the first smallest wins.  Every
-    # coordinate in either formula is at most S = |x|_inf + |(|G| |base|)|_inf
-    # + reach in size, so (u = 2^-53) q_o is within 12 n (n+1) u S^2 of d_o -
-    # |e|^2 and the exact score within 3 n (n+1) u S^2 of d_o, the true
-    # distance: the exact winner ranks within 30 n (n+1) u S^2 of the best q,
-    # under half of _margin.  A row without a finite rank keeps every offset.
+    # Every coordinate in q_o and in the exact score _sqnorm_rows(x -
+    # embed_rows(base + o)) is at most S = |x|_inf + |(|G| |base|)|_inf + reach
+    # in size, so (u = 2^-53) q_o is within 12 n (n+1) u S^2 of d_o - |e|^2 and
+    # the exact score within 3 n (n+1) u S^2 of d_o, the true distance: the
+    # exact winner ranks within 30 n (n+1) u S^2 of the argmin, under half of
+    # _margin.  A block whose rows rank no other offset within _margin of
+    # their argmin takes the argmins; else those offsets get the exact score,
+    # the first smallest winning, and a row with a NaN rank keeps them all.
     #
     # Certify: the box holds a j* with |x - G j*| <= R; square roots of exact
     # scores and |e| are within 2 n (n+2) u S of the truth, so the box's
     # winner w has |G(w - base)| <= |e| + R + 8 n (n+2) u S.  If that is at
     # most R + rho for every row, w is in the certified table and wins it.
-    if not len(X):
-        return base
+    base = _nearest_zn_points(lat.coords_rows(X)).astype(np.int64)
     J = np.empty_like(base)
     for t, rows, q, _, S in _ranks(lat, X, base):
-        # NaN compares false, so a row without a finite rank keeps every offset
-        keep = np.flatnonzero(~(q > (q.min(axis=1) + _margin(lat.n, S))[:, None]))
-        r, o = np.divmod(keep, len(t.O))  # r indexes the block's rows
-        C = base[rows][r] + t.O[o]
-        if len(r) == len(q):  # one candidate per row: the winner
-            J[rows] = C
+        best = q.argmin(axis=1)
+        # NaN compares false: a row with a NaN rank (argmin picks it) keeps every offset
+        near = ~(q > (q[np.arange(len(q)), best] + _margin(lat.n, S))[:, None])
+        if np.count_nonzero(near) == len(q):  # each row keeps one offset, its argmin
+            J[rows] = base[rows] + t.O[best]
             continue
+        r, o = np.divmod(np.flatnonzero(near), len(t.O))  # r indexes the block's rows
+        C = base[rows][r] + t.O[o]
         d = _sqnorm_rows(X[rows][r] - lat.embed_rows(C))
         # r is sorted and every row keeps its best-ranked offset, so the runs of
         # equal r start at the same places after a stable sort by (r, d).

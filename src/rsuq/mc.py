@@ -179,6 +179,14 @@ def sample_inputs(n: int, samples: int, tau: float, seed: int) -> np.ndarray:
 # -- distributional tests ---------------------------------------------------------
 
 
+def _samples(a, name):
+    # a as float64 rows of shape (samples, n); a 1-D array is refused, not read as one sample
+    A = np.asarray(a, dtype=np.float64)
+    if A.ndim != 2:
+        raise ValueError(f"{name} must have shape (samples, n), got {A.shape}")
+    return A
+
+
 def _all_of(name, subs) -> TestResult:
     """Passes when every sub-check does; reports the numbers of the first
     failing one (else the first)."""
@@ -191,7 +199,7 @@ def _all_of(name, subs) -> TestResult:
 
 def test_uniform_ball(errors, r: float) -> TestResult:
     """Radial KS against the uniform-ball law plus a 3-sigma mean-vector band."""
-    Z = np.atleast_2d(np.asarray(errors, dtype=np.float64))
+    Z = _samples(errors, "errors")
     N, n = Z.shape
     _require_samples(N)
     radial = (np.sqrt(np.einsum("ij,ij->i", Z, Z)) / r) ** n
@@ -205,7 +213,7 @@ def test_gaussian(errors) -> TestResult:
     """Per-coordinate KS vs the standard normal, covariance band, norm2 KS."""
     from scipy.special import gammainc, ndtr
 
-    Z = np.atleast_2d(np.asarray(errors, dtype=np.float64))
+    Z = _samples(errors, "errors")
     N, n = Z.shape
     _require_samples(N)
     subs = []
@@ -225,8 +233,7 @@ def test_independence(xs, errors) -> TestResult:
     Inputs with (near-)constant coordinates make both checks vacuous
     passes; that degenerate case is the documented contract.
     """
-    X = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    Z = np.atleast_2d(np.asarray(errors, dtype=np.float64))
+    X, Z = _samples(xs, "xs"), _samples(errors, "errors")
     if X.shape[0] != Z.shape[0]:
         raise ValueError("inputs and errors must pair up")
     N = X.shape[0]

@@ -333,7 +333,7 @@ def description_arrays(K, J, count: int, n: int):
         try:
             with np.errstate(invalid="ignore"):
                 out.append(a.astype(np.int64, copy=False))
-            exact = np.array_equal(out[-1], a)
+            exact = out[-1] is a or np.array_equal(out[-1], a)
         except (TypeError, ValueError, OverflowError):
             exact = False
         if not exact:

@@ -208,6 +208,22 @@ def test_distribution_tests_read_the_dimension_from_the_errors():
     assert res.verdict and len(res.subresults) == 3 + 2
 
 
+def test_distribution_tests_refuse_one_dimensional_arrays():
+    # 5000 one-dimensional errors as a (5000,) array are refused by shape, not
+    # read as one sample of 5000 dimensions; as a (5000, 1) column they pass
+    Z = mc.sample_inputs(1, 5000, 0.5, 93)
+    G = gaussian_inputs(1, 5000, 1.0, 94)
+    X = mc.sample_inputs(1, 5000, 2.0, 95)
+    for check, args in ((mc.test_uniform_ball, (Z[:, 0], 0.5)), (mc.test_gaussian, (G[:, 0],)),
+                        (mc.test_independence, (X, Z[:, 0])),
+                        (mc.test_independence, (X[:, 0], Z))):
+        with pytest.raises(ValueError, match=r"must have shape \(samples, n\), got \(5000,\)"):
+            check(*args)
+    assert mc.test_uniform_ball(Z[:, :1], 0.5).verdict
+    assert mc.test_gaussian(G[:, :1]).verdict
+    assert mc.test_independence(X[:, :1], Z[:, :1]).verdict
+
+
 def test_estimate_mse_dimensions_and_scaling():
     e8 = builtin_lattice("E8", 8)
     # n r^2 / (n+2) at n=8, r=1 is 0.8

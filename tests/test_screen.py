@@ -13,6 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import rsuq.lattices
 import rsuq.layered
 import rsuq.quantizer
 from _reject_ref import count_fold_rows, embed_ref, fold_ref, reject_ref
@@ -141,17 +142,17 @@ def test_gaussian_e8_encode_folds_each_row_once(monkeypatch):
     assert rows[0] == 4096
 
 
-def _counted(monkeypatch, name):
-    # [calls, rows] passed to the Lattice method `name`
+def _counted(monkeypatch, name, owner=Lattice):
+    # [calls, rows] passed to `owner`'s function `name`, called as f(lattice, X)
     seen = [0, 0]
-    method = getattr(Lattice, name)
+    method = getattr(owner, name)
 
-    def counted(self, X):
+    def counted(lat, X):
         seen[0] += 1
         seen[1] += len(X)
-        return method(self, X)
+        return method(lat, X)
 
-    monkeypatch.setattr(Lattice, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return seen
 
 
@@ -174,10 +175,10 @@ def test_gaussian_e8_screen_builds_no_point(monkeypatch):
 
 def test_user_basis_screen_runs_no_search(monkeypatch):
     # the fcc screen is the scan's rank minimum: of a 512-row ball encode
-    # only the pass at K calls nearest_rows, once for the fold and once for
-    # the search.  A screen routed through the search would add a call per
+    # only the pass at K runs the scan, once for the fold and once for the
+    # search.  A screen routed through the search would add a call per
     # round, unseen by every bit-identity test.
-    calls = _counted(monkeypatch, "nearest_rows")
+    calls = _counted(monkeypatch, "_scan", rsuq.lattices)
     X = np.random.default_rng(0).standard_normal((512, 3))
     K, _, _ = _encode(LATTICES["fcc"], "ball", 1, X)
     assert K.max() > 1
