@@ -3,8 +3,12 @@
 The stopping index K (geometric) gets the optimal Golomb code: unary
 quotient (ones then a zero) followed by a truncated-binary remainder, with
 the parameter m chosen by the classic optimality condition
-(1-p)^m + (1-p)^(m+1) <= 1 < (1-p)^(m-1) + (1-p)^m.  Lattice points are
-coded per coordinate in offset binary with a shared bound B.
+(1-p)^m + (1-p)^(m+1) <= 1 < (1-p)^(m-1) + (1-p)^m.  When m = 2^b, as for
+every built-in lattice up to n = 6, A2, E8 and fcc (m = 1, 2, 4 or 8), every
+remainder takes b bits: the codec splits K by a shift and a mask and keeps no
+short-remainder bookkeeping.  Zn and Dn from n = 7 (m = 18, 3, ...) take the
+general path.  Lattice points are coded per coordinate in offset binary with
+a shared bound B.
 
 Container "RSQ1": header (magic, version, n, lattice id, scale, parameter,
 mode, seed, count, coordinate bound), then per vector Golomb(K) and n
@@ -81,8 +85,15 @@ class GolombCode:
         return cls(m=optimal_golomb_parameter(p))
 
     def fields(self, k):
-        """(quotient, remainder field, remainder field width), vectorized over k."""
-        q, r = np.divmod(np.asarray(k, dtype=np.int64) - 1, self.m)
+        """(quotient, remainder field, remainder field width), vectorized over k.
+
+        When m = 2^b every remainder takes b bits, and the width is the
+        scalar b; otherwise it is an array like k.
+        """
+        k1 = np.asarray(k, dtype=np.int64) - 1
+        if not self._threshold:
+            return k1 >> self._b, k1 & (self.m - 1), self._b
+        q, r = np.divmod(k1, self.m)
         short = r < self._threshold
         return q, np.where(short, r, r + self._threshold), self._b - short
 
@@ -254,15 +265,21 @@ def encode_stream(header: StreamHeader, K, J, lat: Lattice | None = None) -> byt
     q, rem, rwidth = code.fields(K)
     b = code._b
     # A record is q ones, then a tail: the terminating zero, the remainder
-    # left-aligned in b bits (a short one leaves column b unused) and the
-    # coordinates.  The ones are inserted before each tail.
+    # left-aligned in b bits and the coordinates.  The ones are inserted
+    # before each tail.
     tail = np.zeros((len(K), 1 + b + n * width), dtype=np.uint8)
-    tail[:, 1:1 + b] = _msb_bits(rem << (b - rwidth), b)
     tail[:, 1 + b:] = _msb_bits(J + B, width).reshape(len(K), n * width)
-    used = np.ones(tail.shape, dtype=bool)
-    used[:, b] = rwidth == b
-    tail_len = 1 + rwidth + n * width
-    bits = np.insert(tail[used], np.repeat(np.cumsum(tail_len) - tail_len, q), 1)
+    if code._threshold:  # a short remainder leaves column b unused
+        tail[:, 1:1 + b] = _msb_bits(rem << (b - rwidth), b)
+        used = np.ones(tail.shape, dtype=bool)
+        used[:, b] = rwidth == b
+        tail_len = 1 + rwidth + n * width
+        tail, starts = tail[used], np.cumsum(tail_len) - tail_len
+    else:  # m = 2^b: every tail is a whole row
+        if b:
+            tail[:, 1:1 + b] = _msb_bits(rem, b)
+        tail, starts = tail.ravel(), np.arange(0, tail.size, tail.shape[1])
+    bits = np.insert(tail, np.repeat(starts, q), 1)
     return write_header(header) + np.packbits(bits).tobytes()
 
 
@@ -271,7 +288,7 @@ def encode_stream(header: StreamHeader, K, J, lat: Lattice | None = None) -> byt
 _WINDOW_BITS = 1 << 20
 # The chain walk visits every 2^_STRIDE_LOG2-th record in Python and fills in
 # the records between them with gathers.
-_STRIDE_LOG2 = 4
+_STRIDE_LOG2 = 3
 
 
 def decode_stream(data: bytes, lat: Lattice | None = None):
@@ -329,8 +346,8 @@ def decode_stream(data: bytes, lat: Lattice | None = None):
         np.cumsum(is_zero, out=rank[1:])
         del is_zero
         nxt = zeros + np.int64(b + 1 + n * width)  # a record's tail may pass 2^31 bits
-        if b > 1:
-            nxt -= _fields_at(words, zeros + 1, b - 1) < thr
+        if thr:  # int64 positions: np.take gathers several times slower by int32
+            nxt -= _fields_at(words, zeros + np.int64(1), b - 1) < thr
         jump = np.empty(S + 1, dtype=np.int32)
         np.take(rank, nxt, out=jump[:-1], mode="clip")  # past the window: no run
         jump[-1] = S
@@ -356,13 +373,16 @@ def decode_stream(data: bytes, lat: Lattice | None = None):
         t = t[:min(count - done, np.searchsorted(t, S))]
         z = zeros[t].astype(np.int64)  # each record's zero bit, from base
         del zeros, chain, t
-        rem = _fields_at(words, z + 1, b)  # a short remainder is its first b-1 bits
-        short = (rem >> 1) < thr
-        ends = z + 1 + b - short + n * width
+        ends = z + (1 + b + n * width)
+        rem = _fields_at(words, z + 1, b) if b else 0
+        if thr:  # a short remainder is its first b-1 bits
+            short = (rem >> 1) < thr
+            ends -= short
+            rem = np.where(short, rem >> 1, rem - thr)
         got = slice(done, done + len(z))
         np.subtract(z, np.concatenate([[start - base], ends[:-1]]), out=K[got])
         K[got] *= m
-        K[got] += np.where(short, rem >> 1, rem - thr) + 1
+        K[got] += rem + 1
         np.subtract(_fields_at(words, width * np.arange(n)[:, None] + (ends - n * width),
                                width).T, B, out=J[got])
         bad_coord = bad_coord or bool(np.any(J[got] > B))

@@ -64,6 +64,36 @@ def test_round_trip_all_small():
             assert len(bits) == int(code.length(k))
 
 
+def _fields_ref(m, k):
+    """(quotient, remainder field, width) of Golomb(m) for one k, in Python ints."""
+    b = (m - 1).bit_length()
+    threshold = (1 << b) - m
+    q, r = divmod(k - 1, m)
+    return (q, r, b - 1) if r < threshold else (q, r + threshold, b)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 9, 107, 2 ** 56])
+def test_fields_and_length_equal_divmod_reference(m):
+    # k = 1..4m+3 where that is small; else the first and last remainders of
+    # quotients 0..4 and the short/long edge.  Then large k near 2^63.
+    b = (m - 1).bit_length()
+    if m <= 1024:
+        ks = list(range(1, 4 * m + 4))
+    else:
+        edge = (1 << b) - m
+        ks = [q * m + r + 1 for q in range(5) for r in (0, 1, edge - 1, edge, m - 2, m - 1)
+              if 0 <= r < m]
+    ks += [2 ** 40 + 3, 2 ** 62 - 1, 2 ** 63 - 1 - m, 2 ** 63 - 1]
+    code = GolombCode(m)
+    q, rem, width = code.fields(np.array(ks, dtype=np.int64))
+    want = np.array([_fields_ref(m, k) for k in ks], dtype=np.int64)
+    assert np.array_equal(q, want[:, 0]) and np.array_equal(rem, want[:, 1])
+    assert np.array_equal(np.broadcast_to(width, q.shape), want[:, 2])
+    # m = 2^b: every remainder is b bits wide, and the width is that scalar
+    assert (np.ndim(width) == 0) == (m & (m - 1) == 0)
+    assert np.array_equal(code.length(ks), want[:, 0] + 1 + want[:, 2])
+
+
 def test_prefix_freeness_exhaustive():
     for m in range(1, 17):
         code = GolombCode(m=m)
@@ -393,9 +423,9 @@ def test_fuzz_header_fields(n, name, gamma, param, mode, seed, count, bound, pay
             pass
 
 
-# Golomb parameters m = 1, 2, 2, 3, 5, 9 in turn.
-ROUND_TRIP_LATTICES = [builtin_lattice("Zn", 2), builtin_lattice("E8", 8)] + [
-    builtin_lattice("Dn", n) for n in range(6, 10)]
+# Golomb parameters m = 1, 2, 4, 8, 2, 3, 5, 9 in turn.
+ROUND_TRIP_LATTICES = [builtin_lattice("Zn", n) for n in (2, 5, 6)] + [
+    builtin_lattice("E8", 8)] + [builtin_lattice("Dn", n) for n in range(6, 10)]
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -421,7 +451,8 @@ FUZZ_WINDOWS = [coding._WINDOW_BITS, 24]
 def _decodes_like_the_reference(blob):
     """At every window size, decode_stream refuses what the bit-serial reader
     refuses, with its message, and otherwise returns its K and J, in range."""
-    code = golomb_for_lattice(builtin_lattice("Zn", 2))
+    header = read_header(blob)[0]
+    code = golomb_for_lattice(builtin_lattice(header.lattice_id, header.n))
     try:
         want = decode_stream_ref(blob, code)
     except FormatError as exc:
@@ -439,26 +470,28 @@ def _decodes_like_the_reference(blob):
         assert np.all(np.abs(J) <= header.coord_bound)
 
 
-_FUZZ_HEADER = st.builds(lambda count, bound: _ball_header(builtin_lattice("Zn", 2), seed=7,
-                                                           count=count, coord_bound=bound),
-                         st.integers(0, 16), st.integers(0, 20))
+# Golomb parameters m = 1, 4 and 8 (every remainder b bits wide) and 3.
+FUZZ_LATTICES = [builtin_lattice("Zn", n) for n in (2, 5, 6)] + [builtin_lattice("Dn", 7)]
+_FUZZ_HEADER = st.builds(lambda lat, count, bound: _ball_header(lat, seed=7, count=count,
+                                                                coord_bound=bound),
+                         st.sampled_from(FUZZ_LATTICES), st.integers(0, 16), st.integers(0, 20))
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(derandomize=True, deadline=None, max_examples=300)
 @given(_FUZZ_HEADER, st.binary(max_size=48))
 def test_fuzz_random_payload(header, payload):
     _decodes_like_the_reference(write_header(header) + payload)
 
 
 def _valid_stream(header, data):
-    B, lat = header.coord_bound, builtin_lattice("Zn", 2)
-    K = data.draw(st.lists(st.integers(1, 20), min_size=header.count, max_size=header.count))
-    J = data.draw(st.lists(st.integers(-B, B), min_size=2 * header.count,
-                           max_size=2 * header.count))
-    return encode_stream(header, K, np.reshape(J, (header.count, 2)), lat=lat)
+    B, n = header.coord_bound, header.n
+    K = data.draw(st.lists(st.integers(1, 40), min_size=header.count, max_size=header.count))
+    J = data.draw(st.lists(st.integers(-B, B), min_size=n * header.count,
+                           max_size=n * header.count))
+    return encode_stream(header, K, np.reshape(J, (header.count, n)))
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
+@settings(derandomize=True, deadline=None, max_examples=200)
 @given(_FUZZ_HEADER, st.data())
 def test_fuzz_truncated_payload(header, data):
     blob = _valid_stream(header, data)
@@ -466,7 +499,7 @@ def test_fuzz_truncated_payload(header, data):
     _decodes_like_the_reference(blob[:cut])
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
+@settings(derandomize=True, deadline=None, max_examples=200)
 @given(_FUZZ_HEADER.filter(lambda h: h.count > 0), st.data())
 def test_fuzz_one_bit_flipped(header, data):
     blob = bytearray(_valid_stream(header, data))
@@ -480,9 +513,9 @@ def test_fuzz_one_bit_flipped(header, data):
 #
 # SHA-256 of whole RSQ1 streams (header and payload).  The descriptions are
 # plain integer arithmetic, so the bytes depend only on the coder.  The
-# lattices give Golomb m = 1 (Zn2, A2, Dn4), 2 (E8, Dn6), 3 (Dn7), 5 (Dn8) and
-# 9 (Dn9); K runs over 1..23, so every remainder is written at both the b-1
-# and the b bit width.
+# lattices give Golomb m = 1 (Zn2, A2, Dn4), 2 (E8, Dn6), 3 (Dn7), 4 (Zn5),
+# 5 (Dn8), 8 (Zn6) and 9 (Dn9); K runs over 1..23, so where m is not a power
+# of two every remainder is written at both the b-1 and the b bit width.
 
 
 def _golden_stream(family, n, count, bound, mode=MODE_BALL, K=None):
@@ -509,6 +542,8 @@ GOLDEN_STREAMS = {
     "Dn7": (("Dn", 7, 40, 63), {}),
     "Dn8": (("Dn", 8, 40, 64), {}),
     "Dn9": (("Dn", 9, 40, 2 ** 20), {}),
+    "Zn5": (("Zn", 5, 40, 9), {}),
+    "Zn6": (("Zn", 6, 40, 3), {}),
     "count0": (("Dn", 8, 0, 0), {}),
     "B0": (("Zn", 3, 17, 0), {}),
     "K200": (("Zn", 2, 3, 3), {"K": [200, 1, 200]}),
@@ -526,6 +561,8 @@ GOLDEN_SHA256 = {
     "E8": "834898f8ebf322162cf380d6ed56b72e2163e3bff0df426b4df14c26d2452f83",
     "K200": "7c5ac3760d970f83de21b19b0dd4f5da9b42065cba8d9b865127ba9fee70f93c",
     "Zn2": "9ac2059fce97c03c2ba1a665ddbd6a2a976b73fd0cf85db4c59d2310088c6bae",
+    "Zn5": "cbf783dd8a28dbc305bae70371ad74df916fdc11e1d15352e667f5a54573ab16",
+    "Zn6": "1de6d2000339ed11bee37e06b1feafc3f2e4edbfb79fb1bbf811c5db6e8b32f6",
     "count0": "f517a11ec9411be9b749564b8b21a17fae6dab8f142bb455e4d40c261737c9ed",
     "gaussian-Dn7": "7346cee2cee015d5975f120772b0ef32ef924a1768628365e09e620f240c735c",
 }
