@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattices import (LN2, Lattice, builtin_lattice, covering_density, log2_ball_volume,
-                       packing_density)
+from .lattices import (_SLACK, LN2, Lattice, builtin_lattice, covering_density,
+                       log2_ball_volume, packing_density)
 
 LOG2E = 1.0 / LN2
 
@@ -199,14 +199,14 @@ def _checked(e: RegistryEntry) -> RegistryEntry:
     """`e`, refused if a constant lies outside the range its quantity allows; a
     density within the slack past 1 is rounding and reads as 1, as the tables need."""
     if e.delta is not None:
-        if not 0.0 < e.delta <= 1.0 + 1e-12:
+        if not 0.0 < e.delta <= 1.0 + _SLACK:
             raise ValueError(f"n={e.n}: packing density {e.delta} outside (0, 1]")
         e.delta = min(e.delta, 1.0)
     if e.theta is not None:
-        if e.theta < 1.0 - 1e-12:
+        if e.theta < 1.0 - _SLACK:
             raise ValueError(f"n={e.n}: covering density {e.theta} below 1")
         e.theta = max(e.theta, 1.0)
-    if e.nsm is not None and e.nsm < ball_nsm(e.n) * (1.0 - 1e-12):
+    if e.nsm is not None and e.nsm < ball_nsm(e.n) * (1.0 - _SLACK):
         raise ValueError(f"n={e.n}: second moment {e.nsm} below the ball value")
     return e
 

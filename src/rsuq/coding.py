@@ -268,7 +268,7 @@ def encode_stream(header: StreamHeader, K, J, lat: Lattice | None = None) -> byt
     # left-aligned in b bits and the coordinates.  The ones are inserted
     # before each tail.
     tail = np.zeros((len(K), 1 + b + n * width), dtype=np.uint8)
-    tail[:, 1 + b:] = _msb_bits(J + B, width).reshape(len(K), n * width)
+    tail[:, 1 + b:].reshape(len(K), n, width)[...] = _msb_bits(J + B, width)
     if code._threshold:  # a short remainder leaves column b unused
         tail[:, 1:1 + b] = _msb_bits(rem << (b - rwidth), b)
         used = np.ones(tail.shape, dtype=bool)

@@ -57,6 +57,9 @@ _BUILTIN_FAMILIES = ("Zn", "Dn", "A2", "E8")
 # Sizes above this the generic enumeration decoder refuses to scan.
 _MAX_ENUM_CANDIDATES = 4_000_000
 
+# Relative slack for float noise in every rule on a lattice constant.
+_SLACK = 1e-12
+
 # The scan ranks offsets for max(1, _SCAN_BLOCK // offsets) rows at a time,
 # which bounds its (rows x offsets) rank matrix near this many entries.
 _SCAN_BLOCK = 2 ** 14
@@ -80,8 +83,9 @@ def log2_ball_volume(n: int) -> float:
 class Lattice:
     """Immutable lattice with cached geometric constants.
 
-    Refuses a packing density outside (0, 1] and a packing radius above half
-    the shortest generator column: the quantizer's ball must fit the cell.
+    Refuses a packing density outside (0, 1], a packing radius above half the
+    shortest generator column and a covering density below 1: the quantizer's
+    ball must fit the cell, and the generic search must cover it.
 
     `builtin_lattice` and `lattice_from_config` (keyed by the config's text
     and name) build each lattice once per process and return the same shared
@@ -122,25 +126,25 @@ class Lattice:
                 det = abs(float(np.linalg.det(G)))
             if not (math.isfinite(det) and det > 0):
                 raise ValueError("generator matrix must be full rank with a finite determinant")
-            if packing_radius is None:
-                packing_radius = 0.5 * _min_nonzero_norm(G)
             self._invG = np.linalg.inv(G)
+            # Each column's own norm: the shortest can become the packing radius, hence gamma.
+            shortest = min(np.linalg.norm(G[:, k]) for k in range(n))
+            if packing_radius is None:
+                packing_radius = 0.5 * _min_nonzero_norm(G, self._invG, shortest)
         for key, value in (("packing_radius", packing_radius),
                            ("covering_radius", covering_radius), ("nsm", nsm)):
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{key} must be finite and positive, got {value!r}")
-        if covering_radius is not None and covering_radius < packing_radius:
-            raise ValueError("covering radius cannot be below packing radius")
         density = _density(n, packing_radius, det)
         if not 0.0 < density <= 1.0:
             raise ValueError(f"packing density {density} outside (0, 1]")
-        # Every generator column is a nonzero lattice vector, so no packing radius
-        # exceeds half the shortest one (slack for float noise only).
-        with np.errstate(over="ignore"):
-            shortest = float(np.linalg.norm(G, axis=0).min())
-        if packing_radius > 0.5 * shortest * (1.0 + 1e-12):
+        # Every generator column is a nonzero lattice vector: none is below 2 packing_radius.
+        if packing_radius > 0.5 * shortest * (1.0 + _SLACK):
             raise ValueError(f"packing_radius {packing_radius!r} exceeds half the "
                              "shortest generator column")
+        theta = math.inf if covering_radius is None else _density(n, covering_radius, det)
+        if theta < 1.0 - _SLACK:
+            raise ValueError(f"covering density {theta} below 1")
         self.name = str(name)
         self.n = n
         self.G = G
@@ -291,11 +295,18 @@ def _box(invG, radius, pad, hint):
         extent = [np.linalg.norm(row) * radius + pad for row in invG]
     if not all(math.isfinite(h) for h in extent):
         raise ValueError(f"enumeration box is unbounded; {hint}")
-    half = np.array([math.ceil(h) for h in extent], dtype=np.int64)
-    total = math.prod(2 * int(h) + 1 for h in half)
+    total = math.prod(2 * math.ceil(h) + 1 for h in extent)
     if total > _MAX_ENUM_CANDIDATES:
         raise ValueError(f"enumeration would scan {total} candidates; {hint}")
+    half = np.array([math.ceil(h) for h in extent], dtype=np.int64)
     return np.indices(2 * half + 1).reshape(len(half), -1).T - half
+
+
+def _embedded_box(G, invG, radius, pad, hint):
+    # _box's offsets O, their embeddings GO = O G^T, |G o|^2 and reach (see _ScanTable).
+    O = _box(invG, radius, pad, hint)
+    GO = O @ G.T
+    return O, GO, np.einsum("ij,ij->i", GO, GO), float((np.abs(G) @ np.abs(O).max(axis=0)).max())
 
 
 def _margin(n, S):
@@ -309,36 +320,34 @@ class _ScanTable(NamedTuple):
     O: np.ndarray
     GOm2: np.ndarray  # -2 GO^T: e @ GOm2 is -2 e.G o for every offset
     GO2: np.ndarray   # |G o|^2
-    absGT: np.ndarray  # |G|^T, for _scan's bound S
     reach: float      # max_i sum_k |G_ik| max|O_k| over the box: no offset moves a coordinate further
     rho: float        # the residual norm |e| the offsets are certified for
 
     @classmethod
     def build(cls, lat, full):
         # `full` is the whole box, the fallback.  Else keep |G o| <= R + rho plus
-        # the float error of GO, from the box |o_i| <= |row_i(G^-1)| |G o| that
-        # holds them, widened by 2^-20 for the float error of its extents.  rho
-        # is max |G d| over the vertices d ~ -d of [-1/2, 1/2]^n (at most 2^12:
-        # the box cap keeps n <= 13), widened by 2^-20 for the guard in _scan.
+        # the float error of GO, from the box |o_i| <= |row_i(G^-1)| |G o| that holds
+        # them, widened by 2^-20 for the float error of its extents; rho is max |G d|
+        # over the vertices d ~ -d of [-1/2, 1/2]^n, widened by 2^-20 for the guard in
+        # _scan.  Either box holds >= 3^n offsets: n >= 14 is refused before the vertices.
         G, n = lat.G, lat.n
-        absG = np.abs(G)
-        hint = "supply covering_radius in the lattice config or use a built-in family"
+        hint = "use a built-in family or, for n <= 13, supply covering_radius in the config"
+        if 3 ** n > _MAX_ENUM_CANDIDATES:
+            raise ValueError(f"enumeration would scan at least 3^{n} = {3 ** n} candidates; {hint}")
         # Huge entries overflow here; _box refuses the unbounded box by name.
         with np.errstate(over="ignore", invalid="ignore"):
             if full:
                 rho = limit = math.inf
-                O = _box(lat._invG, _covering_radius_bound(lat, babai=False), 0.5, hint)
+                radius, pad = _covering_radius_bound(lat, babai=False), 0.5
             else:
                 D = ((np.arange(2 ** (n - 1))[:, None] >> np.arange(n)) & 1) - 0.5
                 rho = float(np.sqrt(_sqnorm_rows(D @ G.T).max())) * (1.0 + 2.0 ** -20)
                 limit = _covering_radius_bound(lat) + rho
-                O = _box(lat._invG, limit * (1.0 + 2.0 ** -20), 0.0, hint)
-            GO = O @ G.T
-            GO2 = np.einsum("ij,ij->i", GO, GO)
-            reach = float((absG @ np.abs(O).max(axis=0)).max())
+                radius, pad = limit * (1.0 + 2.0 ** -20), 0.0
+            O, GO, GO2, reach = _embedded_box(G, lat._invG, radius, pad, hint)
             keep = np.sqrt(GO2) <= limit + 4.0 * n * (n + 2) * 2.0 ** -53 * (reach + limit)
-        table = cls(O[keep], -2.0 * GO[keep].T, GO2[keep], absG.T, reach, rho)
-        _freeze(table.O, table.GOm2, table.GO2, table.absGT)
+        table = cls(O[keep], -2.0 * GO[keep].T, GO2[keep], reach, rho)
+        _freeze(table.O, table.GOm2, table.GO2)
         return table
 
 
@@ -389,7 +398,7 @@ def _ranks(lat, X, base):
     t, n = lat._offset_table(), lat.n
     B = base.astype(np.float64)  # the cast each int64-by-float product would make
     e = X - B @ lat.G.T
-    S = _row_max(np.abs(X)) + _row_max(np.abs(B) @ t.absGT) + t.reach
+    S = _row_max(np.abs(X)) + _row_max(np.abs(B) @ np.abs(lat.G).T) + t.reach
     e2 = _sqnorm_rows(e)
     certified = np.sqrt(e2) + 8.0 * n * (n + 2) * 2.0 ** -53 * S <= t.rho
     if certified.all():  # the common case: slices, no gathers
@@ -592,9 +601,10 @@ def covering_density(lat: Lattice) -> float:
 
 def _density(n, radius, det):
     # Volume of the n-ball of this radius per lattice point, in log space.
-    d = 2.0 ** (n * math.log2(radius) + log2_ball_volume(n) - math.log2(det))
+    e = n * math.log2(radius) + log2_ball_volume(n) - math.log2(det)
+    d = 2.0 ** e if e < 1024 else math.inf  # 2.0 ** e raises OverflowError from 1024
     # Absorb log-space rounding only (Z1 reads 1 + 2**-52): Lattice refuses the rest.
-    return 1.0 if 1.0 < d <= 1.0 + 1e-12 else d
+    return 1.0 if 1.0 < d <= 1.0 + _SLACK else d
 
 
 @functools.lru_cache(maxsize=_LATTICE_CACHE)
@@ -681,7 +691,6 @@ def lattice_from_config(text: str, name: str = "user") -> Lattice:
         if len(vals) != n:
             raise ValueError(f"expected {n} entries per generator row, got {len(vals)}")
         rows.append(vals)
-    G = np.array(rows, dtype=np.float64)
     opts = {}
     for ln in lines[1 + n :]:
         if "=" not in ln:
@@ -693,12 +702,7 @@ def lattice_from_config(text: str, name: str = "user") -> Lattice:
             opts[key] = float(val)
         except ValueError as exc:
             raise ValueError(f"{key} is not numeric: {val!r}") from exc
-    lat = Lattice(name, G, packing_radius=opts.get("packing_radius"),
-                  covering_radius=opts.get("covering_radius"),
-                  nsm=opts.get("nsm"), family="generic")
-    if lat.covering_radius is not None and covering_density(lat) < 1.0 - 1e-12:
-        raise ValueError("covering density below 1")
-    return lat
+    return Lattice(name, rows, **opts)
 
 
 def load_lattice(path) -> Lattice:
@@ -708,16 +712,11 @@ def load_lattice(path) -> Lattice:
     return lattice_from_config(text, name=os.path.basename(path))
 
 
-def _min_nonzero_norm(G):
-    # Shortest-vector search over the box that must contain any vector no
-    # longer than the shortest generator column.  Exponential in n.  One
-    # product ranks the box by |G j|^2; candidates within _margin of the best
-    # rank keep their own G @ j: a batched product can differ in the last
-    # bit, and this value fixes gamma for configs without packing_radius.
-    s = min(np.linalg.norm(G[:, k]) for k in range(G.shape[0]))
-    O = _box(np.linalg.inv(G), s, 0.0, "supply packing_radius")
-    rank = _sqnorm_rows(O @ G.T)
+def _min_nonzero_norm(G, invG, s):
+    # Shortest-vector search over the box that holds every vector no longer than s,
+    # the shortest generator column; exponential in n.  Candidates ranked within
+    # _margin of the best keep their own G @ j: this value can fix gamma.
+    O, _, rank, S = _embedded_box(G, invG, s, 0.0, "supply packing_radius")
     rank[len(O) // 2] = np.inf  # the centre of the box is j = 0
-    S = float((np.abs(G) @ np.abs(O).max(axis=0)).max())
     near = O[~(rank > rank.min() + _margin(G.shape[0], S))].astype(np.float64)
     return min([s] + [math.sqrt(float(v @ v)) for v in (G @ j for j in near)])

@@ -143,14 +143,28 @@ def test_package_states_no_decimal_copies():
                    if "__pycache__" not in p.parts and p.suffix != ".py")
     assert not stray, "src/rsuq holds more than .py files: " + ", ".join(stray)
     long = []
+    for where, number in _numbers():
+        text = number.lower().replace("_", "")
+        if text.startswith("0x") or text.endswith("j"):
+            continue
+        if "." in text or "e" in text:
+            digits = text.split("e")[0].replace(".", "").lstrip("0")
+            if len(digits) > 9:
+                long.append(f"{where}: {number}")
+    assert not long, "float literals with more than 9 significant digits: " + ", ".join(long)
+
+
+def test_float_slack_is_written_once():
+    # the lattice rules and the registry checks share one relative slack,
+    # lattices._SLACK; a second copy of the literal could drift from it
+    found = [where for where, number in _numbers() if ast.literal_eval(number) == 1e-12]
+    assert len(found) == 1 and found[0].startswith("lattices.py:"), found
+
+
+def _numbers():
+    # (file:line, text) of every number literal in src/rsuq
     for path in sorted(SRC.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-            text = tok.string.lower().replace("_", "")
-            if tok.type != tokenize.NUMBER or text.startswith("0x") or text.endswith("j"):
-                continue
-            if "." in text or "e" in text:
-                digits = text.split("e")[0].replace(".", "").lstrip("0")
-                if len(digits) > 9:
-                    long.append(f"{path.name}:{tok.start[0]}: {tok.string}")
-    assert not long, "float literals with more than 9 significant digits: " + ", ".join(long)
+            if tok.type == tokenize.NUMBER:
+                yield f"{path.name}:{tok.start[0]}", tok.string

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -358,6 +359,31 @@ def test_huge_lattice_config_is_refused_without_warnings(tmp_path, vec_file):
         code, _, err = run_cli("encode", "--input", str(path), "--lattice", str(cfg), "--dim",
                                "3", "--radius", "0.05", "--output", str(tmp_path / "f.rsq"))
     assert code == 2 and "determinant" in err and not caught
+
+
+def test_uncovering_lattice_config_is_a_usage_error(tmp_path, vec_file):
+    # covering radius 0.55 leaves Z2's cell uncovered: covering density 0.95
+    path, _ = vec_file
+    cfg = tmp_path / "thin.lat"
+    cfg.write_text("2\n1 0\n0 1\ncovering_radius=0.55\n")
+    code, _, err = run_cli("encode", "--input", str(path), "--lattice", str(cfg), "--dim",
+                           "2", "--radius", "0.05", "--output", str(tmp_path / "f.rsq"))
+    assert code == 2 and "covering density 0.95" in err
+
+
+def test_oversized_lattice_config_is_a_quick_usage_error(tmp_path):
+    # a 33-dim basis asked the generic decoder for a 2^32-row residual table
+    # (32 GiB) before it checked the size cap
+    path = tmp_path / "zero.vqf"
+    path.write_bytes(write_vectors(np.zeros((1, 33))))
+    cfg = tmp_path / "z33.lat"
+    cfg.write_text("33\n" + "".join(" ".join("1" if j == i else "0" for j in range(33)) + "\n"
+                                     for i in range(33)) + "packing_radius=0.5\n")
+    start = time.perf_counter()
+    code, _, err = run_cli("encode", "--input", str(path), "--lattice", str(cfg), "--dim",
+                           "33", "--radius", "0.5", "--output", str(tmp_path / "f.rsq"))
+    assert code == 2 and "at least 3^33" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_scalar_lattice_z1(tmp_path, vec_file):

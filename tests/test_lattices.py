@@ -152,8 +152,13 @@ def test_packing_radius_is_half_min_norm(family, n):
     from rsuq.lattices import _min_nonzero_norm
 
     lat = builtin_lattice(family, n)
-    assert 2.0 * lat.packing_radius == pytest.approx(_min_nonzero_norm(lat.G),
-                                                     rel=1e-12)
+    least = _min_nonzero_norm(lat.G, lat._invG, _shortest_column(lat.G))
+    assert 2.0 * lat.packing_radius == pytest.approx(least, rel=1e-12)
+
+
+def _shortest_column(G):
+    # the constructor's shortest generator column, each norm taken on its own
+    return min(np.linalg.norm(G[:, k]) for k in range(len(G)))
 
 
 def test_packing_density_unit_scaling():
@@ -388,6 +393,52 @@ def test_constructor_holds_the_packing_rules():
     # the density of Z^n underflows to 0 from n = 340 on
     with pytest.raises(ValueError, match="packing density 0.0 outside"):
         builtin_lattice("Zn", 400)
+    # covering radius 0.55 < 1/sqrt(2) leaves Z2's cell uncovered (density 0.95)
+    with pytest.raises(ValueError, match="covering density 0.95"):
+        Lattice("z2", np.eye(2), covering_radius=0.55)
+    with pytest.raises(ValueError, match="covering density 0.95"):
+        lattice_from_config("2\n1 0\n0 1\ncovering_radius=0.55\n")
+    # the true covering radii pass: Z2's 1/sqrt(2), A2's 1/sqrt(3)
+    assert Lattice("z2", np.eye(2), covering_radius=math.sqrt(0.5)).covering_radius
+    assert lattice_from_config(A2_CONFIG).covering_radius == 1 / math.sqrt(3)
+
+
+def test_huge_packing_radius_is_a_value_error():
+    # a density past 2**1024 used to escape as OverflowError
+    with pytest.raises(ValueError, match="packing density inf outside"):
+        lattice_from_config("2\n1 0\n0 1\npacking_radius=1e308\n")
+
+
+def test_huge_covering_radius_loads_and_the_scan_refuses_it():
+    # covering density inf: a valid, useless bound; the box it asks for is over the cap
+    lat = lattice_from_config("2\n1 0\n0 1\ncovering_radius=1e308\n")
+    with pytest.raises(ValueError, match="enumeration would scan"):
+        lat.nearest_rows(np.zeros((1, 2)))
+
+
+def test_one_inverse_per_construction():
+    # G^-1 serves the shortest-vector search, the scan tables and input_limit
+    inv, calls = np.linalg.inv, []
+
+    def counted(A):
+        calls.append(A.shape)
+        return inv(A)
+
+    with mock.patch.object(np.linalg, "inv", counted):
+        fcc = Lattice("fcc", [[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    assert calls == [(3, 3)] and fcc.packing_radius == 0.5 * math.sqrt(2.0)
+
+
+@pytest.mark.parametrize("n", [14, 64])
+def test_generic_decoder_refuses_n_14_before_its_tables(n):
+    # every box holds at least 3^n offsets, over the cap from n = 14; the
+    # 2^(n-1)-vertex residual table was built first and asked for 32 GiB at
+    # n = 33 (and raised TypeError at n = 64)
+    lat = Lattice(f"z{n}", np.eye(n), packing_radius=0.5)
+    for search in (lat.nearest_rows, lat.sqdist_rows):
+        with pytest.raises(ValueError, match=rf"at least 3\^{n} = {3 ** n} candidates"):
+            search(np.zeros((1, n)))
+    assert not lat._scan_tables
 
 
 def test_family_must_match_the_generator():
@@ -423,7 +474,9 @@ def test_min_nonzero_norm_pinned(G, expect):
     # may move the last bit, which lattice_for_header tolerates on decode.
     from rsuq.lattices import _min_nonzero_norm
 
-    assert float(_min_nonzero_norm(np.array(G))).hex() == expect
+    G = np.array(G)
+    assert float(_min_nonzero_norm(G, np.linalg.inv(G), _shortest_column(G))).hex() == expect
+    assert float(2.0 * Lattice("user", G).packing_radius).hex() == expect
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -437,12 +490,13 @@ def test_min_nonzero_norm_matches_per_candidate_loop(family, seed):
     rng = np.random.default_rng(seed)
     Q = np.linalg.qr(rng.normal(size=(family[1], family[1])))[0]
     G = Q @ builtin_lattice(*family).G * rng.uniform(0.5, 3.0)
-    best = min(np.linalg.norm(G[:, k]) for k in range(G.shape[0]))
-    for j in _box(np.linalg.inv(G), best, 0.0, ""):
+    invG, shortest = np.linalg.inv(G), _shortest_column(G)
+    best = shortest
+    for j in _box(invG, best, 0.0, ""):
         if j.any():
             v = G @ j.astype(np.float64)
             best = min(best, math.sqrt(float(v @ v)))
-    assert float(_min_nonzero_norm(G)).hex() == float(best).hex()
+    assert float(_min_nonzero_norm(G, invG, shortest)).hex() == float(best).hex()
 
 
 def _brute_nearest(lat, x):
@@ -505,8 +559,10 @@ def test_log2_ball_volume_matches_closed_forms():
 def _scan_case(draw):
     # A well-conditioned 2-4 dimensional integer or real basis, a covering
     # radius that keeps the box below ~2000 offsets (the scan and the
-    # reference see the same box, so it need not cover the Voronoi cell), and
-    # rows at scale 1 to 1e6, on the quarter grid (exact ties) or not.
+    # reference see the same box, so it need not cover the Voronoi cell, and
+    # it is set after the constructor, which refuses a covering density
+    # below 1), and rows at scale 1 to 1e6, on the quarter grid (exact ties)
+    # or not.
     n = draw(st.sampled_from([2, 3, 4]))
     integer = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -519,7 +575,8 @@ def _scan_case(draw):
     cover = draw(st.sampled_from([0.5, 1.0, 2.0]))
     while np.prod(2 * np.ceil(reach * cover + 0.5) + 1) > 2000:
         cover /= 2
-    lat = Lattice("user", G, packing_radius=0.01, covering_radius=max(cover, 0.01))
+    lat = Lattice("user", G, packing_radius=0.01)
+    lat.covering_radius = max(cover, 0.01)
     X = rng.uniform(-4, 4, size=(draw(st.integers(1, 150)), n))
     X *= draw(st.sampled_from([1.0, 1e3, 1e6]))
     if draw(st.booleans()):
