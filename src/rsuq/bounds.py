@@ -213,31 +213,38 @@ def _checked(e: RegistryEntry) -> RegistryEntry:
 
 def parse_registry(text: str) -> dict[int, RegistryEntry]:
     """Parse registry CSV: columns n, delta, theta, nsm, source; keyed by n,
-    a later row of a dimension replacing an earlier one."""
+    a later row of a dimension replacing an earlier one.  ValueError names
+    the line of a bad row."""
+    reader = csv.reader(io.StringIO(text))
     try:
-        rows = list(csv.reader(io.StringIO(text)))
+        rows = [(reader.line_num, [c.strip() for c in row]) for row in reader]
     except csv.Error as exc:
         raise ValueError(f"malformed registry CSV: {exc}") from exc
     entries = {}
-    for row in rows:
-        if not row or row[0].strip().startswith("#") or row[0].strip() == "n":
+    for line, row in rows:
+        if not row or row[0].startswith("#") or row[0] == "n":
             continue
-        row = [c.strip() for c in row]
-        if len(row) < 5:
-            raise ValueError(f"registry row needs 5 columns: {row}")
-
-        def num(s):
-            v = None if s in ("", "-") else float(s)
-            if v is not None and not math.isfinite(v):
-                raise ValueError(f"registry value {s!r} is not finite")
-            return v
-
-        n = int(row[0])
-        if not 1 <= n < 2 ** 32:
-            raise ValueError(f"registry dimension {n} outside 1..2**32-1")
-        entries[n] = _checked(RegistryEntry(n=n, delta=num(row[1]), theta=num(row[2]),
-                                            nsm=num(row[3]), source=row[4]))
+        try:
+            if len(row) < 5:
+                raise ValueError(f"row needs 5 columns: {row}")
+            n = int(row[0]) if row[0].isdecimal() else 0
+            if not 1 <= n < 2 ** 32:
+                raise ValueError(f"dimension {row[0]!r} is not an integer in 1..2**32-1")
+            entries[n] = _checked(RegistryEntry(n, *map(_registry_value, row[1:4]), row[4]))
+        except ValueError as exc:
+            raise ValueError(f"registry line {line}: {exc}") from exc
     return entries
+
+
+def _registry_value(s):
+    # A registry constant: None for "" or "-", else a finite float.
+    try:
+        v = None if s in ("", "-") else float(s)
+    except ValueError:
+        raise ValueError(f"value {s!r} is not a number") from None
+    if v is not None and not math.isfinite(v):
+        raise ValueError(f"value {s!r} is not finite")
+    return v
 
 
 # The shipped rows: (family, dimension, source tag) of built-in lattices.

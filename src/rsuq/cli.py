@@ -17,10 +17,9 @@ import numpy as np
 
 from . import bounds as bd
 from . import mc
-from .coding import (MODE_BALL, FormatError, GolombCode, StreamHeader, codable_builtin,
-                     coord_width_for_bound, decode_stream, encode_stream, golomb_for_lattice,
-                     lattice_for_header, mean_code_length, read_vectors, write_header,
-                     write_vectors)
+from .coding import (MODE_BALL, FormatError, GolombCode, StreamHeader, coord_width_for_bound,
+                     decode_stream, encode_stream, golomb_for_lattice, lattice_for_header,
+                     mean_code_length, read_vectors, write_header, write_vectors)
 from .dither import derive_seed, stream_uniforms
 from .lattices import _BUILTIN_FAMILIES, builtin_lattice, load_lattice, packing_density
 from .layered import GaussianNoise, lrsuq_decode_batch, lrsuq_encode_batch
@@ -42,13 +41,12 @@ def _read_input(args):
         X = read_vectors(fh.read())
     if X.shape[1] != args.dim:
         raise ValueError(f"input file has dimension {X.shape[1]}, expected {args.dim}")
-    # A density too small for a Golomb code would only fail after the
-    # rejection loop, which at such densities runs for ever.
-    if args.lattice in _BUILTIN_FAMILIES:
-        return X, codable_builtin(args.lattice, args.dim)
-    lat = load_lattice(args.lattice)
+    lat = (builtin_lattice(args.lattice, args.dim) if args.lattice in _BUILTIN_FAMILIES
+           else load_lattice(args.lattice))
     if lat.n != args.dim:
         raise ValueError(f"lattice config has dimension {lat.n}, expected {args.dim}")
+    # A density too small for a Golomb code would only fail after the
+    # rejection loop, which at such densities runs for ever.
     golomb_for_lattice(lat)
     return X, lat
 
@@ -133,11 +131,10 @@ def _parse_dims(text: str):
     dims = []
     for part in filter(None, (p.strip() for p in text.split(","))):
         a, dots, b = part.partition("..")
-        lo = int(a)
-        hi = int(b) if dots else lo
+        lo, hi = (int(s) if s.strip().isdecimal() else 0 for s in (a, b if dots else a))
         if lo < 1 or hi < lo:
-            raise ValueError(f"bad dimension range {part!r}: dimensions start at 1 and "
-                             "a range a..b needs a <= b")
+            raise ValueError(f"bad dimension range {part!r}: a part is n or a..b, "
+                             "integers with 1 <= a <= b")
         if len(dims) + hi - lo + 1 > _MAX_DIMS:
             raise ValueError(f"--dims lists more than {_MAX_DIMS} dimensions by {part!r}")
         dims.extend(range(lo, hi + 1))

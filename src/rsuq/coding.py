@@ -23,13 +23,13 @@ all little-endian.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattices import (_BUILTIN_FAMILIES, Lattice, builtin_lattice, builtin_packing_density,
-                       packing_density)
+from .lattices import _BUILTIN_FAMILIES, Lattice, builtin_lattice, packing_density
 from .quantizer import description_arrays
 
 MAGIC = b"RSQ1"
@@ -75,6 +75,10 @@ class GolombCode:
     m: int
 
     def __post_init__(self):
+        try:
+            self.m = operator.index(self.m)  # a numpy integer becomes an int
+        except TypeError:
+            self.m = 0
         if not 1 <= self.m <= 2 ** 56:
             raise ValueError("Golomb parameter must be an integer in [1, 2**56]")
         self._b = (self.m - 1).bit_length()
@@ -103,21 +107,13 @@ class GolombCode:
         return q + 1 + width
 
 
-def codable_builtin(name: str, n: int) -> Lattice:
-    """The built-in lattice `name` at dimension n, once its closed-form packing
-    density is known to admit a Golomb code: checked before G is built, which
-    at a huge n asks for n^2 floats.  ValueError names the density."""
-    density = builtin_packing_density(name, n)
-    try:
-        optimal_golomb_parameter(density)
-    except ValueError as exc:
-        raise ValueError(f"{name} at n = {n} has packing density {density:.3g}: {exc}") from exc
-    return builtin_lattice(name, n)
-
-
 def golomb_for_lattice(lat: Lattice) -> GolombCode:
-    """Code for the stopping index of the inscribed-ball quantizer on lat."""
-    return GolombCode.for_geometric(packing_density(lat))
+    """Code for the stopping index of the inscribed-ball quantizer on lat; the
+    one check that lat can be coded.  ValueError names lat and its density."""
+    try:
+        return GolombCode.for_geometric(packing_density(lat))
+    except ValueError as exc:
+        raise ValueError(f"{lat.name} at n = {lat.n}: {exc}") from exc
 
 
 def mean_code_length(lat: Lattice, K, coord_bound: int) -> float:
@@ -202,19 +198,20 @@ def lattice_for_header(header: StreamHeader, lat: Lattice | None = None) -> Latt
 
     A built-in id (Zn, Dn, A2, E8) is reserved for the built-in lattice of
     that family, since a decoder given no lattice uses it: that lattice is
-    returned, and a supplied `lat` that differs from it in family, packing
-    radius or determinant is refused.  Any other id needs `lat`.  A ball
-    stream's gamma must fit the lattice.
+    returned if it admits a Golomb code, and a supplied `lat` that differs
+    from it in family or packing radius (the family fixes G, G the det) is
+    refused.  Any other id needs `lat`.  A ball stream's gamma must fit it.
     """
     if lat is not None and lat.n != header.n:
         raise FormatError("supplied lattice dimension does not match stream")
     if header.lattice_id in _BUILTIN_FAMILIES:
         try:
-            builtin = codable_builtin(header.lattice_id, header.n)
+            builtin = builtin_lattice(header.lattice_id, header.n)
+            golomb_for_lattice(builtin)
         except ValueError as exc:
             raise FormatError(f"header dimension {header.n} does not fit: {exc}") from exc
-        if lat is not None and (lat.family, lat.packing_radius, lat.det) != (
-                builtin.family, builtin.packing_radius, builtin.det):
+        if lat is not None and (lat.family, lat.packing_radius) != (
+                builtin.family, builtin.packing_radius):
             raise FormatError(f"lattice id {header.lattice_id!r} is reserved for the built-in "
                               f"{header.lattice_id} lattice, which {lat!r} is not")
         lat = builtin

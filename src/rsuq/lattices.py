@@ -97,7 +97,7 @@ class Lattice:
     name : str
     n : int
     G : (n, n) generator matrix, columns are basis vectors
-    det : |det G| > 0
+    det : |det G| > 0, always computed from G
     packing_radius : half the minimal nonzero vector norm (searched for if not given)
     covering_radius : optional
     nsm : normalized second moment of the Voronoi cell, where known
@@ -108,7 +108,7 @@ class Lattice:
     """
 
     def __init__(self, name, G, packing_radius=None, covering_radius=None,
-                 nsm=None, det=None, family="generic"):
+                 nsm=None, family="generic"):
         G = np.array(G, dtype=np.float64)
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise ValueError("generator matrix must be square")
@@ -122,8 +122,7 @@ class Lattice:
                                  f"of {family} at n = {n}; use family='generic'")
         # Huge entries overflow here; the checks below refuse them by name.
         with np.errstate(over="ignore", invalid="ignore"):
-            if det is None:
-                det = abs(float(np.linalg.det(G)))
+            det = abs(float(np.linalg.det(G)))
             if not (math.isfinite(det) and det > 0):
                 raise ValueError("generator matrix must be full rank with a finite determinant")
             self._invG = np.linalg.inv(G)
@@ -586,12 +585,6 @@ def packing_density(lat: Lattice) -> float:
     return _density(lat.n, lat.packing_radius, lat.det)
 
 
-def builtin_packing_density(name: str, n: int) -> float:
-    """Closed-form packing density of a built-in family, without building its G."""
-    c = _builtin_constants(name, n)
-    return _density(n, c["packing_radius"], c["det"])
-
-
 def covering_density(lat: Lattice) -> float:
     """Average covering multiplicity of balls with the covering radius."""
     if lat.covering_radius is None:
@@ -612,8 +605,13 @@ def builtin_lattice(name: str, n: int) -> Lattice:
     """The built-in lattice with exact analytic constants, shared per (name, n).
 
     Families: "Zn" (any n >= 1), "Dn" (n >= 2), "A2" (n = 2), "E8" (n = 8).
+    Refuses a closed-form packing density outside (0, 1] (Zn from n = 340, Dn
+    from n = 389) before G is built, which at a huge n asks for n^2 floats.
     """
     constants = _builtin_constants(name, n)
+    density = _density(n, constants["packing_radius"], constants.pop("det"))
+    if not 0.0 < density <= 1.0:
+        raise ValueError(f"{name} at n = {n} has packing density {density} outside (0, 1]")
     return Lattice(name, _builtin_generator(name, n), family=name, **constants)
 
 

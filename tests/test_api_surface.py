@@ -15,6 +15,7 @@ constant the code derives must not come back as a decimal copy.
 """
 
 import ast
+import inspect
 import io
 import pathlib
 import re
@@ -89,6 +90,13 @@ def test_every_import_is_used():
                 bound = (alias.asname or alias.name.split(".")[0] for alias in node.names)
                 unused += [f"{module}:{name}" for name in bound if name not in names]
     assert not unused, "imported in src/rsuq but never referenced: " + ", ".join(unused)
+
+
+def test_lattice_constructor_signature():
+    # every constant is checked or derived from G (det always is): a new
+    # constructor option has to change this test
+    assert list(inspect.signature(rsuq.Lattice).parameters) == [
+        "name", "G", "packing_radius", "covering_radius", "nsm", "family"]
 
 
 def test_mc_tests_arrays_and_runs_no_encoder():

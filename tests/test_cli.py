@@ -525,18 +525,25 @@ def test_underflowing_packing_density_is_a_usage_error(tmp_path):
 
 def test_uncodable_packing_density_is_refused_before_the_loop(tmp_path):
     # Zn40 has density 3.3e-21: 1 - p rounds to 1, and the rejection loop
-    # would run about 1e21 rounds before the stream could refuse it
+    # would run about 1e21 rounds before the stream could refuse it; the
+    # refusal names the lattice, a built-in or the config file
     src = os.path.dirname(os.path.dirname(rsuq.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     path = tmp_path / "z40.vqf"
     path.write_bytes(write_vectors(np.zeros((1, 40))))
-    common = ["--input", str(path), "--lattice", "Zn", "--dim", "40",
-              "--output", str(tmp_path / "out")]
-    for argv in (["encode", "--radius", "0.5"] + common, ["simulate"] + common):
-        out = subprocess.run([sys.executable, "-m", "rsuq.cli"] + argv, env=env,
-                             capture_output=True, text=True, timeout=60)
-        assert out.returncode == 2, out.stderr
-        assert "1 - p rounds to 1" in out.stderr
+    config = tmp_path / "id40.txt"
+    config.write_text("40\n" + "".join(" ".join("1" if j == i else "0" for j in range(40)) + "\n"
+                                       for i in range(40)) + "packing_radius=0.5\n")
+    for lattice, name in (("Zn", "Zn"), (str(config), "id40.txt")):
+        common = ["--input", str(path), "--lattice", lattice, "--dim", "40",
+                  "--output", str(tmp_path / "out")]
+        for argv in (["encode", "--radius", "0.5"] + common, ["simulate"] + common):
+            out = subprocess.run([sys.executable, "-m", "rsuq.cli"] + argv, env=env,
+                                 capture_output=True, text=True, timeout=60)
+            assert out.returncode == 2, out.stderr
+            assert f"{name} at n = 40: success probability (packing density) 3.28e-21" \
+                in out.stderr, out.stderr
+            assert "1 - p rounds to 1" in out.stderr
 
 
 def test_huge_builtin_dimension_is_refused_before_its_generator(tmp_path):
@@ -767,6 +774,27 @@ def test_bounds_dims_refused_before_listing(tmp_path):
         cli._parse_dims(f"1..{cap},{cap + 1}")
     assert cli._parse_dims(f"1..{cap}") == list(range(1, cap + 1))
     assert cli._parse_dims("1..8,24") == [*range(1, 9), 24]
+
+
+def test_bounds_dims_must_be_integers(tmp_path):
+    # a bound that is not an integer exits 2 naming its part, as a reversed range does
+    out = tmp_path / "t.csv"
+    for spec in ("a..3", "2..b", "..3", "1.5"):
+        code, _, err = run_cli("bounds", "--table", "table1", "--dims", spec, "--out", str(out))
+        assert code == 2 and f"bad dimension range {spec!r}" in err, (spec, err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row,why", [("3.5,0.5,,,x", "dimension '3.5' is not an integer"),
+                                     ("3,abc,,,x", "value 'abc' is not a number")])
+def test_bad_registry_row_names_its_line(tmp_path, row, why):
+    # not a bare int()/float() error: exit 2 naming the CSV line (a comment counts)
+    reg, out = tmp_path / "r.csv", tmp_path / "t.csv"
+    reg.write_text("n,delta,theta,nsm,source\n# note\n" + row + "\n")
+    code, _, err = run_cli("bounds", "--table", "figure2-left", "--dims", "1..4",
+                           "--registry", str(reg), "--out", str(out))
+    assert code == 2 and f"error: registry line 3: {why}" in err, err
+    assert not out.exists()
 
 
 _BOUNDS_SHA256 = {

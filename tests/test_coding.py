@@ -48,6 +48,21 @@ def test_optimal_parameter_examples():
             assert q ** (m - 1) + q ** m > 1.0
 
 
+def test_golomb_parameter_may_be_any_integral_type():
+    # a numpy integer (as an array element reads) codes as the int of equal value
+    k = np.arange(1, 40)
+    for m in (1, 3, 4, 18):
+        want = GolombCode(m).fields(k)
+        for typed in (np.int64(m), np.uint8(m), np.int32(m)):
+            code = GolombCode(typed)
+            assert type(code.m) is int
+            got = code.fields(k)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    for bad in (2.5, "3", None, 0, np.int64(2 ** 56 + 1)):
+        with pytest.raises(ValueError, match=re.escape("an integer in [1, 2**56]")):
+            GolombCode(bad)
+
+
 def test_optimal_parameter_rejects_vanishing_success_probability():
     # 1 - p rounds to 1, so no m satisfies the optimality condition
     for p in (1e-300, 2.0 ** -60, 4.6e-17):

@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
+import time
 import tracemalloc
 from unittest import mock
 
@@ -194,6 +198,42 @@ def test_builtin_errors():
         builtin_lattice("E8", 4)
     with pytest.raises(ValueError):
         builtin_lattice("Dn", 1)
+
+
+def test_builtin_det_is_the_generator_determinant():
+    # Lattice.det is always |det G|; each built-in's closed-form det equals it
+    # bit for bit, so builtin_lattice's check before G is the constructor's
+    cases = [("Zn", n) for n in (*range(1, 10), 16, 24, 48, 100, 339)]
+    cases += [("Dn", n) for n in (*range(2, 10), 16, 24, 48, 100, 388)]
+    for family, n in cases + [("A2", 2), ("E8", 8)]:
+        det = abs(np.linalg.det(lattices._builtin_generator(family, n)))
+        assert lattices._builtin_constants(family, n)["det"] == det, (family, n)
+    assert builtin_lattice("Dn", 4).det == 2.0
+    assert builtin_lattice("A2", 2).det == math.sqrt(3.0) / 2.0
+
+
+def test_builtin_dimension_is_refused_before_its_generator():
+    # a density outside (0, 1] is refused from the closed form, before the
+    # n x n generator (8 TiB at n = 2^20); the child's address space is capped,
+    # so building it first would raise MemoryError
+    src = os.path.dirname(os.path.dirname(lattices.__file__))
+    script = ("import resource, sys\n"
+              "from rsuq.lattices import builtin_lattice\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+              "try:\n"
+              "    builtin_lattice(sys.argv[1], 2 ** 20)\n"
+              "except ValueError as exc:\n"
+              "    print(exc)\n")
+    for family in ("Zn", "Dn"):
+        out = subprocess.run([sys.executable, "-c", script, family],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == f"{family} at n = 1048576 has packing density 0.0 outside (0, 1]\n"
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=re.escape("Zn at n = 2000 has packing density 0.0")):
+        builtin_lattice("Zn", 2000)
+    assert time.perf_counter() - start < 0.1
 
 
 # -- nearest point ----------------------------------------------------------------
@@ -393,6 +433,9 @@ def test_constructor_holds_the_packing_rules():
     # the density of Z^n underflows to 0 from n = 340 on
     with pytest.raises(ValueError, match="packing density 0.0 outside"):
         builtin_lattice("Zn", 400)
+    # det comes from G: no option can pair Z2 with another lattice's density
+    with pytest.raises(TypeError):
+        Lattice("x", np.eye(2), det=5.0)
     # covering radius 0.55 < 1/sqrt(2) leaves Z2's cell uncovered (density 0.95)
     with pytest.raises(ValueError, match="covering density 0.95"):
         Lattice("z2", np.eye(2), covering_radius=0.55)
