@@ -227,7 +227,7 @@ def parse_registry(text: str) -> dict[int, RegistryEntry]:
         try:
             if len(row) < 5:
                 raise ValueError(f"row needs 5 columns: {row}")
-            n = int(row[0]) if row[0].isdecimal() else 0
+            n = int(row[0]) if row[0].isdecimal() and len(row[0]) <= 10 else 0
             if not 1 <= n < 2 ** 32:
                 raise ValueError(f"dimension {row[0]!r} is not an integer in 1..2**32-1")
             entries[n] = _checked(RegistryEntry(n, *map(_registry_value, row[1:4]), row[4]))

@@ -131,7 +131,9 @@ def _parse_dims(text: str):
     dims = []
     for part in filter(None, (p.strip() for p in text.split(","))):
         a, dots, b = part.partition("..")
-        lo, hi = (int(s) if s.strip().isdecimal() else 0 for s in (a, b if dots else a))
+        # any n < 2**32 has at most 10 digits; int() refuses over 4300 by a message of its own
+        lo, hi = (int(s) if s.isdecimal() and len(s) <= 10 else 0
+                  for s in (a.strip(), (b if dots else a).strip()))
         if lo < 1 or hi < lo:
             raise ValueError(f"bad dimension range {part!r}: a part is n or a..b, "
                              "integers with 1 <= a <= b")

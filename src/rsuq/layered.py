@@ -37,15 +37,16 @@ class NoiseModel:
     Every model defines sample_level(u), mapping rows of `level_words`
     uniforms to density levels t.  A model whose level sets are centered
     balls sets level_ball = True and provides level_radius(t); the
-    quantizer then scales the cell by level_radius / packing_radius of its
-    lattice, runs the ball test in x / beta coordinates and screens each
-    draw with one squared distance (see quantizer).  Any other model
-    provides the membership predicate in_level_set(Z, t), one boolean per
-    row of error vectors Z (row i against level t[i]), and the cell scale
-    beta(t) with superlevel(t) contained in beta(t) * Voronoi.  All of them
-    work over rows.  sample_level is called on slices of a batch's rows,
-    possibly on several threads at once (quantizer.split_rows), so each of
-    its levels must be a pure function of its own row of uniforms.
+    quantizer then scales the cell by beta = level_radius / packing_radius
+    of its lattice and, as the ball quantizer does, tests the error y - x
+    in input units against level_radius^2, screening each draw with one
+    squared distance (see quantizer).  Any other model provides beta(t),
+    with superlevel(t) contained in beta(t) * Voronoi, and the membership
+    predicate in_level_set(Z, t): one boolean per row of errors Z = y - x in
+    input units, row i against level t[i].  All of them work over rows.
+    sample_level is called on slices of a batch's rows, possibly on several
+    threads at once (quantizer.split_rows), so each of its levels must be a
+    pure function of its own row of uniforms.
     """
 
     n: int
@@ -99,8 +100,8 @@ class GaussianNoise(NoiseModel):
 
 def _levels_and_betas(noise, lat, seeds):
     """Per row seed: the level (from the reserved word prefix), the cell scale
-    on `lat` and, for a ball model, the squared level radius in x / beta
-    coordinates (else None).  Refuses a noise model of another dimension."""
+    on `lat` and, for a ball model, the squared level radius (else None).
+    Refuses a noise model of another dimension."""
     if noise.n != lat.n:
         raise ValueError(f"noise dimension {noise.n} != lattice dimension {lat.n}")
 
@@ -114,8 +115,7 @@ def _levels_and_betas(noise, lat, seeds):
     if noise.level_ball:
         radius = np.asarray(noise.level_radius(t), dtype=np.float64)
         beta = radius / lat.packing_radius
-        # for this minimal beta the ball's radius is the packing radius, to rounding
-        r2 = (radius / beta) ** 2
+        r2 = radius ** 2
     else:
         beta = np.asarray(noise.beta(t), dtype=np.float64)
     if not np.all(beta > 0):
@@ -132,14 +132,9 @@ def lrsuq_encode_batch(noise: NoiseModel, lat: Lattice, seed: int, X):
     X = as_rows(X, lat.n)
     seeds = batch_seeds(seed, X.shape[0])
     t, beta, r2 = _levels_and_betas(noise, lat, seeds)
-    accept = None
-    if r2 is None:
-        def accept(err, rows):
-            return np.asarray(noise.in_level_set(err * beta[rows, None], t[rows]), dtype=bool)
-    # The loop runs in x/beta coordinates (scale 1); its accepted rows are
-    # scaled back exactly as the decoder scales M + V_K.
-    K, J, Y = _reject_rows(lat, 1.0, X / beta[:, None], seeds, noise.level_words, r2, accept)
-    return K, J, beta[:, None] * Y
+    accept = None if r2 is not None else (
+        lambda err, rows: np.asarray(noise.in_level_set(err, t[rows]), dtype=bool))
+    return _reject_rows(lat, beta, X, seeds, noise.level_words, r2, accept)
 
 
 def lrsuq_decode_batch(noise: NoiseModel, lat: Lattice, seed: int, K, J):
@@ -150,4 +145,4 @@ def lrsuq_decode_batch(noise: NoiseModel, lat: Lattice, seed: int, K, J):
     """
     seeds = batch_seeds(seed, np.size(K))
     beta = _levels_and_betas(noise, lat, seeds)[1]
-    return _decode_rows(lat, beta[:, None], seeds, K, J, noise.level_words)
+    return _decode_rows(lat, beta, seeds, K, J, noise.level_words)

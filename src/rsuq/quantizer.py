@@ -177,9 +177,10 @@ def _reject_rows(lat, gamma, X, seeds, reserved, r2=None, accept=None):
 
     Round t draws dither t of every still-active row and keeps the rows whose
     error err = y - X[row], y = gamma * (M + V), passes the test: |err|^2 <=
-    r2 of the row, or, for a model without a radius (r2 None), accept(err,
-    rows) over the batch indices `rows`.  Y holds the y of each row's
-    accepting round, bit-identical to what the decoder rebuilds.
+    r2, or, for a model without a radius (r2 None), accept(err, rows) over
+    the batch indices `rows`.  The cell scale gamma and the squared radius r2
+    are in the units of X, each a scalar or one value per row.  Y holds the
+    y of each row's accepting round, bit-identical to the decoder's.
 
     With r2 a draw costs one product and one squared distance: a closed
     form on Zn, Dn and E8, the least of the scan's ranks on other bases.
@@ -190,12 +191,13 @@ def _reject_rows(lat, gamma, X, seeds, reserved, r2=None, accept=None):
     with W^T = G u^T one product over the active rows whose bits may depend
     on the batch.
     A draw whose screened |err|^2 lies within the band of `_screen_limits`
-    around r2, and every draw of a model without a radius, gets the exact
-    test: the fold, then the search on x / gamma - V, as the decoder
-    computes them.  After the loop one pass at every row's K rebuilds V, M
-    and y exactly.
+    around r2 / gamma^2, and every draw of a model without a radius, gets
+    the exact test: the fold, then the search on x / gamma - V, as the
+    decoder computes them.  After the loop one pass at every row's K
+    rebuilds V, M and y exactly.
     """
     N, n = X.shape
+    gamma = np.broadcast_to(gamma, N)
     # x / gamma, one row per coordinate.  A tiny gamma overflows the quotient
     # (or, at 0, divides by zero): check_rows refuses the inf and NaN by name.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -207,6 +209,7 @@ def _reject_rows(lat, gamma, X, seeds, reserved, r2=None, accept=None):
     # The still-active rows, compacted: their indices, seeds, limits and XgT columns.
     active, live_seeds = np.arange(N), seeds
     if r2 is not None:
+        r2 = np.broadcast_to(r2, N)
         lo, hi = _screen_limits(lat, XgT, gamma, r2)
     max_iters = default_max_iters(lat)
     for t in range(max_iters):
@@ -225,7 +228,7 @@ def _reject_rows(lat, gamma, X, seeds, reserved, r2=None, accept=None):
         if near.size:
             rows = active[near]
             v = fold_rows(lat, u[near])
-            err = gamma * (lat.nearest_points(XgT.T[near] - v) + v) - X[rows]
+            err = gamma[rows, None] * (lat.nearest_points(XgT.T[near] - v) + v) - X[rows]
             ok[near] = (np.einsum("ij,ij->i", err, err) <= r2[rows] if accept is None
                         else accept(err, rows))
         K[active[ok]] = t + 1
@@ -243,7 +246,7 @@ def _reject_rows(lat, gamma, X, seeds, reserved, r2=None, accept=None):
 
     def at_k(rows):
         V = _dithers_at(lat, seeds[rows], K[rows] - 1, reserved)
-        P = X[rows] / gamma
+        P = X[rows] / gamma[rows, None]
         P -= V
         if lat.native:
             Z = lat.nearest_points(P)
@@ -252,7 +255,7 @@ def _reject_rows(lat, gamma, X, seeds, reserved, r2=None, accept=None):
             J[rows] = lat.nearest_rows(P)
             Z = lat.embed_rows(J[rows])
         y = np.add(Z, V, out=Y[rows])
-        y *= gamma
+        y *= gamma[rows, None]
 
     split_rows(at_k, N, n)
     return K, J, Y
@@ -305,7 +308,7 @@ def _screen_limits(lat, XgT, gamma, r2):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         P = np.maximum.reduce(np.abs(XgT), 0)
         h = _BAND_ULPS * 2.0 ** -53 * n * (n + 2) * kappa * (P + a + 2.0 * R1)
-        g2 = np.float64(gamma) ** 2
+        g2 = np.square(gamma)
         band = h * (R1 + h) + n * 2.0 ** -1060 / g2
         r2 = r2 / g2
         decides = band < np.minimum(r2, R1 * R1)
@@ -344,15 +347,16 @@ def description_arrays(K, J, count: int, n: int):
 
 
 def _decode_rows(lat, scale, seeds, K, J, reserved=0):
-    """Reconstructions scale * (M + V_K) per row, shared by every decoder."""
+    """Every decoder's reconstructions scale * (M + V_K), scale as in _reject_rows."""
     K, J = description_arrays(K, J, len(seeds), lat.n)
+    scale = np.broadcast_to(scale, len(seeds))
 
     Y = np.empty(J.shape)
 
     def rebuild(rows):
         y = np.add(lat.embed_rows(J[rows]), _dithers_at(lat, seeds[rows], K[rows] - 1, reserved),
                    out=Y[rows])
-        y *= scale[rows] if np.ndim(scale) else scale
+        y *= scale[rows, None]
 
     split_rows(rebuild, len(seeds), lat.n)
     return Y
@@ -373,8 +377,7 @@ def encode_batch(cfg: RsuqConfig, X):
     Y the reconstructions accepted by the encoder.
     """
     X = as_rows(X, cfg.lat.n)
-    return _reject_rows(cfg.lat, cfg.gamma, X, batch_seeds(cfg.seed, X.shape[0]), 0,
-                        np.full(X.shape[0], cfg.r ** 2))
+    return _reject_rows(cfg.lat, cfg.gamma, X, batch_seeds(cfg.seed, X.shape[0]), 0, cfg.r ** 2)
 
 
 def decode_batch(cfg: RsuqConfig, K, J):

@@ -8,7 +8,9 @@ kernel.  The fold is `W - G nearest_rows(W)` the same way.  The library
 screens each draw with one squared distance and rebuilds M and y once, at
 the accepted draw; `reject_ref` and `decode_ref` are drop-in replacements
 for `rsuq.quantizer._reject_rows` and `_decode_rows`, and their outputs
-are compared bit for bit.
+are compared bit for bit.  They take the library's contract: the cell
+scale and the squared radius in the units of x, each a scalar or one value
+per row, and the test |y - x|^2 <= r2 on y = scale * (M + V).
 """
 
 import numpy as np
@@ -37,8 +39,10 @@ def fold_ref(lat, U):
 
 
 def reject_ref(lat, gamma, X, seeds, reserved, r2=None, accept=None):
-    Xg = X / gamma
     N, n = X.shape
+    gamma = np.broadcast_to(gamma, N)[:, None]
+    r2 = None if r2 is None else np.broadcast_to(r2, N)
+    Xg = X / gamma
     K = np.zeros(N, dtype=np.int64)
     J = np.zeros((N, n), dtype=np.int64)
     Y = np.zeros((N, n))
@@ -50,7 +54,7 @@ def reject_ref(lat, gamma, X, seeds, reserved, r2=None, accept=None):
         u = stream_uniforms(seeds[active], reserved + t * n, n)
         v = fold_ref(lat, u)
         j = lat.nearest_rows(Xg[active] - v)
-        y = gamma * (embed_ref(lat, j) + v)
+        y = gamma[active] * (embed_ref(lat, j) + v)
         err = y - X[active]
         if accept is None:
             ok = np.einsum("ij,ij->i", err, err) <= r2[active]
@@ -104,4 +108,4 @@ def decode_ref(lat, scale, seeds, K, J, reserved=0):
     idx = (np.uint64(reserved) + (K - 1).astype(np.uint64)[:, None] * np.uint64(n)
            + np.arange(n, dtype=np.uint64)[None, :])
     v = fold_ref(lat, gathered_uniforms(seeds, idx))
-    return scale * (embed_ref(lat, np.atleast_2d(J)) + v)
+    return np.broadcast_to(scale, len(K))[:, None] * (embed_ref(lat, np.atleast_2d(J)) + v)

@@ -264,6 +264,27 @@ def test_wrong_user_lattice_config_is_a_format_error(tmp_path, vec_file):
     assert np.linalg.norm(read_vectors(rec.read_bytes()) - X3, axis=1).max() <= 0.05
 
 
+def test_lattice_config_of_another_dimension_is_refused(tmp_path, vec_file):
+    # a config whose dimension differs from --dim on encode, or from the
+    # stream's on decode, exits 2 naming the mismatch and writes nothing
+    path, _ = vec_file
+    fcc = tmp_path / "fcc.lat"
+    fcc.write_text("3\n1 1 0\n1 0 1\n0 1 1\n")
+    square = tmp_path / "square.lat"
+    square.write_text("2\n1 0\n0 1\n")
+    rsq, rec = tmp_path / "s.rsq", tmp_path / "s.vqf"
+    code, _, err = run_cli("encode", "--input", str(path), "--lattice", str(fcc), "--dim", "2",
+                           "--radius", "0.3", "--output", str(rsq))
+    assert code == 2 and "lattice config has dimension 3, expected 2" in err, err
+    assert not rsq.exists()
+    assert run_cli("encode", "--input", str(path), "--lattice", str(square), "--dim", "2",
+                   "--radius", "0.3", "--output", str(rsq))[0] == 0
+    code, _, err = run_cli("decode", "--input", str(rsq), "--output", str(rec),
+                           "--lattice", str(fcc))
+    assert code == 2 and "supplied lattice dimension does not match stream" in err, err
+    assert not rec.exists()
+
+
 def _run_twice(commands, outputs):
     # Run the commands twice in this process, the first time with empty
     # lattice caches; returns the bytes of the output files after each run.
@@ -779,14 +800,20 @@ def test_bounds_dims_refused_before_listing(tmp_path):
 def test_bounds_dims_must_be_integers(tmp_path):
     # a bound that is not an integer exits 2 naming its part, as a reversed range does
     out = tmp_path / "t.csv"
-    for spec in ("a..3", "2..b", "..3", "1.5"):
+    # a bound past int()'s 4300 digits is refused by its length, not by int()
+    for spec in ("a..3", "2..b", "..3", "1.5", "1" * 5000, "2.." + "1" * 5000):
         code, _, err = run_cli("bounds", "--table", "table1", "--dims", spec, "--out", str(out))
         assert code == 2 and f"bad dimension range {spec!r}" in err, (spec, err)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("row,why", [("3.5,0.5,,,x", "dimension '3.5' is not an integer"),
-                                     ("3,abc,,,x", "value 'abc' is not a number")])
+@pytest.mark.parametrize("row,why", [
+    ("3.5,0.5,,,x", "dimension '3.5' is not an integer"),
+    ("3,abc,,,x", "value 'abc' is not a number"),
+    ("3,0.5,,0.05,x", "n=3: second moment 0.05 below the ball value"),
+    pytest.param("1" * 5000 + ",0.5,,,x",
+                 f"dimension '{'1' * 5000}' is not an integer in 1..2**32-1", id="5000-digit-n"),
+])
 def test_bad_registry_row_names_its_line(tmp_path, row, why):
     # not a bare int()/float() error: exit 2 naming the CSV line (a comment counts)
     reg, out = tmp_path / "r.csv", tmp_path / "t.csv"

@@ -1,6 +1,7 @@
 """Golomb code optimality/prefix-freeness and container round trips."""
 
 import contextlib
+import dataclasses
 import itertools
 import math
 import re
@@ -191,6 +192,21 @@ def test_header_errors():
     data = write_header(h)
     with pytest.raises(FormatError):
         read_header(data[:10])
+
+
+def test_write_header_refuses_fields_past_their_widths():
+    # the lattice id's length is one byte, n and the coordinate bound are
+    # 32-bit fields: the widest values are written and read back, one more
+    # is refused by name
+    h = StreamHeader(n=2 ** 32 - 1, lattice_id="x" * 255, gamma=1.0, param=0.5,
+                     mode=MODE_BALL, seed=1, count=1, coord_bound=2 ** 32 - 1)
+    assert read_header(write_header(h))[0] == h
+    for change, why in ((dict(lattice_id="x" * 256), "lattice id too long"),
+                        (dict(n=2 ** 32), "dimension must fit an unsigned 32-bit field"),
+                        (dict(coord_bound=2 ** 32),
+                         "coordinate bound must fit an unsigned 32-bit field")):
+        with pytest.raises(ValueError, match=why):
+            write_header(dataclasses.replace(h, **change))
 
 
 def test_container_hand_assembled_payload():

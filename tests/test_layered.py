@@ -9,12 +9,13 @@ from scipy.special import gammainc
 
 import rsuq.layered
 from _reject_ref import BallSetGaussian, count_fold_rows, reject_ref
-from rsuq.lattices import builtin_lattice, log2_ball_volume
+from rsuq.lattices import builtin_lattice, lattice_from_config, log2_ball_volume
 from rsuq.layered import (GaussianNoise, NoiseModel, _levels_and_betas, lrsuq_decode_batch,
                           lrsuq_encode_batch)
 from rsuq.quantizer import batch_seeds
 
 Z2 = builtin_lattice("Zn", 2)
+FCC_CONFIG = "3\n1 1 0\n1 0 1\n0 1 1\npacking_radius=0.7071067811865476\n"
 
 
 def gaussian_v(noise, t):
@@ -40,14 +41,15 @@ def test_noise_dimension_check():
 
 def test_beta_follows_the_quantizing_lattice():
     # one model, two lattices: the cell scale is the level radius over the
-    # packing radius of the lattice passed in
+    # packing radius of the lattice passed in, and the squared radius of the
+    # ball test is the level radius squared, in input units on both
     g = GaussianNoise(4)
     seeds = batch_seeds(5, 64)
     for family, rho in (("Zn", 0.5), ("Dn", math.sqrt(2.0) / 2.0)):
         lat = builtin_lattice(family, 4)
         t, beta, r2 = _levels_and_betas(g, lat, seeds)
         assert np.array_equal(beta, g.level_radius(t) / rho)
-        assert r2 == pytest.approx(rho ** 2, rel=1e-12)
+        assert np.array_equal(r2, g.level_radius(t) ** 2)
 
 
 def test_level_parameterization():
@@ -146,6 +148,23 @@ def test_conditional_uniformity_within_level_bucket():
     assert ks_test(u, "conditional-radial").verdict
 
 
+@pytest.mark.parametrize("family,n", [("Zn", 2), ("A2", 2), ("Dn", 4), ("E8", 8), ("fcc", 3)])
+def test_errors_lie_in_their_level_balls(family, n):
+    # the ball test runs on y - x in input units, y as the decoder rebuilds
+    # it, against the squared level radius: every row's error is within its
+    # level radius, with rows spread over input scales 1e-2 .. 1e3
+    lat = (lattice_from_config(FCC_CONFIG, name="fcc") if family == "fcc"
+           else builtin_lattice(family, n))
+    g = GaussianNoise(lat.n)
+    rng = np.random.default_rng(23)
+    N = 20000
+    X = rng.standard_normal((N, lat.n)) * 10.0 ** rng.uniform(-2, 3, size=(N, 1))
+    _, _, Y = lrsuq_encode_batch(g, lat, 31, X)
+    t = _levels_and_betas(g, lat, batch_seeds(31, N))[0]
+    E = Y - X
+    assert np.all(np.einsum("ij,ij->i", E, E) <= g.level_radius(t) ** 2)
+
+
 def test_norm_squared_is_chi_square_n():
     from rsuq.mc import ks_test
 
@@ -206,6 +225,9 @@ def test_custom_noise_model_matches_reference(monkeypatch, family, n, model):
     K, J, Y = lrsuq_encode_batch(noise, lat, 44, X)
     # no screen without a radius: one fold per draw, plus the pass at K
     assert folded[0] == K.sum() + len(K)
+    # the predicate saw each row's y - x in input units
+    t = _levels_and_betas(noise, lat, batch_seeds(44, len(X)))[0]
+    assert np.all(noise.in_level_set(Y - X, t))
     with mock.patch.object(rsuq.layered, "_reject_rows", reject_ref):
         K0, J0, Y0 = lrsuq_encode_batch(noise, lat, 44, X)
     assert np.array_equal(K, K0) and np.array_equal(J, J0)

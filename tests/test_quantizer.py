@@ -298,23 +298,40 @@ def test_subnormal_radius_is_refused_without_warnings():
             encode_batch(RsuqConfig(lat, r=1e-320), np.ones((3, 8)))
 
 
-def test_rejection_loop_holds_x_over_gamma_once(monkeypatch):
-    # x / gamma is one coordinate-major (n, N) array and the pass at K divides
-    # its own rows: on one thread the numpy peak of a large encode stays
-    # below 8.5 inputs (a second, row-major copy of x / gamma read 9)
+def _numpy_peak(encode, X):
+    # the traced peak of encode(X) after a warm call on a few rows
     import tracemalloc
 
+    encode(X[:100])
+    tracemalloc.start()
+    try:
+        encode(X)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_rejection_loop_holds_x_over_gamma_once(monkeypatch):
+    # x / gamma is one coordinate-major (n, N) array, the pass at K divides
+    # its own rows and the squared radius stays a scalar: on one thread the
+    # numpy peak of a large encode reads 7.5 inputs (a second, row-major copy
+    # of x / gamma read 9, a per-row r2 array 8)
     monkeypatch.setattr(rsuq.quantizer, "_CPUS", 1)
     cfg = RsuqConfig(Z2, r=0.05, seed=5)
     X = np.random.default_rng(7).standard_normal((2 ** 17, 2)) * 3
-    encode_batch(cfg, X[:100])
-    tracemalloc.start()
-    try:
-        encode_batch(cfg, X)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8.5 * X.nbytes, peak / X.nbytes
+    peak = _numpy_peak(partial(encode_batch, cfg), X)
+    assert peak <= 8.0 * X.nbytes, peak / X.nbytes
+
+
+def test_layered_encode_holds_no_copy_of_the_input(monkeypatch):
+    # the layered quantizer hands x and beta to the rejection loop, which
+    # forms x / beta once: the numpy peak of a large Gaussian E8 encode on
+    # one thread reads 7.5 inputs (a whole-batch x / beta copy read 8.5)
+    monkeypatch.setattr(rsuq.quantizer, "_CPUS", 1)
+    E8 = builtin_lattice("E8", 8)
+    X = np.random.default_rng(7).standard_normal((2 ** 15, 8)) * 3
+    peak = _numpy_peak(partial(lrsuq_encode_batch, GaussianNoise(8), E8, 5), X)
+    assert peak <= 8.0 * X.nbytes, peak / X.nbytes
 
 
 def test_decode_rejects_bad_k():
