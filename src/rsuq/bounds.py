@@ -211,6 +211,16 @@ def _checked(e: RegistryEntry) -> RegistryEntry:
     return e
 
 
+def parse_dimension(s: str) -> int:
+    """The dimension n written in decimal digits, 1 <= n < 2**32 as the RSQ1
+    header holds it; else ValueError naming s."""
+    # any n < 2**32 has at most 10 digits; int() refuses over 4300 by a message of its own
+    n = int(s) if s.isdecimal() and len(s) <= 10 else 0
+    if not 1 <= n < 2 ** 32:
+        raise ValueError(f"dimension {s!r} is not an integer in 1..2**32-1")
+    return n
+
+
 def parse_registry(text: str) -> dict[int, RegistryEntry]:
     """Parse registry CSV: columns n, delta, theta, nsm, source; keyed by n,
     a later row of a dimension replacing an earlier one.  ValueError names
@@ -227,9 +237,7 @@ def parse_registry(text: str) -> dict[int, RegistryEntry]:
         try:
             if len(row) < 5:
                 raise ValueError(f"row needs 5 columns: {row}")
-            n = int(row[0]) if row[0].isdecimal() and len(row[0]) <= 10 else 0
-            if not 1 <= n < 2 ** 32:
-                raise ValueError(f"dimension {row[0]!r} is not an integer in 1..2**32-1")
+            n = parse_dimension(row[0])
             entries[n] = _checked(RegistryEntry(n, *map(_registry_value, row[1:4]), row[4]))
         except ValueError as exc:
             raise ValueError(f"registry line {line}: {exc}") from exc

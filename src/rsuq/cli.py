@@ -87,9 +87,7 @@ def cmd_decode(args) -> int:
     user = load_lattice(args.lattice) if args.lattice else None
     header, K, J = decode_stream(data, lat=user)
     lat = lattice_for_header(header, user)
-    if len(K) == 0:
-        Y = np.zeros((0, header.n))
-    elif header.mode == MODE_BALL:
+    if header.mode == MODE_BALL:
         cfg = RsuqConfig(lat, r=header.param, seed=header.seed)
         Y = decode_batch(cfg, K, J)
     else:
@@ -131,12 +129,12 @@ def _parse_dims(text: str):
     dims = []
     for part in filter(None, (p.strip() for p in text.split(","))):
         a, dots, b = part.partition("..")
-        # any n < 2**32 has at most 10 digits; int() refuses over 4300 by a message of its own
-        lo, hi = (int(s) if s.isdecimal() and len(s) <= 10 else 0
-                  for s in (a.strip(), (b if dots else a).strip()))
-        if lo < 1 or hi < lo:
-            raise ValueError(f"bad dimension range {part!r}: a part is n or a..b, "
-                             "integers with 1 <= a <= b")
+        try:
+            lo, hi = (bd.parse_dimension(s.strip()) for s in (a, b if dots else a))
+        except ValueError as exc:
+            raise ValueError(f"bad dimension range {part!r}: {exc}") from None
+        if hi < lo:
+            raise ValueError(f"bad dimension range {part!r}: a part is n or a..b with a <= b")
         if len(dims) + hi - lo + 1 > _MAX_DIMS:
             raise ValueError(f"--dims lists more than {_MAX_DIMS} dimensions by {part!r}")
         dims.extend(range(lo, hi + 1))

@@ -286,6 +286,8 @@ _WINDOW_BITS = 1 << 20
 # The chain walk visits every 2^_STRIDE_LOG2-th record in Python and fills in
 # the records between them with gathers.
 _STRIDE_LOG2 = 3
+# The largest stopping index K an int64 holds.
+_K_MAX = 2 ** 63 - 1
 
 
 def decode_stream(data: bytes, lat: Lattice | None = None):
@@ -314,7 +316,7 @@ def decode_stream(data: bytes, lat: Lattice | None = None):
     # by the next _WINDOW_BITS bits (lo = hi) and the record still starts
     # at `start`.
     done = start = lo = 0
-    bad_coord = False
+    bad_k = bad_coord = False
     while done < count:
         if lo >= nbits:
             raise FormatError("truncated bitstream")
@@ -378,6 +380,9 @@ def decode_stream(data: bytes, lat: Lattice | None = None):
             rem = np.where(short, rem >> 1, rem - thr)
         got = slice(done, done + len(z))
         np.subtract(z, np.concatenate([[start - base], ends[:-1]]), out=K[got])
+        # K = q m + rem + 1 must stay at most _K_MAX: a longer unary run q
+        # would wrap in the multiply below.
+        bad_k = bad_k or bool(np.any(K[got] > (_K_MAX - 1 - rem) // m))
         K[got] *= m
         K[got] += rem + 1
         np.subtract(_fields_at(words, width * np.arange(n)[:, None] + (ends - n * width),
@@ -387,6 +392,8 @@ def decode_stream(data: bytes, lat: Lattice | None = None):
         start = lo = base + int(ends[-1])
     if start > nbits:
         raise FormatError("truncated bitstream")
+    if bad_k:
+        raise FormatError(f"stopping index above 2**63 - 1 with m={m}")
     if bad_coord:
         raise FormatError(f"coordinate offset above 2B with B={B}")
     if nbits - start >= 8:

@@ -21,6 +21,8 @@ exponentially with n.  A row takes its argmin rank's offset unless another
 ranks within a float-error margin, when exact distances decide; its squared
 distance is |e|^2 plus the least rank.  `nearest_points` trusts its rows to
 be finite on every family, as the fold's are; `nearest_rows` checks them.
+`Lattice.screen_limits` bounds the rounding between `sqdist_rows` and the
+quantizer's exact test, so the rejection loop asks no family question.
 
 Quantizer inputs, in cell units, stay below `Lattice.input_limit` =
 min(2**52, 2**53 / max_i sum_k |G^-1_ik|): from 2**52 a float64 no longer
@@ -63,6 +65,10 @@ _SLACK = 1e-12
 # The scan ranks offsets for max(1, _SCAN_BLOCK // offsets) rows at a time,
 # which bounds its (rows x offsets) rank matrix near this many entries.
 _SCAN_BLOCK = 2 ** 14
+
+# The rejection screen's band is this many units of 2**-53 times the scale
+# of `Lattice.screen_limits`; raising it sends more draws to the exact test.
+_BAND_ULPS = 64.0
 
 # Held while a scan table is looked up or built.
 _TABLE_LOCK = threading.Lock()
@@ -215,12 +221,70 @@ class Lattice:
             d[rows] = e2 + q.min(axis=1)
         return d
 
+    def screen_limits(self, XgT, gamma, r2):
+        """Per-row (lo, hi) in cell units for the rejection screen, which accepts
+        a draw whose sqdist_rows(p - W), p = x / gamma a column of the (n, N)
+        array XgT, is below lo, rejects it above hi and leaves the rest to the
+        exact test, |gamma (M + V) - x|^2 <= r2 (gamma and r2 per row)."""
+        # With u = 2**-53, |p|_inf <= P, |G u|_inf <= a = max_i sum_k |G_ik|,
+        # kappa = a max_i sum_k |G^-1_ik|, R1 one more than the covering-radius
+        # bound R and S = P + a + 2 R1, every vector either test is formed from
+        # stays below S in size.  Let W be the exact test's G u, a column sum
+        # within n u a of G u, and F <= R the distance of p - W, and so of p - V,
+        # to the lattice.  The exact error over gamma differs from F by at most
+        # 12 n^1.5 kappa u S in norm, and its search may return a point up to
+        # tau^2 <= 15 n^1.5 kappa u S R1 farther in squared distance (the scan's
+        # rescore; E8's coset comparison is far tighter).  The screened W is one
+        # product, also within n u a of G u, and y = fl(p - W) adds u S per
+        # coordinate, so the distance of y is within 3 n^1.5 u S of F.  On Zn, Dn
+        # and E8 sqdist_rows(y) is that distance squared in closed form, from
+        # exact residuals of size <= 1/2, to within (n + 4) u relative: its sums
+        # of n nonnegative squares, formed over axis 0 of the coordinate-major
+        # residuals in a fixed pairwise order, round by at most (n - 1) u
+        # relative in any order, so the bound does not depend on the order or
+        # the layout, and each square and the parity step add a few u.  On other
+        # bases it is |e|^2 + min_o q_o over the scan's table, certified to hold
+        # the nearest point of e = fl(y - G base): e is within 2 n^1.5 kappa u S
+        # of a translate of y, the table's G o within 2 n^2 kappa u S of lattice
+        # points, and the sums of the ranks near the minimum, over vectors below
+        # R1 + 2 rho with rho^2 <= n a^2 / 4 and a <= 2 kappa R1, round by
+        # 6 n (n + 2) kappa u S R1.  Neither screen searches, so neither has a
+        # tau, and every term is linear in S.  Each |err|^2 sum rounds by (n + 1)
+        # u relative.  So the screened sum and the exact one over gamma^2 lie
+        # within h (R1 + h) of each other, h = 64 n (n + 2) kappa u S (64 is
+        # _BAND_ULPS), plus a floor for subnormal squares of the exact test, and
+        # r2 / gamma^2 rounds by 2 u relative.  The bound needs tau below R1,
+        # which holds while the band is below R1^2; the screen decides a row only
+        # while its band is also below r2 / gamma^2, and a wider band leaves
+        # every draw of the row to the exact test.
+        n = self.n
+        a, kappa, R1 = self._screen_constants
+        # A gamma whose square underflows gives an infinite band, or with r2 = 0
+        # a NaN limit: the comparison below leaves such rows to the exact test.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            P = np.maximum.reduce(np.abs(XgT), 0)
+            h = _BAND_ULPS * 2.0 ** -53 * n * (n + 2) * kappa * (P + a + 2.0 * R1)
+            g2 = np.square(gamma)
+            band = h * (R1 + h) + n * 2.0 ** -1060 / g2
+            r2 = r2 / g2
+            decides = band < np.minimum(r2, R1 * R1)
+        return np.where(decides, r2 - band, -np.inf), np.where(decides, r2 + band, np.inf)
+
     def nearest_rows(self, X):
         """Nearest-point integer coordinates for each row of X, ties to the
         lexicographically least j; the checked entry."""
         X = as_rows(X, self.n)
         check_rows(X)
         return self.point_coords(self.nearest_points(X)) if self.native else _scan(self, X)
+
+    def nearest_rows_and_points(self, X):
+        """(J, M) = (nearest_rows(X), embed_rows(J)) bit for bit, for finite (N, n)
+        rows X; on Zn, Dn and E8 the points come first, then their coordinates."""
+        if self.native:
+            M = self.nearest_points(X)
+            return self.point_coords(M), M
+        J = self.nearest_rows(X)
+        return J, self.embed_rows(J)
 
     def _offset_table(self, full=False):
         # The scan's certified offsets (or the whole box), built once per
@@ -232,7 +296,7 @@ class Lattice:
 
     @functools.cached_property
     def _screen_constants(self):
-        # (a, kappa, R1) of quantizer._screen_limits, computed on first use
+        # (a, kappa, R1) of screen_limits, computed on first use
         with np.errstate(over="ignore", invalid="ignore"):
             a = float(np.abs(self.G).sum(axis=1).max())
             kappa = a * float(np.abs(self._invG).sum(axis=1).max())

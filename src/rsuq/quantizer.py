@@ -8,31 +8,30 @@ the packing density of the lattice, and the error is exactly uniform over
 the r-ball and independent of the input.
 
 Each draw costs one product W = G u and one squared distance with no
-lattice point built: a closed form on Zn, Dn and E8, the least of the
-scan's ranks on other bases.  The dither is the fold of W into the
-Voronoi cell, V = W mod the lattice, and the norm of the error of draw
-k does not depend on that reduction, so the loop decides each draw on
-the squared distance of x / gamma - W to the lattice (`sqdist_rows`).
-Draws within a proved rounding band of the radius are decided again by
-the exact fold-and-search, and one pass at every row's stopping index K
-rebuilds the accepted V, M and reconstruction as the decoder does: K, M
-and every output bit are those of testing V itself.
+lattice point built.  The dither is the fold of W into the Voronoi cell,
+V = W mod the lattice, and the norm of the error of draw k does not
+depend on that reduction, so the loop decides each draw on the squared
+distance of x / gamma - W to the lattice.  That distance, its closed
+forms and the proved rounding band of the radius are the lattice's
+(`Lattice.sqdist_rows`, `Lattice.screen_limits`).  Draws within the band
+are decided again by the exact fold-and-search, and one pass at every
+row's stopping index K rebuilds the accepted V, M and reconstruction as
+the decoder does: K, M and every output bit are those of testing V itself.
 
 The loop is coordinate-major.  Round t draws for the A rows still
 active, and every per-draw array has one row per coordinate: the dithers
 come word-major from `stream_uniforms`, x / gamma is formed once as an
 (n, N) array and kept compacted to the active rows' columns (with their
-indices, seeds and screen limits), W is one (n, A) product G u^T, and on
-Zn, Dn and E8 the screen's sums, maxima, minima and parities over a
-row's coordinates are reductions over axis 0, which combine whole rows
-elementwise.  Rows stop at a geometric rate, so most rounds serve a
-few rows and each round's fixed cost, a count of numpy calls, matters as
-much as its work.  The pass at K and every decoder's rebuild of V_K
-draw their words word-major as well, from a word index laid out as
-(n, rows), and the fold's embedding reads those rows without a copy; only
-the searches (the point decoders, the band's exact test and the search at
-K) stay row-major: the band gathers its rows of x / gamma into a C-ordered
-copy, and the pass at K divides its own rows of x by gamma.
+indices, seeds and screen limits), and W is one (n, A) product G u^T,
+the layout the closed forms of `sqdist_rows` reduce fastest.  Rows stop
+at a geometric rate, so most rounds serve a few rows and each round's
+fixed cost, a count of numpy calls, matters as much as its work.  The
+pass at K and every decoder's rebuild of V_K draw their words word-major
+as well, from a word index laid out as (n, rows), and the fold's
+embedding reads those rows without a copy; only the searches (the point
+decoders, the band's exact test and the search at K) stay row-major: the
+band gathers its rows of x / gamma into a C-ordered copy, and the pass
+at K divides its own rows of x by gamma.
 
 The entry points take rows and derive one stream seed per row
 (derive_seed mixed with the row index), so results are reproducible and
@@ -182,19 +181,15 @@ def _reject_rows(lat, gamma, X, seeds, reserved, r2=None, accept=None):
     are in the units of X, each a scalar or one value per row.  Y holds the
     y of each row's accepting round, bit-identical to the decoder's.
 
-    With r2 a draw costs one product and one squared distance: a closed
-    form on Zn, Dn and E8, the least of the scan's ranks on other bases.
-    The dither V = W - Q(W) folds W = G u into the cell, V = W mod the
-    lattice, so quantizing x / gamma - W leaves an error of the same norm
-    as x / gamma - V up to rounding (Zamir & Feder 1992): the screen
-    decides on that norm, `lat.sqdist_rows` of x / gamma - W in cell units,
-    with W^T = G u^T one product over the active rows whose bits may depend
-    on the batch.
-    A draw whose screened |err|^2 lies within the band of `_screen_limits`
-    around r2 / gamma^2, and every draw of a model without a radius, gets
-    the exact test: the fold, then the search on x / gamma - V, as the
-    decoder computes them.  After the loop one pass at every row's K
-    rebuilds V, M and y exactly.
+    The dither V = W - Q(W) folds W = G u into the cell, so quantizing
+    x / gamma - W leaves an error of the same norm as x / gamma - V up to
+    rounding (Zamir & Feder 1992): with r2 the screen decides on that norm,
+    `lat.sqdist_rows` of x / gamma - W in cell units, with W^T = G u^T one
+    product over the active rows whose bits may depend on the batch.  A
+    draw outside the screen's `lat.screen_limits`, and every draw of a
+    model without a radius, gets the exact test: the fold, then the search
+    on x / gamma - V, as the decoder computes them.  After the loop one
+    pass at every row's K rebuilds V, M and y exactly.
     """
     N, n = X.shape
     gamma = np.broadcast_to(gamma, N)
@@ -210,7 +205,7 @@ def _reject_rows(lat, gamma, X, seeds, reserved, r2=None, accept=None):
     active, live_seeds = np.arange(N), seeds
     if r2 is not None:
         r2 = np.broadcast_to(r2, N)
-        lo, hi = _screen_limits(lat, XgT, gamma, r2)
+        lo, hi = lat.screen_limits(XgT, gamma, r2)
     max_iters = default_max_iters(lat)
     for t in range(max_iters):
         if active.size == 0:
@@ -248,71 +243,12 @@ def _reject_rows(lat, gamma, X, seeds, reserved, r2=None, accept=None):
         V = _dithers_at(lat, seeds[rows], K[rows] - 1, reserved)
         P = X[rows] / gamma[rows, None]
         P -= V
-        if lat.native:
-            Z = lat.nearest_points(P)
-            J[rows] = lat.point_coords(Z)
-        else:
-            J[rows] = lat.nearest_rows(P)
-            Z = lat.embed_rows(J[rows])
-        y = np.add(Z, V, out=Y[rows])
+        J[rows], M = lat.nearest_rows_and_points(P)
+        y = np.add(M, V, out=Y[rows])
         y *= gamma[rows, None]
 
     split_rows(at_k, N, n)
     return K, J, Y
-
-
-# The screen's band is this many units of 2**-53 times the scale of
-# _screen_limits; raising it sends more draws to the exact test.
-_BAND_ULPS = 64.0
-
-
-def _screen_limits(lat, XgT, gamma, r2):
-    """Per-row (lo, hi) in cell units: the screen accepts a draw whose
-    lat.sqdist_rows(p - W), p = x / gamma a column of the (n, N) array XgT,
-    is below lo, rejects it above hi and leaves the rest to the exact test."""
-    # With u = 2**-53, |p|_inf <= P, |G u|_inf <= a = max_i sum_k |G_ik|,
-    # kappa = a max_i sum_k |G^-1_ik|, R1 one more than the covering-radius
-    # bound R and S = P + a + 2 R1, every vector either test is formed from
-    # stays below S in size.  Let W be the exact test's G u, a column sum
-    # within n u a of G u, and F <= R the distance of p - W, and so of p - V,
-    # to the lattice.  The exact error over gamma differs from F by at most
-    # 12 n^1.5 kappa u S in norm, and its search may return a point up to
-    # tau^2 <= 15 n^1.5 kappa u S R1 farther in squared distance (the scan's
-    # rescore; E8's coset comparison is far tighter).  The screened W is one
-    # product, also within n u a of G u, and y = fl(p - W) adds u S per
-    # coordinate, so the distance of y is within 3 n^1.5 u S of F.  On Zn, Dn
-    # and E8 sqdist_rows(y) is that distance squared in closed form, from
-    # exact residuals of size <= 1/2, to within (n + 4) u relative: its sums
-    # of n nonnegative squares, formed over axis 0 of the coordinate-major
-    # residuals in a fixed pairwise order, round by at most (n - 1) u
-    # relative in any order, so the bound does not depend on the order or
-    # the layout, and each square and the parity step add a few u.  On other
-    # bases it is |e|^2 + min_o q_o over the scan's table, certified to hold
-    # the nearest point of e = fl(y - G base): e is within 2 n^1.5 kappa u S
-    # of a translate of y, the table's G o within 2 n^2 kappa u S of lattice
-    # points, and the sums of the ranks near the minimum, over vectors below
-    # R1 + 2 rho with rho^2 <= n a^2 / 4 and a <= 2 kappa R1, round by
-    # 6 n (n + 2) kappa u S R1.  Neither screen searches, so neither has a
-    # tau, and every term is linear in S.  Each |err|^2 sum rounds by (n + 1)
-    # u relative.  So the screened sum and the exact one over gamma^2 lie
-    # within h (R1 + h) of each other, h = 64 n (n + 2) kappa u S (64 is
-    # _BAND_ULPS), plus a floor for subnormal squares of the exact test, and
-    # r2 / gamma^2 rounds by 2 u relative.  The bound needs tau below R1,
-    # which holds while the band is below R1^2; the screen decides a row only
-    # while its band is also below r2 / gamma^2, and a wider band leaves
-    # every draw of the row to the exact test.
-    n = lat.n
-    a, kappa, R1 = lat._screen_constants
-    # A gamma whose square underflows gives an infinite band, or with r2 = 0
-    # a NaN limit: the comparison below leaves such rows to the exact test.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        P = np.maximum.reduce(np.abs(XgT), 0)
-        h = _BAND_ULPS * 2.0 ** -53 * n * (n + 2) * kappa * (P + a + 2.0 * R1)
-        g2 = np.square(gamma)
-        band = h * (R1 + h) + n * 2.0 ** -1060 / g2
-        r2 = r2 / g2
-        decides = band < np.minimum(r2, R1 * R1)
-    return np.where(decides, r2 - band, -np.inf), np.where(decides, r2 + band, np.inf)
 
 
 def _dithers_at(lat, seeds, draws, reserved):

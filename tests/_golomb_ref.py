@@ -152,7 +152,8 @@ def decode_stream_ref(data: bytes, code: GolombCode):
 
     Returns (header, K, J), or raises the FormatError the library raises,
     checked in the library's order: the count guard, truncation (of a unary
-    run or of a record), a coordinate offset above 2B, trailing bytes.
+    run or of a record), a stopping index above 2**63 - 1, a coordinate
+    offset above 2B, trailing bytes.
     """
     header, pos = read_header(data)
     B, n, count = header.coord_bound, header.n, header.count
@@ -166,6 +167,8 @@ def decode_stream_ref(data: bytes, code: GolombCode):
     for _ in range(count):
         K.append(read_golomb(code, r))
         J.append([r.read_bits(width) - B for _ in range(n)])
+    if any(k > 2 ** 63 - 1 for k in K):
+        raise FormatError(f"stopping index above 2**63 - 1 with m={code.m}")
     if any(c > B for row in J for c in row):
         raise FormatError(f"coordinate offset above 2B with B={B}")
     if 8 * len(data) - r.bit_position >= 8:

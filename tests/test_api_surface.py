@@ -114,12 +114,19 @@ def test_mc_tests_arrays_and_runs_no_encoder():
 
 
 def test_quantizer_imports_no_private_lattice_name():
-    # the rejection loop needs nothing of lattices beyond its public names
-    private = [alias.name for node in ast.walk(_trees()["quantizer.py"])
+    # the rejection loop needs nothing of lattices beyond its public names,
+    # and asks a lattice no family question: it reads no private attribute
+    # and no `native` or `family`, so a new family changes lattices.py alone
+    tree = _trees()["quantizer.py"]
+    private = [alias.name for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.module
                and node.module.rsplit(".", 1)[-1] == "lattices"
                for alias in node.names if alias.name.startswith("_")]
     assert not private, private
+    read = sorted(f"{node.attr}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and (node.attr.startswith("_") or node.attr in ("native", "family")))
+    assert not read, read
 
 
 # A backticked span that is a dotted name, maybe called: `f(x)`, `Lattice.nearest_rows`.

@@ -152,6 +152,35 @@ def test_empty_input_round_trip(tmp_path):
     assert read_vectors(rec.read_bytes()).shape == (0, 2)
 
 
+def _empty_stream(path, mode, radius):
+    from rsuq.coding import StreamHeader, encode_stream
+
+    h = StreamHeader(n=8, lattice_id="E8", gamma=radius * math.sqrt(2.0), param=radius,
+                     mode=mode, seed=4, count=0, coord_bound=0)
+    path.write_bytes(encode_stream(h, [], np.zeros((0, 8))))
+
+
+def test_empty_streams_decode_through_the_batch_decoders(tmp_path):
+    # an empty stream takes the path of any other: the Gaussian decoder
+    # returns (0, n) rows with no warning, and a ball stream's header radius
+    # goes through RsuqConfig even with no record to decode
+    from rsuq.coding import MODE_BALL, MODE_GAUSSIAN
+
+    rsq, rec = tmp_path / "e.rsq", tmp_path / "e.vqf"
+    _empty_stream(rsq, MODE_GAUSSIAN, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli("decode", "--input", str(rsq), "--output", str(rec))
+    assert code == 0, err
+    assert "vectors=0 dim=8 lattice=E8 mode=1" in out
+    assert read_vectors(rec.read_bytes()).shape == (0, 8)
+    rec.unlink()
+    _empty_stream(rsq, MODE_BALL, -0.5)
+    code, _, err = run_cli("decode", "--input", str(rsq), "--output", str(rec))
+    assert code == 2 and "ball radius must be positive" in err, err
+    assert not rec.exists()
+
+
 def test_user_lattice_config_encode_decode(tmp_path, vec_file):
     path, X = vec_file
     cfg_path = tmp_path / "hex.lat"
@@ -779,13 +808,16 @@ def test_registry_slack_reads_as_the_bound(tmp_path):
 
 
 def test_bounds_dims_refused_before_listing(tmp_path):
-    # a reversed range, also beside a valid part, and a spec past the cap on
-    # listed dimensions exit 2 naming the part, before any table is written
+    # a reversed range, also beside a valid part, a spec past the cap on
+    # listed dimensions and a dimension from 2**32 (refused by the rule of a
+    # registry row's n) exit 2 naming the part, before any table is written
     import rsuq.cli as cli
 
     out = tmp_path / "t.csv"
     for spec, part in (("5..3,8", "'5..3'"), ("5..3", "'5..3'"),
-                       ("1..10000000000", "'1..10000000000'")):
+                       ("1..10000000000", "'1..10000000000'"),
+                       ("2,4294967296", "'4294967296': dimension '4294967296' is not an "
+                                        "integer in 1..2**32-1")):
         code, _, err = run_cli("bounds", "--table", "figure2-left", "--dims", spec,
                                "--out", str(out))
         assert code == 2 and part in err, (spec, err)
@@ -813,6 +845,7 @@ def test_bounds_dims_must_be_integers(tmp_path):
     ("3,0.5,,0.05,x", "n=3: second moment 0.05 below the ball value"),
     pytest.param("1" * 5000 + ",0.5,,,x",
                  f"dimension '{'1' * 5000}' is not an integer in 1..2**32-1", id="5000-digit-n"),
+    ("4294967296,0.5,,,x", "dimension '4294967296' is not an integer in 1..2**32-1"),
 ])
 def test_bad_registry_row_names_its_line(tmp_path, row, why):
     # not a bare int()/float() error: exit 2 naming the CSV line (a comment counts)

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import io
 import itertools
 import math
 import re
@@ -701,6 +702,47 @@ def test_windowed_decode_equals_scalar_reference(m, bound, count):
                 with mock.patch.object(coding, "_WINDOW_BITS", window), \
                         pytest.raises(FormatError, match="truncated bitstream"):
                     decode_stream(blob[:cut], lat=lat)
+
+
+def _zn33_stream(q):
+    # One Zn, n = 33 record (Golomb m = 3121657384082678, remainders of 51
+    # or 52 bits) at bound 0: q ones, the zero, then the 52-bit field of the
+    # largest remainder, m - 1
+    lat = builtin_lattice("Zn", 33)
+    w = BitWriter()
+    w.write_unary(q)
+    w.write_bits(2 ** 52 - 1, 52)
+    return write_header(_ball_header(lat, seed=0, count=1, coord_bound=0)) + w.getvalue()
+
+
+@pytest.mark.parametrize("q", [2954, 6000])
+def test_stopping_index_past_int64_is_refused(tmp_path, q):
+    # K = (q + 1) m reads 9.22e18 at q = 2954, just past 2**63 - 1, and 1.87e19
+    # at q = 6000: an int64 K would wrap, negative or to a plausible 2.86e17
+    from rsuq.cli import main
+
+    code = golomb_for_lattice(builtin_lattice("Zn", 33))
+    assert code.m * 2954 < 2 ** 63 - 1 < code.m * 2955
+    blob = _zn33_stream(q)
+    with pytest.raises(FormatError, match=r"stopping index above 2\*\*63 - 1") as want:
+        decode_stream_ref(blob, code)
+    for window in FUZZ_WINDOWS:
+        with mock.patch.object(coding, "_WINDOW_BITS", window), \
+                pytest.raises(FormatError) as got:
+            decode_stream(blob)
+        assert str(got.value) == str(want.value)
+    # the same record cut inside its remainder is truncated, to both readers
+    for cut in (blob[:-1], blob[:-5]):
+        for decode in (lambda b: decode_stream_ref(b, code), decode_stream):
+            with pytest.raises(FormatError, match="truncated bitstream"):
+                decode(cut)
+    path = tmp_path / "k.rsq"
+    path.write_bytes(blob)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["decode", "--input", str(path), "--output", str(tmp_path / "k.vqf")]) == 2
+    assert "stopping index above" in err.getvalue()
+    assert not (tmp_path / "k.vqf").exists()
 
 
 @pytest.fixture(scope="module")

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rsuq.lattices
 import rsuq.layered
 import rsuq.quantizer
 from _reject_ref import decode_ref, embed_ref, reject_ref
@@ -141,10 +142,10 @@ def _searched_sqdist(lat, X):
 
 def _assert_closed_form_distance(lat, X):
     # The closed form is within (n + 4) 2**-53 of the squared distance,
-    # relative (the bound _screen_limits' proof states); the searched value
-    # rounds its sum by (n + 1) 2**-53 and E8's coset comparison by twice
-    # that, so the two agree within 4 (n + 4) 2**-53 of it, plus a floor for
-    # subnormal squares.
+    # relative (the bound the proof of Lattice.screen_limits states); the
+    # searched value rounds its sum by (n + 1) 2**-53 and E8's coset
+    # comparison by twice that, so the two agree within 4 (n + 4) 2**-53 of
+    # it, plus a floor for subnormal squares.
     n = lat.n
     d = lat.sqdist_rows(X)
     want = _searched_sqdist(lat, X)
@@ -194,12 +195,12 @@ def test_closed_form_distance(family):
 
 def _band(lat, X):
     # h (R1 + h), h = _BAND_ULPS n (n + 2) kappa 2**-53 S, S = |x|_inf + a + 2 R1,
-    # plus the subnormal floor: the bound _screen_limits' proof puts, at gamma =
-    # 1, between the screened distance and the exact test's
+    # plus the subnormal floor: the bound the proof of Lattice.screen_limits
+    # puts, at gamma = 1, between the screened distance and the exact test's
     a, kappa, R1 = lat._screen_constants
     n = lat.n
     S = (np.abs(X).max(axis=1) if len(X) else np.zeros(0)) + a + 2.0 * R1
-    h = rsuq.quantizer._BAND_ULPS * 2.0 ** -53 * n * (n + 2) * kappa * S
+    h = rsuq.lattices._BAND_ULPS * 2.0 ** -53 * n * (n + 2) * kappa * S
     return h * (R1 + h) + n * 2.0 ** -1060
 
 

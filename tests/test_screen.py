@@ -8,6 +8,7 @@ draws within its band of the radius go to the fold and the search.
 Y bit for bit.
 """
 
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -89,7 +90,7 @@ def test_band_bounds_the_rounding_gap(name, exponents):
     rng = np.random.default_rng(8)
     N, n = 5000, lat.n
     Xg = rng.standard_normal((N, n)) * 2.0 ** rng.uniform(*exponents, size=(N, 1))
-    lo, hi = rsuq.quantizer._screen_limits(lat, Xg.T, 1.0, np.full(N, lat.packing_radius ** 2))
+    lo, hi = lat.screen_limits(Xg.T, 1.0, np.full(N, lat.packing_radius ** 2))
     U = rng.random((N, n))
     W = lat.embed_rows(U)
     e = lat.nearest_points(Xg - W) + W - Xg
@@ -106,11 +107,48 @@ def test_band_bounds_the_rounding_gap(name, exponents):
         assert gap.max() > 0
 
 
+# SHA-256 of lo then hi, little-endian float64, from _pinned_limit_inputs;
+# recorded from quantizer._screen_limits before the limits moved into Lattice.
+_LIMITS_SHA256 = {
+    "Z2": "67a426e74174d84a953248a3f9bbdfeaedf0fe808f0f14e63f861901b1605ef2",
+    "D4": "865b9eca0250075dcb97351b0d9e244f6946a847cbc75802427eec46119fd645",
+    "E8": "f77a1499553714c05e861ea2637c485ad08989fe36e8d0b136ef26ed425ea04a",
+    "A2": "d9526c83af9e4b9cd296a72b8a8f60e2f0e00ed9f8af944970614c6ccec48a1c",
+    "fcc": "26e5d0bd4c29f6e2defee29c2f07c7ffa1d7282419c6c9efbbce59aac888b91b",
+}
+
+
+def _pinned_limit_inputs(lat, N=64):
+    # (XgT, gamma, r2) from exact integer arithmetic and correctly rounded
+    # divisions only: |p| up to 2**52, one gamma whose square underflows,
+    # gamma = 0, and r2 = 0 on every fifth row
+    k = np.arange(N * lat.n, dtype=np.int64)
+    XgT = ((k * 7919 % 1001 - 500) / 137.0).reshape(lat.n, N) * 2.0 ** (np.arange(N) % 53)
+    gamma = (np.arange(N) % 7 + 1) / 8.0
+    gamma[-2:] = 2.0 ** -540, 0.0
+    r2 = np.square(lat.packing_radius * gamma)
+    r2[::5] = 0.0
+    return XgT, gamma, r2
+
+
+@pytest.mark.parametrize("name", sorted(_LIMITS_SHA256))
+def test_screen_limits_are_pinned(name):
+    # the screen's limits keep their bits: a change to the band's arithmetic
+    # or its order changes the digest (fcc with its covering radius given, so
+    # no QR factorization enters the constants)
+    lat = (lattice_from_config(FCC_CONFIG + "covering_radius=1\n", name="fcc") if name == "fcc"
+           else LATTICES[name])
+    lo, hi = lat.screen_limits(*_pinned_limit_inputs(lat))
+    assert 0 < np.isfinite(hi).sum() < len(hi)
+    digest = hashlib.sha256(np.concatenate([lo, hi]).astype("<f8").tobytes()).hexdigest()
+    assert digest == _LIMITS_SHA256[name]
+
+
 @pytest.mark.parametrize("name", sorted(LATTICES))
 @pytest.mark.parametrize("mode", ["ball", "gaussian"])
 def test_wide_band_sends_every_draw_to_the_exact_test(monkeypatch, name, mode):
     lat = LATTICES[name]
-    monkeypatch.setattr(rsuq.quantizer, "_BAND_ULPS", 2.0 ** 60)
+    monkeypatch.setattr(rsuq.lattices, "_BAND_ULPS", 2.0 ** 60)
     rows = count_fold_rows(monkeypatch)
     X = _cell_rows(lat, mode, 9, np.random.default_rng(3).standard_normal((200, lat.n)) * 4)
     K = _assert_equals_reference(lat, mode, 9, X)
