@@ -62,6 +62,10 @@ _MAX_ENUM_CANDIDATES = 4_000_000
 # Relative slack for float noise in every rule on a lattice constant.
 _SLACK = 1e-12
 
+_U = 2.0 ** -53  # the unit roundoff u of float64 in every rounding proof
+_SUBNORMAL = 2.0 ** -1060  # a floor for subnormal squares
+_WIDEN = 2.0 ** -20  # the relative widening of a box's extents and of rho
+
 # The scan ranks offsets for max(1, _SCAN_BLOCK // offsets) rows at a time,
 # which bounds its (rows x offsets) rank matrix near this many entries.
 _SCAN_BLOCK = 2 ** 14
@@ -263,9 +267,9 @@ class Lattice:
         # a NaN limit: the comparison below leaves such rows to the exact test.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             P = np.maximum.reduce(np.abs(XgT), 0)
-            h = _BAND_ULPS * 2.0 ** -53 * n * (n + 2) * kappa * (P + a + 2.0 * R1)
+            h = _BAND_ULPS * _U * n * (n + 2) * kappa * (P + a + 2.0 * R1)
             g2 = np.square(gamma)
-            band = h * (R1 + h) + n * 2.0 ** -1060 / g2
+            band = h * (R1 + h) + n * _SUBNORMAL / g2
             r2 = r2 / g2
             decides = band < np.minimum(r2, R1 * R1)
         return np.where(decides, r2 - band, -np.inf), np.where(decides, r2 + band, np.inf)
@@ -312,7 +316,7 @@ def _covering_radius_bound(lat, babai=True) -> float:
         crude = math.sqrt(lat.n) * float(np.linalg.norm(lat.G, axis=0).max())
     if not babai:
         return crude
-    slack = 1.0 + 32.0 * lat.n * 2.0 ** -53 * float(np.linalg.norm(lat.G) * np.linalg.norm(lat._invG))
+    slack = 1.0 + 32.0 * lat.n * _U * float(np.linalg.norm(lat.G) * np.linalg.norm(lat._invG))
     return min(crude, 0.5 * float(np.linalg.norm(np.linalg.qr(lat.G, mode="r").diagonal())) * slack)
 
 
@@ -374,7 +378,7 @@ def _embedded_box(G, invG, radius, pad, hint):
 
 def _margin(n, S):
     # Rank margin (see _scan) for n-dim squared norms of coordinates up to S, plus a subnormal floor.
-    return 64.0 * n * (n + 2) * 2.0 ** -53 * S * S + n * 2.0 ** -1060
+    return 64.0 * n * (n + 2) * _U * S * S + n * _SUBNORMAL
 
 
 class _ScanTable(NamedTuple):
@@ -404,11 +408,11 @@ class _ScanTable(NamedTuple):
                 radius, pad = _covering_radius_bound(lat, babai=False), 0.5
             else:
                 D = ((np.arange(2 ** (n - 1))[:, None] >> np.arange(n)) & 1) - 0.5
-                rho = float(np.sqrt(_sqnorm_rows(D @ G.T).max())) * (1.0 + 2.0 ** -20)
+                rho = float(np.sqrt(_sqnorm_rows(D @ G.T).max())) * (1.0 + _WIDEN)
                 limit = _covering_radius_bound(lat) + rho
-                radius, pad = limit * (1.0 + 2.0 ** -20), 0.0
+                radius, pad = limit * (1.0 + _WIDEN), 0.0
             O, GO, GO2, reach = _embedded_box(G, lat._invG, radius, pad, hint)
-            keep = np.sqrt(GO2) <= limit + 4.0 * n * (n + 2) * 2.0 ** -53 * (reach + limit)
+            keep = np.sqrt(GO2) <= limit + 4.0 * n * (n + 2) * _U * (reach + limit)
         table = cls(O[keep], -2.0 * GO[keep].T, GO2[keep], reach, rho)
         _freeze(table.O, table.GOm2, table.GO2)
         return table
@@ -463,7 +467,7 @@ def _ranks(lat, X, base):
     e = X - B @ lat.G.T
     S = _row_max(np.abs(X)) + _row_max(np.abs(B) @ np.abs(lat.G).T) + t.reach
     e2 = _sqnorm_rows(e)
-    certified = np.sqrt(e2) + 8.0 * n * (n + 2) * 2.0 ** -53 * S <= t.rho
+    certified = np.sqrt(e2) + 8.0 * n * (n + 2) * _U * S <= t.rho
     if certified.all():  # the common case: slices, no gathers
         groups = [(t, None)]
     else:
