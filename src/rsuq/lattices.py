@@ -136,14 +136,24 @@ class Lattice:
             if not (math.isfinite(det) and det > 0):
                 raise ValueError("generator matrix must be full rank with a finite determinant")
             self._invG = np.linalg.inv(G)
-            # Each column's own norm: the shortest can become the packing radius, hence gamma.
             shortest = min(np.linalg.norm(G[:, k]) for k in range(n))
-            if packing_radius is None:
-                packing_radius = 0.5 * _min_nonzero_norm(G, self._invG, shortest)
         for key, value in (("packing_radius", packing_radius),
                            ("covering_radius", covering_radius), ("nsm", nsm)):
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{key} must be finite and positive, got {value!r}")
+        theta = math.inf if covering_radius is None else _density(n, covering_radius, det)
+        if theta < 1.0 - _SLACK:
+            raise ValueError(f"covering density {theta} below 1")
+        self.name = str(name)
+        self.n = n
+        self.G = G
+        self.covering_radius = None if covering_radius is None else float(covering_radius)
+        # The nonzero row spans of G's and G^-1's columns, for _accumulate_columns.
+        self._g_spans = _column_spans(G)
+        self._inv_spans = _column_spans(self._invG)
+        self._scan_tables = {}
+        if packing_radius is None:  # a shortest vector is in the certified scan table
+            packing_radius = 0.5 * self._offset_table().shortest
         density = _density(n, packing_radius, det)
         if not 0.0 < density <= 1.0:
             raise ValueError(f"packing density {density} outside (0, 1]")
@@ -151,15 +161,8 @@ class Lattice:
         if packing_radius > 0.5 * shortest * (1.0 + _SLACK):
             raise ValueError(f"packing_radius {packing_radius!r} exceeds half the "
                              "shortest generator column")
-        theta = math.inf if covering_radius is None else _density(n, covering_radius, det)
-        if theta < 1.0 - _SLACK:
-            raise ValueError(f"covering density {theta} below 1")
-        self.name = str(name)
-        self.n = n
-        self.G = G
         self.det = float(det)
         self.packing_radius = float(packing_radius)
-        self.covering_radius = None if covering_radius is None else float(covering_radius)
         self.nsm = None if nsm is None else float(nsm)
         self.family = family
         self.input_limit = min(2.0 ** 52, 2.0 ** 53 / float(np.abs(self._invG).sum(axis=1).max()))
@@ -167,10 +170,6 @@ class Lattice:
         # Exact integer forms of 2 G and 4 G^-1 for the native families.
         self._g2 = np.rint(2.0 * G).astype(np.int64) if self.native else None
         self._inv4 = np.rint(4.0 * self._invG).astype(np.int64) if self.native else None
-        # The nonzero row spans of G's and G^-1's columns, for _accumulate_columns.
-        self._g_spans = _column_spans(G)
-        self._inv_spans = _column_spans(self._invG)
-        self._scan_tables = {}
         _freeze(self.G, self._invG, self._g2, self._inv4)
 
     def __repr__(self):
@@ -369,13 +368,6 @@ def _box(invG, radius, pad, hint):
     return np.indices(2 * half + 1).reshape(len(half), -1).T - half
 
 
-def _embedded_box(G, invG, radius, pad, hint):
-    # _box's offsets O, their embeddings GO = O G^T, |G o|^2 and reach (see _ScanTable).
-    O = _box(invG, radius, pad, hint)
-    GO = O @ G.T
-    return O, GO, np.einsum("ij,ij->i", GO, GO), float((np.abs(G) @ np.abs(O).max(axis=0)).max())
-
-
 def _margin(n, S):
     # Rank margin (see _scan) for n-dim squared norms of coordinates up to S, plus a subnormal floor.
     return 64.0 * n * (n + 2) * _U * S * S + n * _SUBNORMAL
@@ -389,14 +381,21 @@ class _ScanTable(NamedTuple):
     GO2: np.ndarray   # |G o|^2
     reach: float      # max_i sum_k |G_ik| max|O_k| over the box: no offset moves a coordinate further
     rho: float        # the residual norm |e| the offsets are certified for
+    # 2 lambda_min, the least |G o| over o != 0: offsets ranked within _margin of it are
+    # measured again without BLAS (G o by _accumulate_columns, math.fsum of the squares), so
+    # no machine moves its bits.  The whole box holds every |G o| <= sqrt(n) max |g_k|, the
+    # certified table every |G o| <= R + rho, both >= lambda_min: rho >= mu >= lambda_min / 2
+    # (mu the covering radius; G [-1/2, 1/2]^n lies within rho of 0), and a computed R is at
+    # least mu, a supplied one at least the volume radius (covering density >= 1), which is
+    # at least lambda_min / 2 as the packing density is at most 1.
+    shortest: float
 
     @classmethod
     def build(cls, lat, full):
-        # `full` is the whole box, the fallback.  Else keep |G o| <= R + rho plus
-        # the float error of GO, from the box |o_i| <= |row_i(G^-1)| |G o| that holds
-        # them, widened by 2^-20 for the float error of its extents; rho is max |G d|
-        # over the vertices d ~ -d of [-1/2, 1/2]^n, widened by 2^-20 for the guard in
-        # _scan.  Either box holds >= 3^n offsets: n >= 14 is refused before the vertices.
+        # `full` is the whole box, the fallback.  Else keep |G o| <= R + rho plus the float
+        # error of GO, from the box |o_i| <= |row_i(G^-1)| |G o| that holds them, its extents
+        # widened for their float error; rho is max |G d| over the vertices d ~ -d of
+        # [-1/2, 1/2]^n, widened for the guard in _scan.  Either box holds >= 3^n offsets.
         G, n = lat.G, lat.n
         hint = "use a built-in family or, for n <= 13, supply covering_radius in the config"
         if 3 ** n > _MAX_ENUM_CANDIDATES:
@@ -411,9 +410,16 @@ class _ScanTable(NamedTuple):
                 rho = float(np.sqrt(_sqnorm_rows(D @ G.T).max())) * (1.0 + _WIDEN)
                 limit = _covering_radius_bound(lat) + rho
                 radius, pad = limit * (1.0 + _WIDEN), 0.0
-            O, GO, GO2, reach = _embedded_box(G, lat._invG, radius, pad, hint)
+            O = _box(lat._invG, radius, pad, hint)
+            GO = O @ G.T
+            GO2 = np.einsum("ij,ij->i", GO, GO)
+            reach = float((np.abs(G) @ np.abs(O).max(axis=0)).max())
             keep = np.sqrt(GO2) <= limit + 4.0 * n * (n + 2) * _U * (reach + limit)
-        table = cls(O[keep], -2.0 * GO[keep].T, GO2[keep], reach, rho)
+        O, GO, GO2 = O[keep], GO[keep], GO2[keep]
+        rank = np.where(O.any(axis=1), GO2, np.inf)
+        near = O[~(rank > rank.min() + _margin(n, reach))]
+        shortest = min(math.sqrt(math.fsum(v * v)) for v in _accumulate_columns(near, lat._g_spans))
+        table = cls(O, -2.0 * GO.T, GO2, reach, rho, shortest)
         _freeze(table.O, table.GOm2, table.GO2)
         return table
 
@@ -512,9 +518,8 @@ def check_rows(X, limit=math.inf, why="is not finite"):
 
 
 def _sqnorm_rows(X):
-    # pairwise-accumulated sum of squares: tie comparisons between candidate
-    # distances use exact float ordering (no epsilon), so accumulation noise
-    # is kept down rather than absorbed by a tolerance
+    # pairwise-accumulated sum of squares: ties between candidate distances compare exact
+    # floats (no epsilon), so accumulation noise is kept down rather than absorbed
     return (X * X).sum(axis=1)
 
 
@@ -523,8 +528,7 @@ def _nearest_zn_points(X):
     # Rounding half-integer ties down, ceil(x - 1/2), realizes the
     # lexicographically-smallest minimizer rule coordinate by coordinate.
     f = X - 0.5
-    np.ceil(f, out=f)
-    return f
+    return np.ceil(f, out=f)
 
 
 def _nearest_dn_points(X):
@@ -573,11 +577,10 @@ def _nearest_e8_points(X):
 
 
 def _odd_sum(F):
-    # 1 for each column of the integers F, one row per coordinate, whose sum
-    # is odd, else 0.  An int64 sum: a float sum of n coordinates near the
-    # input limit can pass 2**53 and round away the parity.  The cast lays F
-    # out in C order, which makes the sum add whole rows also for the
-    # transposed rows of a decoder.
+    # 1 for each column of the integers F, one row per coordinate, whose sum is odd,
+    # else 0.  An int64 sum: a float sum of n coordinates near the input limit can pass
+    # 2**53 and round away the parity.  The cast lays F out in C order, which makes the
+    # sum add whole rows also for the transposed rows of a decoder.
     return np.add.reduce(F.astype(np.int64, order="C"), 0) & 1
 
 
@@ -774,15 +777,5 @@ def lattice_from_config(text: str, name: str = "user") -> Lattice:
 def load_lattice(path) -> Lattice:
     """Load a user lattice config file."""
     with open(path, encoding="ascii") as fh:
-        text = fh.read()
-    return lattice_from_config(text, name=os.path.basename(path))
+        return lattice_from_config(fh.read(), name=os.path.basename(path))
 
-
-def _min_nonzero_norm(G, invG, s):
-    # Shortest-vector search over the box that holds every vector no longer than s,
-    # the shortest generator column; exponential in n.  Candidates ranked within
-    # _margin of the best keep their own G @ j: this value can fix gamma.
-    O, _, rank, S = _embedded_box(G, invG, s, 0.0, "supply packing_radius")
-    rank[len(O) // 2] = np.inf  # the centre of the box is j = 0
-    near = O[~(rank > rank.min() + _margin(G.shape[0], S))].astype(np.float64)
-    return min([s] + [math.sqrt(float(v @ v)) for v in (G @ j for j in near)])

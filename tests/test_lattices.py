@@ -152,12 +152,9 @@ def test_dn_geometry():
 
 @pytest.mark.parametrize("family,n", [("Zn", 3), ("A2", 2), ("Dn", 4)])
 def test_packing_radius_is_half_min_norm(family, n):
-    # bounded shortest-vector enumeration confirms 2 lambda_min = min |G j|
-    from rsuq.lattices import _min_nonzero_norm
-
+    # the shortest-vector search, on a copy given no constants, confirms the closed form
     lat = builtin_lattice(family, n)
-    least = _min_nonzero_norm(lat.G, lat._invG, _shortest_column(lat.G))
-    assert 2.0 * lat.packing_radius == pytest.approx(least, rel=1e-12)
+    assert Lattice("copy", lat.G).packing_radius == pytest.approx(lat.packing_radius, rel=1e-12)
 
 
 def _shortest_column(G):
@@ -453,8 +450,12 @@ def test_huge_packing_radius_is_a_value_error():
 
 
 def test_huge_covering_radius_loads_and_the_scan_refuses_it():
-    # covering density inf: a valid, useless bound; the box it asks for is over the cap
-    lat = lattice_from_config("2\n1 0\n0 1\ncovering_radius=1e308\n")
+    # covering density inf: a valid, useless bound; the box it asks for is over
+    # the cap, so a config without packing_radius, whose shortest-vector search
+    # needs that box, is refused at load, and one with it at its first search
+    with pytest.raises(ValueError, match="enumeration would scan"):
+        lattice_from_config("2\n1 0\n0 1\ncovering_radius=1e308\n")
+    lat = lattice_from_config("2\n1 0\n0 1\npacking_radius=0.5\ncovering_radius=1e308\n")
     with pytest.raises(ValueError, match="enumeration would scan"):
         lat.nearest_rows(np.zeros((1, 2)))
 
@@ -512,13 +513,7 @@ def test_family_must_match_the_generator():
 ])
 def test_min_nonzero_norm_pinned(G, expect):
     # this value fixes gamma, hence the stream bytes, for configs without
-    # packing_radius: it must not move by a single bit.  The pins hold for one
-    # numpy/BLAS build; a BLAS that reorders or fuses these short dot products
-    # may move the last bit, which lattice_for_header tolerates on decode.
-    from rsuq.lattices import _min_nonzero_norm
-
-    G = np.array(G)
-    assert float(_min_nonzero_norm(G, np.linalg.inv(G), _shortest_column(G))).hex() == expect
+    # packing_radius: it must not move by a single bit, on any machine
     assert float(2.0 * Lattice("user", G).packing_radius).hex() == expect
 
 
@@ -527,19 +522,16 @@ def test_min_nonzero_norm_pinned(G, expect):
 def test_min_nonzero_norm_matches_per_candidate_loop(family, seed):
     # Rotated bases with many shortest vectors of one true norm, whose float
     # norms differ in the last bits: the ranked search must return what
-    # scoring every candidate with its own G @ j returns.
-    from rsuq.lattices import _box, _min_nonzero_norm
+    # scoring every candidate of the box that holds the shortest generator
+    # column with its own BLAS-free norm returns.
+    from rsuq.lattices import _box
 
     rng = np.random.default_rng(seed)
     Q = np.linalg.qr(rng.normal(size=(family[1], family[1])))[0]
     G = Q @ builtin_lattice(*family).G * rng.uniform(0.5, 3.0)
-    invG, shortest = np.linalg.inv(G), _shortest_column(G)
-    best = shortest
-    for j in _box(invG, best, 0.0, ""):
-        if j.any():
-            v = G @ j.astype(np.float64)
-            best = min(best, math.sqrt(float(v @ v)))
-    assert float(_min_nonzero_norm(G, invG, shortest)).hex() == float(best).hex()
+    J = _box(np.linalg.inv(G), _shortest_column(G), 0.0, "")
+    best = min(math.sqrt(math.fsum(v * v)) for v in dense_column_sum(J[J.any(axis=1)], G))
+    assert float(2.0 * Lattice("user", G).packing_radius).hex() == float(best).hex()
 
 
 def _brute_nearest(lat, x):
@@ -742,7 +734,6 @@ def test_certified_table_has_its_own_box(G):
     # The certified table is cut from the box |o_i| <= |row_i(G^-1)| (R + rho),
     # not from the whole box, and still holds every whole-box offset with
     # |G o| <= R + rho, where _scan's certificate looks for the winner.
-    lat = Lattice("user", G)
     built = []
     box = lattices._box
 
@@ -751,6 +742,7 @@ def test_certified_table_has_its_own_box(G):
         return built[-1]
 
     with mock.patch.object(lattices, "_box", record):
+        lat = Lattice("user", G)  # its shortest-vector search builds the table
         table = lat._offset_table()
     assert len(built) == 1
     whole = lat._offset_table(full=True).O

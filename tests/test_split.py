@@ -1,6 +1,7 @@
 """The row-independent stages split across threads without changing a bit."""
 
 import hashlib
+import math
 import multiprocessing
 import os
 import subprocess
@@ -169,8 +170,10 @@ def test_threads_build_a_scan_table_once(monkeypatch, own_pool):
     monkeypatch.setattr(quantizer, "_CPUS", 4)
     N = 4 * quantizer._SPLIT_MIN // 3
     X = np.random.default_rng(8).standard_normal((N, 3))
-    K, J, Y = encode_batch(RsuqConfig(Lattice("fcc", fcc), r=0.3, seed=8), X)
-    fresh = RsuqConfig(Lattice("fcc", fcc), r=0.3, seed=8)
+    # with packing_radius given, the lattice builds its table on first search
+    lam = math.sqrt(0.5)
+    K, J, Y = encode_batch(RsuqConfig(Lattice("fcc", fcc, packing_radius=lam), r=0.3, seed=8), X)
+    fresh = RsuqConfig(Lattice("fcc", fcc, packing_radius=lam), r=0.3, seed=8)
     builds = []
     box = lattices._box
 
