@@ -509,7 +509,7 @@ def test_family_must_match_the_generator():
     ([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], "0x1.6a09e667f3bcdp+0"),
     ([[1.3, -0.4, 0.25], [0.1, 0.9, -0.7], [0.35, 0.6, 1.2]], "0x1.273bcd5e51828p+0"),
     ([[1.0, 0.1, -0.3, 0.2], [0.4, 1.2, 0.05, -0.5], [-0.2, 0.3, 0.8, 0.6],
-      [0.15, -0.25, 0.45, 1.1]], "0x1.2a8b73e294fb6p-1"),
+      [0.15, -0.25, 0.45, 1.1]], "0x1.2a8b73e294fb5p-1"),
 ])
 def test_min_nonzero_norm_pinned(G, expect):
     # this value fixes gamma, hence the stream bytes, for configs without
