@@ -767,6 +767,8 @@ def lattice_from_config(text: str, name: str = "user") -> Lattice:
         key, val = (s.strip() for s in ln.split("=", 1))
         if key not in ("packing_radius", "covering_radius", "nsm"):
             raise ValueError(f"unknown config key: {key!r}")
+        if key in opts:
+            raise ValueError(f"repeated config key: {key!r}")
         try:
             opts[key] = float(val)
         except ValueError as exc:

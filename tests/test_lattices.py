@@ -928,6 +928,16 @@ def test_non_numeric_config_entry_is_named(text, match):
 
 
 @pytest.mark.parametrize("text,key", [
+    ("2\n1 0\n0 1\npacking_radius=0.4\npacking_radius=0.5\n", "packing_radius"),
+    ("2\n1 0\n0 1\nnsm=0.1\ncovering_radius=1\nnsm = 0.1\n", "nsm"),
+])
+def test_repeated_config_key_is_refused(text, key):
+    # the last line used to win: packing_radius 0.4 then 0.5 loaded with 0.5
+    with pytest.raises(ValueError, match=f"repeated config key: '{key}'"):
+        lattice_from_config(text)
+
+
+@pytest.mark.parametrize("text,key", [
     ("2\n1 0\n0 1\ncovering_radius=inf\n", "covering_radius"),
     ("2\n1 0\n0 1\ncovering_radius=nan\n", "covering_radius"),
     ("2\n1 0\n0 1\nnsm=nan\n", "nsm"),
