@@ -295,40 +295,35 @@ def table_layered_gaussian(dims) -> list:
 def table_max_error_redundancy(dims, registry: dict[int, RegistryEntry]):
     """Max-error redundancy rows plus the dimensions missing from the
     registry; those get only the lattice-independent lines."""
-    rows, missing = [], []
-    for n in dims:
-        rows.append((n, "rsuq_any_lattice", rsuq_red_per_dim(n), "geometric-excess-cap"))
-        if n >= 2:
-            rows.append((n, "rogers", rogers_bound(n), "covering-existence"))
-        e = registry.get(n)
-        if e is None or (e.theta is None and e.delta is None):
-            missing.append(n)
-            continue
-        if e.theta is not None:
-            rows.append((n, "lattice_covering", lattice_red_max_error(n, e.theta),
-                         "log-covering-density"))
-        if e.delta is not None:
-            rows.append((n, "rsuq_best_packing", rsuq_red_per_dim(n, e.delta),
-                         "geometric-excess"))
-    return rows, missing
+    return _redundancy_table(dims, registry, mse=False)
 
 
 def table_mse_redundancy(dims, registry: dict[int, RegistryEntry]):
     """Zador-MSE redundancy rows plus the dimensions missing from the
     registry; those get only the lattice-independent lines."""
+    return _redundancy_table(dims, registry, mse=True)
+
+
+def _redundancy_table(dims, registry, mse):
+    # One figure-2 table: the lattice-independent lines, then the registry's
+    # line for the measure (nsm for MSE, theta for max error) and the best packing's.
     rows, missing = [], []
     for n in dims:
         rows.append((n, "rsuq_any_lattice", rsuq_red_per_dim(n), "geometric-excess-cap"))
-        rows.append((n, "zador_ub", zador_ub(n), "quantizer-existence"))
-        if n >= 8:
-            rows.append((n, "ordentlich_ub", ordentlich_ub(n), "lattice-existence"))
+        if mse:
+            rows.append((n, "zador_ub", zador_ub(n), "quantizer-existence"))
+            if n >= 8:
+                rows.append((n, "ordentlich_ub", ordentlich_ub(n), "lattice-existence"))
+        elif n >= 2:
+            rows.append((n, "rogers", rogers_bound(n), "covering-existence"))
         e = registry.get(n)
-        if e is None or (e.nsm is None and e.delta is None):
+        own = None if e is None else e.nsm if mse else e.theta
+        if own is not None and mse:
+            rows.append((n, "lattice_zador", lattice_zador_red_mse(n, own), "nsm-zador"))
+        elif own is not None:
+            rows.append((n, "lattice_covering", lattice_red_max_error(n, own), "log-covering-density"))
+        if e is not None and e.delta is not None:
+            rows.append((n, "rsuq_best_packing", rsuq_red_per_dim(n, e.delta), "geometric-excess"))
+        elif own is None:
             missing.append(n)
-            continue
-        if e.nsm is not None:
-            rows.append((n, "lattice_zador", lattice_zador_red_mse(n, e.nsm), "nsm-zador"))
-        if e.delta is not None:
-            rows.append((n, "rsuq_best_packing", rsuq_red_per_dim(n, e.delta),
-                         "geometric-excess"))
     return rows, missing
