@@ -291,7 +291,7 @@ class Lattice:
 
     def _offset_table(self, full=False):
         # The scan's certified offsets (or the whole box), built once per
-        # lattice, also when split_rows' threads ask for it at once.
+        # lattice, also when callers' threads ask for it at once.
         with _TABLE_LOCK:
             if full not in self._scan_tables:
                 self._scan_tables[full] = _ScanTable.build(self, full)

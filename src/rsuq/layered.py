@@ -44,9 +44,8 @@ class NoiseModel:
     with superlevel(t) contained in beta(t) * Voronoi, and the membership
     predicate in_level_set(Z, t): one boolean per row of errors Z = y - x in
     input units, row i against level t[i].  All of them work over rows.
-    sample_level is called on slices of a batch's rows, possibly on several
-    threads at once (quantizer.split_rows), so each of its levels must be a
-    pure function of its own row of uniforms.
+    sample_level is called on slices of a batch's rows (quantizer.split_rows),
+    so each of its levels must be a pure function of its own row of uniforms.
     """
 
     n: int

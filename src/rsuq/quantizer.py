@@ -38,21 +38,18 @@ The entry points take rows and derive one stream seed per row
 row i's bits do not depend on the other rows.  A vector of shape (n,) is
 one row, seeded with derive_seed(seed, 0).
 
-The rejection loop runs on the calling thread.  The stages around it
-compute each row from that row alone, so `split_rows` runs them on row
-slices, each writing its rows into output arrays allocated once for the
-batch: the pass at K, the decoder's rebuild of M + V_K and the layered
-quantizer's level draw.  A slice holds at most _SLICE_MAX coordinates,
-which bounds each thread's temporaries, and batches of at least
-2 * _SPLIT_MIN coordinates spread their slices across the CPUs of the
-process.  No output bit depends on the cut or the number of CPUs.
+Everything runs on the calling thread.  The stages after the rejection
+loop compute each row from that row alone, so `split_rows` runs them on
+row slices, each writing its rows into output arrays allocated once for
+the batch: the pass at K, the decoder's rebuild of M + V_K and the
+layered quantizer's level draw.  A slice holds at most _SLICE_MAX
+coordinates, which bounds the temporaries of a large batch.  No output
+bit depends on the cut.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,81 +58,23 @@ from .dither import derive_seeds, fold_rows, gathered_uniforms, stream_uniforms
 from .lattices import Lattice, as_rows, check_rows, packing_density
 
 
-# A batch of at least 2 * _SPLIT_MIN coordinates (rows x n) runs its
-# row-independent stages in shares of at least _SPLIT_MIN coordinates, one
-# per CPU; on smaller batches a second thread costs more than it saves.
-_SPLIT_MIN = 2 ** 14
-
 # Each call of a split stage covers at most _SLICE_MAX coordinates, so its
-# temporaries stay in the CPU caches and below a few MB on every thread.
+# temporaries stay in the CPU caches and below a few MB.
 _SLICE_MAX = 2 ** 16
-
-# The CPUs this process may run on, read once.
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _workers():
-    # split_rows' CPUs - 1 worker threads, started on first use.
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor  # small batches never import it
-
-            _pool = ThreadPoolExecutor(_CPUS - 1, thread_name_prefix="rsuq-split")
-        return _pool
-
-
-def _forget_workers():
-    # A forked child inherits the pool but none of its threads: a submit
-    # there would wait forever, so the child starts a pool of its own.
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_workers)
 
 
 def split_rows(fn, N, n):
-    """Run fn(rows) over consecutive row slices `rows` covering 0..N.
+    """Run fn(rows) over consecutive row slices `rows` covering 0..N, in order.
 
     fn writes the results of its rows in place, into arrays the caller
     allocated for all N rows, and must compute each row from that row
     alone, so the results do not depend on the cut.  Every slice holds at
-    most _SLICE_MAX coordinates (one row if a row holds more).  A batch of
-    at least 2 * _SPLIT_MIN coordinates in a process on more than one CPU is
-    first cut into up to one share of consecutive rows per CPU, each of at
-    least _SPLIT_MIN coordinates: the first share runs on the calling thread
-    and the rest on the worker threads.  Smaller batches run on the calling
-    thread alone.  A share stops at its first slice that raises, and the
-    exception of the lowest such slice reaches the caller once every share
-    has stopped.
+    most _SLICE_MAX coordinates (one row if a row holds more).  The first
+    slice that raises stops the loop.
     """
     step = max(1, _SLICE_MAX // n)
-
-    def run(share):
-        for lo in range(share.start, share.stop, step):
-            fn(slice(lo, min(lo + step, share.stop)))
-
-    parts = min(_CPUS, N * n // _SPLIT_MIN)
-    if parts < 2:
-        run(slice(0, N))
-        return
-    cuts = [N * i // parts for i in range(parts + 1)]
-    shares = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    from concurrent.futures import wait
-
-    pool = _workers()
-    futures = [pool.submit(run, share) for share in shares[1:]]
-    try:
-        run(shares[0])
-    finally:
-        wait(futures)
-    for f in futures:
-        f.result()
+    for lo in range(0, N, step):
+        fn(slice(lo, min(lo + step, N)))
 
 
 class RejectionCapError(RuntimeError):

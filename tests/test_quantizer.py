@@ -311,23 +311,21 @@ def _numpy_peak(encode, X):
         tracemalloc.stop()
 
 
-def test_rejection_loop_holds_x_over_gamma_once(monkeypatch):
+def test_rejection_loop_holds_x_over_gamma_once():
     # x / gamma is one coordinate-major (n, N) array, the pass at K divides
-    # its own rows and the squared radius stays a scalar: on one thread the
-    # numpy peak of a large encode reads 7.5 inputs (a second, row-major copy
-    # of x / gamma read 9, a per-row r2 array 8)
-    monkeypatch.setattr(rsuq.quantizer, "_CPUS", 1)
+    # its own rows and the squared radius stays a scalar: the numpy peak of
+    # a large encode reads 7.5 inputs (a second, row-major copy of x / gamma
+    # read 9, a per-row r2 array 8)
     cfg = RsuqConfig(Z2, r=0.05, seed=5)
     X = np.random.default_rng(7).standard_normal((2 ** 17, 2)) * 3
     peak = _numpy_peak(partial(encode_batch, cfg), X)
     assert peak <= 8.0 * X.nbytes, peak / X.nbytes
 
 
-def test_layered_encode_holds_no_copy_of_the_input(monkeypatch):
+def test_layered_encode_holds_no_copy_of_the_input():
     # the layered quantizer hands x and beta to the rejection loop, which
-    # forms x / beta once: the numpy peak of a large Gaussian E8 encode on
-    # one thread reads 7.5 inputs (a whole-batch x / beta copy read 8.5)
-    monkeypatch.setattr(rsuq.quantizer, "_CPUS", 1)
+    # forms x / beta once: the numpy peak of a large Gaussian E8 encode reads
+    # 7.5 inputs (a whole-batch x / beta copy read 8.5)
     E8 = builtin_lattice("E8", 8)
     X = np.random.default_rng(7).standard_normal((2 ** 15, 8)) * 3
     peak = _numpy_peak(partial(lrsuq_encode_batch, GaussianNoise(8), E8, 5), X)
