@@ -12,6 +12,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -88,8 +89,10 @@ def cmd_decode(args) -> int:
     header, K, J = decode_stream(data, lat=user)
     lat = lattice_for_header(header, user)
     if header.mode == MODE_BALL:
-        cfg = RsuqConfig(lat, r=header.param, seed=header.seed)
-        Y = decode_batch(cfg, K, J)
+        RsuqConfig(lat, r=header.param, seed=header.seed)  # refuses a bad radius
+        # lattice_for_header accepted the stream's gamma within 1e-9 of this
+        # lattice's; decoding at the stream's own gamma gives the encoder's bits.
+        Y = decode_batch(SimpleNamespace(lat=lat, gamma=header.gamma, seed=header.seed), K, J)
     else:
         noise = GaussianNoise(header.n)
         Y = lrsuq_decode_batch(noise, lat, header.seed, K, J)

@@ -261,5 +261,7 @@ def decode_batch(cfg: RsuqConfig, K, J):
 
     A seed/lattice/radius mismatch with the encoder is undetectable by
     construction; supplying the encoding configuration is the contract.
+    Only cfg.lat, cfg.gamma and cfg.seed are read, so a stream decoder can
+    pass the gamma its header carries.
     """
     return _decode_rows(cfg.lat, cfg.gamma, batch_seeds(cfg.seed, np.size(K)), K, J)

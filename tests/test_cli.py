@@ -202,6 +202,32 @@ def test_user_lattice_config_encode_decode(tmp_path, vec_file):
     assert np.linalg.norm(Y - X, axis=1).max() <= 0.3
 
 
+@pytest.mark.parametrize("toward", [math.inf, 0.0], ids=["up", "down"])
+def test_ball_stream_decodes_with_the_header_gamma(tmp_path, toward):
+    # a decoder whose packing radius is one ulp off the encoder's passes the
+    # 1e-9 header check; it must decode with the stream's gamma and give the
+    # encoder's bits, not rebuild gamma from its own radius
+    from rsuq.lattices import Lattice
+    from rsuq.quantizer import RsuqConfig, encode_batch
+
+    fcc = [[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
+    p = math.sqrt(0.5)
+    X = np.random.default_rng(12).standard_normal((500, 3)) * 4
+    inp, rsq, rec = tmp_path / "in.vqf", tmp_path / "out.rsq", tmp_path / "rec.vqf"
+    inp.write_bytes(write_vectors(X))
+    cfgs = {}
+    for name, radius in (("enc", p), ("dec", math.nextafter(p, toward))):
+        cfgs[name] = tmp_path / f"{name}.cfg"
+        cfgs[name].write_text(f"3\n1 1 0\n1 0 1\n0 1 1\npacking_radius={radius!r}\n")
+    assert 0.3 / p != 0.3 / math.nextafter(p, toward)
+    assert run_cli("encode", "--input", str(inp), "--lattice", str(cfgs["enc"]), "--dim", "3",
+                   "--radius", "0.3", "--seed", "6", "--output", str(rsq))[0] == 0
+    assert run_cli("decode", "--input", str(rsq), "--lattice", str(cfgs["dec"]),
+                   "--output", str(rec))[0] == 0
+    _, _, Y = encode_batch(RsuqConfig(Lattice("fcc", fcc, packing_radius=p), r=0.3, seed=6), X)
+    assert rec.read_bytes() == write_vectors(Y)
+
+
 def test_builtin_lattice_ids_are_reserved(tmp_path, vec_file, monkeypatch):
     # a config named A2 that holds Z^2 used to be written as an A2 stream,
     # which decodes without --lattice on the built-in A2 to wrong vectors
