@@ -3,7 +3,8 @@
 `digests()` returns one "name sha256" line per output: the searched packing
 radii of four pinned bases, the RSQ1 stream and decoded VQF1 file of a
 4-dim config without packing_radius (gamma comes from its searched radius),
-ball encode and decode on Z2, E8 and fcc, and a Gaussian E8 simulate.
+ball encode and decode on Z2, E8 and fcc, a Gaussian E8 simulate, and the
+CLI's decoded VQF1 file of every version-1 stream in data/v1.
 Run as a script, it prints them; test_machine_matrix.py compares the lines
 printed under each BLAS kernel and numpy dispatch setting.
 """
@@ -22,6 +23,8 @@ from rsuq.coding import write_vectors
 from rsuq.lattices import Lattice, builtin_lattice, lattice_from_config
 from rsuq.layered import GaussianNoise, lrsuq_encode_batch
 from rsuq.quantizer import RsuqConfig, decode_batch, encode_batch
+
+V1 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "v1")
 
 PINNED = [
     [[1.0, 0.3], [0.2, 1.1]],
@@ -56,6 +59,21 @@ def _probe():
         return [open(paths[k], "rb").read() for k in ("out.rsq", "out.vqf")]
 
 
+def _corpus():
+    # `rsuq decode` of every version-1 stream; the digests are those of its manifest
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        out = os.path.join(tmp, "out.vqf")
+        for name in sorted(f for f in os.listdir(V1) if f.endswith(".rsq")):
+            argv = ["decode", "--input", os.path.join(V1, name), "--output", out]
+            if name == "fcc.rsq":
+                argv += ["--lattice", os.path.join(V1, "fcc.cfg")]
+            assert cli.main(argv) == 0
+            with open(out, "rb") as fh:
+                lines.append(f"v1/{name} {hashlib.sha256(fh.read()).hexdigest()}")
+    return lines
+
+
 def digests():
     radii = [2.0 * Lattice("pinned", G).packing_radius for G in PINNED]
     lines = [f"radii {_sha(np.array(radii))}"]
@@ -68,7 +86,7 @@ def digests():
         K, J, Y = encode_batch(cfg, X[:, : lat.n])
         lines.append(f"ball-{name} {_sha(K, J, Y, decode_batch(cfg, K, J))}")
     lines.append(f"gauss-E8 {_sha(*lrsuq_encode_batch(GaussianNoise(8), builtin_lattice('E8', 8), 13, X))}")
-    return lines
+    return lines + _corpus()
 
 
 if __name__ == "__main__":
