@@ -42,9 +42,10 @@ def _coders(lat, model):
     lattice_from_config(FCC_CONFIG, name="fcc"),
 ], ids=lambda lat: lat.name + str(lat.n))
 def test_split_changes_no_bit(lat, model, monkeypatch):
-    # K, J, the encoder's Y and the decoder's output in slices of 7 rows or
-    # of one row equal the default cut bit for bit, and every slice runs on
-    # the calling thread; one row per slice is timed on small batches only
+    # K, J, the encoder's Y and the decoder's output in slices of 7n + 3
+    # coordinates or of one row equal the default cut bit for bit, and every
+    # slice runs on the calling thread; one-row slices, slow on a large batch,
+    # run on the small batches only
     encode, decode = _coders(lat, model)
     n = lat.n
     calls = []
