@@ -96,10 +96,15 @@ def test_split_cuts_consecutive_slices():
     assert calls == [(slice(0, 1), threading.current_thread())]
 
 
+@pytest.mark.parametrize("cpus", [1, 3])
 @pytest.mark.parametrize("n", [4, quantizer._SLICE_MAX + 1])
-def test_split_slices_hold_at_most_slice_max_coordinates(n):
+def test_split_slices_hold_at_most_slice_max_coordinates(n, cpus, monkeypatch):
     # slices of _SLICE_MAX // n rows and one shorter slice at the end, or of
-    # one row where a row holds more coordinates, in row order
+    # one row where a row holds more coordinates, in row order, whatever
+    # number of CPUs the machine reports
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     step = max(1, quantizer._SLICE_MAX // n)
     N = 7 * step + 5
     want = [(lo, min(lo + step, N)) for lo in range(0, N, step)]
