@@ -354,9 +354,11 @@ def decode_stream(data: bytes, lat: Lattice | None = None):
         # The window's first run is zeros[0].  Walk the chain in Python in
         # strides of 2^d records, with jump applied 2^d times (each squaring
         # frees the last), then fill in each stride by gathers from jump.
+        # Every index is in [0, S]: "clip" changes no value, but spares the
+        # bounds checks and the buffered `out` of numpy's default mode.
         hop = jump
         for _ in range(_STRIDE_LOG2):
-            hop = np.take(hop, hop)
+            hop = np.take(hop, hop, mode="clip")
         a, anchors = 0, [0]
         for _ in range(-(-(count - done) >> _STRIDE_LOG2) - 1):
             if (a := hop.item(a)) == S:
@@ -366,7 +368,7 @@ def decode_stream(data: bytes, lat: Lattice | None = None):
         chain = np.empty((1 << _STRIDE_LOG2, len(anchors)), dtype=np.int32)
         chain[0] = anchors
         for row in range(1, len(chain)):
-            np.take(jump, chain[row - 1], out=chain[row])
+            np.take(jump, chain[row - 1], out=chain[row], mode="clip")
         del jump
         t = chain.T.ravel()
         t = t[:min(count - done, np.searchsorted(t, S))]

@@ -67,8 +67,9 @@ _SUBNORMAL = 2.0 ** -1060  # a floor for subnormal squares
 _WIDEN = 2.0 ** -20  # the relative widening of a box's extents and of rho
 
 # The scan ranks offsets for max(1, _SCAN_BLOCK // offsets) rows at a time,
-# which bounds its (rows x offsets) rank matrix near this many entries.
-_SCAN_BLOCK = 2 ** 14
+# which bounds its (rows x offsets) rank matrix near this many entries.  Much
+# of a block's cost is fixed, so a 512-row fcc call (55 offsets) is one block.
+_SCAN_BLOCK = 2 ** 16
 
 # The rejection screen's band is this many units of 2**-53 times the scale
 # of `Lattice.screen_limits`; raising it sends more draws to the exact test.
@@ -221,7 +222,8 @@ class Lattice:
         d = np.empty(len(X))
         base = _nearest_zn_points(X @ self._invG.T).astype(np.int64)
         for _, rows, q, e2, _ in _ranks(self, X, base):
-            d[rows] = e2 + q.min(axis=1)
+            # the first minimum's value, NaN for a NaN row: q.min(axis=1), read faster
+            d[rows] = e2 + q[np.arange(len(q)), q.argmin(axis=1)]
         return d
 
     def screen_limits(self, XgT, gamma, r2):
@@ -268,7 +270,11 @@ class Lattice:
             P = np.maximum.reduce(np.abs(XgT), 0)
             h = _BAND_ULPS * _U * n * (n + 2) * kappa * (P + a + 2.0 * R1)
             g2 = np.square(gamma)
-            band = h * (R1 + h) + n * _SUBNORMAL / g2
+            band = h * (R1 + h)
+            # The floor, a slow subnormal quotient, can move band only on these rows;
+            # elsewhere it is below 2**-60 band.  An underflow or a NaN takes it too.
+            low = ~(g2 * band > n * 2.0 ** -1000)
+            band[low] += n * _SUBNORMAL / np.broadcast_to(g2, band.shape)[low]
             r2 = r2 / g2
             decides = band < np.minimum(r2, R1 * R1)
         return np.where(decides, r2 - band, -np.inf), np.where(decides, r2 + band, np.inf)
@@ -449,11 +455,11 @@ def _scan(lat, X):
     for t, rows, q, _, S in _ranks(lat, X, base):
         best = q.argmin(axis=1)
         # NaN compares false: a row with a NaN rank (argmin picks it) keeps every offset
-        near = ~(q > (q[np.arange(len(q)), best] + _margin(lat.n, S))[:, None])
-        if np.count_nonzero(near) == len(q):  # each row keeps one offset, its argmin
+        far = q > (q[np.arange(len(q)), best] + _margin(lat.n, S))[:, None]
+        if np.count_nonzero(far) == far.size - len(q):  # each row keeps one offset, its argmin
             J[rows] = base[rows] + t.O[best]
             continue
-        r, o = np.divmod(np.flatnonzero(near), len(t.O))  # r indexes the block's rows
+        r, o = np.divmod(np.flatnonzero(~far), len(t.O))  # r indexes the block's rows
         C = base[rows][r] + t.O[o]
         d = _sqnorm_rows(X[rows][r] - lat.embed_rows(C))
         # r is sorted and every row keeps its best-ranked offset, so the runs of

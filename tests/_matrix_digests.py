@@ -3,7 +3,8 @@
 `digests()` returns one "name sha256" line per output: the searched packing
 radii of four pinned bases, the RSQ1 stream and decoded VQF1 file of a
 4-dim config without packing_radius (gamma comes from its searched radius),
-ball encode and decode on Z2, E8 and fcc, a Gaussian E8 simulate, and the
+ball encode and decode on Z2, E8 (300 rows) and fcc (2048 rows, so the scan
+ranks more than one block), a Gaussian E8 simulate, and the
 CLI's decoded VQF1 file of every version-1 stream in data/v1.
 Run as a script, it prints them; test_machine_matrix.py compares the lines
 printed under each BLAS kernel and numpy dispatch setting.
@@ -79,13 +80,16 @@ def digests():
     lines = [f"radii {_sha(np.array(radii))}"]
     rsq, vqf = _probe()
     lines += [f"probe.rsq {_sha(rsq)}", f"probe.vqf {_sha(vqf)}"]
-    X = np.random.default_rng(5).standard_normal((300, 8))
-    for name, lat in (("Z2", builtin_lattice("Zn", 2)), ("E8", builtin_lattice("E8", 8)),
-                      ("fcc", lattice_from_config(_config(PINNED[1])))):
+    X = np.random.default_rng(5).standard_normal((2048, 8))
+    # fcc ranks its first 2048-row search in two blocks of the scan
+    for name, lat, rows in (("Z2", builtin_lattice("Zn", 2), 300),
+                            ("E8", builtin_lattice("E8", 8), 300),
+                            ("fcc", lattice_from_config(_config(PINNED[1])), 2048)):
         cfg = RsuqConfig(lat, r=0.4, seed=11)
-        K, J, Y = encode_batch(cfg, X[:, : lat.n])
+        K, J, Y = encode_batch(cfg, X[:rows, : lat.n])
         lines.append(f"ball-{name} {_sha(K, J, Y, decode_batch(cfg, K, J))}")
-    lines.append(f"gauss-E8 {_sha(*lrsuq_encode_batch(GaussianNoise(8), builtin_lattice('E8', 8), 13, X))}")
+    gauss = lrsuq_encode_batch(GaussianNoise(8), builtin_lattice("E8", 8), 13, X[:300])
+    lines.append(f"gauss-E8 {_sha(*gauss)}")
     return lines + _corpus()
 
 

@@ -617,7 +617,7 @@ def _scan_case(draw):
     if draw(st.booleans()):
         X = np.round(X * 4) / 4
     # one row per block when the box has more offsets than the block
-    return lat, X, draw(st.sampled_from([2 ** 14, 64, 7, 1]))
+    return lat, X, draw(st.sampled_from([lattices._SCAN_BLOCK, 64, 7, 1]))
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
@@ -640,7 +640,7 @@ def test_scan_matches_per_offset_reference(case):
     assert np.array_equal(_bits(single_points), _bits(points[:4]))
 
 
-@pytest.mark.parametrize("block", [2 ** 14, 3, 1])
+@pytest.mark.parametrize("block", [lattices._SCAN_BLOCK, 3, 1])
 @pytest.mark.parametrize("scale", [1.0, 1e6])
 def test_a2_scan_matches_per_offset_reference(block, scale):
     # Half the rows lie on the quarter grid (exact ties).  A quarter are
@@ -775,15 +775,8 @@ def test_scan_memory_is_bounded_per_block():
     assert peak < 2 ** 21
 
 
-def test_whole_box_ranks_only_the_rows_that_fail_the_certificate(monkeypatch):
-    # One row at 2**45 fails the certificate: it alone is ranked against the
-    # whole box, the other rows against the certified table, with the J of
-    # per-row calls.
-    fcc = lattice_from_config(FCC_CONFIG)
-    X = np.random.default_rng(6).standard_normal((1024, 3))
-    X[17] = [2.0 ** 45, 0.3, -0.7]
-    want_j = np.vstack([fcc.nearest_rows(x) for x in X])
-    want_d = np.concatenate([fcc.sqdist_rows(X[i : i + 1]) for i in range(len(X))])
+def _ranked_blocks(monkeypatch):
+    # (whole box, rows) of each block `_ranks` yields from now on
     ranked = []
     ranks = lattices._ranks
 
@@ -793,11 +786,39 @@ def test_whole_box_ranks_only_the_rows_that_fail_the_certificate(monkeypatch):
             yield t, rows, q, e2, S
 
     monkeypatch.setattr(lattices, "_ranks", counted)
+    return ranked
+
+
+def test_whole_box_ranks_only_the_rows_that_fail_the_certificate(monkeypatch):
+    # One row at 2**45 fails the certificate: it alone is ranked against the
+    # whole box, the other rows against the certified table, with the J of
+    # per-row calls.
+    fcc = lattice_from_config(FCC_CONFIG)
+    X = np.random.default_rng(6).standard_normal((1024, 3))
+    X[17] = [2.0 ** 45, 0.3, -0.7]
+    want_j = np.vstack([fcc.nearest_rows(x) for x in X])
+    want_d = np.concatenate([fcc.sqdist_rows(X[i : i + 1]) for i in range(len(X))])
+    ranked = _ranked_blocks(monkeypatch)
     for got, want in ((fcc.nearest_rows, want_j), (fcc.sqdist_rows, want_d)):
         ranked.clear()
         assert np.array_equal(got(X), want)
         whole = sum(rows for full, rows in ranked if full)
         assert (whole, sum(rows for _, rows in ranked) - whole) == (1, 1023)
+
+
+def test_certified_fcc_call_ranks_in_one_block(monkeypatch):
+    # Most of a block's cost is fixed: 1024 fcc rows against the 55 certified
+    # offsets (56,320 ranks) are one block, with the J and distances of
+    # per-row calls.
+    fcc = lattice_from_config(FCC_CONFIG)
+    X = np.random.default_rng(7).standard_normal((1024, 3))
+    want_j = np.vstack([fcc.nearest_rows(x) for x in X])
+    want_d = np.concatenate([fcc.sqdist_rows(X[i : i + 1]) for i in range(len(X))])
+    ranked = _ranked_blocks(monkeypatch)
+    for got, want in ((fcc.nearest_rows, want_j), (fcc.sqdist_rows, want_d)):
+        ranked.clear()
+        assert np.array_equal(got(X), want)
+        assert ranked == [(False, 1024)]
 
 
 def _bits(a):

@@ -144,6 +144,45 @@ def test_screen_limits_are_pinned(name):
     assert digest == _LIMITS_SHA256[name]
 
 
+def _limits_ref(lat, XgT, gamma, r2, floor=True):
+    # screen_limits with the subnormal floor added to every row in one line
+    n = lat.n
+    a, kappa, R1 = lat._screen_constants
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        P = np.abs(XgT).max(axis=0)
+        h = rsuq.lattices._BAND_ULPS * 2.0 ** -53 * n * (n + 2) * kappa * (P + a + 2.0 * R1)
+        g2 = np.square(gamma)
+        band = h * (R1 + h) + (n * 2.0 ** -1060 / g2 if floor else 0.0)
+        r2 = r2 / g2
+        decides = band < np.minimum(r2, R1 * R1)
+    return np.where(decides, r2 - band, -np.inf), np.where(decides, r2 + band, np.inf)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+@pytest.mark.parametrize("per_row", [True, False])
+def test_floor_on_some_rows_keeps_the_limits(name, per_row):
+    # the floor is added only on the rows where it can move the band, and the
+    # limits keep the bits of the one-line sum: per-row gammas from 2**-540
+    # (its square underflows) to 2**540, a quarter of them 2**-512 to 2**-502
+    # at small |p|, where the floor moves the band, or one scalar gamma
+    lat = LATTICES[name]
+    rng = np.random.default_rng(23)
+    N = 2000
+    scale, gamma = 2.0 ** rng.uniform(0, 45, size=N), 2.0 ** rng.uniform(-540, 540, size=N)
+    scale[::4], gamma[::4] = 2.0 ** rng.uniform(0, 10, size=(2, N // 4)) * [[1], [2.0 ** -512]]
+    XgT = rng.standard_normal((lat.n, N)) * scale
+    if not per_row:
+        gamma = 2.0 ** -505
+    with np.errstate(over="ignore", under="ignore"):
+        r2 = np.broadcast_to(np.square(lat.packing_radius * gamma), N) * rng.uniform(0.5, 1.5, N)
+    lo, hi = lat.screen_limits(XgT, gamma, r2)
+    want_lo, want_hi = _limits_ref(lat, XgT, gamma, r2)
+    assert np.array_equal(_bits(lo), _bits(want_lo))
+    assert np.array_equal(_bits(hi), _bits(want_hi))
+    moved = want_lo != _limits_ref(lat, XgT, gamma, r2, floor=False)[0]
+    assert np.isfinite(hi[moved]).sum() >= N // 20
+
+
 @pytest.mark.parametrize("name", sorted(LATTICES))
 @pytest.mark.parametrize("mode", ["ball", "gaussian"])
 def test_wide_band_sends_every_draw_to_the_exact_test(monkeypatch, name, mode):
