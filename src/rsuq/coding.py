@@ -205,15 +205,17 @@ def lattice_for_header(header: StreamHeader, lat: Lattice | None = None) -> Latt
     if lat is not None and lat.n != header.n:
         raise FormatError("supplied lattice dimension does not match stream")
     if header.lattice_id in _BUILTIN_FAMILIES:
+        # A supplied lattice of another family is refused before the built-in
+        # is built, which at a dimension the family lacks would blame the header.
+        if lat is not None and lat.family != header.lattice_id:
+            raise _reserved(header, lat)
         try:
             builtin = builtin_lattice(header.lattice_id, header.n)
             golomb_for_lattice(builtin)
         except ValueError as exc:
             raise FormatError(f"header dimension {header.n} does not fit: {exc}") from exc
-        if lat is not None and (lat.family, lat.packing_radius) != (
-                builtin.family, builtin.packing_radius):
-            raise FormatError(f"lattice id {header.lattice_id!r} is reserved for the built-in "
-                              f"{header.lattice_id} lattice, which {lat!r} is not")
+        if lat is not None and lat.packing_radius != builtin.packing_radius:
+            raise _reserved(header, lat)
         lat = builtin
     elif lat is None:
         raise FormatError(f"stream uses non-builtin lattice {header.lattice_id!r}; "
@@ -223,6 +225,11 @@ def lattice_for_header(header: StreamHeader, lat: Lattice | None = None) -> Latt
         raise FormatError(f"stream scale {header.gamma!r} does not match lattice "
                           f"{lat.name!r} at radius {header.param!r}")
     return lat
+
+
+def _reserved(header, lat):
+    return FormatError(f"lattice id {header.lattice_id!r} is reserved for the built-in "
+                       f"{header.lattice_id} lattice, which {lat!r} is not")
 
 
 def _msb_bits(values, width: int) -> np.ndarray:

@@ -435,21 +435,30 @@ def _scan(lat, X):
     # down, o over the offset table in lexicographic order; exact ties go to
     # the first offset, which is the lexicographically smallest j.
     #
+    # Scale: with a = max_i sum_k |G_ik| and kappa = a max_i sum_k |G^-1_ik|
+    # (Lattice._screen_constants), either caller's base, coords_rows(x) here
+    # and x G^-T in sqdist_rows rounded half down, has |base_k| <= |c_k| + 1/2
+    # and |c_k| <= (1 + n u) sum_j |G^-1_kj| |x_j| (u = 2^-53), so |G base|
+    # and every G base rounded on the way stay below 2 kappa |x|_inf + a.  Every
+    # coordinate in q_o and in the exact score _sqnorm_rows(x - embed_rows(base
+    # + o)) is then at most S = (1 + 2 kappa) |x|_inf + a + reach in size,
+    # reach that of the table the row ranks against: S needs the input alone.
+    #
     # Settle: with e = x - G base, |x - G(base + o)|^2 = |e|^2 + q_o, q_o =
     # |G o|^2 - 2 e.G o, so one matmul ranks every offset of a block of rows.
-    # Every coordinate in q_o and in the exact score _sqnorm_rows(x -
-    # embed_rows(base + o)) is at most S = |x|_inf + |(|G| |base|)|_inf + reach
-    # in size, so (u = 2^-53) q_o is within 12 n (n+1) u S^2 of d_o - |e|^2 and
-    # the exact score within 3 n (n+1) u S^2 of d_o, the true distance: the
-    # exact winner ranks within 30 n (n+1) u S^2 of the argmin, under half of
-    # _margin.  A block whose rows rank no other offset within _margin of
-    # their argmin takes the argmins; else those offsets get the exact score,
-    # the first smallest winning, and a row with a NaN rank keeps them all.
+    # q_o is within 12 n (n+1) u S^2 of d_o - |e|^2 and the exact score within
+    # 3 n (n+1) u S^2 of d_o, the true distance: the exact winner ranks within
+    # 30 n (n+1) u S^2 of the argmin, under half of _margin.  A block whose
+    # rows rank no other offset within _margin of their argmin takes the
+    # argmins; else those offsets get the exact score, the first smallest
+    # winning, and a row with a NaN rank keeps them all.
     #
     # Certify: the box holds a j* with |x - G j*| <= R; square roots of exact
     # scores and |e| are within 2 n (n+2) u S of the truth, so the box's
     # winner w has |G(w - base)| <= |e| + R + 8 n (n+2) u S.  If that is at
     # most R + rho for every row, w is in the certified table and wins it.
+    # _ranks tests that once per call, at the largest |e| and S, and row by
+    # row only when the call fails it.
     base = _nearest_zn_points(lat.coords_rows(X)).astype(np.int64)
     J = np.empty_like(base)
     for t, rows, q, _, S in _ranks(lat, X, base):
@@ -472,20 +481,29 @@ def _ranks(lat, X, base):
     # _scan's prologue, shared with sqdist_rows: yields (t, rows, q, |e|^2, S)
     # for blocks of max(1, _SCAN_BLOCK // offsets) rows, `rows` a slice or
     # index array of X, with e = x - G base, t the table of those rows, q
-    # their rank matrix and S their bound.  A row ranks against the certified
-    # table, or against the whole box if it fails the certificate.
+    # their rank matrix and S their scale (see _scan).  A call whose largest
+    # |e| and S pass the certificate ranks every row against the certified
+    # table; else each row that fails it ranks against the whole box.
     t, n = lat._offset_table(), lat.n
+    a, kappa, _ = lat._screen_constants
     B = base.astype(np.float64)  # the cast each int64-by-float product would make
     e = X - B @ lat.G.T
-    S = _row_max(np.abs(X)) + _row_max(np.abs(B) @ np.abs(lat.G).T) + t.reach
     e2 = _sqnorm_rows(e)
-    certified = np.sqrt(e2) + 8.0 * n * (n + 2) * _U * S <= t.rho
-    if certified.all():  # the common case: slices, no gathers
-        groups = [(t, None)]
+    P = _row_max(np.abs(X))
+    P *= 1.0 + 2.0 * kappa
+    S = P + (a + t.reach)
+    guard = 8.0 * n * (n + 2) * _U
+    # The call's test is the row test at the largest |e|^2 and S, and the row
+    # test is monotone in both, so a call that passes it passes every row's; a
+    # NaN fails both.  An empty call passes.
+    if not len(X) or math.sqrt(e2.max()) + guard * S.max() <= t.rho:
+        groups = [(t, None, S)]  # the common case: slices, no gathers
     else:
-        groups = [(t, np.flatnonzero(certified)),
-                  (lat._offset_table(full=True), np.flatnonzero(~certified))]
-    for t, index in groups:
+        certified = np.sqrt(e2) + guard * S <= t.rho
+        full = lat._offset_table(full=True)
+        groups = [(t, np.flatnonzero(certified), S),
+                  (full, np.flatnonzero(~certified), P + (a + full.reach))]
+    for t, index, S in groups:
         step = max(1, _SCAN_BLOCK // len(t.O))
         for lo in range(0, len(X) if index is None else len(index), step):
             rows = slice(lo, lo + step) if index is None else index[lo : lo + step]

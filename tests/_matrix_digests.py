@@ -4,7 +4,9 @@
 radii of four pinned bases, the RSQ1 stream and decoded VQF1 file of a
 4-dim config without packing_radius (gamma comes from its searched radius),
 ball encode and decode on Z2, E8 (300 rows) and fcc (2048 rows, so the scan
-ranks more than one block), a Gaussian E8 simulate, and the
+ranks more than one block), on 64 fcc rows spread over 2^0 ... 2^50 cell
+units in one batch (the generic search's widened margin, its per-row
+certificate and its whole-box fallback), a Gaussian E8 simulate, and the
 CLI's decoded VQF1 file of every version-1 stream in data/v1.
 Run as a script, it prints them; test_machine_matrix.py compares the lines
 printed under each BLAS kernel and numpy dispatch setting.
@@ -88,6 +90,13 @@ def digests():
         cfg = RsuqConfig(lat, r=0.4, seed=11)
         K, J, Y = encode_batch(cfg, X[:rows, : lat.n])
         lines.append(f"ball-{name} {_sha(K, J, Y, decode_batch(cfg, K, J))}")
+    # one batch whose calls fail the search's certificate on their largest rows
+    fcc = lattice_from_config(_config(PINNED[1]))
+    cfg = RsuqConfig(fcc, r=0.4, seed=12)
+    W = np.random.default_rng(6).uniform(-1, 1, (64, 3))
+    W *= cfg.gamma * 2.0 ** np.linspace(0, 50, 64)[:, None] / np.abs(W).max(axis=1)[:, None]
+    K, J, Y = encode_batch(cfg, W)
+    lines.append(f"ball-fcc-wide {_sha(K, J, Y, decode_batch(cfg, K, J))}")
     gauss = lrsuq_encode_batch(GaussianNoise(8), builtin_lattice("E8", 8), 13, X[:300])
     lines.append(f"gauss-E8 {_sha(*gauss)}")
     return lines + _corpus()

@@ -252,6 +252,23 @@ def test_builtin_lattice_ids_are_reserved(tmp_path, vec_file, monkeypatch):
                    "--radius", "0.3", "--output", str(rsq))[0] == 0
 
 
+@pytest.mark.parametrize("lattice_id, config", [("E8", "3\n1 0 0\n0 1 0\n0 0 1\n"),
+                                                ("Dn", "1\n1\n")], ids=["E8-3", "Dn-1"])
+def test_reserved_id_at_a_dimension_its_family_lacks(tmp_path, lattice_id, config):
+    # a user config saved as E8 at n = 3 (or Dn at n = 1) was refused for a
+    # header dimension the built-in family lacks, not for taking its id
+    n = int(config.split()[0])
+    path = tmp_path / "in.vqf"
+    path.write_bytes(write_vectors(np.random.default_rng(4).standard_normal((20, n))))
+    fake = tmp_path / lattice_id
+    fake.write_text(config)
+    rsq = tmp_path / "a.rsq"
+    code, _, err = run_cli("encode", "--input", str(path), "--lattice", str(fake), "--dim",
+                           str(n), "--radius", "0.3", "--output", str(rsq))
+    assert code == 2 and f"reserved for the built-in {lattice_id} lattice" in err
+    assert "does not fit" not in err and not rsq.exists()
+
+
 def test_non_ascii_lattice_id_is_refused_before_the_rejection_loop(tmp_path, vec_file,
                                                                    monkeypatch):
     # the config's file name is the stream's lattice id, which RSQ1 holds in

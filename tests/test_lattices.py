@@ -16,6 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rsuq.lattices as lattices
+from _matrix_digests import PINNED
 from _reject_ref import dense_column_sum
 from _scan_ref import scan_ref
 from rsuq.lattices import (Lattice, builtin_lattice,
@@ -718,10 +719,10 @@ PINNED_4D = [[1.0, 0.1, -0.3, 0.2], [0.4, 1.2, 0.05, -0.5], [-0.2, 0.3, 0.8, 0.6
              [0.15, -0.25, 0.45, 1.1]]
 
 
-def _random_basis(seed):
-    # a well-conditioned 2-4 dimensional real basis without covering_radius
+def _random_basis(seed, top=4):
+    # a well-conditioned 2-top dimensional real basis without covering_radius
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 5))
+    n = int(rng.integers(2, top + 1))
     while True:
         G = rng.uniform(-2, 2, size=(n, n))
         if abs(np.linalg.det(G)) > 0.5 and np.linalg.cond(G) < 6:
@@ -819,6 +820,50 @@ def test_certified_fcc_call_ranks_in_one_block(monkeypatch):
         ranked.clear()
         assert np.array_equal(got(X), want)
         assert ranked == [(False, 1024)]
+
+
+@pytest.mark.parametrize("G", PINNED + ["A2"] + [_random_basis(seed, top=5) for seed in range(6)],
+                         ids=[f"pinned{i}" for i in range(len(PINNED))] + ["A2"]
+                         + [f"random{seed}" for seed in range(6)])
+def test_input_scale_bounds_the_base_scale_and_the_call_certificate_each_row(G):
+    # The scale S that _ranks takes from the input alone bounds the one built
+    # from either caller's base, |x|_inf + |(|G| |base|)|_inf + reach, on rows
+    # from 2**0 to 2**52 cell units and at nextafter(input_limit, 0).  A call
+    # of 8 rows ranks each row against the table a call of that row alone
+    # picks, so a call that passes the certificate (slices only) holds no row
+    # that fails the per-row test; every certified row satisfies it.
+    lat = builtin_lattice("A2", 2) if isinstance(G, str) else Lattice("user", G)
+    n, cert, rng = lat.n, lat._offset_table(), np.random.default_rng(31)
+    edge = np.nextafter(lat.input_limit, 0)
+    X = rng.uniform(-1, 1, size=(8 * 53, n))
+    X *= np.minimum(2.0 ** np.repeat(np.arange(53), 8), edge)[:, None]
+    X[-8:, 0] = np.copysign(edge, X[-8:, 0])
+    guard = 8.0 * n * (n + 2) * 2.0 ** -53
+
+    def routes(x, b):
+        # (whether each row ranks against the certified table, whether all ranked in slices)
+        certified, sliced = np.zeros(len(x), dtype=bool), True
+        for t, rows, _, e2, S in lattices._ranks(lat, x, b):
+            B = b[rows].astype(np.float64)
+            old = (np.abs(x[rows]).max(axis=1)
+                   + (np.abs(B) @ np.abs(lat.G).T).max(axis=1) + t.reach)
+            assert (S >= old).all()
+            if t is cert:
+                assert (np.sqrt(e2) + guard * S <= t.rho).all()
+            certified[rows] = t is cert
+            sliced &= isinstance(rows, slice)
+        return certified, sliced
+
+    calls = {True: 0, False: 0}
+    for base in (lattices._nearest_zn_points(lat.coords_rows(X)).astype(np.int64),
+                 lattices._nearest_zn_points(X @ lat._invG.T).astype(np.int64)):
+        alone = np.array([routes(X[i : i + 1], base[i : i + 1])[0][0] for i in range(len(X))])
+        for lo in range(0, len(X), 8):
+            certified, sliced = routes(X[lo : lo + 8], base[lo : lo + 8])
+            assert np.array_equal(certified, alone[lo : lo + 8])
+            assert certified.all() or not sliced
+            calls[sliced] += 1
+    assert calls[True] and calls[False]
 
 
 def _bits(a):
